@@ -27,13 +27,11 @@ from .corpus import (
     ingest_corpus,
     load_stop_words,
     resolve_sources,
-    term_frequencies,
     tokenize,
     top_k_terms,
 )
 from .infotheory import (
     JointDistribution,
-    MessageEnsemble,
     TokenDistribution,
     bitstream_entropy,
     hartley_entropy,
@@ -51,9 +49,7 @@ from .intelligence import (
     aggregate_corpus,
     doc_vector,
     entropic_gain,
-    iterate_aggregation,
     kmeans,
-    select_representatives,
 )
 from .knowledge import (
     CorrelationResult,
@@ -105,7 +101,6 @@ __all__ = [
     "JointDistribution",
     "LAYERS",
     "MassFunction",
-    "MessageEnsemble",
     "PipelineError",
     "PipelineWarning",
     "RankingWarning",
@@ -129,7 +124,6 @@ __all__ = [
     "frequency_scatter",
     "hartley_entropy",
     "ingest_corpus",
-    "iterate_aggregation",
     "joint_entropy",
     "justification_score",
     "keyword_belief_update",
@@ -142,10 +136,8 @@ __all__ = [
     "resolve_sources",
     "residual_entropy",
     "run_pipeline",
-    "select_representatives",
     "shannon_entropy",
     "synthetic_corpus",
-    "term_frequencies",
     "tokenize",
     "top_k_terms",
     "topic_distributions",

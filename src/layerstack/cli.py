@@ -8,33 +8,26 @@ individual layers. Exit codes: 0 success, 1 fatal error, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .belief import Frame, MassFunction, belief, combine, make_mass, plausibility, vacuous_mass
-from .corpus import (
-    DEFAULT_CONFIG,
-    TokenizerConfig,
-    frequency_scatter,
-    ingest_corpus,
-    term_frequencies,
-    tokenize,
-)
+from .corpus import DEFAULT_CONFIG, TokenizerConfig, ingest_corpus, read_source, tokenize
 from .infotheory import TokenDistribution, bitstream_entropy, hartley_entropy, shannon_entropy
-from .intelligence import iterate_aggregation
-from .knowledge import CorrelationResult, rank_documents
+from .intelligence import aggregate_corpus
+from .knowledge import rank_documents
 from .pipeline import (
     PipelineError,
     RunConfig,
     emit_plot_data,
     emit_tables,
+    ranking_tsv,
     run_pipeline,
+    write_fig4,
     write_report,
 )
-
-TABLE_HEADER = "title\tcorrelation\tp_value"
 
 
 def _positive_int(text: str) -> int:
@@ -64,13 +57,6 @@ def _tokenizer_config(stopwords: str | None) -> TokenizerConfig:
     return TokenizerConfig.from_stop_words_file(stopwords)
 
 
-def _print_table(results: list[CorrelationResult], corpus) -> None:
-    print(TABLE_HEADER)
-    for res in results:
-        title = corpus.get(res.doc_id).title
-        print(f"{title}\t{res.r:.3f}\t{res.p_value:.2e}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = RunConfig(
         source=Path(args.corpus),
@@ -97,10 +83,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    data = path.read_bytes()
-    text = data.decode("utf-8")
-    counts = term_frequencies(tokenize(text, _tokenizer_config(args.stopwords)))
+    data, text = read_source(Path(args.file))
+    counts = Counter(tokenize(text, _tokenizer_config(args.stopwords)))
     total = sum(counts.values())
     payload = {
         "byte_count": len(data),
@@ -118,21 +102,20 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     corpus = ingest_corpus(args.corpus, _tokenizer_config(args.stopwords))
-    results = rank_documents(corpus, top_k=args.top)
-    _print_table(results, corpus)
+    sys.stdout.write(ranking_tsv(rank_documents(corpus, top_k=args.top), corpus))
     return 0
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     corpus = ingest_corpus(args.corpus, _tokenizer_config(args.stopwords))
-    results = iterate_aggregation(
+    result = aggregate_corpus(
         corpus,
         k=args.k,
         rounds=args.rounds,
         per_cluster=args.per_cluster,
         seed=args.seed,
     )
-    _print_table(results[: args.top], corpus)
+    sys.stdout.write(ranking_tsv(result.ranking[: args.top], corpus))
     return 0
 
 
@@ -175,25 +158,8 @@ def _cmd_scatter(args: argparse.Namespace) -> int:
         except KeyError:
             raise ValueError(f"document {args.doc!r} not in corpus") from None
     else:
-        docs = list(corpus)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["doc_id", "term", "doc_proportion", "reference_proportion", "deviation"])
-    for doc in docs:
-        if doc.total_tokens == 0:
-            continue
-        reference = corpus.leave_one_out_counts(doc.id)
-        if not reference:
-            continue
-        for point in frequency_scatter(doc, reference):
-            writer.writerow(
-                [
-                    doc.id,
-                    point.term,
-                    point.doc_proportion,
-                    point.reference_proportion,
-                    point.deviation,
-                ]
-            )
+        docs = corpus.documents
+    write_fig4(sys.stdout, corpus, docs)
     return 0
 
 

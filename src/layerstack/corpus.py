@@ -40,7 +40,7 @@ DEFAULT_CONFIG = TokenizerConfig()
 def load_stop_words(path: str | Path) -> frozenset[str]:
     """Read a stop-word override file: one term per line, UTF-8, blank lines
     ignored. Terms are lowercased so the file may be written in any case."""
-    text = _read_text(Path(path))
+    _, text = read_source(Path(path))
     return frozenset(line.strip().lower() for line in text.splitlines() if line.strip())
 
 
@@ -53,11 +53,6 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_CONFIG) -> list[str]:
         for tok in _WORD_RE.findall(text.lower())
         if not tok.isdigit() and tok not in stop
     ]
-
-
-def term_frequencies(tokens: Iterable[str]) -> Counter[str]:
-    """Count each distinct term; the counts sum to the number of tokens."""
-    return Counter(tokens)
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,7 @@ class Document:
         text: str,
         config: TokenizerConfig = DEFAULT_CONFIG,
     ) -> "Document":
-        counts = term_frequencies(tokenize(text, config))
+        counts = Counter(tokenize(text, config))
         return cls(
             id=doc_id,
             title=title,
@@ -238,7 +233,7 @@ def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:
             raise ValueError(f"empty corpus: no .txt files in {src}")
     elif src.is_file():
         entries = []
-        for line_no, line in enumerate(_read_text(src).splitlines(), start=1):
+        for line_no, line in enumerate(read_source(src)[1].splitlines(), start=1):
             if not line.strip():
                 continue
             try:
@@ -266,25 +261,33 @@ def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:
     return sorted(entries, key=lambda e: e[0])
 
 
+def read_source(path: Path) -> tuple[bytes, str]:
+    """Read one input file: its raw bytes and their UTF-8 text."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data, data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not valid UTF-8: {exc}") from exc
+
+
+def read_documents(
+    source: str | Path, config: TokenizerConfig = DEFAULT_CONFIG
+) -> Iterator[tuple[Document, bytes]]:
+    """Read each source of a corpus once, in id order, yielding its
+    tokenized document and the raw bytes it came from."""
+    for doc_id, title, path in resolve_sources(source):
+        data, text = read_source(path)
+        yield Document.from_text(doc_id, title, text, config), data
+
+
 def ingest_corpus(
     source: str | Path, config: TokenizerConfig = DEFAULT_CONFIG
 ) -> Corpus:
     """Build a :class:`Corpus` from a directory of ``.txt`` files or a
     JSON-lines manifest. Document order is lexicographic by id; ingestion is
     fully deterministic for fixed inputs and config."""
-    docs = tuple(
-        Document.from_text(doc_id, title, _read_text(path), config)
-        for doc_id, title, path in resolve_sources(source)
-    )
+    docs = tuple(doc for doc, _ in read_documents(source, config))
     return Corpus(documents=docs, stop_words=config.stop_words)
-
-
-def _read_text(path: Path) -> str:
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path} is not valid UTF-8: {exc}") from exc

@@ -16,17 +16,6 @@ DISTRIBUTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class MessageEnsemble:
-    """A set of equally likely messages."""
-
-    message_count: int
-
-    def __post_init__(self) -> None:
-        if self.message_count < 1:
-            raise ValueError("empty ensemble: message_count must be >= 1")
-
-
-@dataclass(frozen=True)
 class TokenDistribution:
     """A probability mass function over a finite outcome set.
 
@@ -108,12 +97,11 @@ def _entropy_bits(probabilities: Iterable[float]) -> float:
     return math.fsum(p * math.log2(1.0 / p) for p in probabilities)
 
 
-def hartley_entropy(ensemble: MessageEnsemble | int) -> float:
+def hartley_entropy(message_count: int) -> float:
     """log2 of the number of equally likely messages."""
-    m = ensemble.message_count if isinstance(ensemble, MessageEnsemble) else ensemble
-    if m < 1:
+    if message_count < 1:
         raise ValueError("empty ensemble: message_count must be >= 1")
-    return math.log2(m)
+    return math.log2(message_count)
 
 
 def shannon_entropy(dist: TokenDistribution) -> float:

@@ -255,26 +255,6 @@ def _cluster_rankings(
     return rankings
 
 
-def select_representatives(
-    clustering: Clustering, corpus: Corpus, per_cluster: int
-) -> list[str]:
-    """The most correlated ids within each cluster (leave-one-out among the
-    cluster's members), ordered by cluster index then rank."""
-    if per_cluster < 1:
-        raise ValueError(f"per_cluster must be >= 1, got {per_cluster}")
-    corpus_ids = {doc.id for doc in corpus}
-    missing = corpus_ids - set(clustering.assignments)
-    if missing:
-        raise ValueError(f"clustering does not cover the corpus: {sorted(missing)[:5]}")
-    unknown = set(clustering.assignments) - corpus_ids
-    if unknown:
-        raise ValueError(f"clustering references unknown documents: {sorted(unknown)[:5]}")
-    selected: list[str] = []
-    for ranked in _cluster_rankings(clustering, corpus, per_cluster):
-        selected.extend(res.doc_id for res in ranked)
-    return selected
-
-
 @dataclass(frozen=True)
 class AggregationRound:
     """Trace of one cluster-and-reselect round."""
@@ -358,11 +338,3 @@ def aggregate_corpus(
         survivor_ids=tuple(doc.id for doc in current),
     )
 
-
-def iterate_aggregation(
-    corpus: Corpus, k: int, rounds: int = 1, per_cluster: int = 5, seed: int = 42
-) -> list[CorrelationResult]:
-    """Cluster, keep each cluster's most correlated documents, repeat, then
-    rank the survivors; with ``rounds=0`` this is a plain global ranking."""
-    result = aggregate_corpus(corpus, k=k, rounds=rounds, per_cluster=per_cluster, seed=seed)
-    return list(result.ranking)

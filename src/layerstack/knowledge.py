@@ -44,8 +44,11 @@ class CorrelationResult:
             raise ValueError(f"n {self.n} < {MIN_SHARED_TERMS}")
 
 
-def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient, clamped to [-1, 1]."""
+def pearson_parts(
+    xs: Sequence[float], ys: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Mean-centred samples and the Pearson denominator sqrt(Sxx * Syy), so
+    that r = dx @ dy / denom and dx[i] * dy[i] / denom is term i's share."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -58,7 +61,13 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     syy = float(dy @ dy)
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("zero variance input")
-    r = float(dx @ dy) / math.sqrt(sxx * syy)
+    return dx, dy, math.sqrt(sxx * syy)
+
+
+def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Sample Pearson correlation coefficient, clamped to [-1, 1]."""
+    dx, dy, denom = pearson_parts(xs, ys)
+    r = float(dx @ dy) / denom
     return max(-1.0, min(1.0, r))
 
 

@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import IO, Any, Iterable, Mapping
 
 from .belief import MAX_FRAME_SIZE, Frame, belief, keyword_belief_update, plausibility, vacuous_mass
 from .corpus import (
@@ -26,7 +26,7 @@ from .corpus import (
     Document,
     TokenizerConfig,
     frequency_scatter,
-    resolve_sources,
+    read_documents,
     top_k_terms,
 )
 from .infotheory import (
@@ -39,7 +39,7 @@ from .infotheory import (
     shannon_entropy,
 )
 from .intelligence import AggregationResult, EntropicState, aggregate_corpus, entropic_gain
-from .knowledge import CorrelationResult, _log_proportion_profiles, rank_documents
+from .knowledge import CorrelationResult, _log_proportion_profiles, pearson_parts, rank_documents
 from .wisdom import aggregate_round_quality
 
 LAYERS = ("bit", "data", "information", "knowledge", "intelligence", "wisdom", "belief")
@@ -153,30 +153,20 @@ class RunReport:
 def _ingest(config: RunConfig) -> tuple[Corpus, dict[str, bytes], str]:
     """Read every source once: build the corpus, keep raw bytes for the bit
     layer, and hash ids, titles, and content for provenance."""
-    if config.stop_words_path is not None:
-        tok = TokenizerConfig.from_stop_words_file(config.stop_words_path)
-    else:
-        tok = DEFAULT_CONFIG
+    tok = DEFAULT_CONFIG
     hasher = hashlib.sha256()
     if config.stop_words_path is not None:
+        tok = TokenizerConfig.from_stop_words_file(config.stop_words_path)
         hasher.update(b"stopwords\x1f")
         hasher.update(config.stop_words_path.read_bytes())
         hasher.update(b"\x1e")
     raw: dict[str, bytes] = {}
     documents: list[Document] = []
-    for doc_id, title, path in resolve_sources(config.source):
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise ValueError(f"cannot read {path}: {exc}") from exc
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path} is not valid UTF-8: {exc}") from exc
-        for chunk in (doc_id.encode(), b"\x1f", title.encode(), b"\x1f", data, b"\x1e"):
+    for doc, data in read_documents(config.source, tok):
+        for chunk in (doc.id.encode(), b"\x1f", doc.title.encode(), b"\x1f", data, b"\x1e"):
             hasher.update(chunk)
-        raw[doc_id] = data
-        documents.append(Document.from_text(doc_id, title, text, tok))
+        raw[doc.id] = data
+        documents.append(doc)
     corpus = Corpus(documents=tuple(documents), stop_words=tok.stop_words)
     return corpus, raw, hasher.hexdigest()
 
@@ -369,17 +359,8 @@ def _belief_section(
     for res in knowledge_ranking:
         doc = corpus.get(res.doc_id)
         shared, xs, ys = _log_proportion_profiles(doc, corpus.leave_one_out_counts(doc.id))
-        n = len(shared)
-        mean_x = math.fsum(xs) / n
-        mean_y = math.fsum(ys) / n
-        dx = [x - mean_x for x in xs]
-        dy = [y - mean_y for y in ys]
-        denom = math.sqrt(
-            math.fsum(a * a for a in dx) * math.fsum(b * b for b in dy)
-        )
-        if denom == 0.0:
-            continue
-        for term, a, b in zip(shared, dx, dy):
+        dx, dy, denom = pearson_parts(xs, ys)
+        for term, a, b in zip(shared, dx.tolist(), dy.tolist()):
             if term in contributions:
                 piece = a * b / denom
                 if piece > 0.0:
@@ -493,14 +474,20 @@ def write_report(report: RunReport, out_dir: str | Path | None = None) -> Path:
     return path
 
 
+def ranking_tsv(ranking: Iterable[CorrelationResult], corpus: Corpus) -> str:
+    """A ranking as TSV text: title, correlation (3 decimals), p_value
+    (scientific, 3 significant digits), one header line."""
+    rows = (f"{corpus.get(res.doc_id).title}\t{res.r:.3f}\t{res.p_value:.2e}" for res in ranking)
+    return "\n".join(["title\tcorrelation\tp_value", *rows]) + "\n"
+
+
 def emit_tables(
     report: RunReport, format: str = "tsv", out_dir: str | Path | None = None
 ) -> list[Path]:
     """Write the correlation ranking and the aggregated ranking as tables.
 
-    TSV columns are title, correlation (3 decimals), p_value (scientific,
-    3 significant digits); JSON keeps full precision. An empty ranking gives
-    a header-only file (TSV) or an empty array (JSON).
+    TSV is :func:`ranking_tsv`; JSON keeps full precision. An empty ranking
+    gives a header-only file (TSV) or an empty array (JSON).
     """
     if format not in ("tsv", "json"):
         raise ValueError(f"unknown table format {format!r}")
@@ -514,11 +501,7 @@ def emit_tables(
         for name, ranking in tables:
             path = out / f"{name}.{format}"
             if format == "tsv":
-                lines = ["title\tcorrelation\tp_value"]
-                for res in ranking:
-                    title = report.corpus.get(res.doc_id).title
-                    lines.append(f"{title}\t{res.r:.3f}\t{res.p_value:.2e}")
-                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                path.write_text(ranking_tsv(ranking, report.corpus), encoding="utf-8")
             else:
                 rows = _ranking_rows(ranking, report.corpus)
                 path.write_text(
@@ -529,6 +512,36 @@ def emit_tables(
     except OSError as exc:
         raise PipelineError("emit", exc) from exc
     return written
+
+
+def write_fig4(handle: IO[str], corpus: Corpus, docs: Iterable[Document]) -> None:
+    """Write fig4 CSV rows for ``docs``: each term's proportion in the
+    document versus in the rest of ``corpus``, with the log10 deviation.
+    Empty documents are skipped, as is (with a warning) any document whose
+    leave-one-out reference has no terms."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["doc_id", "term", "doc_proportion", "reference_proportion", "deviation"])
+    for doc in docs:
+        if doc.total_tokens == 0:
+            continue
+        reference = corpus.leave_one_out_counts(doc.id)
+        if not reference:
+            warnings.warn(
+                f"no reference terms for {doc.id!r}; skipped in fig4",
+                PipelineWarning,
+                stacklevel=2,
+            )
+            continue
+        for point in frequency_scatter(doc, reference):
+            writer.writerow(
+                [
+                    doc.id,
+                    point.term,
+                    point.doc_proportion,
+                    point.reference_proportion,
+                    point.deviation,
+                ]
+            )
 
 
 def emit_plot_data(report: RunReport, out_dir: str | Path | None = None) -> list[Path]:
@@ -548,38 +561,13 @@ def emit_plot_data(report: RunReport, out_dir: str | Path | None = None) -> list
                 for rank, (term, count) in enumerate(top_k_terms(doc, 10), start=1):
                     writer.writerow([doc.id, rank, term, count])
         with fig4.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(
-                ["doc_id", "term", "doc_proportion", "reference_proportion", "deviation"]
-            )
             if len(corpus) < 2:
                 warnings.warn(
                     "single-document corpus: no leave-one-out reference for fig4",
                     PipelineWarning,
                     stacklevel=2,
                 )
-            else:
-                for doc in corpus:
-                    if doc.total_tokens == 0:
-                        continue
-                    reference = corpus.leave_one_out_counts(doc.id)
-                    if not reference:
-                        warnings.warn(
-                            f"no reference terms for {doc.id!r}; skipped in fig4",
-                            PipelineWarning,
-                            stacklevel=2,
-                        )
-                        continue
-                    for point in frequency_scatter(doc, reference):
-                        writer.writerow(
-                            [
-                                doc.id,
-                                point.term,
-                                point.doc_proportion,
-                                point.reference_proportion,
-                                point.deviation,
-                            ]
-                        )
+            write_fig4(handle, corpus, corpus.documents if len(corpus) > 1 else ())
     except OSError as exc:
         raise PipelineError("emit", exc) from exc
     return [fig3, fig4]

@@ -80,6 +80,14 @@ class TestEntropy:
         assert payload["token_bits"] is None
         assert payload["hartley_term_bits"] is None
 
+    def test_non_utf8_file_is_reported_with_its_path(self, tmp_path):
+        target = tmp_path / "latin1.txt"
+        target.write_bytes(b"\xffcaf\xe9 signal noise")
+        code, out, err = run_cli(main, ["entropy", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {target} is not valid UTF-8")
+
 
 class TestBelief:
     def test_vacuous_prior(self):
@@ -176,6 +184,39 @@ class TestRun:
         assert report["config"]["stop_words_path"] == str(stops)
         fig3 = (out_dir / "fig3.csv").read_text(encoding="utf-8")
         assert "core00" not in fig3
+
+
+@pytest.fixture(scope="module")
+def artifact_run(tmp_path_factory):
+    """One ``run`` over a titled 36-doc corpus; the per-layer commands below
+    share its --k/--top/--seed and must print its artifacts verbatim."""
+    root = tmp_path_factory.mktemp("parity")
+    corpus, _ = synthetic_corpus((18, 12, 6), seed=0)
+    source = write_corpus(corpus, root / "corpus", manifest=True)
+    out_dir = root / "out"
+    code, _, _ = run_cli(
+        main,
+        ["run", str(source), "--out", str(out_dir), "--k", "3", "--top", "5", "--seed", "42"],
+    )
+    assert code == 0
+    return source, out_dir
+
+
+class TestStdoutMatchesArtifacts:
+    @pytest.mark.parametrize(
+        "argv, artifact",
+        [
+            (["rank", "--top", "5"], "table1.tsv"),
+            (["aggregate", "--k", "3", "--top", "5", "--seed", "42"], "table2.tsv"),
+            (["scatter"], "fig4.csv"),
+        ],
+        ids=["rank", "aggregate", "scatter"],
+    )
+    def test_command_prints_run_artifact(self, artifact_run, argv, artifact):
+        source, out_dir = artifact_run
+        code, out, _ = run_cli(main, [argv[0], str(source), *argv[1:]])
+        assert code == 0
+        assert out == (out_dir / artifact).read_text(encoding="utf-8")
 
 
 class TestArgumentValidation:

@@ -11,7 +11,6 @@ from layerstack import (
     ingest_corpus,
     load_stop_words,
     resolve_sources,
-    term_frequencies,
     tokenize,
     top_k_terms,
 )
@@ -53,16 +52,21 @@ class TestTokenize:
 
 
 class TestTermFrequencies:
+    """Term counting as done by Document.from_text."""
+
     def test_counts(self):
-        assert term_frequencies(["ai", "ai", "trust"]) == {"ai": 2, "trust": 1}
+        doc = Document.from_text("d", "d", "ai ai trust")
+        assert doc.token_counts == {"ai": 2, "trust": 1}
 
     def test_empty(self):
-        assert term_frequencies([]) == {}
+        doc = Document.from_text("d", "d", "")
+        assert doc.token_counts == {}
+        assert doc.total_tokens == 0
 
     def test_bulk(self):
-        counts = term_frequencies(["x"] * 1000)
-        assert counts == {"x": 1000}
-        assert sum(counts.values()) == 1000
+        doc = Document.from_text("d", "d", "x " * 1000)
+        assert doc.token_counts == {"x": 1000}
+        assert doc.total_tokens == 1000
 
 
 class TestDocument:

@@ -5,7 +5,6 @@ import pytest
 
 from layerstack import (
     JointDistribution,
-    MessageEnsemble,
     TokenDistribution,
     bitstream_entropy,
     hartley_entropy,
@@ -32,7 +31,6 @@ FLIP_JOINT_BITS = 1.811278124459133
 class TestHartley:
     def test_single_message_is_exactly_zero(self):
         assert hartley_entropy(1) == 0.0
-        assert hartley_entropy(MessageEnsemble(1)) == 0.0
 
     def test_binary_choice(self):
         assert hartley_entropy(2) == 1.0
@@ -51,8 +49,6 @@ class TestHartley:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="empty ensemble"):
             hartley_entropy(0)
-        with pytest.raises(ValueError, match="empty ensemble"):
-            MessageEnsemble(0)
 
 
 class TestTokenDistribution:

@@ -11,10 +11,8 @@ from layerstack import (
     aggregate_corpus,
     doc_vector,
     entropic_gain,
-    iterate_aggregation,
     kmeans,
     rank_documents,
-    select_representatives,
     shannon_entropy,
 )
 
@@ -182,51 +180,47 @@ class TestEntropicGain:
 
 
 class TestSelectRepresentatives:
-    def corpus_and_clustering(self):
-        docs = {
-            "a-center": {"p": 8, "q": 4, "r": 2},
-            "a-lean1": {"p": 12, "q": 2, "r": 2},
-            "a-lean2": {"p": 6, "q": 7, "r": 1},
-            "b-center": {"u": 9, "v": 3, "w": 1},
-            "b-lean1": {"u": 13, "v": 1, "w": 1},
-            "b-lean2": {"u": 7, "v": 6, "w": 1},
-        }
-        corpus = make_corpus(docs)
-        assignments = {d: (0 if d.startswith("a") else 1) for d in docs}
-        clustering = Clustering(
-            k=2,
-            seed=0,
-            assignments=assignments,
-            centroids=np.zeros((2, 3)),
-            inertia=0.0,
-            inertia_history=(0.0,),
+    """Per-cluster selection, read from the AggregationRound trace."""
+
+    @staticmethod
+    def two_topic_corpus():
+        return make_corpus(
+            {
+                "a-center": {"p": 8, "q": 4, "r": 2},
+                "a-lean1": {"p": 12, "q": 2, "r": 2},
+                "a-lean2": {"p": 6, "q": 7, "r": 1},
+                "b-center": {"u": 9, "v": 3, "w": 1},
+                "b-lean1": {"u": 13, "v": 1, "w": 1},
+                "b-lean2": {"u": 7, "v": 6, "w": 1},
+            }
         )
-        return corpus, clustering
 
     def test_central_docs_selected_per_cluster(self):
-        corpus, clustering = self.corpus_and_clustering()
-        selected = select_representatives(clustering, corpus, per_cluster=1)
-        for cluster_index, doc_id in enumerate(selected):
+        corpus = self.two_topic_corpus()
+        result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=1, seed=0)
+        (round_trace,) = result.rounds
+        clustering = round_trace.clustering
+        assert len(round_trace.selected_ids) == 2
+        for cluster_index, doc_id in enumerate(round_trace.selected_ids):
             members = clustering.members(cluster_index)
             best = rank_documents(corpus.subset(members), top_k=1)[0].doc_id
             assert doc_id == best
+            assert round_trace.cluster_rankings[cluster_index][0].doc_id == best
 
     def test_identical_docs_tie_break_to_first_id(self):
         counts = {"p": 4, "q": 2, "r": 1}
-        corpus = make_corpus({"zeta": counts, "beta": counts, "alpha": counts})
-        clustering = Clustering(
-            k=1,
-            seed=0,
-            assignments={d.id: 0 for d in corpus},
-            centroids=np.zeros((1, 3)),
-            inertia=0.0,
-            inertia_history=(0.0,),
+        corpus = make_corpus(
+            {"zeta": counts, "beta": counts, "alpha": counts, "gamma": counts}
         )
-        assert select_representatives(clustering, corpus, per_cluster=1) == ["alpha"]
+        result = aggregate_corpus(corpus, k=1, rounds=1, per_cluster=2, seed=0)
+        (round_trace,) = result.rounds
+        assert round_trace.selected_ids == ("alpha", "beta")
 
     def test_per_cluster_beyond_size_returns_everyone(self):
-        corpus, clustering = self.corpus_and_clustering()
-        selected = select_representatives(clustering, corpus, per_cluster=50)
+        corpus = self.two_topic_corpus()
+        result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=50, seed=0)
+        (round_trace,) = result.rounds
+        selected = round_trace.selected_ids
         assert sorted(selected) == sorted(d.id for d in corpus)
         assert len(selected) == len(set(selected))
 
@@ -235,39 +229,16 @@ class TestSelectRepresentatives:
             {
                 "a1": {"p": 3, "q": 2, "r": 1},
                 "a2": {"p": 2, "q": 2, "r": 1},
-                "solo": {"p": 1, "q": 1, "r": 1},
+                "solo": {"x": 1, "y": 1, "z": 1},
             }
         )
-        clustering = Clustering(
-            k=2,
-            seed=0,
-            assignments={"a1": 0, "a2": 0, "solo": 1},
-            centroids=np.zeros((2, 3)),
-            inertia=0.0,
-            inertia_history=(0.0,),
-        )
         with pytest.warns(AggregationWarning, match="1 member"):
-            selected = select_representatives(clustering, corpus, per_cluster=5)
-        assert "solo" not in selected
-        assert set(selected) == {"a1", "a2"}
-
-    def test_coverage_validation(self):
-        corpus, clustering = self.corpus_and_clustering()
-        smaller = corpus.subset(["a-center", "a-lean1", "a-lean2"])
-        with pytest.raises(ValueError, match="unknown documents"):
-            select_representatives(clustering, smaller, per_cluster=1)
-        partial = Clustering(
-            k=1,
-            seed=0,
-            assignments={"a-center": 0},
-            centroids=np.zeros((1, 3)),
-            inertia=0.0,
-            inertia_history=(0.0,),
-        )
-        with pytest.raises(ValueError, match="does not cover"):
-            select_representatives(partial, corpus, per_cluster=1)
-        with pytest.raises(ValueError, match="per_cluster"):
-            select_representatives(clustering, corpus, per_cluster=0)
+            result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=5, seed=0)
+        (round_trace,) = result.rounds
+        solo_cluster = round_trace.clustering.assignments["solo"]
+        assert round_trace.clustering.members(solo_cluster) == ("solo",)
+        assert round_trace.cluster_rankings[solo_cluster] == ()
+        assert set(round_trace.selected_ids) == {"a1", "a2"}
 
 
 def six_doc_corpus():
@@ -286,9 +257,9 @@ def six_doc_corpus():
 class TestAggregation:
     def test_rounds_zero_is_plain_ranking(self):
         corpus = six_doc_corpus()
-        assert iterate_aggregation(corpus, k=2, rounds=0) == rank_documents(
-            corpus, top_k=len(corpus)
-        )
+        result = aggregate_corpus(corpus, k=2, rounds=0)
+        assert list(result.ranking) == rank_documents(corpus, top_k=len(corpus))
+        assert result.rounds == ()
 
     def test_two_docs_two_clusters_both_survive(self):
         corpus = make_corpus(
@@ -320,9 +291,10 @@ class TestAggregation:
         assert len(result.survivor_ids) == len(set(result.survivor_ids))
 
     def test_deterministic(self):
-        a = iterate_aggregation(six_doc_corpus(), k=2, rounds=1, per_cluster=2, seed=11)
-        b = iterate_aggregation(six_doc_corpus(), k=2, rounds=1, per_cluster=2, seed=11)
-        assert a == b
+        a = aggregate_corpus(six_doc_corpus(), k=2, rounds=1, per_cluster=2, seed=11)
+        b = aggregate_corpus(six_doc_corpus(), k=2, rounds=1, per_cluster=2, seed=11)
+        assert a.ranking == b.ranking
+        assert a.survivor_ids == b.survivor_ids
 
     def test_validation(self):
         corpus = six_doc_corpus()

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -130,6 +131,52 @@ class TestRunReport:
         # identical rerun -> identical report text
         again = run_pipeline(config)
         assert again.to_json() == report.to_json()
+
+
+class TestBeliefEvidenceOracle:
+    def test_evidence_matches_brute_force_recomputation(self, small_run):
+        """Recompute the keyword evidence in plain Python: for each top-k
+        ranked document, the positive per-term pieces dx*dy/denom of its
+        Pearson sum against a Counter leave-one-out reference, pooled per
+        keyword and renormalised."""
+        config, report, _ = small_run
+        corpus = report.corpus
+        section = report.sections["belief"]
+        assert section["skipped"] is False
+        totals = Counter()
+        for doc in corpus:
+            totals.update(doc.token_counts)
+        by_frequency = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+        keywords = [term for term, _ in by_frequency[: config.top_k]]
+        assert section["keywords"] == keywords
+
+        contributions = dict.fromkeys(keywords, 0.0)
+        assert len(report.knowledge_ranking) == config.top_k
+        for res in report.knowledge_ranking:
+            doc = corpus.get(res.doc_id)
+            reference = Counter()
+            for other in corpus:
+                if other.id != doc.id:
+                    reference.update(other.token_counts)
+            ref_total = sum(reference.values())
+            shared = sorted(t for t in doc.token_counts if reference[t] > 0)
+            xs = [math.log10(doc.token_counts[t] / doc.total_tokens) for t in shared]
+            ys = [math.log10(reference[t] / ref_total) for t in shared]
+            mean_x = math.fsum(xs) / len(xs)
+            mean_y = math.fsum(ys) / len(ys)
+            dx = [x - mean_x for x in xs]
+            dy = [y - mean_y for y in ys]
+            denom = math.sqrt(math.fsum(a * a for a in dx) * math.fsum(b * b for b in dy))
+            for term, a, b in zip(shared, dx, dy):
+                piece = a * b / denom
+                if term in contributions and piece > 0.0:
+                    contributions[term] += piece
+        total = math.fsum(contributions.values())
+        assert total > 0.0
+        evidence = section["evidence"]
+        assert list(evidence) == keywords
+        for keyword in keywords:
+            assert abs(evidence[keyword] - contributions[keyword] / total) <= 1e-12
 
 
 class TestDegenerateCorpora:
