@@ -22,7 +22,6 @@ from .corpus import (
     Corpus,
     Document,
     ScatterPoint,
-    TokenizerConfig,
     frequency_scatter,
     ingest_corpus,
     load_stop_words,
@@ -108,7 +107,6 @@ __all__ = [
     "RunReport",
     "ScatterPoint",
     "TokenDistribution",
-    "TokenizerConfig",
     "aggregate_corpus",
     "aggregate_round_quality",
     "belief",

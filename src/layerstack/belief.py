@@ -68,15 +68,8 @@ class Frame:
             raise ValueError(f"bitmask {mask:#x} outside frame")
         return tuple(name for i, name in enumerate(self.elements) if mask >> i & 1)
 
-    def complement(self, subset: Subset) -> int:
-        return self.full_mask & ~self.mask(subset)
-
     def singleton(self, name: str) -> int:
         return self.mask((name,))
-
-    def subsets(self) -> list[int]:
-        """Every subset mask including the empty set; 2**len entries."""
-        return list(range(self.full_mask + 1))
 
 
 @dataclass(frozen=True)
@@ -103,9 +96,6 @@ class MassFunction:
         if abs(total - 1.0) > _RENORM_TOL:
             items = [(mask, value / total) for mask, value in items]
         object.__setattr__(self, "masses", dict(items))
-
-    def focal_elements(self) -> tuple[int, ...]:
-        return tuple(self.masses)
 
 
 def make_mass(

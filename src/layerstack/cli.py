@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
 from .belief import Frame, MassFunction, belief, combine, make_mass, plausibility, vacuous_mass
-from .corpus import DEFAULT_CONFIG, TokenizerConfig, ingest_corpus, read_source, tokenize
+from .corpus import ingest_corpus, load_stop_words, read_source, tokenize
 from .infotheory import TokenDistribution, bitstream_entropy, hartley_entropy, shannon_entropy
 from .intelligence import aggregate_corpus
 from .knowledge import rank_documents
@@ -28,6 +29,7 @@ from .pipeline import (
     write_fig4,
     write_report,
 )
+from .stopwords import ENGLISH_STOP_WORDS
 
 
 def _positive_int(text: str) -> int:
@@ -51,10 +53,8 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _tokenizer_config(stopwords: str | None) -> TokenizerConfig:
-    if stopwords is None:
-        return DEFAULT_CONFIG
-    return TokenizerConfig.from_stop_words_file(stopwords)
+def _stop_words(path: str | None) -> frozenset[str]:
+    return ENGLISH_STOP_WORDS if path is None else load_stop_words(path)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -84,7 +84,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     data, text = read_source(Path(args.file))
-    counts = Counter(tokenize(text, _tokenizer_config(args.stopwords)))
+    counts = Counter(tokenize(text, _stop_words(args.stopwords)))
     total = sum(counts.values())
     payload = {
         "byte_count": len(data),
@@ -101,13 +101,13 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    corpus = ingest_corpus(args.corpus, _tokenizer_config(args.stopwords))
+    corpus = ingest_corpus(args.corpus, _stop_words(args.stopwords))
     sys.stdout.write(ranking_tsv(rank_documents(corpus, top_k=args.top), corpus))
     return 0
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    corpus = ingest_corpus(args.corpus, _tokenizer_config(args.stopwords))
+    corpus = ingest_corpus(args.corpus, _stop_words(args.stopwords))
     result = aggregate_corpus(
         corpus,
         k=args.k,
@@ -121,14 +121,21 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 def _load_mass(frame: Frame, path: str) -> MassFunction:
     """Read a mass file: a JSON object of comma-joined element names → mass."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ValueError(f"mass file {path} must hold a JSON object")
-    assignments = []
-    for names, mass in raw.items():
-        subset = tuple(part.strip() for part in names.split(",") if part.strip())
-        assignments.append((subset, float(mass)))
-    return make_mass(frame, assignments)
+    _, text = read_source(Path(path))
+    try:
+        # integers parse as floats: a huge one becomes inf, which make_mass rejects
+        raw = json.loads(text, parse_int=float)
+        if not isinstance(raw, dict):
+            raise ValueError("must hold a JSON object")
+        assignments = []
+        for names, mass in raw.items():
+            if not isinstance(mass, float):
+                raise ValueError(f"mass of {names!r} is not a number: {mass!r}")
+            subset = tuple(part.strip() for part in names.split(",") if part.strip())
+            assignments.append((subset, mass))
+        return make_mass(frame, assignments)
+    except ValueError as exc:
+        raise ValueError(f"mass file {path}: {exc}") from exc
 
 
 def _cmd_belief(args: argparse.Namespace) -> int:
@@ -149,7 +156,7 @@ def _cmd_belief(args: argparse.Namespace) -> int:
 
 
 def _cmd_scatter(args: argparse.Namespace) -> int:
-    corpus = ingest_corpus(args.corpus, _tokenizer_config(args.stopwords))
+    corpus = ingest_corpus(args.corpus, _stop_words(args.stopwords))
     if len(corpus) < 2:
         raise ValueError("scatter needs at least 2 documents for a leave-one-out reference")
     if args.doc is not None:
@@ -223,11 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except (PipelineError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.handler(args)
+        except (PipelineError, ValueError, OSError) as exc:
+            code, error = 1, exc
+    for w in caught:
+        print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,35 +23,24 @@ from .stopwords import ENGLISH_STOP_WORDS
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Tokenization and stop-word policy."""
-
-    stop_words: frozenset[str] = ENGLISH_STOP_WORDS
-
-    @classmethod
-    def from_stop_words_file(cls, path: str | Path) -> "TokenizerConfig":
-        return cls(stop_words=load_stop_words(path))
-
-
-DEFAULT_CONFIG = TokenizerConfig()
-
-
-def load_stop_words(path: str | Path) -> frozenset[str]:
-    """Read a stop-word override file: one term per line, UTF-8, blank lines
-    ignored. Terms are lowercased so the file may be written in any case."""
-    _, text = read_source(Path(path))
+def parse_stop_words(text: str) -> frozenset[str]:
+    """Parse a stop-word override: one term per line, blank lines ignored.
+    Terms are lowercased so the file may be written in any case."""
     return frozenset(line.strip().lower() for line in text.splitlines() if line.strip())
 
 
-def tokenize(text: str, config: TokenizerConfig = DEFAULT_CONFIG) -> list[str]:
+def load_stop_words(path: str | Path) -> frozenset[str]:
+    """Read a UTF-8 stop-word override file (see :func:`parse_stop_words`)."""
+    return parse_stop_words(read_source(Path(path))[1])
+
+
+def tokenize(text: str, stop_words: frozenset[str] = ENGLISH_STOP_WORDS) -> list[str]:
     """Split ``text`` into terms: lowercase, alphanumeric runs only, purely
     numeric tokens and stop words removed, original order preserved."""
-    stop = config.stop_words
     return [
         tok
         for tok in _WORD_RE.findall(text.lower())
-        if not tok.isdigit() and tok not in stop
+        if not tok.isdigit() and tok not in stop_words
     ]
 
 
@@ -85,9 +74,9 @@ class Document:
         doc_id: str,
         title: str,
         text: str,
-        config: TokenizerConfig = DEFAULT_CONFIG,
+        stop_words: frozenset[str] = ENGLISH_STOP_WORDS,
     ) -> "Document":
-        counts = Counter(tokenize(text, config))
+        counts = Counter(tokenize(text, stop_words))
         return cls(
             id=doc_id,
             title=title,
@@ -274,20 +263,20 @@ def read_source(path: Path) -> tuple[bytes, str]:
 
 
 def read_documents(
-    source: str | Path, config: TokenizerConfig = DEFAULT_CONFIG
+    source: str | Path, stop_words: frozenset[str] = ENGLISH_STOP_WORDS
 ) -> Iterator[tuple[Document, bytes]]:
     """Read each source of a corpus once, in id order, yielding its
     tokenized document and the raw bytes it came from."""
     for doc_id, title, path in resolve_sources(source):
         data, text = read_source(path)
-        yield Document.from_text(doc_id, title, text, config), data
+        yield Document.from_text(doc_id, title, text, stop_words), data
 
 
 def ingest_corpus(
-    source: str | Path, config: TokenizerConfig = DEFAULT_CONFIG
+    source: str | Path, stop_words: frozenset[str] = ENGLISH_STOP_WORDS
 ) -> Corpus:
     """Build a :class:`Corpus` from a directory of ``.txt`` files or a
     JSON-lines manifest. Document order is lexicographic by id; ingestion is
-    fully deterministic for fixed inputs and config."""
-    docs = tuple(doc for doc, _ in read_documents(source, config))
-    return Corpus(documents=docs, stop_words=config.stop_words)
+    fully deterministic for fixed inputs and stop words."""
+    docs = tuple(doc for doc, _ in read_documents(source, stop_words))
+    return Corpus(documents=docs, stop_words=stop_words)

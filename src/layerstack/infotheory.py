@@ -39,10 +39,6 @@ class TokenDistribution:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probabilities", cleaned)
 
-    @property
-    def support_size(self) -> int:
-        return len(self.probabilities)
-
     @classmethod
     def from_counts(cls, counts: Mapping[Hashable, int | float]) -> "TokenDistribution":
         """Normalize a count table, dropping zero-count outcomes."""

@@ -195,13 +195,11 @@ def kmeans(vectors: Sequence[DocVector], k: int, seed: int) -> Clustering:
 
 @dataclass(frozen=True)
 class EntropicState:
-    """Macrostate of the current selection (pooled term counts), the
-    reservoir strength scaling the gain, and the candidate documents that
-    form the accessible futures."""
+    """Macrostate of the current selection (pooled term counts) and the
+    reservoir strength scaling the gain."""
 
     macrostate: Mapping[str, int]
     reservoir_strength: float
-    candidates: tuple[Document, ...] = ()
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.reservoir_strength) or self.reservoir_strength <= 0.0:
@@ -215,7 +213,6 @@ class EntropicState:
         if positive == 0:
             raise ValueError("macrostate has no terms")
         object.__setattr__(self, "macrostate", dict(self.macrostate))
-        object.__setattr__(self, "candidates", tuple(self.candidates))
 
     def distribution(self) -> TokenDistribution:
         return TokenDistribution.from_counts(self.macrostate)

@@ -15,18 +15,19 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Any, Iterable, Mapping
+from typing import IO, Any, Iterable, Iterator, Mapping
 
 from .belief import MAX_FRAME_SIZE, Frame, belief, keyword_belief_update, plausibility, vacuous_mass
 from .corpus import (
     Corpus,
-    DEFAULT_CONFIG,
     Document,
-    TokenizerConfig,
     frequency_scatter,
+    parse_stop_words,
     read_documents,
+    read_source,
     top_k_terms,
 )
 from .infotheory import (
@@ -35,11 +36,11 @@ from .infotheory import (
     bitstream_entropy,
     hartley_entropy,
     joint_entropy,
-    residual_entropy,
     shannon_entropy,
 )
 from .intelligence import AggregationResult, EntropicState, aggregate_corpus, entropic_gain
 from .knowledge import CorrelationResult, _log_proportion_profiles, pearson_parts, rank_documents
+from .stopwords import ENGLISH_STOP_WORDS
 from .wisdom import aggregate_round_quality
 
 LAYERS = ("bit", "data", "information", "knowledge", "intelligence", "wisdom", "belief")
@@ -96,21 +97,9 @@ class RunConfig:
             )
 
     def echo(self) -> dict[str, Any]:
-        """JSON-safe snapshot of every field."""
-        return {
-            "source": str(self.source),
-            "out_dir": str(self.out_dir),
-            "stop_words_path": None
-            if self.stop_words_path is None
-            else str(self.stop_words_path),
-            "k": self.k,
-            "rounds": self.rounds,
-            "per_cluster": self.per_cluster,
-            "top_k": self.top_k,
-            "seed": self.seed,
-            "reservoir_strength": self.reservoir_strength,
-            "force_bit_layer": self.force_bit_layer,
-        }
+        """JSON-safe snapshot of every field, paths as strings."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: str(v) if isinstance(v, Path) else v for k, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -153,21 +142,21 @@ class RunReport:
 def _ingest(config: RunConfig) -> tuple[Corpus, dict[str, bytes], str]:
     """Read every source once: build the corpus, keep raw bytes for the bit
     layer, and hash ids, titles, and content for provenance."""
-    tok = DEFAULT_CONFIG
+    stop_words = ENGLISH_STOP_WORDS
     hasher = hashlib.sha256()
     if config.stop_words_path is not None:
-        tok = TokenizerConfig.from_stop_words_file(config.stop_words_path)
-        hasher.update(b"stopwords\x1f")
-        hasher.update(config.stop_words_path.read_bytes())
-        hasher.update(b"\x1e")
+        data, text = read_source(config.stop_words_path)
+        stop_words = parse_stop_words(text)
+        for chunk in (b"stopwords\x1f", data, b"\x1e"):
+            hasher.update(chunk)
     raw: dict[str, bytes] = {}
     documents: list[Document] = []
-    for doc, data in read_documents(config.source, tok):
+    for doc, data in read_documents(config.source, stop_words):
         for chunk in (doc.id.encode(), b"\x1f", doc.title.encode(), b"\x1f", data, b"\x1e"):
             hasher.update(chunk)
         raw[doc.id] = data
         documents.append(doc)
-    corpus = Corpus(documents=tuple(documents), stop_words=tok.stop_words)
+    corpus = Corpus(documents=tuple(documents), stop_words=stop_words)
     return corpus, raw, hasher.hexdigest()
 
 
@@ -230,13 +219,14 @@ def _information_section(corpus: Corpus) -> dict[str, Any]:
     grand = sum(pairs.values())
     joint = JointDistribution({pair: count / grand for pair, count in pairs.items()})
     joint_bits = joint_entropy(joint)
+    document_bits = shannon_entropy(joint.marginal_transmitter())
     term_bits = shannon_entropy(joint.marginal_receiver())
     return {
         "skipped": False,
         "joint_bits": joint_bits,
-        "document_marginal_bits": shannon_entropy(joint.marginal_transmitter()),
+        "document_marginal_bits": document_bits,
         "term_marginal_bits": term_bits,
-        "residual_term_bits_given_document": residual_entropy(joint),
+        "residual_term_bits_given_document": joint_bits - document_bits,
         "residual_document_bits_given_term": joint_bits - term_bits,
     }
 
@@ -389,6 +379,16 @@ def _belief_section(
     }
 
 
+@contextmanager
+def _stage(layer: str) -> Iterator[None]:
+    """Turn a ``ValueError`` raised inside the block into a
+    :class:`PipelineError` naming ``layer``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise PipelineError(layer, exc) from exc
+
+
 def run_pipeline(config: RunConfig) -> RunReport:
     """Execute the layers in order on the configured corpus.
 
@@ -398,44 +398,23 @@ def run_pipeline(config: RunConfig) -> RunReport:
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
+        with _stage("ingest"):
             corpus, raw, input_hash = _ingest(config)
-        except ValueError as exc:
-            raise PipelineError("ingest", exc) from exc
-
         sections: dict[str, dict[str, Any]] = {}
-        try:
+        with _stage("bit"):
             sections["bit"] = _bit_section(raw, config.force_bit_layer)
-        except ValueError as exc:
-            raise PipelineError("bit", exc) from exc
-        try:
+        with _stage("data"):
             sections["data"] = _data_section(corpus)
-        except ValueError as exc:
-            raise PipelineError("data", exc) from exc
-        try:
+        with _stage("information"):
             sections["information"] = _information_section(corpus)
-        except ValueError as exc:
-            raise PipelineError("information", exc) from exc
-        try:
-            sections["knowledge"], knowledge_ranking = _knowledge_section(
-                corpus, config.top_k
-            )
-        except ValueError as exc:
-            raise PipelineError("knowledge", exc) from exc
-        try:
-            sections["intelligence"], aggregated, agg = _intelligence_section(
-                corpus, config
-            )
-        except ValueError as exc:
-            raise PipelineError("intelligence", exc) from exc
-        try:
+        with _stage("knowledge"):
+            sections["knowledge"], knowledge_ranking = _knowledge_section(corpus, config.top_k)
+        with _stage("intelligence"):
+            sections["intelligence"], aggregated, agg = _intelligence_section(corpus, config)
+        with _stage("wisdom"):
             sections["wisdom"] = _wisdom_section(agg)
-        except ValueError as exc:
-            raise PipelineError("wisdom", exc) from exc
-        try:
+        with _stage("belief"):
             sections["belief"] = _belief_section(corpus, knowledge_ranking, config.top_k)
-        except ValueError as exc:
-            raise PipelineError("belief", exc) from exc
 
     recorded = tuple(f"{w.category.__name__}: {w.message}" for w in caught)
     provenance = {

@@ -37,10 +37,6 @@ class CrowdPrediction:
         object.__setattr__(self, "individuals", values)
         object.__setattr__(self, "truth", float(self.truth))
 
-    @property
-    def size(self) -> int:
-        return int(self.individuals.size)
-
 
 @dataclass(frozen=True)
 class CrowdDecomposition:

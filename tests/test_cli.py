@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 
@@ -33,6 +34,19 @@ class TestRank:
         assert code == 1
         assert err.startswith("error:")
         assert out == ""
+
+    def test_warnings_print_one_line_each_even_as_errors(self, text_corpus_dir):
+        (text_corpus_dir / "empty.txt").write_text("", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(main, ["rank", str(text_corpus_dir)])
+        assert code == 0
+        assert out.startswith("title\tcorrelation\tp_value\n")
+        lines = err.splitlines()
+        assert lines
+        for line in lines:
+            assert line.startswith("warning: RankingWarning:")
+            assert ".py:" not in line
 
 
 class TestAggregate:
@@ -130,6 +144,22 @@ class TestBelief:
         code, _, err = run_cli(main, ["belief", "--frame", "b1", "--prior", str(bad)])
         assert code == 1
         assert "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"\xff{}", b'{"b1": [1]}', b'{"b1": null}', b'{"b1": true}', b'{"b1": 0.5',
+         b'{"b1": 1' + b"0" * 400 + b"}"],
+        ids=["non_utf8", "list", "null", "bool", "bad_json", "huge_int"],
+    )
+    def test_unreadable_mass_file_is_one_error_line(self, tmp_path, body):
+        bad = tmp_path / "mass.json"
+        bad.write_bytes(body)
+        code, out, err = run_cli(main, ["belief", "--frame", "b1,b2", "--prior", str(bad)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert str(bad) in err
 
 
 class TestScatter:

@@ -6,7 +6,6 @@ import pytest
 from layerstack import (
     Corpus,
     Document,
-    TokenizerConfig,
     frequency_scatter,
     ingest_corpus,
     load_stop_words,
@@ -14,7 +13,7 @@ from layerstack import (
     tokenize,
     top_k_terms,
 )
-from layerstack.corpus import DEFAULT_CONFIG
+from layerstack.stopwords import ENGLISH_STOP_WORDS
 
 from helpers import make_corpus, make_doc
 
@@ -47,8 +46,7 @@ class TestTokenize:
         assert tokenize(" ".join(once)) == once
 
     def test_custom_stop_words(self):
-        config = TokenizerConfig(stop_words=frozenset({"signal"}))
-        assert tokenize("signal noise the", config) == ["noise", "the"]
+        assert tokenize("signal noise the", frozenset({"signal"})) == ["noise", "the"]
 
 
 class TestTermFrequencies:
@@ -244,8 +242,7 @@ class TestIngestCorpus:
     def test_stop_word_override(self, text_corpus_dir, tmp_path):
         override = tmp_path / "stop.txt"
         override.write_text("Signal\n\nnoise\n", encoding="utf-8")
-        config = TokenizerConfig.from_stop_words_file(override)
-        corpus = ingest_corpus(text_corpus_dir, config)
+        corpus = ingest_corpus(text_corpus_dir, load_stop_words(override))
         assert "signal" not in corpus.vocabulary
         assert "noise" not in corpus.vocabulary
         assert "channel" in corpus.vocabulary
@@ -273,5 +270,5 @@ def test_load_stop_words_folds_case_and_blanks(tmp_path):
 
 
 def test_default_config_blocks_common_words():
-    assert "the" in DEFAULT_CONFIG.stop_words
+    assert "the" in ENGLISH_STOP_WORDS
     assert tokenize("the model of the year") == ["model", "year"]

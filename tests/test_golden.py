@@ -1,0 +1,111 @@
+"""``layerstack run`` compared byte for byte with frozen golden outputs.
+
+Each case writes its corpus to ``corpus`` and runs into ``out`` inside a
+fresh working directory, so the relative paths in the config echo and on
+stdout are the same everywhere. Outputs under 64 KB are stored verbatim,
+larger ones as ``NAME.sha256``. After an intended output change, say in
+CHANGES.md which bytes moved and regenerate with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from layerstack import synthetic_corpus, write_corpus
+from layerstack.cli import main
+
+from helpers import run_cli
+
+GOLDEN = Path(__file__).parent / "golden"
+VERBATIM_LIMIT = 64 * 1024
+
+DEGENERATE = {
+    "empty": "",
+    "stopwords": "The and of it 42\n",
+    "oneterm": "entropy\n",
+    "alpha": "signal noise channel signal entropy signal noise channel code\n",
+    "bravo": "signal noise channel entropy signal noise code code channel\n",
+    "charlie": "cluster vector centroid cluster vector signal noise channel\n",
+}
+
+
+def _write_degenerate(root: Path) -> Path:
+    root.mkdir()
+    for stem, text in DEGENERATE.items():
+        (root / f"{stem}.txt").write_text(text, encoding="utf-8")
+    return root
+
+
+# case name -> (corpus writer, extra ``run`` arguments)
+CASES = {
+    "synthetic36": (
+        lambda root: write_corpus(synthetic_corpus((18, 12, 6), seed=0)[0], root, manifest=True),
+        ["--force-bit-layer"],
+    ),
+    "synthetic324": (
+        lambda root: write_corpus(synthetic_corpus((270, 36, 18), seed=0)[0], root),
+        ["--k", "9"],
+    ),
+    "degenerate": (_write_degenerate, []),
+}
+
+
+def _outputs(case: str, workdir: Path) -> dict[str, bytes]:
+    """Run one case in ``workdir`` (the current directory) and return its
+    stdout, stderr and every artifact by name."""
+    write, extra = CASES[case]
+    source = write(Path("corpus"))
+    code, out, err = run_cli(main, ["run", source.as_posix(), "--out", "out", *extra])
+    assert code == 0, err
+    outputs = {"stdout.txt": out.encode(), "stderr.txt": err.encode()}
+    for path in sorted((workdir / "out").iterdir()):
+        outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_matches_golden(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    actual = _outputs(case, tmp_path)
+    expected_dir = GOLDEN / case
+    expected_names = sorted(p.name.removesuffix(".sha256") for p in expected_dir.iterdir())
+    assert sorted(actual) == expected_names
+    for path in sorted(expected_dir.iterdir()):
+        if path.suffix == ".sha256":
+            name = path.name.removesuffix(".sha256")
+            digest = hashlib.sha256(actual[name]).hexdigest()
+            assert digest == path.read_text(encoding="ascii").strip(), f"{case}/{name}"
+        else:
+            assert actual[path.name] == path.read_bytes(), f"{case}/{path.name}"
+
+
+def _regenerate() -> None:
+    for case in sorted(CASES):
+        target = GOLDEN / case
+        target.mkdir(parents=True, exist_ok=True)
+        for stale in target.iterdir():
+            stale.unlink()
+        with tempfile.TemporaryDirectory() as tmp:
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                outputs = _outputs(case, Path(tmp))
+            finally:
+                os.chdir(cwd)
+        for name, data in outputs.items():
+            if len(data) < VERBATIM_LIMIT:
+                (target / name).write_bytes(data)
+            else:
+                digest = hashlib.sha256(data).hexdigest()
+                (target / f"{name}.sha256").write_text(digest + "\n", encoding="ascii")
+        print(f"wrote {target}")
+
+
+if __name__ == "__main__":
+    _regenerate()

@@ -55,7 +55,7 @@ class TestTokenDistribution:
     def test_from_counts_drops_zeros(self):
         dist = TokenDistribution.from_counts({"a": 3, "b": 1, "c": 0})
         assert dist.probabilities == {"a": 0.75, "b": 0.25}
-        assert dist.support_size == 2
+        assert len(dist.probabilities) == 2
 
     def test_from_counts_all_zero_rejected(self):
         with pytest.raises(ValueError, match="sum to zero"):

@@ -5,7 +5,6 @@ import pytest
 
 from layerstack import (
     Document,
-    TokenizerConfig,
     ingest_corpus,
     synthetic_corpus,
     topic_distributions,
@@ -76,10 +75,9 @@ class TestSyntheticCorpus:
 class TestRoundTrips:
     def test_document_text_tokenizes_back_to_counts(self):
         corpus, _ = synthetic_corpus((3, 3), seed=2, length_range=(50, 80))
-        config = TokenizerConfig(stop_words=frozenset())
         for doc in corpus:
             text = document_text(doc.token_counts)
-            again = Document.from_text(doc.id, doc.title, text, config)
+            again = Document.from_text(doc.id, doc.title, text, frozenset())
             assert again.token_counts == dict(doc.token_counts)
 
     def test_write_corpus_directory_mode(self, tmp_path):
