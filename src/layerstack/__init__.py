@@ -43,10 +43,8 @@ from .intelligence import (
     AggregationRound,
     AggregationWarning,
     Clustering,
-    DocVector,
     EntropicState,
     aggregate_corpus,
-    doc_vector,
     entropic_gain,
     kmeans,
 )
@@ -91,7 +89,6 @@ __all__ = [
     "CorrelationResult",
     "CrowdDecomposition",
     "CrowdPrediction",
-    "DocVector",
     "Document",
     "ENGLISH_STOP_WORDS",
     "EntropicState",
@@ -115,7 +112,6 @@ __all__ = [
     "correlate_document",
     "correlation_p_value",
     "crowd_decomposition",
-    "doc_vector",
     "emit_plot_data",
     "emit_tables",
     "entropic_gain",

@@ -97,12 +97,15 @@ class Corpus:
     documents: tuple[Document, ...]
     stop_words: frozenset[str] = ENGLISH_STOP_WORDS
     vocabulary: frozenset[str] = field(init=False)
+    _by_id: Mapping[str, Document] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ids = [d.id for d in self.documents]
-        if len(set(ids)) != len(ids):
+        by_id = {d.id: d for d in self.documents}
+        if len(by_id) != len(self.documents):
+            ids = [d.id for d in self.documents]
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate document ids: {dupes}")
+        object.__setattr__(self, "_by_id", by_id)
         vocab: set[str] = set()
         for doc in self.documents:
             overlap = self.stop_words.intersection(doc.token_counts)
@@ -120,18 +123,15 @@ class Corpus:
         return iter(self.documents)
 
     def get(self, doc_id: str) -> Document:
-        for doc in self.documents:
-            if doc.id == doc_id:
-                return doc
-        raise KeyError(doc_id)
+        return self._by_id[doc_id]
 
     def __contains__(self, doc_id: str) -> bool:
-        return any(d.id == doc_id for d in self.documents)
+        return doc_id in self._by_id
 
     def subset(self, doc_ids: Iterable[str]) -> "Corpus":
         """Restrict to the given ids, keeping lexicographic-id order."""
         wanted = set(doc_ids)
-        missing = wanted - {d.id for d in self.documents}
+        missing = wanted - self._by_id.keys()
         if missing:
             raise KeyError(f"ids not in corpus: {sorted(missing)}")
         kept = tuple(d for d in self.documents if d.id in wanted)
@@ -235,6 +235,11 @@ def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:
                 raise ValueError(
                     f"manifest line {line_no} in {src} needs id/title/path"
                 ) from exc
+            if not isinstance(path, str):
+                raise ValueError(
+                    f"manifest line {line_no} in {src}: path must be a string, "
+                    f"got {type(path).__name__}"
+                )
             doc_path = Path(path)
             if not doc_path.is_absolute():
                 doc_path = src.parent / doc_path

@@ -1,4 +1,4 @@
-"""Intelligence layer: document vectors, seeded k-means clustering, a
+"""Intelligence layer: sparse unit term rows, seeded k-means clustering, a
 discrete entropic-gain score for candidate additions, and the
 cluster-and-reselect aggregation loop.
 
@@ -17,13 +17,17 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import Corpus, Document
 from .infotheory import TokenDistribution, shannon_entropy
 from .knowledge import CorrelationResult, rank_documents
 
 MAX_KMEANS_ITERATIONS = 100
-_UNIT_NORM_TOL = 1e-9
+#: most floats in one dense row block (2 MB)
+_BLOCK_FLOATS = 2**18
+#: nearest-centroid scores closer than this are re-decided exactly
+_TIE_GAP = 1e-9
 #: slack for the non-increasing inertia check (float accumulation noise)
 _INERTIA_SLACK = 1e-9
 
@@ -32,46 +36,44 @@ class AggregationWarning(UserWarning):
     """Non-fatal aggregation condition (tiny cluster, early stop)."""
 
 
-@dataclass(frozen=True, eq=False)
-class DocVector:
-    """A document's term proportions over a fixed vocabulary ordering,
-    scaled to unit L2 length. ``norm`` is the pre-scaling L2 length."""
-
-    doc_id: str
-    components: np.ndarray
-    norm: float
-
-    def __post_init__(self) -> None:
-        if not self.doc_id:
-            raise ValueError("doc_id must be non-empty")
-        values = np.asarray(self.components, dtype=float).copy()
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("components must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"non-finite components for {self.doc_id!r}")
-        if not math.isfinite(self.norm) or self.norm <= 0.0:
-            raise ValueError(f"norm must be positive, got {self.norm!r}")
-        length = float(np.linalg.norm(values))
-        if abs(length - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError(f"components of {self.doc_id!r} are not unit length")
-        values.flags.writeable = False
-        object.__setattr__(self, "components", values)
-        object.__setattr__(self, "norm", float(self.norm))
-
-
-def doc_vector(doc: Document, vocabulary_order: Sequence[str]) -> DocVector:
-    """Lay the document's term proportions out over ``vocabulary_order``
-    (0 for absent terms) and scale to unit length."""
-    if not vocabulary_order:
-        raise ValueError("vocabulary_order must be non-empty")
-    proportions = doc.proportions()
-    values = np.array([proportions.get(t, 0.0) for t in vocabulary_order], dtype=float)
-    norm = float(np.linalg.norm(values))
-    if norm == 0.0:
-        raise ValueError(
-            f"orthogonal document: {doc.id!r} shares no terms with the vocabulary"
-        )
-    return DocVector(doc_id=doc.id, components=values / norm, norm=norm)
+def unit_term_rows(
+    docs: Sequence[Document], vocabulary: Sequence[str]
+) -> tuple[tuple[str, ...], sparse.csr_matrix]:
+    """One CSR row per document: its term proportions laid out over
+    ``vocabulary`` (terms outside it are dropped), scaled to unit L2 length.
+    A document sharing no term with the vocabulary is excluded with a
+    warning. Returns the ids of the rows and the rows."""
+    column = {term: j for j, term in enumerate(vocabulary)}
+    # the norm is taken over the dense layout, one reused row at a time: BLAS
+    # sums the squares in lanes set by column position, so the norm of the
+    # nonzeros alone often differs in the last bit
+    scratch = np.zeros(len(vocabulary))
+    ids: list[str] = []
+    indptr, indices, data = [0], [], []
+    for doc in docs:
+        terms = sorted((column[t], c) for t, c in doc.token_counts.items() if c > 0 and t in column)
+        if not terms:
+            warnings.warn(
+                f"excluding {doc.id!r}: orthogonal document: "
+                f"{doc.id!r} shares no terms with the vocabulary",
+                AggregationWarning,
+                stacklevel=2,
+            )
+            continue
+        cols = [j for j, _ in terms]
+        values = [count / doc.total_tokens for _, count in terms]
+        scratch[cols] = values
+        norm = float(np.linalg.norm(scratch))
+        scratch[cols] = 0.0
+        ids.append(doc.id)
+        indices.extend(cols)
+        data.extend(value / norm for value in values)
+        indptr.append(len(indices))
+    rows = sparse.csr_matrix(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.intp), np.array(indptr)),
+        shape=(len(ids), len(vocabulary)),
+    )
+    return tuple(ids), rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,16 +115,30 @@ class Clustering:
         return tuple(d for d, c in self.assignments.items() if c == cluster)
 
 
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+def _squared_distances(
+    rows: sparse.csr_matrix, centroids: np.ndarray, labels: np.ndarray | int
+) -> np.ndarray:
+    """``((row - centroids[label]) ** 2).sum()`` for every row, on dense row
+    blocks of at most _BLOCK_FLOATS floats. ``labels`` is one index per row,
+    or one index for all of them."""
+    n, v = rows.shape
+    labels = np.broadcast_to(labels, (n,))
+    step = max(1, _BLOCK_FLOATS // v)
+    out = np.empty(n)
+    for start in range(0, n, step):
+        block = rows[start : start + step].toarray()
+        block -= centroids[labels[start : start + step]]
+        np.square(block, out=block)
+        out[start : start + step] = block.sum(axis=1)
+    return out
 
 
-def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _seed_centroids(rows: sparse.csr_matrix, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centroids proportionally to the
     squared distance from the nearest already-chosen one."""
-    n = points.shape[0]
+    n = rows.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _squared_distances(rows, rows[chosen[0]].toarray(), 0)
     while len(chosen) < k:
         total = float(d2.sum())
         if total <= 0.0:
@@ -131,34 +147,66 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             index = int(rng.choice(n, p=d2 / total))
         chosen.append(index)
-        d2 = np.minimum(d2, ((points - points[index]) ** 2).sum(axis=1))
-    return points[chosen].copy()
+        d2 = np.minimum(d2, _squared_distances(rows, rows[index].toarray(), 0))
+    return rows[chosen].toarray()
 
 
-def kmeans(vectors: Sequence[DocVector], k: int, seed: int) -> Clustering:
-    """Lloyd's algorithm with k-means++ initialization, deterministic for a
-    fixed seed. Stops when assignments repeat or after 100 iterations. An
-    emptied cluster is re-seeded to the point farthest from its previous
-    centroid."""
+def _nearest(rows: sparse.csr_matrix, centroids: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest centroid, ties to the lowest index.
+
+    Decided on ‖c‖² − 2·x·c, the squared distance less the row's own ‖x‖²,
+    from one sparse product. A row whose best two scores lie within
+    _TIE_GAP is re-decided on exact row-wise distances."""
+    scores = np.asarray(rows @ centroids.T)
+    scores *= -2.0
+    scores += np.einsum("ij,ij->i", centroids, centroids)
+    labels = np.argmin(scores, axis=1)
+    if centroids.shape[0] > 1:
+        best_two = np.partition(scores, 1, axis=1)
+        for i in np.flatnonzero(best_two[:, 1] - best_two[:, 0] <= _TIE_GAP):
+            labels[i] = _nearest_exactly(rows[i].toarray(), centroids)
+    return labels
+
+
+def _nearest_exactly(row: np.ndarray, centroids: np.ndarray) -> int:
+    """Nearest centroid of one dense row by the dense arithmetic."""
+    return int(np.argmin(((row - centroids) ** 2).sum(axis=1)))
+
+
+def _centroid_sums(rows: sparse.csr_matrix, labels: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster column sums, each column summed in row order, as a dense
+    mean over the members would sum it."""
+    sums = np.zeros((k, rows.shape[1]))
+    row_labels = np.repeat(labels, np.diff(rows.indptr))
+    np.add.at(sums, (row_labels, rows.indices), rows.data)
+    return sums
+
+
+def kmeans(ids: Sequence[str], rows: sparse.spmatrix, k: int, seed: int) -> Clustering:
+    """Lloyd's algorithm with k-means++ initialization on the rows of a
+    sparse matrix (one per id, as :func:`unit_term_rows` builds them),
+    deterministic for a fixed seed. Stops when assignments repeat or after
+    100 iterations. An emptied cluster is re-seeded to the point farthest
+    from its previous centroid.
+
+    Work per pass is one sparse product and dense row blocks of bounded size;
+    distances and inertia are the row-wise sums of squared differences, so
+    results equal those of the dense N x k x V computation."""
+    rows = sparse.csr_matrix(rows, dtype=float)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if len(vectors) < k:
-        raise ValueError(f"fewer vectors than k: {len(vectors)} < {k}")
-    ids = [v.doc_id for v in vectors]
+    if len(ids) != rows.shape[0]:
+        raise ValueError(f"{len(ids)} ids for {rows.shape[0]} rows")
+    if len(ids) < k:
+        raise ValueError(f"fewer rows than k: {len(ids)} < {k}")
     if len(set(ids)) != len(ids):
-        raise ValueError("duplicate doc ids among vectors")
-    sizes = {v.components.size for v in vectors}
-    if len(sizes) != 1:
-        raise ValueError(f"mixed vector lengths: {sorted(sizes)}")
-    points = np.vstack([v.components for v in vectors])
-    n = points.shape[0]
+        raise ValueError("duplicate doc ids among rows")
     rng = np.random.default_rng(seed)
-    centroids = _seed_centroids(points, k, rng)
+    centroids = _seed_centroids(rows, k, rng)
 
     def assignment_pass() -> tuple[np.ndarray, float]:
-        d2 = _squared_distances(points, centroids)
-        labels = np.argmin(d2, axis=1)  # ties break to the lowest index
-        return labels, float(d2[np.arange(n), labels].sum())
+        labels = _nearest(rows, centroids)
+        return labels, float(_squared_distances(rows, centroids, labels).sum())
 
     assign: np.ndarray | None = None
     history: list[float] = []
@@ -169,14 +217,14 @@ def kmeans(vectors: Sequence[DocVector], k: int, seed: int) -> Clustering:
         assign = labels
         if converged:
             break
-        updated = np.empty_like(centroids)
+        updated = _centroid_sums(rows, assign, k)
+        sizes = np.bincount(assign, minlength=k)
         for c in range(k):
-            mask = assign == c
-            if mask.any():
-                updated[c] = points[mask].mean(axis=0)
+            if sizes[c]:
+                updated[c] /= sizes[c]
             else:
-                farthest = int(np.argmax(((points - centroids[c]) ** 2).sum(axis=1)))
-                updated[c] = points[farthest]
+                farthest = int(np.argmax(_squared_distances(rows, centroids, c)))
+                updated[c] = rows[farthest].toarray()
         centroids = updated
     else:
         # iteration cap landed on an update; re-sync assignments to centroids
@@ -292,22 +340,16 @@ def aggregate_corpus(
     for index in range(rounds):
         if len(current) < 2:
             break
-        vocabulary = sorted(current.vocabulary)
-        vectors: list[DocVector] = []
-        for doc in current:
-            try:
-                vectors.append(doc_vector(doc, vocabulary))
-            except ValueError as exc:
-                warnings.warn(f"excluding {doc.id!r}: {exc}", AggregationWarning, stacklevel=2)
-        if len(vectors) < 2:
+        ids, rows = unit_term_rows(current.documents, sorted(current.vocabulary))
+        if len(ids) < 2:
             warnings.warn(
                 f"aggregation stopped at round {index}: fewer than 2 vectorizable documents",
                 AggregationWarning,
                 stacklevel=2,
             )
             break
-        clustering = kmeans(vectors, min(k, len(vectors)), seed + index)
-        vector_corpus = current.subset([v.doc_id for v in vectors])
+        clustering = kmeans(ids, rows, min(k, len(ids)), seed + index)
+        vector_corpus = current.subset(ids)
         cluster_rankings = _cluster_rankings(clustering, vector_corpus, per_cluster)
         selected = [res.doc_id for ranked in cluster_rankings for res in ranked]
         if len(selected) < 2:

@@ -35,6 +35,17 @@ class TestRank:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize("path", [5, None, ["a.txt"]], ids=["int", "null", "list"])
+    def test_manifest_path_that_is_not_a_string_is_one_error_line(self, tmp_path, path):
+        manifest = tmp_path / "m.jsonl"
+        record = {"id": "a", "title": "t", "path": path}
+        manifest.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code, out, err = run_cli(main, ["rank", str(manifest)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: manifest line 1 in {manifest}: path must be a string")
+        assert err.count("\n") == 1
+
     def test_warnings_print_one_line_each_even_as_errors(self, text_corpus_dir):
         (text_corpus_dir / "empty.txt").write_text("", encoding="utf-8")
         with warnings.catch_warnings():

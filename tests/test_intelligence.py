@@ -9,46 +9,58 @@ from layerstack import (
     Document,
     EntropicState,
     aggregate_corpus,
-    doc_vector,
     entropic_gain,
     kmeans,
     rank_documents,
     shannon_entropy,
 )
+from layerstack.intelligence import unit_term_rows
 
 from helpers import make_corpus, make_doc
 
 
 class TestDocVector:
+    """Document rows built by unit_term_rows, the input of kmeans."""
+
+    @staticmethod
+    def dense_row(doc, vocabulary):
+        ids, rows = unit_term_rows([doc], vocabulary)
+        assert ids == (doc.id,)
+        return rows.toarray()[0]
+
     def test_single_term(self):
-        vec = doc_vector(make_doc("d", {"a": 1}), ("a", "b"))
-        assert vec.components.tolist() == [1.0, 0.0]
+        assert self.dense_row(make_doc("d", {"a": 1}), ("a", "b")).tolist() == [1.0, 0.0]
 
     def test_two_equal_terms(self):
-        vec = doc_vector(make_doc("d", {"a": 1, "b": 1}), ("a", "b"))
-        assert np.allclose(vec.components, [1 / math.sqrt(2)] * 2, atol=1e-12)
+        row = self.dense_row(make_doc("d", {"a": 1, "b": 1}), ("a", "b"))
+        assert np.allclose(row, [1 / math.sqrt(2)] * 2, atol=1e-12)
 
     def test_orthogonal_document_rejected(self):
-        with pytest.raises(ValueError, match="orthogonal document"):
-            doc_vector(make_doc("d", {"c": 5}), ("a", "b"))
+        docs = [make_doc("c", {"c": 5}), make_doc("d", {"a": 1}), make_doc("e", {})]
+        with pytest.warns(AggregationWarning) as caught:
+            ids, rows = unit_term_rows(docs, ("a", "b"))
+        assert ids == ("d",)
+        assert rows.shape == (1, 2)
+        assert [str(w.message) for w in caught] == [
+            "excluding 'c': orthogonal document: 'c' shares no terms with the vocabulary",
+            "excluding 'e': orthogonal document: 'e' shares no terms with the vocabulary",
+        ]
 
     def test_unit_norm_and_prescaling_norm(self):
-        vec = doc_vector(make_doc("d", {"a": 3, "b": 1}), ("a", "b", "c"))
-        assert math.isclose(float(np.linalg.norm(vec.components)), 1.0, abs_tol=1e-12)
-        assert math.isclose(vec.norm, math.sqrt(0.75**2 + 0.25**2), abs_tol=1e-12)
+        row = self.dense_row(make_doc("d", {"a": 3, "b": 1}), ("a", "b", "c"))
+        assert math.isclose(float(np.linalg.norm(row)), 1.0, abs_tol=1e-12)
+        prescaling = math.sqrt(0.75**2 + 0.25**2)
+        assert np.allclose(row * prescaling, [0.75, 0.25, 0.0], atol=1e-12)
 
-    def test_empty_vocabulary_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            doc_vector(make_doc("d", {"a": 1}), ())
-
-    def test_components_read_only(self):
-        vec = doc_vector(make_doc("d", {"a": 1}), ("a",))
-        with pytest.raises(ValueError):
-            vec.components[0] = 0.5
+    def test_empty_vocabulary_excludes_every_document(self):
+        with pytest.warns(AggregationWarning, match="orthogonal document"):
+            ids, rows = unit_term_rows([make_doc("d", {"a": 1})], ())
+        assert ids == ()
+        assert rows.shape == (0, 0)
 
 
-def blob_vectors():
-    """Two tight 4-vector blobs over disjoint term pairs."""
+def blob_rows():
+    """Two tight 4-row blobs over disjoint term pairs."""
     vocab = ("a", "b", "x", "y")
     docs = [
         make_doc("a1", {"a": 9, "b": 1}),
@@ -60,21 +72,21 @@ def blob_vectors():
         make_doc("x3", {"x": 7, "y": 2}),
         make_doc("x4", {"x": 9, "y": 2}),
     ]
-    return [doc_vector(d, vocab) for d in docs]
+    return unit_term_rows(docs, vocab)
 
 
 class TestKmeans:
     def test_single_cluster_centroid_is_mean(self):
-        vectors = blob_vectors()[:3]
-        clustering = kmeans(vectors, k=1, seed=0)
+        ids, rows = blob_rows()
+        clustering = kmeans(ids[:3], rows[:3], k=1, seed=0)
         assert set(clustering.assignments.values()) == {0}
-        points = np.vstack([v.components for v in vectors])
+        points = rows[:3].toarray()
         assert np.allclose(clustering.centroids[0], points.mean(axis=0), atol=1e-12)
 
     def test_two_blobs_recovered_for_any_seed(self):
-        vectors = blob_vectors()
+        ids, rows = blob_rows()
         for seed in range(5):
-            clustering = kmeans(vectors, k=2, seed=seed)
+            clustering = kmeans(ids, rows, k=2, seed=seed)
             groups = {}
             for doc_id, cluster in clustering.assignments.items():
                 groups.setdefault(cluster, set()).add(doc_id)
@@ -84,37 +96,36 @@ class TestKmeans:
             ]
 
     def test_identical_vectors_collapse(self):
-        vectors = [doc_vector(make_doc(f"d{i}", {"a": 2, "b": 2}), ("a", "b")) for i in range(4)]
-        clustering = kmeans(vectors, k=2, seed=1)
+        docs = [make_doc(f"d{i}", {"a": 2, "b": 2}) for i in range(4)]
+        clustering = kmeans(*unit_term_rows(docs, ("a", "b")), k=2, seed=1)
         assert clustering.inertia == 0.0
         non_empty = {c for c in clustering.assignments.values()}
         assert len(non_empty) >= 1  # a fully empty second cluster is legal
 
     def test_inertia_history_non_increasing(self):
-        clustering = kmeans(blob_vectors(), k=3, seed=9)
+        clustering = kmeans(*blob_rows(), k=3, seed=9)
         history = clustering.inertia_history
         assert clustering.inertia == history[-1]
         for earlier, later in zip(history, history[1:]):
             assert later <= earlier + 1e-9
 
     def test_deterministic_for_fixed_seed(self):
-        a = kmeans(blob_vectors(), k=2, seed=42)
-        b = kmeans(blob_vectors(), k=2, seed=42)
+        a = kmeans(*blob_rows(), k=2, seed=42)
+        b = kmeans(*blob_rows(), k=2, seed=42)
         assert a.assignments == b.assignments
         assert np.array_equal(a.centroids, b.centroids)
         assert a.inertia_history == b.inertia_history
 
     def test_validation(self):
-        vectors = blob_vectors()
-        with pytest.raises(ValueError, match="fewer vectors than k"):
-            kmeans(vectors[:2], k=3, seed=0)
+        ids, rows = blob_rows()
+        with pytest.raises(ValueError, match="fewer rows than k"):
+            kmeans(ids[:2], rows[:2], k=3, seed=0)
         with pytest.raises(ValueError, match="k must be >= 1"):
-            kmeans(vectors, k=0, seed=0)
+            kmeans(ids, rows, k=0, seed=0)
         with pytest.raises(ValueError, match="duplicate doc ids"):
-            kmeans([vectors[0], vectors[0]], k=1, seed=0)
-        short = doc_vector(make_doc("s", {"a": 1}), ("a",))
-        with pytest.raises(ValueError, match="mixed vector lengths"):
-            kmeans([vectors[0], short], k=1, seed=0)
+            kmeans(("a1", "a1"), rows[:2], k=1, seed=0)
+        with pytest.raises(ValueError, match="3 ids for 8 rows"):
+            kmeans(ids[:3], rows, k=1, seed=0)
 
     def test_clustering_invariants_enforced(self):
         with pytest.raises(ValueError, match="last history entry"):
