@@ -235,15 +235,16 @@ def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:
                 raise ValueError(
                     f"manifest line {line_no} in {src} needs id/title/path"
                 ) from exc
-            if not isinstance(path, str):
-                raise ValueError(
-                    f"manifest line {line_no} in {src}: path must be a string, "
-                    f"got {type(path).__name__}"
-                )
+            for name, value in (("id", doc_id), ("title", title), ("path", path)):
+                if not isinstance(value, str):
+                    raise ValueError(
+                        f"manifest line {line_no} in {src}: {name} must be a string, "
+                        f"got {type(value).__name__}"
+                    )
             doc_path = Path(path)
             if not doc_path.is_absolute():
                 doc_path = src.parent / doc_path
-            entries.append((str(doc_id), str(title), doc_path))
+            entries.append((doc_id, title, doc_path))
         if not entries:
             raise ValueError(f"empty corpus: no records in manifest {src}")
     else:

@@ -4,6 +4,10 @@ A document is scored by the Pearson correlation between its log10 term
 proportions and those of the leave-one-out aggregate (every other document
 pooled), computed over the terms both sides share. Significance comes from
 the two-sided Student t test on r.
+
+A ranking pools the corpus once: each leave-one-out count is the pooled
+total minus the document's own count, so scoring every document costs work
+linear in the (document, term) pairs rather than one re-pool per document.
 """
 
 from __future__ import annotations
@@ -90,24 +94,27 @@ def correlation_p_value(r: float, n: int) -> float:
 
 
 def _log_proportion_profiles(
-    doc: Document, reference: Mapping[str, int]
+    doc: Document, totals: Mapping[str, int], grand: int, held_out: Document
 ) -> tuple[list[str], list[float], list[float]]:
-    """Shared terms (lexicographic) with log10 proportions on both sides."""
-    shared = sorted(t for t, c in doc.token_counts.items() if c > 0 and reference.get(t, 0) > 0)
+    """Shared terms (lexicographic) with log10 proportions on both sides.
+
+    The reference is the pooled ``totals`` (summing to ``grand``) less the
+    ``held_out`` document's counts: the leave-one-out aggregate, taken in
+    the document's own terms without building it."""
+    held = held_out.token_counts
+    rest = {t: totals.get(t, 0) - held.get(t, 0) for t, c in doc.token_counts.items() if c > 0}
+    shared = sorted(t for t, c in rest.items() if c > 0)
     doc_total = doc.total_tokens
-    ref_total = sum(reference.values())
+    ref_total = grand - held_out.total_tokens
     xs = [math.log10(doc.token_counts[t] / doc_total) for t in shared]
-    ys = [math.log10(reference[t] / ref_total) for t in shared]
+    ys = [math.log10(rest[t] / ref_total) for t in shared]
     return shared, xs, ys
 
 
-def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
-    """Correlate one document's log-proportion profile against the pooled
-    profile of every other document in the corpus."""
-    if doc.id not in corpus:
-        raise ValueError(f"document {doc.id!r} not in corpus")
-    reference = corpus.leave_one_out_counts(doc.id)
-    shared, xs, ys = _log_proportion_profiles(doc, reference)
+def _correlate(
+    doc: Document, totals: Mapping[str, int], grand: int, held_out: Document
+) -> CorrelationResult:
+    shared, xs, ys = _log_proportion_profiles(doc, totals, grand, held_out)
     if len(shared) < MIN_SHARED_TERMS:
         raise ValueError(
             f"insufficient overlap: {doc.id!r} shares {len(shared)} terms with the rest"
@@ -116,6 +123,16 @@ def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
     return CorrelationResult(
         doc_id=doc.id, r=r, p_value=correlation_p_value(r, len(shared)), n=len(shared)
     )
+
+
+def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
+    """Correlate one document's log-proportion profile against the pooled
+    profile of every other document in the corpus (the corpus's own copy
+    of ``doc.id`` is the one held out)."""
+    if doc.id not in corpus:
+        raise ValueError(f"document {doc.id!r} not in corpus")
+    totals = corpus.total_counts()
+    return _correlate(doc, totals, sum(totals.values()), corpus.get(doc.id))
 
 
 def rank_documents(corpus: Corpus, top_k: int) -> list[CorrelationResult]:
@@ -129,10 +146,12 @@ def rank_documents(corpus: Corpus, top_k: int) -> list[CorrelationResult]:
         raise ValueError(f"ranking needs at least 2 documents, got {len(corpus)}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
+    totals = corpus.total_counts()
+    grand = sum(totals.values())
     results = []
     for doc in corpus:
         try:
-            results.append(correlate_document(doc, corpus))
+            results.append(_correlate(doc, totals, grand, doc))
         except ValueError as exc:
             warnings.warn(f"excluding {doc.id!r}: {exc}", RankingWarning, stacklevel=2)
     results.sort(key=lambda res: (-res.r, res.doc_id))

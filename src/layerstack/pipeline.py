@@ -345,10 +345,11 @@ def _belief_section(
     by_frequency = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
     keywords = [term for term, _ in by_frequency[:keyword_count]]
     frame = Frame(elements=tuple(keywords))
+    grand = sum(totals.values())
     contributions = {kw: 0.0 for kw in keywords}
     for res in knowledge_ranking:
         doc = corpus.get(res.doc_id)
-        shared, xs, ys = _log_proportion_profiles(doc, corpus.leave_one_out_counts(doc.id))
+        shared, xs, ys = _log_proportion_profiles(doc, totals, grand, doc)
         dx, dy, denom = pearson_parts(xs, ys)
         for term, a, b in zip(shared, dx.tolist(), dy.tolist()):
             if term in contributions:

@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# The same examples on every machine and no per-example time limit, so a
+# property test cannot pass on one run and flake on a slower host.
+settings.register_profile("layerstack", derandomize=True, deadline=None)
+settings.load_profile("layerstack")
 
 
 @pytest.fixture

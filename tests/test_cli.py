@@ -46,6 +46,29 @@ class TestRank:
         assert err.startswith(f"error: manifest line 1 in {manifest}: path must be a string")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("field", ["id", "title"])
+    @pytest.mark.parametrize("value", [None, ["x"], 5], ids=["null", "list", "int"])
+    def test_manifest_id_or_title_that_is_not_a_string_is_one_error_line(
+        self, tmp_path, field, value
+    ):
+        for stem in ("a", "b"):
+            (tmp_path / f"{stem}.txt").write_text(
+                "signal noise channel entropy code signal", encoding="utf-8"
+            )
+        manifest = tmp_path / "m.jsonl"
+        records = [
+            {"id": "a", "title": "t", "path": "a.txt", field: value},
+            {"id": "b", "title": "u", "path": "b.txt"},
+        ]
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        code, out, err = run_cli(main, ["rank", str(manifest)])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: manifest line 1 in {manifest}: {field} must be a string, "
+            f"got {type(value).__name__}\n"
+        )
+
     def test_warnings_print_one_line_each_even_as_errors(self, text_corpus_dir):
         (text_corpus_dir / "empty.txt").write_text("", encoding="utf-8")
         with warnings.catch_warnings():
