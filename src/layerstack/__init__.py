@@ -21,11 +21,9 @@ from .belief import (
 from .corpus import (
     Corpus,
     Document,
-    ScatterPoint,
     frequency_scatter,
     ingest_corpus,
     load_stop_words,
-    resolve_sources,
     tokenize,
     top_k_terms,
 )
@@ -33,6 +31,7 @@ from .infotheory import (
     JointDistribution,
     TokenDistribution,
     bitstream_entropy,
+    count_entropy,
     hartley_entropy,
     joint_entropy,
     residual_entropy,
@@ -70,7 +69,7 @@ from .pipeline import (
     write_report,
 )
 from .stopwords import ENGLISH_STOP_WORDS
-from .synthetic import synthetic_corpus, topic_distributions, write_corpus
+from .synthetic import synthetic_corpus, write_corpus
 from .wisdom import (
     CrowdDecomposition,
     CrowdPrediction,
@@ -102,7 +101,6 @@ __all__ = [
     "RankingWarning",
     "RunConfig",
     "RunReport",
-    "ScatterPoint",
     "TokenDistribution",
     "aggregate_corpus",
     "aggregate_round_quality",
@@ -111,6 +109,7 @@ __all__ = [
     "combine",
     "correlate_document",
     "correlation_p_value",
+    "count_entropy",
     "crowd_decomposition",
     "emit_plot_data",
     "emit_tables",
@@ -127,14 +126,12 @@ __all__ = [
     "pearson_r",
     "plausibility",
     "rank_documents",
-    "resolve_sources",
     "residual_entropy",
     "run_pipeline",
     "shannon_entropy",
     "synthetic_corpus",
     "tokenize",
     "top_k_terms",
-    "topic_distributions",
     "vacuous_mass",
     "write_corpus",
     "write_report",

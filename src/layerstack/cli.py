@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .belief import Frame, MassFunction, belief, combine, make_mass, plausibility, vacuous_mass
 from .corpus import ingest_corpus, load_stop_words, read_source, tokenize
-from .infotheory import TokenDistribution, bitstream_entropy, hartley_entropy, shannon_entropy
+from .infotheory import bitstream_entropy, count_entropy, hartley_entropy
 from .intelligence import aggregate_corpus
 from .knowledge import rank_documents
 from .pipeline import (
@@ -88,12 +88,10 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     total = sum(counts.values())
     payload = {
         "byte_count": len(data),
-        "bitstream_bits_per_byte": bitstream_entropy(data),
+        "bitstream_bits_per_byte": bitstream_entropy(data) if data else None,
         "token_count": total,
         "distinct_terms": len(counts),
-        "token_bits": shannon_entropy(TokenDistribution.from_counts(counts))
-        if total
-        else None,
+        "token_bits": count_entropy(counts.values()) if total else None,
         "hartley_term_bits": hartley_entropy(len(counts)) if counts else None,
     }
     print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))

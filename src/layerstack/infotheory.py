@@ -1,18 +1,24 @@
-"""Base-2 entropy measures over finite distributions.
+"""Base-2 entropy measures over finite distributions and count tables.
 
 All quantities are in bits. Distributions store only strictly positive
-probabilities, so the 0*log(1/0) = 0 convention holds by construction.
+probabilities, and count tables skip their zero counts, so the
+0*log(1/0) = 0 convention holds by construction. The layers that already
+hold a count table (byte, term, and (document, term) counts) take its
+entropy with :func:`count_entropy` and build no distribution.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
+import numpy as np
+
 #: absolute tolerance for "probabilities sum to one" checks
 DISTRIBUTION_TOL = 1e-9
+#: bytes per np.bincount call, which widens its input to 8-byte indices
+_BYTE_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -38,14 +44,6 @@ class TokenDistribution:
         if abs(total - 1.0) > DISTRIBUTION_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probabilities", cleaned)
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[Hashable, int | float]) -> "TokenDistribution":
-        """Normalize a count table, dropping zero-count outcomes."""
-        total = sum(counts.values())
-        if total <= 0:
-            raise ValueError("empty distribution: counts sum to zero")
-        return cls({o: c / total for o, c in counts.items() if c > 0})
 
     @classmethod
     def uniform(cls, n: int) -> "TokenDistribution":
@@ -105,6 +103,22 @@ def shannon_entropy(dist: TokenDistribution) -> float:
     return _entropy_bits(dist.probabilities.values())
 
 
+def count_entropy(counts: Iterable[int]) -> float:
+    """Entropy of the distribution a count table defines, in bits: the
+    ``c / total`` proportions of its positive counts. Zero counts are
+    skipped; a negative count or an all-zero table is an error."""
+    positive = []
+    for c in counts:
+        if c < 0:
+            raise ValueError(f"negative count {c!r}")
+        if c > 0:
+            positive.append(c)
+    if not positive:
+        raise ValueError("empty distribution: counts sum to zero")
+    total = sum(positive)
+    return _entropy_bits(c / total for c in positive)
+
+
 def joint_entropy(joint: JointDistribution) -> float:
     """Entropy of the pair distribution, in bits."""
     return _entropy_bits(joint.probabilities.values())
@@ -124,4 +138,9 @@ def bitstream_entropy(data: bytes) -> float:
     """Entropy of the empirical byte-value distribution, in bits per byte."""
     if not data:
         raise ValueError("empty input")
-    return shannon_entropy(TokenDistribution.from_counts(Counter(data)))
+    values = np.frombuffer(data, np.uint8)
+    counts = sum(
+        np.bincount(values[start : start + _BYTE_CHUNK], minlength=256)
+        for start in range(0, len(values), _BYTE_CHUNK)
+    )
+    return count_entropy(counts.tolist())

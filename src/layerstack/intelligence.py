@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import Corpus, Document
-from .infotheory import TokenDistribution, shannon_entropy
+from .infotheory import count_entropy
 from .knowledge import CorrelationResult, rank_documents
 
 MAX_KMEANS_ITERATIONS = 100
@@ -262,9 +261,6 @@ class EntropicState:
             raise ValueError("macrostate has no terms")
         object.__setattr__(self, "macrostate", dict(self.macrostate))
 
-    def distribution(self) -> TokenDistribution:
-        return TokenDistribution.from_counts(self.macrostate)
-
 
 def entropic_gain(state: EntropicState, candidate: Document) -> float:
     """Reservoir-scaled change in Shannon entropy from merging the
@@ -272,10 +268,11 @@ def entropic_gain(state: EntropicState, candidate: Document) -> float:
     selection entropy along the merge action."""
     if candidate.total_tokens == 0:
         raise ValueError(f"empty candidate: {candidate.id!r}")
-    merged: Counter[str] = Counter(state.macrostate)
-    merged.update(candidate.token_counts)
-    before = shannon_entropy(state.distribution())
-    after = shannon_entropy(TokenDistribution.from_counts(merged))
+    merged = dict(state.macrostate)
+    for term, count in candidate.token_counts.items():
+        merged[term] = merged.get(term, 0) + count
+    before = count_entropy(state.macrostate.values())
+    after = count_entropy(merged.values())
     return state.reservoir_strength * (after - before)
 
 

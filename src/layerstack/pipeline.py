@@ -30,14 +30,7 @@ from .corpus import (
     read_source,
     top_k_terms,
 )
-from .infotheory import (
-    JointDistribution,
-    TokenDistribution,
-    bitstream_entropy,
-    hartley_entropy,
-    joint_entropy,
-    shannon_entropy,
-)
+from .infotheory import bitstream_entropy, count_entropy, hartley_entropy
 from .intelligence import AggregationResult, EntropicState, aggregate_corpus, entropic_gain
 from .knowledge import CorrelationResult, _log_proportion_profiles, pearson_parts, rank_documents
 from .stopwords import ENGLISH_STOP_WORDS
@@ -184,7 +177,7 @@ def _bit_section(raw: Mapping[str, bytes], force: bool) -> dict[str, Any]:
     }
 
 
-def _data_section(corpus: Corpus) -> dict[str, Any]:
+def _data_section(corpus: Corpus, totals: Mapping[str, int]) -> dict[str, Any]:
     per_document: dict[str, float] = {}
     for doc in corpus:
         if doc.total_tokens == 0:
@@ -194,33 +187,24 @@ def _data_section(corpus: Corpus) -> dict[str, Any]:
                 stacklevel=2,
             )
             continue
-        per_document[doc.id] = shannon_entropy(TokenDistribution.from_counts(doc.token_counts))
-    totals = corpus.total_counts()
+        per_document[doc.id] = count_entropy(doc.token_counts.values())
     if not totals:
         return _skip("no terms in corpus")
     return {
         "skipped": False,
         "per_document_bits": per_document,
-        "corpus_bits": shannon_entropy(TokenDistribution.from_counts(totals)),
+        "corpus_bits": count_entropy(totals.values()),
         "vocabulary_size": len(corpus.vocabulary),
         "hartley_vocabulary_bits": hartley_entropy(len(corpus.vocabulary)),
     }
 
 
-def _information_section(corpus: Corpus) -> dict[str, Any]:
-    pairs = {
-        (doc.id, term): count
-        for doc in corpus
-        for term, count in doc.token_counts.items()
-        if count > 0
-    }
-    if not pairs:
+def _information_section(corpus: Corpus, totals: Mapping[str, int]) -> dict[str, Any]:
+    if not totals:
         return _skip("no terms in corpus")
-    grand = sum(pairs.values())
-    joint = JointDistribution({pair: count / grand for pair, count in pairs.items()})
-    joint_bits = joint_entropy(joint)
-    document_bits = shannon_entropy(joint.marginal_transmitter())
-    term_bits = shannon_entropy(joint.marginal_receiver())
+    joint_bits = count_entropy(c for doc in corpus for c in doc.token_counts.values())
+    document_bits = count_entropy(doc.total_tokens for doc in corpus)
+    term_bits = count_entropy(totals.values())
     return {
         "skipped": False,
         "joint_bits": joint_bits,
@@ -292,7 +276,7 @@ def _intelligence_section(
         state = EntropicState(
             macrostate=macrostate, reservoir_strength=config.reservoir_strength
         )
-        macrostate_bits = shannon_entropy(state.distribution())
+        macrostate_bits = count_entropy(state.macrostate.values())
         for doc in corpus:
             if doc.id in survivors or doc.total_tokens == 0:
                 continue
@@ -334,14 +318,16 @@ def _wisdom_section(agg: AggregationResult | None) -> dict[str, Any]:
 
 
 def _belief_section(
-    corpus: Corpus, knowledge_ranking: tuple[CorrelationResult, ...], top_k: int
+    corpus: Corpus,
+    totals: Mapping[str, int],
+    knowledge_ranking: tuple[CorrelationResult, ...],
+    top_k: int,
 ) -> dict[str, Any]:
     if not knowledge_ranking:
         return _skip("no ranked documents to draw evidence from")
     keyword_count = min(top_k, MAX_FRAME_SIZE, len(corpus.vocabulary))
     if keyword_count < 1:
         return _skip("no terms in corpus")
-    totals = corpus.total_counts()
     by_frequency = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
     keywords = [term for term, _ in by_frequency[:keyword_count]]
     frame = Frame(elements=tuple(keywords))
@@ -401,13 +387,14 @@ def run_pipeline(config: RunConfig) -> RunReport:
         warnings.simplefilter("always")
         with _stage("ingest"):
             corpus, raw, input_hash = _ingest(config)
+        totals = corpus.total_counts()
         sections: dict[str, dict[str, Any]] = {}
         with _stage("bit"):
             sections["bit"] = _bit_section(raw, config.force_bit_layer)
         with _stage("data"):
-            sections["data"] = _data_section(corpus)
+            sections["data"] = _data_section(corpus, totals)
         with _stage("information"):
-            sections["information"] = _information_section(corpus)
+            sections["information"] = _information_section(corpus, totals)
         with _stage("knowledge"):
             sections["knowledge"], knowledge_ranking = _knowledge_section(corpus, config.top_k)
         with _stage("intelligence"):
@@ -415,7 +402,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
         with _stage("wisdom"):
             sections["wisdom"] = _wisdom_section(agg)
         with _stage("belief"):
-            sections["belief"] = _belief_section(corpus, knowledge_ranking, config.top_k)
+            sections["belief"] = _belief_section(corpus, totals, knowledge_ranking, config.top_k)
 
     recorded = tuple(f"{w.category.__name__}: {w.message}" for w in caught)
     provenance = {

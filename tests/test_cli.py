@@ -128,6 +128,20 @@ class TestEntropy:
         assert payload["token_bits"] is None
         assert payload["hartley_term_bits"] is None
 
+    def test_empty_file(self, tmp_path):
+        target = tmp_path / "empty.txt"
+        target.write_bytes(b"")
+        code, out, err = run_cli(main, ["entropy", str(target)])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "bitstream_bits_per_byte": None,
+            "byte_count": 0,
+            "distinct_terms": 0,
+            "hartley_term_bits": None,
+            "token_bits": None,
+            "token_count": 0,
+        }
+
     def test_non_utf8_file_is_reported_with_its_path(self, tmp_path):
         target = tmp_path / "latin1.txt"
         target.write_bytes(b"\xffcaf\xe9 signal noise")

@@ -9,10 +9,10 @@ from layerstack import (
     frequency_scatter,
     ingest_corpus,
     load_stop_words,
-    resolve_sources,
     tokenize,
     top_k_terms,
 )
+from layerstack.corpus import resolve_sources
 from layerstack.stopwords import ENGLISH_STOP_WORDS
 
 from helpers import make_corpus, make_doc

@@ -7,6 +7,7 @@ from layerstack import (
     JointDistribution,
     TokenDistribution,
     bitstream_entropy,
+    count_entropy,
     hartley_entropy,
     joint_entropy,
     residual_entropy,
@@ -51,16 +52,24 @@ class TestHartley:
             hartley_entropy(0)
 
 
-class TestTokenDistribution:
-    def test_from_counts_drops_zeros(self):
-        dist = TokenDistribution.from_counts({"a": 3, "b": 1, "c": 0})
-        assert dist.probabilities == {"a": 0.75, "b": 0.25}
-        assert len(dist.probabilities) == 2
+class TestCountEntropy:
+    def test_zero_counts_skipped(self):
+        assert count_entropy([3, 1, 0]) == count_entropy([3, 1])
+        assert math.isclose(count_entropy([3, 1, 0]), H_QUARTER, abs_tol=1e-12)
+        assert count_entropy([0, 5, 0]) == 0.0
 
-    def test_from_counts_all_zero_rejected(self):
+    def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="sum to zero"):
-            TokenDistribution.from_counts({"a": 0})
+            count_entropy([0])
+        with pytest.raises(ValueError, match="sum to zero"):
+            count_entropy([])
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="negative count"):
+            count_entropy([3, -1, 2])
+
+
+class TestTokenDistribution:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty distribution"):
             TokenDistribution({})

@@ -8,11 +8,12 @@ from layerstack import (
     Clustering,
     Document,
     EntropicState,
+    RankingWarning,
     aggregate_corpus,
+    count_entropy,
     entropic_gain,
     kmeans,
     rank_documents,
-    shannon_entropy,
 )
 from layerstack.intelligence import unit_term_rows
 
@@ -173,7 +174,7 @@ class TestEntropicGain:
 
     def test_gain_bounded_below(self):
         state = EntropicState(macrostate={"a": 1, "b": 1, "c": 1, "d": 1}, reservoir_strength=1.0)
-        lower = -shannon_entropy(state.distribution()) * state.reservoir_strength
+        lower = -count_entropy(state.macrostate.values()) * state.reservoir_strength
         # a hugely repetitive candidate drags entropy down, but never below -S(X0)*T
         gain = entropic_gain(state, make_doc("heavy", {"a": 10_000}))
         assert lower - 1e-12 <= gain < 0.0
@@ -208,7 +209,9 @@ class TestSelectRepresentatives:
 
     def test_central_docs_selected_per_cluster(self):
         corpus = self.two_topic_corpus()
-        result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=1, seed=0)
+        # the two survivors share no term, so the final ranking excludes both
+        with pytest.warns(RankingWarning, match="shares 0 terms with the rest"):
+            result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=1, seed=0)
         (round_trace,) = result.rounds
         clustering = round_trace.clustering
         assert len(round_trace.selected_ids) == 2
@@ -298,12 +301,15 @@ class TestAggregation:
         assert sorted(round_trace.selected_ids) == sorted(result.survivor_ids)
 
     def test_survivors_have_no_duplicates(self):
-        result = aggregate_corpus(six_doc_corpus(), k=3, rounds=2, per_cluster=2, seed=3)
+        with pytest.warns(AggregationWarning, match="1 member"):
+            result = aggregate_corpus(six_doc_corpus(), k=3, rounds=2, per_cluster=2, seed=3)
         assert len(result.survivor_ids) == len(set(result.survivor_ids))
 
     def test_deterministic(self):
-        a = aggregate_corpus(six_doc_corpus(), k=2, rounds=1, per_cluster=2, seed=11)
-        b = aggregate_corpus(six_doc_corpus(), k=2, rounds=1, per_cluster=2, seed=11)
+        with pytest.warns(AggregationWarning, match="cluster 1 has 1 member"):
+            a = aggregate_corpus(six_doc_corpus(), k=2, rounds=1, per_cluster=2, seed=11)
+        with pytest.warns(AggregationWarning, match="cluster 1 has 1 member"):
+            b = aggregate_corpus(six_doc_corpus(), k=2, rounds=1, per_cluster=2, seed=11)
         assert a.ranking == b.ranking
         assert a.survivor_ids == b.survivor_ids
 
@@ -327,6 +333,9 @@ class TestAggregation:
                 "empty": {},
             }
         )
-        with pytest.warns(AggregationWarning, match="empty"):
+        with (
+            pytest.warns(AggregationWarning, match="1 member"),
+            pytest.warns(AggregationWarning, match="excluding 'empty'"),
+        ):
             result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=2, seed=0)
         assert "empty" not in result.survivor_ids

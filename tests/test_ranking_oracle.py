@@ -150,7 +150,7 @@ def test_correlate_document_holds_out_the_corpus_copy(table, data):
 def test_belief_evidence_matches_oracle(table, top_k):
     corpus = make_corpus(table)
     ranking, _ = _ranked_with_exclusions(corpus, len(corpus))
-    section = _belief_section(corpus, tuple(ranking), top_k)
+    section = _belief_section(corpus, corpus.total_counts(), tuple(ranking), top_k)
     if not ranking or not corpus.vocabulary:
         assert section["skipped"]
         return

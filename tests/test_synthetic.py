@@ -7,10 +7,15 @@ from layerstack import (
     Document,
     ingest_corpus,
     synthetic_corpus,
-    topic_distributions,
     write_corpus,
 )
-from layerstack.synthetic import SHARED_MASS, SHARED_TERMS, TOPIC_TERMS, document_text
+from layerstack.synthetic import (
+    SHARED_MASS,
+    SHARED_TERMS,
+    TOPIC_TERMS,
+    document_text,
+    topic_distributions,
+)
 
 
 class TestTopicDistributions:
