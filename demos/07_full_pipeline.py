@@ -43,8 +43,7 @@ for name, section in report.sections.items():
 # Persist the artifact set next to the corpus.
 paths = [
     write_report(report),
-    *emit_tables(report, format="tsv"),
-    *emit_tables(report, format="json"),
+    *emit_tables(report),
     *emit_plot_data(report),
 ]
 print("\nartifacts:")

@@ -24,6 +24,7 @@ from .pipeline import (
     RunConfig,
     emit_plot_data,
     emit_tables,
+    ranking_rows,
     ranking_tsv,
     run_pipeline,
     write_fig4,
@@ -71,10 +72,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         force_bit_layer=args.force_bit_layer,
     )
     report = run_pipeline(config)
-    written = [write_report(report)]
-    written += emit_tables(report, "tsv")
-    written += emit_tables(report, "json")
-    written += emit_plot_data(report)
+    written = [write_report(report), *emit_tables(report), *emit_plot_data(report)]
     for message in report.warnings:
         print(f"warning: {message}", file=sys.stderr)
     for path in written:
@@ -100,7 +98,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     corpus = ingest_corpus(args.corpus, _stop_words(args.stopwords))
-    sys.stdout.write(ranking_tsv(rank_documents(corpus, top_k=args.top), corpus))
+    sys.stdout.write(ranking_tsv(ranking_rows(rank_documents(corpus, top_k=args.top), corpus)))
     return 0
 
 
@@ -113,7 +111,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         per_cluster=args.per_cluster,
         seed=args.seed,
     )
-    sys.stdout.write(ranking_tsv(result.ranking[: args.top], corpus))
+    sys.stdout.write(ranking_tsv(ranking_rows(result.ranking[: args.top], corpus)))
     return 0
 
 
@@ -173,6 +171,13 @@ def _add_corpus_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stopwords", metavar="FILE", help="stop-word override, one term per line")
 
 
+def _add_aggregation_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--k", type=_positive_int, default=3, help="cluster count (default 3)")
+    parser.add_argument("--rounds", type=_nonnegative_int, default=1, help="aggregation rounds (default 1)")
+    parser.add_argument("--per-cluster", type=_positive_int, default=5, help="representatives per cluster (default 5)")
+    parser.add_argument("--seed", type=int, default=42, help="clustering seed (default 42)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="layerstack",
@@ -182,11 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the full layered pipeline")
     _add_corpus_argument(run)
-    run.add_argument("--k", type=_positive_int, default=3, help="cluster count (default 3)")
-    run.add_argument("--rounds", type=_nonnegative_int, default=1, help="aggregation rounds (default 1)")
-    run.add_argument("--per-cluster", type=_positive_int, default=5, help="representatives per cluster (default 5)")
+    _add_aggregation_arguments(run)
     run.add_argument("--top", type=_positive_int, default=5, help="rows per ranking table (default 5)")
-    run.add_argument("--seed", type=int, default=42, help="clustering seed (default 42)")
     run.add_argument("--reservoir-strength", type=_positive_float, default=1.0, help="entropic gain scale (default 1.0)")
     run.add_argument("--out", metavar="DIR", default="layerstack-out", help="output directory (default layerstack-out)")
     run.add_argument("--force-bit-layer", action="store_true", help="compute byte-stream entropies even for text input")
@@ -204,10 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     aggregate = sub.add_parser("aggregate", help="cluster, reselect, and re-rank")
     _add_corpus_argument(aggregate)
-    aggregate.add_argument("--k", type=_positive_int, default=3, help="cluster count (default 3)")
-    aggregate.add_argument("--rounds", type=_nonnegative_int, default=1, help="aggregation rounds (default 1)")
-    aggregate.add_argument("--per-cluster", type=_positive_int, default=5, help="representatives per cluster (default 5)")
-    aggregate.add_argument("--seed", type=int, default=42, help="clustering seed (default 42)")
+    _add_aggregation_arguments(aggregate)
     aggregate.add_argument("--top", type=_positive_int, default=5, help="rows to emit (default 5)")
     aggregate.set_defaults(handler=_cmd_aggregate)
 

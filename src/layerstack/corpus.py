@@ -84,11 +84,6 @@ class Document:
             total_tokens=sum(counts.values()),
         )
 
-    def proportions(self) -> dict[str, float]:
-        """Term relative frequencies within this document."""
-        total = self.total_tokens
-        return {t: c / total for t, c in self.token_counts.items() if c > 0}
-
 
 @dataclass(frozen=True)
 class Corpus:

@@ -77,9 +77,6 @@ class JointDistribution:
     def marginal_transmitter(self) -> TokenDistribution:
         return self._marginal(0)
 
-    def marginal_receiver(self) -> TokenDistribution:
-        return self._marginal(1)
-
     def _marginal(self, axis: int) -> TokenDistribution:
         sums: dict[Hashable, list[float]] = {}
         for pair, p in self.probabilities.items():

@@ -5,7 +5,8 @@ stream, per-document token entropy, document/term joint information,
 correlation ranking, cluster-and-reselect aggregation, crowd-error
 diagnostic, and keyword belief update — producing a :class:`RunReport` whose
 JSON form is byte-stable for identical inputs and config. ``emit_tables``
-and ``emit_plot_data`` render the report into ranking tables and plot CSVs.
+renders the report's ranking rows as tables; ``emit_plot_data`` writes the
+plot CSVs.
 """
 
 from __future__ import annotations
@@ -101,15 +102,13 @@ class RunReport:
 
     ``sections`` holds one JSON-safe entry per layer; a layer that could not
     run is marked ``{"skipped": true, "reason": ...}``. The ingested corpus
-    and the typed rankings ride along for the emitters.
+    rides along for the plot emitter.
     """
 
     config_echo: Mapping[str, Any]
     provenance: Mapping[str, Any]
     sections: Mapping[str, Mapping[str, Any]]
     warnings: tuple[str, ...]
-    knowledge_ranking: tuple[CorrelationResult, ...]
-    aggregated_ranking: tuple[CorrelationResult, ...]
     corpus: Corpus
 
     def __post_init__(self) -> None:
@@ -215,7 +214,9 @@ def _information_section(corpus: Corpus, totals: Mapping[str, int]) -> dict[str,
     }
 
 
-def _ranking_rows(ranking: tuple[CorrelationResult, ...], corpus: Corpus) -> list[dict[str, Any]]:
+def ranking_rows(ranking: Iterable[CorrelationResult], corpus: Corpus) -> list[dict[str, Any]]:
+    """A ranking as JSON-safe rows: id, title, full-precision correlation
+    and p-value, and the shared-term count."""
     return [
         {
             "doc_id": res.doc_id,
@@ -234,16 +235,16 @@ def _knowledge_section(
     if len(corpus) < 2:
         return _skip(f"ranking needs at least 2 documents, got {len(corpus)}"), ()
     ranking = tuple(rank_documents(corpus, top_k=top_k))
-    return {"skipped": False, "ranking": _ranking_rows(ranking, corpus)}, ranking
+    return {"skipped": False, "ranking": ranking_rows(ranking, corpus)}, ranking
 
 
 def _intelligence_section(
     corpus: Corpus, config: RunConfig
-) -> tuple[dict[str, Any], tuple[CorrelationResult, ...], AggregationResult | None]:
+) -> tuple[dict[str, Any], AggregationResult | None]:
     if len(corpus) < 2:
-        return _skip(f"aggregation needs at least 2 documents, got {len(corpus)}"), (), None
+        return _skip(f"aggregation needs at least 2 documents, got {len(corpus)}"), None
     if len(corpus) < config.k:
-        return _skip(f"fewer documents than clusters: {len(corpus)} < {config.k}"), (), None
+        return _skip(f"fewer documents than clusters: {len(corpus)} < {config.k}"), None
     agg = aggregate_corpus(
         corpus,
         k=config.k,
@@ -267,7 +268,6 @@ def _intelligence_section(
                 "selected": list(rnd.selected_ids),
             }
         )
-    aggregated = agg.ranking[: config.top_k]
     survivors = set(agg.survivor_ids)
     macrostate = corpus.subset(agg.survivor_ids).total_counts()
     gains: dict[str, float] = {}
@@ -285,12 +285,12 @@ def _intelligence_section(
         "skipped": False,
         "rounds": rounds_summary,
         "survivors": list(agg.survivor_ids),
-        "aggregated_ranking": _ranking_rows(aggregated, corpus),
+        "aggregated_ranking": ranking_rows(agg.ranking[: config.top_k], corpus),
         "macrostate_bits": macrostate_bits,
         "reservoir_strength": config.reservoir_strength,
         "entropic_gains": gains,
     }
-    return section, aggregated, agg
+    return section, agg
 
 
 def _wisdom_section(agg: AggregationResult | None) -> dict[str, Any]:
@@ -398,7 +398,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
         with _stage("knowledge"):
             sections["knowledge"], knowledge_ranking = _knowledge_section(corpus, config.top_k)
         with _stage("intelligence"):
-            sections["intelligence"], aggregated, agg = _intelligence_section(corpus, config)
+            sections["intelligence"], agg = _intelligence_section(corpus, config)
         with _stage("wisdom"):
             sections["wisdom"] = _wisdom_section(agg)
         with _stage("belief"):
@@ -415,14 +415,12 @@ def run_pipeline(config: RunConfig) -> RunReport:
         provenance=provenance,
         sections=sections,
         warnings=recorded,
-        knowledge_ranking=knowledge_ranking,
-        aggregated_ranking=aggregated,
         corpus=corpus,
     )
 
 
-def _prepare_out_dir(report: RunReport, out_dir: str | Path | None) -> Path:
-    out = Path(out_dir) if out_dir is not None else Path(report.config_echo["out_dir"])
+def _out_dir(report: RunReport) -> Path:
+    out = Path(report.config_echo["out_dir"])
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -430,10 +428,9 @@ def _prepare_out_dir(report: RunReport, out_dir: str | Path | None) -> Path:
     return out
 
 
-def write_report(report: RunReport, out_dir: str | Path | None = None) -> Path:
+def write_report(report: RunReport) -> Path:
     """Write the JSON run summary (sorted keys, so byte-stable)."""
-    out = _prepare_out_dir(report, out_dir)
-    path = out / REPORT_NAME
+    path = _out_dir(report) / REPORT_NAME
     try:
         path.write_text(report.to_json(), encoding="utf-8")
     except OSError as exc:
@@ -441,40 +438,32 @@ def write_report(report: RunReport, out_dir: str | Path | None = None) -> Path:
     return path
 
 
-def ranking_tsv(ranking: Iterable[CorrelationResult], corpus: Corpus) -> str:
-    """A ranking as TSV text: title, correlation (3 decimals), p_value
+def ranking_tsv(rows: Iterable[Mapping[str, Any]]) -> str:
+    """Ranking rows as TSV text: title, correlation (3 decimals), p_value
     (scientific, 3 significant digits), one header line."""
-    rows = (f"{corpus.get(res.doc_id).title}\t{res.r:.3f}\t{res.p_value:.2e}" for res in ranking)
-    return "\n".join(["title\tcorrelation\tp_value", *rows]) + "\n"
+    lines = (f"{row['title']}\t{row['correlation']:.3f}\t{row['p_value']:.2e}" for row in rows)
+    return "\n".join(["title\tcorrelation\tp_value", *lines]) + "\n"
 
 
-def emit_tables(
-    report: RunReport, format: str = "tsv", out_dir: str | Path | None = None
-) -> list[Path]:
-    """Write the correlation ranking and the aggregated ranking as tables.
-
-    TSV is :func:`ranking_tsv`; JSON keeps full precision. An empty ranking
-    gives a header-only file (TSV) or an empty array (JSON).
-    """
-    if format not in ("tsv", "json"):
-        raise ValueError(f"unknown table format {format!r}")
-    out = _prepare_out_dir(report, out_dir)
+def emit_tables(report: RunReport) -> list[Path]:
+    """Write the report's knowledge and aggregated ranking rows as
+    table1/table2: TSV through :func:`ranking_tsv`, then JSON at full
+    precision. A skipped layer gives a header-only TSV and an empty array."""
+    out = _out_dir(report)
+    tables = {
+        KNOWLEDGE_TABLE: report.sections["knowledge"].get("ranking", []),
+        INTELLIGENCE_TABLE: report.sections["intelligence"].get("aggregated_ranking", []),
+    }
     written: list[Path] = []
-    tables = (
-        (KNOWLEDGE_TABLE, report.knowledge_ranking),
-        (INTELLIGENCE_TABLE, report.aggregated_ranking),
-    )
     try:
-        for name, ranking in tables:
-            path = out / f"{name}.{format}"
-            if format == "tsv":
-                path.write_text(ranking_tsv(ranking, report.corpus), encoding="utf-8")
-            else:
-                rows = _ranking_rows(ranking, report.corpus)
-                path.write_text(
-                    json.dumps(rows, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-                    encoding="utf-8",
-                )
+        for name, rows in tables.items():
+            path = out / f"{name}.tsv"
+            path.write_text(ranking_tsv(rows), encoding="utf-8")
+            written.append(path)
+        for name, rows in tables.items():
+            path = out / f"{name}.json"
+            text = json.dumps(rows, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+            path.write_text(text, encoding="utf-8")
             written.append(path)
     except OSError as exc:
         raise PipelineError("emit", exc) from exc
@@ -511,10 +500,10 @@ def write_fig4(handle: IO[str], corpus: Corpus, docs: Iterable[Document]) -> Non
             )
 
 
-def emit_plot_data(report: RunReport, out_dir: str | Path | None = None) -> list[Path]:
+def emit_plot_data(report: RunReport) -> list[Path]:
     """Write fig3.csv (top-10 terms per document) and fig4.csv (per-term
     document-versus-rest proportions with log10 deviation)."""
-    out = _prepare_out_dir(report, out_dir)
+    out = _out_dir(report)
     corpus = report.corpus
     fig3 = out / "fig3.csv"
     fig4 = out / "fig4.csv"

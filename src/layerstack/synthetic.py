@@ -23,37 +23,22 @@ SHARED_MASS = 0.35
 _TERMS_PER_LINE = 12
 
 
-def topic_distributions(
-    n_topics: int,
-    shared_terms: int = SHARED_TERMS,
-    topic_terms: int = TOPIC_TERMS,
-    shared_mass: float = SHARED_MASS,
-) -> list[tuple[tuple[str, ...], np.ndarray]]:
+def topic_distributions(n_topics: int) -> list[tuple[tuple[str, ...], np.ndarray]]:
     """Per-topic (terms, probabilities) pairs. Each topic mixes the common
-    core vocabulary (total weight ``shared_mass``) with its own terms."""
+    core vocabulary (total weight ``SHARED_MASS``) with its own terms."""
     if n_topics < 1:
         raise ValueError(f"n_topics must be >= 1, got {n_topics}")
-    if shared_terms < 1 or topic_terms < 0:
-        raise ValueError("term counts out of range")
-    if not 0.0 < shared_mass <= 1.0:
-        raise ValueError(f"shared_mass must be in (0, 1], got {shared_mass!r}")
-    core = tuple(f"core{i:02d}" for i in range(shared_terms))
-    core_weights = np.array([1.0 / (i + 1) for i in range(shared_terms)])
+    core = tuple(f"core{i:02d}" for i in range(SHARED_TERMS))
+    core_weights = np.array([1.0 / (i + 1) for i in range(SHARED_TERMS)])
     core_weights /= core_weights.sum()
-    topics: list[tuple[tuple[str, ...], np.ndarray]] = []
-    for j in range(n_topics):
-        own = tuple(f"topic{j}term{i:02d}" for i in range(topic_terms))
-        if topic_terms:
-            own_weights = np.array([1.0 / (i + 1) for i in range(topic_terms)])
-            own_weights /= own_weights.sum()
-            probs = np.concatenate(
-                [shared_mass * core_weights, (1.0 - shared_mass) * own_weights]
-            )
-        else:
-            probs = core_weights.copy()
-        probs /= probs.sum()
-        topics.append((core + own, probs))
-    return topics
+    own_weights = np.array([1.0 / (i + 1) for i in range(TOPIC_TERMS)])
+    own_weights /= own_weights.sum()
+    probs = np.concatenate([SHARED_MASS * core_weights, (1.0 - SHARED_MASS) * own_weights])
+    probs /= probs.sum()
+    return [
+        (core + tuple(f"topic{j}term{i:02d}" for i in range(TOPIC_TERMS)), probs.copy())
+        for j in range(n_topics)
+    ]
 
 
 def synthetic_corpus(

@@ -9,6 +9,18 @@ from typing import Mapping
 from layerstack import Corpus, Document
 
 
+#: Two topics over disjoint terms. Clustered with k=2, per_cluster=1 and
+#: seed 0, the two survivors share no term, so the final ranking is empty.
+TWO_TOPIC_COUNTS = {
+    "a-center": {"p": 8, "q": 4, "r": 2},
+    "a-lean1": {"p": 12, "q": 2, "r": 2},
+    "a-lean2": {"p": 6, "q": 7, "r": 1},
+    "b-center": {"u": 9, "v": 3, "w": 1},
+    "b-lean1": {"u": 13, "v": 1, "w": 1},
+    "b-lean2": {"u": 7, "v": 6, "w": 1},
+}
+
+
 def make_doc(doc_id: str, counts: Mapping[str, int], title: str | None = None) -> Document:
     return Document(
         id=doc_id,

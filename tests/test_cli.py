@@ -8,7 +8,7 @@ import pytest
 from layerstack import synthetic_corpus, write_corpus
 from layerstack.cli import main
 
-from helpers import run_cli
+from helpers import TWO_TOPIC_COUNTS, make_corpus, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +262,50 @@ class TestRun:
         assert report["config"]["stop_words_path"] == str(stops)
         fig3 = (out_dir / "fig3.csv").read_text(encoding="utf-8")
         assert "core00" not in fig3
+
+
+class TestTablesMatchReport:
+    """table1/table2 hold exactly the report's knowledge and aggregated
+    ranking rows, in both formats, whether or not a layer was skipped."""
+
+    TABLES = (("table1", "knowledge", "ranking"), ("table2", "intelligence", "aggregated_ranking"))
+
+    def run_and_compare(self, source, out_dir, *flags):
+        code, _, _ = run_cli(main, ["run", str(source), "--out", str(out_dir), *flags])
+        assert code == 0
+        sections = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))["sections"]
+        for table, layer, key in self.TABLES:
+            rows = sections[layer].get(key, [])
+            assert json.loads((out_dir / f"{table}.json").read_text(encoding="utf-8")) == rows
+            lines = (out_dir / f"{table}.tsv").read_text(encoding="utf-8").splitlines()
+            assert lines == ["title\tcorrelation\tp_value"] + [
+                f"{row['title']}\t{row['correlation']:.3f}\t{row['p_value']:.2e}" for row in rows
+            ]
+        return sections
+
+    def test_normal_corpus(self, corpus_dir, tmp_path):
+        sections = self.run_and_compare(corpus_dir, tmp_path / "out", "--k", "3")
+        assert sections["knowledge"]["ranking"]
+        assert sections["intelligence"]["aggregated_ranking"]
+
+    def test_more_clusters_than_documents(self, corpus_dir, tmp_path):
+        out_dir = tmp_path / "out"
+        sections = self.run_and_compare(corpus_dir, out_dir, "--k", "13")
+        assert sections["intelligence"]["skipped"] is True
+        assert sections["knowledge"]["ranking"]
+        assert (out_dir / "table2.tsv").read_text(encoding="utf-8") == "title\tcorrelation\tp_value\n"
+        assert (out_dir / "table2.json").read_text(encoding="utf-8") == "[]\n"
+
+    def test_disjoint_survivors_skip_wisdom(self, tmp_path):
+        source = write_corpus(make_corpus(TWO_TOPIC_COUNTS), tmp_path / "corpus")
+        out_dir = tmp_path / "out"
+        sections = self.run_and_compare(
+            source, out_dir, "--k", "2", "--per-cluster", "1", "--seed", "0"
+        )
+        assert sections["intelligence"]["skipped"] is False
+        assert sections["intelligence"]["aggregated_ranking"] == []
+        assert sections["wisdom"] == {"skipped": True, "reason": "empty final ranking"}
+        assert (out_dir / "table2.tsv").read_text(encoding="utf-8") == "title\tcorrelation\tp_value\n"
 
 
 @pytest.fixture(scope="module")

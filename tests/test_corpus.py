@@ -89,10 +89,6 @@ class TestDocument:
         with pytest.raises(ValueError, match="non-empty"):
             Document(id="", title="t", token_counts={}, total_tokens=0)
 
-    def test_proportions(self):
-        doc = make_doc("d", {"a": 1, "b": 3})
-        assert doc.proportions() == {"a": 0.25, "b": 0.75}
-
 
 class TestCorpus:
     def test_vocabulary_union(self):

@@ -13,6 +13,7 @@ tolerance.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
 from typing import Mapping
@@ -67,7 +68,10 @@ def oracle_information(corpus: Corpus) -> dict[str, float] | None:
     joint = JointDistribution({pair: count / grand for pair, count in pairs.items()})
     joint_bits = joint_entropy(joint)
     document_bits = shannon_entropy(joint.marginal_transmitter())
-    term_bits = shannon_entropy(joint.marginal_receiver())
+    by_term: dict[str, list[float]] = {}
+    for (_, term), p in joint.probabilities.items():
+        by_term.setdefault(term, []).append(p)
+    term_bits = shannon_entropy(TokenDistribution({t: math.fsum(ps) for t, ps in by_term.items()}))
     return {
         "joint_bits": joint_bits,
         "document_marginal_bits": document_bits,

@@ -17,7 +17,7 @@ from layerstack import (
 )
 from layerstack.intelligence import unit_term_rows
 
-from helpers import make_corpus, make_doc
+from helpers import TWO_TOPIC_COUNTS, make_corpus, make_doc
 
 
 class TestDocVector:
@@ -196,16 +196,7 @@ class TestSelectRepresentatives:
 
     @staticmethod
     def two_topic_corpus():
-        return make_corpus(
-            {
-                "a-center": {"p": 8, "q": 4, "r": 2},
-                "a-lean1": {"p": 12, "q": 2, "r": 2},
-                "a-lean2": {"p": 6, "q": 7, "r": 1},
-                "b-center": {"u": 9, "v": 3, "w": 1},
-                "b-lean1": {"u": 13, "v": 1, "w": 1},
-                "b-lean2": {"u": 7, "v": 6, "w": 1},
-            }
-        )
+        return make_corpus(TWO_TOPIC_COUNTS)
 
     def test_central_docs_selected_per_cluster(self):
         corpus = self.two_topic_corpus()

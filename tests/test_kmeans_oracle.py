@@ -25,8 +25,9 @@ from helpers import make_doc
 def dense_rows(docs, vocabulary):
     rows = []
     for doc in docs:
-        proportions = doc.proportions()
-        values = np.array([proportions.get(t, 0.0) for t in vocabulary], dtype=float)
+        values = np.array(
+            [doc.token_counts.get(t, 0) / doc.total_tokens for t in vocabulary], dtype=float
+        )
         rows.append(values / float(np.linalg.norm(values)))
     return np.vstack(rows)
 

@@ -78,9 +78,6 @@ class TestRunReport:
     def test_knowledge_matches_standalone_ranking(self, small_run):
         _, report, _ = small_run
         expected = rank_documents(report.corpus, top_k=5)
-        assert [r.doc_id for r in report.knowledge_ranking] == [
-            r.doc_id for r in expected
-        ]
         rows = report.sections["knowledge"]["ranking"]
         assert [row["doc_id"] for row in rows] == [r.doc_id for r in expected]
         for row, res in zip(rows, expected):
@@ -110,7 +107,8 @@ class TestRunReport:
             rel_tol=1e-9,
             abs_tol=1e-9,
         )
-        assert wisdom["truth"] == report.aggregated_ranking[0].r
+        aggregated = report.sections["intelligence"]["aggregated_ranking"]
+        assert wisdom["truth"] == aggregated[0]["correlation"]
 
     def test_belief_posterior_is_normalized(self, small_run):
         _, report, _ = small_run
@@ -151,9 +149,10 @@ class TestBeliefEvidenceOracle:
         assert section["keywords"] == keywords
 
         contributions = dict.fromkeys(keywords, 0.0)
-        assert len(report.knowledge_ranking) == config.top_k
-        for res in report.knowledge_ranking:
-            doc = corpus.get(res.doc_id)
+        ranking = report.sections["knowledge"]["ranking"]
+        assert len(ranking) == config.top_k
+        for row in ranking:
+            doc = corpus.get(row["doc_id"])
             reference = Counter()
             for other in corpus:
                 if other.id != doc.id:
@@ -227,9 +226,9 @@ class TestEmitters:
 
     def test_tsv_tables_have_mandated_shape(self, small_run):
         _, report, _ = small_run
-        paths = emit_tables(report, "tsv")
-        assert [p.name for p in paths] == ["table1.tsv", "table2.tsv"]
-        for path in paths:
+        paths = emit_tables(report)
+        assert [p.name for p in paths] == ["table1.tsv", "table2.tsv", "table1.json", "table2.json"]
+        for path in paths[:2]:
             lines = path.read_text(encoding="utf-8").splitlines()
             assert lines[0] == "title\tcorrelation\tp_value"
             for line in lines[1:]:
@@ -242,17 +241,11 @@ class TestEmitters:
 
     def test_json_tables_keep_full_precision(self, small_run):
         _, report, _ = small_run
-        paths = emit_tables(report, "json")
-        rows = json.loads(paths[0].read_text(encoding="utf-8"))
-        assert [row["doc_id"] for row in rows] == [
-            res.doc_id for res in report.knowledge_ranking
-        ]
-        assert rows[0]["correlation"] == report.knowledge_ranking[0].r
-
-    def test_unknown_format_rejected(self, small_run):
-        _, report, _ = small_run
-        with pytest.raises(ValueError, match="unknown table format"):
-            emit_tables(report, "xml")
+        paths = emit_tables(report)
+        rows = json.loads(paths[2].read_text(encoding="utf-8"))
+        expected = rank_documents(report.corpus, top_k=5)
+        assert [row["doc_id"] for row in rows] == [res.doc_id for res in expected]
+        assert rows[0]["correlation"] == expected[0].r
 
     def test_fig3_lists_top_terms_per_document(self, small_run):
         _, report, _ = small_run
