@@ -1,6 +1,6 @@
 """layerstack: staged corpus analysis.
 
-A small numpy/scipy library that walks text corpora up a ladder of
+A small numpy library that walks text corpora up a ladder of
 abstractions: byte and token entropies, document/term joint information,
 leave-one-out correlation ranking, cluster-and-reselect aggregation, a
 crowd-error diagnostic over the clusters, and Dempster-Shafer belief

@@ -131,13 +131,17 @@ def residual_entropy(joint: JointDistribution) -> float:
     return joint_entropy(joint) - shannon_entropy(joint.marginal_transmitter())
 
 
+def _byte_counts(data: bytes) -> np.ndarray:
+    """How often each of the 256 byte values occurs in ``data``."""
+    values = np.frombuffer(data, np.uint8)
+    counts = np.zeros(256, dtype=np.intp)
+    for start in range(0, len(values), _BYTE_CHUNK):
+        counts += np.bincount(values[start : start + _BYTE_CHUNK], minlength=256)
+    return counts
+
+
 def bitstream_entropy(data: bytes) -> float:
     """Entropy of the empirical byte-value distribution, in bits per byte."""
     if not data:
         raise ValueError("empty input")
-    values = np.frombuffer(data, np.uint8)
-    counts = sum(
-        np.bincount(values[start : start + _BYTE_CHUNK], minlength=256)
-        for start in range(0, len(values), _BYTE_CHUNK)
-    )
-    return count_entropy(counts.tolist())
+    return count_entropy(_byte_counts(data).tolist())

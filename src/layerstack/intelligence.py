@@ -1,4 +1,4 @@
-"""Intelligence layer: sparse unit term rows, seeded k-means clustering, a
+"""Intelligence layer: unit term rows in CSR form, seeded k-means clustering, a
 discrete entropic-gain score for candidate additions, and the
 cluster-and-reselect aggregation loop.
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
+from numpy.random import Generator, default_rng
 
 from .corpus import Corpus, Document
 from .infotheory import count_entropy
@@ -35,10 +35,36 @@ class AggregationWarning(UserWarning):
     """Non-fatal aggregation condition (tiny cluster, early stop)."""
 
 
+@dataclass(frozen=True, eq=False)
+class TermRows:
+    """Rows of a sparse matrix in CSR form: row i holds the values
+    ``data[indptr[i]:indptr[i + 1]]`` in the columns named by the same slice
+    of ``indices``, in increasing column order; other entries are zero."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n_columns: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.indptr) - 1, self.n_columns
+
+    def dense(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows ``start:stop`` (clipped to the row count) as a dense array."""
+        n = self.shape[0]
+        stop = n if stop is None else min(stop, n)
+        block = np.zeros((stop - start, self.n_columns))
+        lo, hi = self.indptr[start], self.indptr[stop]
+        owner = np.repeat(np.arange(stop - start), np.diff(self.indptr[start : stop + 1]))
+        block[owner, self.indices[lo:hi]] = self.data[lo:hi]
+        return block
+
+
 def unit_term_rows(
     docs: Sequence[Document], vocabulary: Sequence[str]
-) -> tuple[tuple[str, ...], sparse.csr_matrix]:
-    """One CSR row per document: its term proportions laid out over
+) -> tuple[tuple[str, ...], TermRows]:
+    """One row per document: its term proportions laid out over
     ``vocabulary`` (terms outside it are dropped), scaled to unit L2 length.
     A document sharing no term with the vocabulary is excluded with a
     warning. Returns the ids of the rows and the rows."""
@@ -68,9 +94,11 @@ def unit_term_rows(
         indices.extend(cols)
         data.extend(value / norm for value in values)
         indptr.append(len(indices))
-    rows = sparse.csr_matrix(
-        (np.array(data, dtype=float), np.array(indices, dtype=np.intp), np.array(indptr)),
-        shape=(len(ids), len(vocabulary)),
+    rows = TermRows(
+        indptr=np.array(indptr, dtype=np.intp),
+        indices=np.array(indices, dtype=np.intp),
+        data=np.array(data, dtype=float),
+        n_columns=len(vocabulary),
     )
     return tuple(ids), rows
 
@@ -115,7 +143,7 @@ class Clustering:
 
 
 def _squared_distances(
-    rows: sparse.csr_matrix, centroids: np.ndarray, labels: np.ndarray | int
+    rows: TermRows, centroids: np.ndarray, labels: np.ndarray | int
 ) -> np.ndarray:
     """``((row - centroids[label]) ** 2).sum()`` for every row, on dense row
     blocks of at most _BLOCK_FLOATS floats. ``labels`` is one index per row,
@@ -125,19 +153,19 @@ def _squared_distances(
     step = max(1, _BLOCK_FLOATS // v)
     out = np.empty(n)
     for start in range(0, n, step):
-        block = rows[start : start + step].toarray()
+        block = rows.dense(start, start + step)
         block -= centroids[labels[start : start + step]]
         np.square(block, out=block)
         out[start : start + step] = block.sum(axis=1)
     return out
 
 
-def _seed_centroids(rows: sparse.csr_matrix, k: int, rng: np.random.Generator) -> np.ndarray:
+def _seed_centroids(rows: TermRows, k: int, rng: Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centroids proportionally to the
     squared distance from the nearest already-chosen one."""
     n = rows.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _squared_distances(rows, rows[chosen[0]].toarray(), 0)
+    d2 = _squared_distances(rows, rows.dense(chosen[0], chosen[0] + 1), 0)
     while len(chosen) < k:
         total = float(d2.sum())
         if total <= 0.0:
@@ -146,24 +174,47 @@ def _seed_centroids(rows: sparse.csr_matrix, k: int, rng: np.random.Generator) -
         else:
             index = int(rng.choice(n, p=d2 / total))
         chosen.append(index)
-        d2 = np.minimum(d2, _squared_distances(rows, rows[index].toarray(), 0))
-    return rows[chosen].toarray()
+        d2 = np.minimum(d2, _squared_distances(rows, rows.dense(index, index + 1), 0))
+    return np.vstack([rows.dense(i, i + 1) for i in chosen])
 
 
-def _nearest(rows: sparse.csr_matrix, centroids: np.ndarray) -> np.ndarray:
+def _products(rows: TermRows, centroids: np.ndarray) -> np.ndarray:
+    """x·c for every row x and centroid c, summed over the row's nonzeros,
+    on row blocks of at most _BLOCK_FLOATS (nonzero, centroid) products."""
+    n, k = rows.shape[0], centroids.shape[0]
+    budget = max(1, _BLOCK_FLOATS // k)
+    out = np.empty((n, k))
+    start = 0
+    while start < n:
+        last = int(np.searchsorted(rows.indptr, rows.indptr[start] + budget, side="right")) - 1
+        stop = max(start + 1, last)
+        lo, hi = rows.indptr[start], rows.indptr[stop]
+        products = np.take(centroids, rows.indices[lo:hi], axis=1)
+        products *= rows.data[lo:hi]
+        # reduceat sums each row's run of products, but a run must be nonempty
+        filled = np.diff(rows.indptr[start : stop + 1]) > 0
+        block = out[start:stop]
+        block[~filled] = 0.0
+        if filled.any():
+            block[filled] = np.add.reduceat(products, rows.indptr[start:stop][filled] - lo, axis=1).T
+        start = stop
+    return out
+
+
+def _nearest(rows: TermRows, centroids: np.ndarray) -> np.ndarray:
     """Index of each row's nearest centroid, ties to the lowest index.
 
     Decided on ‖c‖² − 2·x·c, the squared distance less the row's own ‖x‖²,
-    from one sparse product. A row whose best two scores lie within
+    from the sparse products. A row whose best two scores lie within
     _TIE_GAP is re-decided on exact row-wise distances."""
-    scores = np.asarray(rows @ centroids.T)
+    scores = _products(rows, centroids)
     scores *= -2.0
     scores += np.einsum("ij,ij->i", centroids, centroids)
     labels = np.argmin(scores, axis=1)
     if centroids.shape[0] > 1:
         best_two = np.partition(scores, 1, axis=1)
         for i in np.flatnonzero(best_two[:, 1] - best_two[:, 0] <= _TIE_GAP):
-            labels[i] = _nearest_exactly(rows[i].toarray(), centroids)
+            labels[i] = _nearest_exactly(rows.dense(i, i + 1), centroids)
     return labels
 
 
@@ -172,26 +223,25 @@ def _nearest_exactly(row: np.ndarray, centroids: np.ndarray) -> int:
     return int(np.argmin(((row - centroids) ** 2).sum(axis=1)))
 
 
-def _centroid_sums(rows: sparse.csr_matrix, labels: np.ndarray, k: int) -> np.ndarray:
+def _centroid_sums(rows: TermRows, labels: np.ndarray, k: int) -> np.ndarray:
     """Per-cluster column sums, each column summed in row order, as a dense
     mean over the members would sum it."""
-    sums = np.zeros((k, rows.shape[1]))
+    sums = np.zeros((k, rows.n_columns))
     row_labels = np.repeat(labels, np.diff(rows.indptr))
     np.add.at(sums, (row_labels, rows.indices), rows.data)
     return sums
 
 
-def kmeans(ids: Sequence[str], rows: sparse.spmatrix, k: int, seed: int) -> Clustering:
-    """Lloyd's algorithm with k-means++ initialization on the rows of a
-    sparse matrix (one per id, as :func:`unit_term_rows` builds them),
-    deterministic for a fixed seed. Stops when assignments repeat or after
-    100 iterations. An emptied cluster is re-seeded to the point farthest
-    from its previous centroid.
+def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
+    """Lloyd's algorithm with k-means++ initialization on CSR rows (one per
+    id, as :func:`unit_term_rows` builds them), deterministic for a fixed
+    seed. Stops when assignments repeat or after 100 iterations. An emptied
+    cluster is re-seeded to the point farthest from its previous centroid.
 
-    Work per pass is one sparse product and dense row blocks of bounded size;
-    distances and inertia are the row-wise sums of squared differences, so
-    results equal those of the dense N x k x V computation."""
-    rows = sparse.csr_matrix(rows, dtype=float)
+    Work per pass is the products of the nonzeros with the centroids and
+    dense row blocks, both of bounded size; distances and inertia are the
+    row-wise sums of squared differences, so results equal those of the
+    dense N x k x V computation."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(ids) != rows.shape[0]:
@@ -200,7 +250,7 @@ def kmeans(ids: Sequence[str], rows: sparse.spmatrix, k: int, seed: int) -> Clus
         raise ValueError(f"fewer rows than k: {len(ids)} < {k}")
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate doc ids among rows")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     centroids = _seed_centroids(rows, k, rng)
 
     def assignment_pass() -> tuple[np.ndarray, float]:
@@ -223,7 +273,7 @@ def kmeans(ids: Sequence[str], rows: sparse.spmatrix, k: int, seed: int) -> Clus
                 updated[c] /= sizes[c]
             else:
                 farthest = int(np.argmax(_squared_distances(rows, centroids, c)))
-                updated[c] = rows[farthest].toarray()
+                updated[c] = rows.dense(farthest, farthest + 1)
         centroids = updated
     else:
         # iteration cap landed on an update; re-sync assignments to centroids
@@ -266,12 +316,17 @@ def entropic_gain(state: EntropicState, candidate: Document) -> float:
     """Reservoir-scaled change in Shannon entropy from merging the
     candidate's counts into the macrostate: the forward difference of the
     selection entropy along the merge action."""
+    return _entropic_gain(state, candidate, count_entropy(state.macrostate.values()))
+
+
+def _entropic_gain(state: EntropicState, candidate: Document, before: float) -> float:
+    """:func:`entropic_gain` given ``before``, the macrostate's entropy, so
+    that scoring many candidates against one state takes it once."""
     if candidate.total_tokens == 0:
         raise ValueError(f"empty candidate: {candidate.id!r}")
     merged = dict(state.macrostate)
     for term, count in candidate.token_counts.items():
         merged[term] = merged.get(term, 0) + count
-    before = count_entropy(state.macrostate.values())
     after = count_entropy(merged.values())
     return state.reservoir_strength * (after - before)
 

@@ -3,7 +3,7 @@
 A document is scored by the Pearson correlation between its log10 term
 proportions and those of the leave-one-out aggregate (every other document
 pooled), computed over the terms both sides share. Significance comes from
-the two-sided Student t test on r.
+the two-sided Student t test on r, evaluated in this module.
 
 A ranking pools the corpus once: each leave-one-out count is the pooled
 total minus the document's own count, so scoring every document costs work
@@ -13,17 +13,27 @@ linear in the (document, term) pairs rather than one re-pool per document.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .corpus import Corpus, Document
 
 #: shortest term overlap for which a correlation is computed
 MIN_SHARED_TERMS = 3
+#: a continued fraction or series stops once a step changes it by this little
+_EPS = sys.float_info.epsilon
+#: Lentz's stand-in for a vanishing denominator
+_TINY = 1e-300
+#: most continued-fraction steps before the evaluation is abandoned
+_MAX_STEPS = 1000
+#: a from which ln Γ(a + ½) − ln Γ(a) comes from its asymptotic series
+_SERIES_FROM = 25.0
+#: a from which the lower tail comes from the large-a expansion
+_EXPANSION_FROM = 15.0
 
 
 class RankingWarning(UserWarning):
@@ -75,12 +85,96 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
+def _log_gamma_ratio(a: float) -> float:
+    """ln Γ(a + ½) − ln Γ(a). For large a the difference of two lgamma
+    values cancels, so it comes from the asymptotic series of DLMF 5.11.8
+    at h = ½: ½ ln a − 1/(8a) + 1/(192a³) − 1/(640a⁵) + ..."""
+    if a < _SERIES_FROM:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    z = 1.0 / (a * a)
+    series = 1 / 8 - z * (1 / 192 - z * (1 / 640 - z * (17 / 14336 - z * 31 / 18432)))
+    return 0.5 * math.log(a) - series / a
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) · a·B(a, b) / (x^a (1 − x)^b),
+    evaluated by the modified Lentz method (Lentz 1976; Numerical Recipes
+    ``betacf``). Converges quickly for x below (a + 1) / (a + b + 2)."""
+
+    def nonzero(value: float) -> float:
+        return value if abs(value) > _TINY else _TINY
+
+    c = 1.0
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    fraction = d
+    for m in range(1, _MAX_STEPS):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 / nonzero(1.0 + numerator * d)
+            c = nonzero(1.0 + numerator / c)
+            step = d * c
+            fraction *= step
+        if abs(step - 1.0) <= _EPS:
+            return fraction
+    raise ArithmeticError(f"incomplete beta fraction did not converge: a={a!r}, b={b!r}, x={x!r}")
+
+
+def _expansion_coefficients(count: int) -> tuple[float, ...]:
+    """The coefficients p_1 .. p_count of the large-a expansion of
+    I_x(a, ½) (DiDonato & Morris 1992, algorithm BGRAT, at b = ½)."""
+    b = 0.5
+    c: list[float] = []
+    d: list[float] = []
+    factorial = 1.0
+    for n in range(1, count + 1):
+        factorial /= (2 * n) * (2 * n + 1)
+        c.append(factorial)
+        s = math.fsum((i * b - n) * c[i - 1] * d[n - 1 - i] for i in range(1, n))
+        d.append((b - 1.0) * factorial + s / n)
+    return tuple(d)
+
+
+_EXPANSION = _expansion_coefficients(30)
+
+
+def _lower_tail_large_a(a: float, log_x: float) -> float:
+    """I_x(a, ½) for a >= _EXPANSION_FROM and x between ½ and the switch
+    point, from the expansion in erfc(√z), z = −(a − ¼)·ln x, of DiDonato &
+    Morris (1992). The continued fraction there loses about a·ε to
+    rounding."""
+    nu = a - 0.25
+    z = -nu * log_x
+    upper_gamma = math.erfc(math.sqrt(z))  # Q(½, z)
+    if upper_gamma == 0.0:
+        return 0.0
+    log_scale = 0.5 * math.log(z / math.pi) - z  # ln(e^(−z) z^½ / Γ(½))
+    v = 0.25 / (nu * nu)
+    t_step = 0.25 * log_x * log_x
+    j = upper_gamma / math.exp(log_scale)
+    total = j
+    t = 1.0
+    for n, coefficient in enumerate(_EXPANSION, start=1):
+        shift = 2.0 * n - 1.5  # b + 2n − 2
+        j = (shift * (shift + 1.0) * j + (z + shift + 1.0) * t) * v
+        t *= t_step
+        term = coefficient * j
+        total += term
+        if abs(term) <= _EPS * total:
+            break
+    return math.exp(_log_gamma_ratio(a) - 0.5 * math.log(nu) + log_scale) * total
+
+
 def correlation_p_value(r: float, n: int) -> float:
     """Two-sided p-value for a sample correlation ``r`` over ``n`` points.
 
-    Uses t = r*sqrt((n-2)/(1-r^2)) against Student's t with n-2 degrees of
-    freedom; the tail mass is evaluated through the regularized incomplete
-    beta function.
+    Uses t = r*sqrt((n-2)/(1-r^2)) against Student's t with df = n-2
+    degrees of freedom: the tail mass is the regularized incomplete beta
+    I_x(a, ½), a = df/2, at x = df/(df+t²) = 1 − r², with 1 − x = r².
+    Below x = (a+1)/(a+2.5) it is the continued fraction, or the large-a
+    expansion once a >= 15 and x > ½; above, it is one minus the symmetric
+    form I_{1−x}(½, a).
     """
     if n < MIN_SHARED_TERMS:
         raise ValueError(f"n must be >= {MIN_SHARED_TERMS}, got {n}")
@@ -88,9 +182,20 @@ def correlation_p_value(r: float, n: int) -> float:
         raise ValueError(f"r {r!r} outside [-1, 1]")
     if abs(r) == 1.0:
         return 0.0
-    df = n - 2
-    t_sq = r * r * df / (1.0 - r * r)
-    return float(betainc(df / 2.0, 0.5, df / (df + t_sq)))
+    y = r * r  # 1 − x, taken without the cancellation in 1 − x
+    if y == 0.0:
+        return 1.0
+    a = (n - 2) / 2.0
+    x = (1.0 - abs(r)) * (1.0 + abs(r))
+    log_x = math.log1p(-y) if y < 0.5 else math.log(x)
+    lower = x < (a + 1.0) / (a + 2.5)
+    if lower and a >= _EXPANSION_FROM and y < 0.5:
+        return _lower_tail_large_a(a, log_x)
+    # x^a (1 − x)^½ / B(a, ½)
+    front = math.exp(_log_gamma_ratio(a) - 0.5 * math.log(math.pi) + a * log_x + math.log(abs(r)))
+    if lower:
+        return front * _beta_fraction(a, 0.5, x) / a
+    return 1.0 - front * _beta_fraction(0.5, a, y) / 0.5
 
 
 def _log_proportion_profiles(

@@ -31,8 +31,8 @@ from .corpus import (
     read_source,
     top_k_terms,
 )
-from .infotheory import bitstream_entropy, count_entropy, hartley_entropy
-from .intelligence import AggregationResult, EntropicState, aggregate_corpus, entropic_gain
+from .infotheory import _byte_counts, count_entropy, hartley_entropy
+from .intelligence import AggregationResult, EntropicState, _entropic_gain, aggregate_corpus
 from .knowledge import CorrelationResult, _log_proportion_profiles, pearson_parts, rank_documents
 from .stopwords import ENGLISH_STOP_WORDS
 from .wisdom import aggregate_round_quality
@@ -159,20 +159,23 @@ def _skip(reason: str) -> dict[str, Any]:
 def _bit_section(raw: Mapping[str, bytes], force: bool) -> dict[str, Any]:
     if not force:
         return _skip("input is digital text; enable force_bit_layer to compute byte entropies")
-    per_document: dict[str, float] = {}
+    histograms = {}
     for doc_id in sorted(raw):
         data = raw[doc_id]
         if not data:
             warnings.warn(f"empty file for {doc_id!r}; no byte entropy", PipelineWarning, stacklevel=2)
             continue
-        per_document[doc_id] = bitstream_entropy(data)
-    pooled = b"".join(raw[doc_id] for doc_id in sorted(raw))
-    if not pooled:
+        histograms[doc_id] = _byte_counts(data)
+    if not histograms:
         return _skip("all input files are empty")
+    # the pooled histogram is the sum of the per-file ones: no joined copy
+    pooled = sum(histograms.values())
     return {
         "skipped": False,
-        "per_document_bits_per_byte": per_document,
-        "pooled_bits_per_byte": bitstream_entropy(pooled),
+        "per_document_bits_per_byte": {
+            doc_id: count_entropy(counts.tolist()) for doc_id, counts in histograms.items()
+        },
+        "pooled_bits_per_byte": count_entropy(pooled.tolist()),
     }
 
 
@@ -280,7 +283,7 @@ def _intelligence_section(
         for doc in corpus:
             if doc.id in survivors or doc.total_tokens == 0:
                 continue
-            gains[doc.id] = entropic_gain(state, doc)
+            gains[doc.id] = _entropic_gain(state, doc, macrostate_bits)
     section = {
         "skipped": False,
         "rounds": rounds_summary,

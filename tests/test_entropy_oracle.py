@@ -33,7 +33,7 @@ from layerstack import (
     joint_entropy,
     shannon_entropy,
 )
-from layerstack.pipeline import _data_section, _information_section
+from layerstack.pipeline import PipelineWarning, _bit_section, _data_section, _information_section
 
 from helpers import make_corpus, make_doc
 
@@ -119,6 +119,38 @@ def test_bitstream_entropy_matches_byte_counter(data):
     assert got == oracle_entropy(Counter(data))
     if len(set(data)) == 1:
         assert got == 0.0
+
+
+#: file sizes on and around the edges of the histogram's 64 KiB slices
+_SLICE_EDGE_SIZES = [2**16 - 1, 2**16, 2**16 + 1, 2**17 - 1, 2**17, 2**17 + 1]
+
+
+@settings(max_examples=100)
+@given(
+    files=st.lists(
+        st.one_of(
+            st.binary(max_size=64),
+            st.builds(_random_bytes, st.integers(0, 2**32 - 1), st.sampled_from(_SLICE_EDGE_SIZES)),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_bit_section_pools_the_per_file_histograms(files):
+    raw = {f"f{i}": data for i, data in enumerate(files)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        section = _bit_section(raw, force=True)
+    empty = [doc_id for doc_id, data in raw.items() if not data]
+    assert [w.category for w in caught] == [PipelineWarning] * len(empty)
+    joined = b"".join(raw[doc_id] for doc_id in sorted(raw))
+    if not joined:
+        assert section == {"skipped": True, "reason": "all input files are empty"}
+        return
+    assert section["pooled_bits_per_byte"] == bitstream_entropy(joined)
+    assert section["per_document_bits_per_byte"] == {
+        doc_id: bitstream_entropy(data) for doc_id, data in raw.items() if data
+    }
 
 
 @settings(max_examples=200)

@@ -27,7 +27,7 @@ class TestDocVector:
     def dense_row(doc, vocabulary):
         ids, rows = unit_term_rows([doc], vocabulary)
         assert ids == (doc.id,)
-        return rows.toarray()[0]
+        return rows.dense()[0]
 
     def test_single_term(self):
         assert self.dense_row(make_doc("d", {"a": 1}), ("a", "b")).tolist() == [1.0, 0.0]
@@ -60,8 +60,9 @@ class TestDocVector:
         assert rows.shape == (0, 0)
 
 
-def blob_rows():
-    """Two tight 4-row blobs over disjoint term pairs."""
+def blob_rows(count=8):
+    """Two tight 4-row blobs over disjoint term pairs, the first ``count``
+    rows of them."""
     vocab = ("a", "b", "x", "y")
     docs = [
         make_doc("a1", {"a": 9, "b": 1}),
@@ -73,15 +74,15 @@ def blob_rows():
         make_doc("x3", {"x": 7, "y": 2}),
         make_doc("x4", {"x": 9, "y": 2}),
     ]
-    return unit_term_rows(docs, vocab)
+    return unit_term_rows(docs[:count], vocab)
 
 
 class TestKmeans:
     def test_single_cluster_centroid_is_mean(self):
-        ids, rows = blob_rows()
-        clustering = kmeans(ids[:3], rows[:3], k=1, seed=0)
+        ids, rows = blob_rows(3)
+        clustering = kmeans(ids, rows, k=1, seed=0)
         assert set(clustering.assignments.values()) == {0}
-        points = rows[:3].toarray()
+        points = rows.dense()
         assert np.allclose(clustering.centroids[0], points.mean(axis=0), atol=1e-12)
 
     def test_two_blobs_recovered_for_any_seed(self):
@@ -120,11 +121,11 @@ class TestKmeans:
     def test_validation(self):
         ids, rows = blob_rows()
         with pytest.raises(ValueError, match="fewer rows than k"):
-            kmeans(ids[:2], rows[:2], k=3, seed=0)
+            kmeans(*blob_rows(2), k=3, seed=0)
         with pytest.raises(ValueError, match="k must be >= 1"):
             kmeans(ids, rows, k=0, seed=0)
         with pytest.raises(ValueError, match="duplicate doc ids"):
-            kmeans(("a1", "a1"), rows[:2], k=1, seed=0)
+            kmeans(("a1", "a1"), blob_rows(2)[1], k=1, seed=0)
         with pytest.raises(ValueError, match="3 ids for 8 rows"):
             kmeans(ids[:3], rows, k=1, seed=0)
 

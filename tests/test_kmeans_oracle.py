@@ -80,7 +80,7 @@ def dense_kmeans(points, k, seed):
 def assert_matches_oracle(docs, vocabulary, k, seed):
     ids, rows = unit_term_rows(docs, vocabulary)
     points = dense_rows(docs, vocabulary)
-    assert np.array_equal(rows.toarray(), points)
+    assert np.array_equal(rows.dense(), points)
     clustering = kmeans(ids, rows, k, seed)
     labels, history, centroids = dense_kmeans(points, k, seed)
     assert clustering.assignments == {i: int(c) for i, c in zip(ids, labels)}
@@ -163,3 +163,16 @@ def test_peak_memory_is_far_below_the_distance_tensor():
     assert len(clustering.assignments) == n
     assert peak < tensor_bytes / 4
     assert peak < n * v * 8 / 2  # nor dense in N x V
+
+
+@pytest.mark.parametrize("block_floats", [1, 2**18])
+def test_products_of_rows_without_entries_are_zero(block_floats, monkeypatch):
+    monkeypatch.setattr(intelligence, "_BLOCK_FLOATS", block_floats)
+    rows = intelligence.TermRows(
+        indptr=np.array([0, 0, 2, 2]),
+        indices=np.array([0, 2]),
+        data=np.array([0.6, 0.8]),
+        n_columns=3,
+    )
+    centroids = np.arange(6.0).reshape(2, 3)
+    assert np.array_equal(intelligence._products(rows, centroids), rows.dense() @ centroids.T)

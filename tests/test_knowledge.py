@@ -58,28 +58,38 @@ class TestPearson:
 
 
 class TestPValue:
+    # point counts on both sides of each switch between evaluation methods
+    COUNTS = (3, 5, 31, 32, 51, 52, 500, 2000, 30_036)
+
     def test_zero_r_means_one(self):
-        assert correlation_p_value(0.0, 5) == 1.0
-        assert correlation_p_value(0.0, 500) == 1.0
+        for n in self.COUNTS:
+            assert correlation_p_value(0.0, n) == 1.0
+            assert correlation_p_value(-0.0, n) == 1.0
 
     def test_unit_r_means_zero(self):
-        assert correlation_p_value(1.0, 10) == 0.0
-        assert correlation_p_value(-1.0, 10) == 0.0
+        for n in self.COUNTS:
+            assert correlation_p_value(1.0, n) == 0.0
+            assert correlation_p_value(-1.0, n) == 0.0
 
     def test_reference_point(self):
         assert math.isclose(correlation_p_value(0.6, 20), P_06_20, abs_tol=5e-5)
         assert math.isclose(correlation_p_value(0.6, 20), 0.00517, abs_tol=5e-5)
 
     def test_symmetric_in_r(self):
-        assert correlation_p_value(0.4, 12) == correlation_p_value(-0.4, 12)
+        for n in self.COUNTS:
+            for r in (1e-9, 0.03, 0.4, 0.9, 1 - 1e-12):
+                assert correlation_p_value(r, n) == correlation_p_value(-r, n)
 
     def test_monotone_in_abs_r(self):
-        ps = [correlation_p_value(r, 15) for r in (0.1, 0.3, 0.5, 0.7, 0.9)]
-        assert ps == sorted(ps, reverse=True)
+        for n in self.COUNTS:
+            ps = [correlation_p_value(k / 1000, n) for k in range(1001)]
+            assert all(later <= earlier for earlier, later in zip(ps, ps[1:]))
 
     def test_monotone_in_n(self):
-        ps = [correlation_p_value(0.5, n) for n in (5, 10, 20, 40, 80)]
-        assert ps == sorted(ps, reverse=True)
+        counts = [*range(3, 400), *range(400, 60_000, 997)]
+        for r in (1e-6, 0.01, 0.1, 0.3, 0.5, 0.9, 0.999):
+            ps = [correlation_p_value(r, n) for n in counts]
+            assert all(later <= earlier for earlier, later in zip(ps, ps[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be >= 3"):
