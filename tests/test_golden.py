@@ -11,6 +11,7 @@ CHANGES.md which bytes moved and regenerate with
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -42,6 +43,30 @@ def _write_degenerate(root: Path) -> Path:
     return root
 
 
+# id -> (title, text): ids and titles that CSV and TSV writers must quote or
+# pass through (comma, double quote, space, non-ASCII letters)
+QUOTED = {
+    "alpha,beta": ("Signal, noise and café", "signal noise café channel signal café noise code\n"),
+    'say "ñandú"': ('The "ñandú" survey', "ñandú signal noise channel ñandú straße signal\n"),
+    "Ünïcode straße": ("Straße, Ünïcode", "straße café signal noise straße channel naïve\n"),
+    "plain": ("Plain title", "signal noise channel café code code naïve signal\n"),
+    'q"uote,both': ('Comma, "quote" Ω', "channel naïve straße ñandú signal noise code\n"),
+}
+
+
+def _write_quoted(root: Path) -> Path:
+    root.mkdir()
+    lines = []
+    for index, (doc_id, (title, text)) in enumerate(QUOTED.items()):
+        name = f"doc{index}.txt"
+        (root / name).write_text(text, encoding="utf-8")
+        record = {"id": doc_id, "title": title, "path": name}
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    manifest = root / "manifest.jsonl"
+    manifest.write_text("".join(lines), encoding="utf-8")
+    return manifest
+
+
 # case name -> (corpus writer, extra ``run`` arguments)
 CASES = {
     "synthetic36": (
@@ -53,6 +78,7 @@ CASES = {
         ["--k", "9"],
     ),
     "degenerate": (_write_degenerate, []),
+    "quoted": (_write_quoted, ["--k", "2"]),
 }
 
 
