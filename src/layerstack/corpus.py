@@ -9,13 +9,14 @@ per-document term counts built here.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from math import log10
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .stopwords import ENGLISH_STOP_WORDS
 
@@ -147,8 +148,7 @@ class Corpus:
         return +rest  # drops zero and negative entries
 
 
-@dataclass(frozen=True)
-class ScatterPoint:
+class ScatterPoint(NamedTuple):
     """One term's relative frequency in a document versus a reference body,
     with the signed log10 ratio between the two."""
 
@@ -163,8 +163,7 @@ def top_k_terms(doc: Document, k: int) -> list[tuple[str, int]]:
     ascending term."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ranked = sorted(doc.token_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+    return heapq.nsmallest(k, doc.token_counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def frequency_scatter(
@@ -191,14 +190,7 @@ def frequency_scatter(
             continue
         dp = doc_count / doc.total_tokens
         rp = ref_count / ref_total
-        points.append(
-            ScatterPoint(
-                term=term,
-                doc_proportion=dp,
-                reference_proportion=rp,
-                deviation=log10(dp) - log10(rp),
-            )
-        )
+        points.append(ScatterPoint(term, dp, rp, log10(dp) - log10(rp)))
     return points
 
 

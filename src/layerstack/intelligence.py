@@ -74,9 +74,9 @@ def unit_term_rows(
     # nonzeros alone often differs in the last bit
     scratch = np.zeros(len(vocabulary))
     ids: list[str] = []
-    indptr, indices, data = [0], [], []
+    lengths, indices, data = [0], [], []
     for doc in docs:
-        terms = sorted((column[t], c) for t, c in doc.token_counts.items() if c > 0 and t in column)
+        terms = [(column[t], c) for t, c in doc.token_counts.items() if c > 0 and t in column]
         if not terms:
             warnings.warn(
                 f"excluding {doc.id!r}: orthogonal document: "
@@ -85,19 +85,23 @@ def unit_term_rows(
                 stacklevel=2,
             )
             continue
-        cols = [j for j, _ in terms]
-        values = [count / doc.total_tokens for _, count in terms]
+        cols = np.fromiter((j for j, _ in terms), dtype=np.intp, count=len(terms))
+        counts = np.fromiter((c for _, c in terms), dtype=np.float64, count=len(terms))
+        order = np.argsort(cols)
+        cols = cols[order]
+        # IEEE division of exactly held integers: the same floats as Python's
+        values = counts[order] / doc.total_tokens
         scratch[cols] = values
         norm = float(np.linalg.norm(scratch))
         scratch[cols] = 0.0
         ids.append(doc.id)
-        indices.extend(cols)
-        data.extend(value / norm for value in values)
-        indptr.append(len(indices))
+        lengths.append(len(terms))
+        indices.append(cols)
+        data.append(values / norm)
     rows = TermRows(
-        indptr=np.array(indptr, dtype=np.intp),
-        indices=np.array(indices, dtype=np.intp),
-        data=np.array(data, dtype=float),
+        indptr=np.cumsum(lengths, dtype=np.intp),
+        indices=np.concatenate([np.empty(0, np.intp), *indices]),
+        data=np.concatenate([np.empty(0), *data]),
         n_columns=len(vocabulary),
     )
     return tuple(ids), rows

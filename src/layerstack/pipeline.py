@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import heapq
+import io
 import json
 import math
 import warnings
@@ -331,8 +333,8 @@ def _belief_section(
     keyword_count = min(top_k, MAX_FRAME_SIZE, len(corpus.vocabulary))
     if keyword_count < 1:
         return _skip("no terms in corpus")
-    by_frequency = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    keywords = [term for term, _ in by_frequency[:keyword_count]]
+    by_frequency = heapq.nsmallest(keyword_count, totals.items(), key=lambda kv: (-kv[1], kv[0]))
+    keywords = [term for term, _ in by_frequency]
     frame = Frame(elements=tuple(keywords))
     grand = sum(totals.values())
     contributions = {kw: 0.0 for kw in keywords}
@@ -473,13 +475,24 @@ def emit_tables(report: RunReport) -> list[Path]:
     return written
 
 
+def _csv_field(value: str) -> str:
+    """A non-empty ``value`` quoted as ``csv.writer`` quotes it in a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([value])
+    return buffer.getvalue()[:-1]
+
+
 def write_fig4(handle: IO[str], corpus: Corpus, docs: Iterable[Document]) -> None:
     """Write fig4 CSV rows for ``docs``: each term's proportion in the
     document versus in the rest of ``corpus``, with the log10 deviation.
     Empty documents are skipped, as is (with a warning) any document whose
-    leave-one-out reference has no terms."""
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["doc_id", "term", "doc_proportion", "reference_proportion", "deviation"])
+    leave-one-out reference has no terms.
+
+    The bytes are those of ``csv.writer``: floats as ``repr``, ids and terms
+    quoted where needed. A document's rows are joined and written at once,
+    and each distinct (doc_proportion, reference_proportion) pair, which
+    fixes the deviation too, is formatted once per document."""
+    handle.write("doc_id,term,doc_proportion,reference_proportion,deviation\n")
     for doc in docs:
         if doc.total_tokens == 0:
             continue
@@ -491,16 +504,16 @@ def write_fig4(handle: IO[str], corpus: Corpus, docs: Iterable[Document]) -> Non
                 stacklevel=2,
             )
             continue
-        for point in frequency_scatter(doc, reference):
-            writer.writerow(
-                [
-                    doc.id,
-                    point.term,
-                    point.doc_proportion,
-                    point.reference_proportion,
-                    point.deviation,
-                ]
-            )
+        doc_id = _csv_field(doc.id)
+        tails: dict[tuple[float, float], str] = {}
+        rows = []
+        for term, dp, rp, deviation in frequency_scatter(doc, reference):
+            tail = tails.get((dp, rp))
+            if tail is None:
+                tail = tails[dp, rp] = f"{dp!r},{rp!r},{deviation!r}\n"
+            # tokenized terms are alphanumeric: only API-built ones need quoting
+            rows.append(f"{doc_id},{term if term.isalnum() else _csv_field(term)},{tail}")
+        handle.write("".join(rows))
 
 
 def emit_plot_data(report: RunReport) -> list[Path]:

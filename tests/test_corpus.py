@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from layerstack import (
     Corpus,
@@ -140,6 +142,16 @@ class TestTopKTerms:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError, match=">= 1"):
             top_k_terms(make_doc("d", {"a": 1}), 0)
+
+    @given(
+        counts=st.dictionaries(st.text("abcd", min_size=1, max_size=3), st.integers(0, 3)),
+        data=st.data(),
+    )
+    def test_equals_a_full_sort(self, counts, data):
+        # counts from 0 to 3 tie often; k runs past the number of terms
+        k = data.draw(st.integers(1, len(counts) + 3))
+        full = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        assert top_k_terms(make_doc("d", counts), k) == full[:k]
 
 
 class TestFrequencyScatter:

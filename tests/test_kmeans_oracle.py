@@ -10,6 +10,7 @@ bit for bit, and must not come near the tensor's memory.
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerstack import intelligence
-from layerstack.intelligence import kmeans, unit_term_rows
+from layerstack.intelligence import AggregationWarning, kmeans, unit_term_rows
 
 from helpers import make_doc
 
@@ -115,6 +116,60 @@ def test_sparse_kmeans_equals_dense_oracle(block_floats, table):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(intelligence, "_BLOCK_FLOATS", block_floats)
         assert_matches_oracle(*table)
+
+
+@st.composite
+def row_inputs(draw):
+    """(docs, vocabulary): a shuffled vocabulary, and documents that may hold
+    terms outside it, no term of it, or only zero counts."""
+    v = draw(st.integers(1, 8))
+    vocabulary = draw(st.permutations([f"t{j}" for j in range(v)]))
+    terms = st.sampled_from(vocabulary + ["x0", "x1"])
+    tables = draw(st.lists(st.dictionaries(terms, st.integers(0, 4), min_size=1), max_size=6))
+    docs = [make_doc(f"d{i}", counts) for i, counts in enumerate(tables)]
+    return docs, vocabulary
+
+
+def assert_rows_are_well_formed(docs, vocabulary):
+    kept = [d for d in docs if any(d.token_counts.get(t, 0) > 0 for t in vocabulary)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ids, rows = unit_term_rows(docs, vocabulary)
+    assert ids == tuple(d.id for d in kept)
+    assert len(caught) == len(docs) - len(kept)
+    assert all(issubclass(w.category, AggregationWarning) for w in caught)
+    assert rows.shape == (len(kept), len(vocabulary))
+    assert rows.indptr.dtype == np.intp and rows.indices.dtype == np.intp
+    assert rows.data.dtype == np.float64
+    for lo, hi in zip(rows.indptr[:-1], rows.indptr[1:]):
+        assert np.all(np.diff(rows.indices[lo:hi]) > 0)
+    if kept:
+        assert np.array_equal(rows.dense(), dense_rows(kept, vocabulary))
+
+
+@settings(max_examples=200)
+@given(inputs=row_inputs())
+def test_unit_term_rows_equal_dense_rows(inputs):
+    assert_rows_are_well_formed(*inputs)
+
+
+def test_unit_term_rows_over_a_shuffled_vocabulary():
+    vocabulary = ["t3", "t0", "t2", "t1"]
+    docs = [make_doc("d0", {"t1": 2, "t0": 1, "x": 5}), make_doc("d1", {"t2": 3, "t3": 1})]
+    assert_rows_are_well_formed(docs, vocabulary)
+    _, rows = unit_term_rows(docs, vocabulary)
+    assert rows.indices.tolist() == [1, 3, 0, 2]
+
+
+def test_a_vocabulary_that_excludes_every_document_gives_no_rows():
+    docs = [make_doc("d0", {"x": 2}), make_doc("d1", {"y": 1, "z": 3})]
+    with pytest.warns(AggregationWarning, match="shares no terms with the vocabulary"):
+        ids, rows = unit_term_rows(docs, ["a", "b", "c"])
+    assert ids == ()
+    assert rows.shape == (0, 3)
+    assert rows.indptr.tolist() == [0]
+    assert rows.indices.dtype == np.intp and rows.data.dtype == np.float64
+    assert rows.dense().shape == (0, 3)
 
 
 def test_duplicates_with_k_equal_to_n_take_the_exact_path(monkeypatch):

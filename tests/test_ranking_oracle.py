@@ -6,10 +6,16 @@ document's own counts. The oracle here builds every reference the slow way,
 as a plain ``Counter`` of all the other documents, and scores it with
 ``pearson_r`` and ``correlation_p_value``. The integers are the same either
 way, so every r, p-value, n and evidence value must be equal, not close.
+
+fig4 is checked the same way: its text must equal, character for character,
+the rows a ``csv.writer`` makes from a plain-``Counter`` leave-one-out
+reference.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import warnings
 from collections import Counter
@@ -30,7 +36,7 @@ from layerstack import (
 from layerstack import intelligence
 from layerstack.belief import MAX_FRAME_SIZE
 from layerstack.knowledge import MIN_SHARED_TERMS, pearson_parts
-from layerstack.pipeline import _belief_section
+from layerstack.pipeline import _belief_section, write_fig4
 
 from helpers import make_corpus, make_doc
 
@@ -216,3 +222,96 @@ class TestPoolsOnce:
         assert calls["rankings"] >= 4
         assert calls["leave_one_out_counts"] == 0
         assert calls["total_counts"] == calls["rankings"]
+
+
+# terms that csv.writer must quote, and one that it must not
+QUOTED_TERMS = ["a,b", 'x"y', "a b", "line\nbreak", "ñandú"]
+FIG4_HEADER = ["doc_id", "term", "doc_proportion", "reference_proportion", "deviation"]
+
+
+def oracle_fig4(corpus: Corpus, docs) -> tuple[str, list[str]]:
+    """fig4 text and warnings, with each reference pooled from scratch and
+    every row written by ``csv.writer``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(FIG4_HEADER)
+    warned = []
+    for doc in docs:
+        if doc.total_tokens == 0:
+            continue
+        reference: Counter[str] = Counter()
+        for other in corpus:
+            if other.id != doc.id:
+                reference.update(other.token_counts)
+        ref_total = sum(reference.values())
+        if ref_total == 0:
+            warned.append(f"no reference terms for {doc.id!r}; skipped in fig4")
+            continue
+        for term in sorted(doc.token_counts):
+            count, ref_count = doc.token_counts[term], reference[term]
+            if count > 0 and ref_count > 0:
+                dp, rp = count / doc.total_tokens, ref_count / ref_total
+                writer.writerow([doc.id, term, dp, rp, math.log10(dp) - math.log10(rp)])
+    return out.getvalue(), warned
+
+
+@st.composite
+def fig4_tables(draw) -> dict[str, dict[str, int]]:
+    """{doc_id: {term: count}} for 2-6 documents with ids that need CSV
+    quoting. Counts of 0-3 repeat often within a document; some documents
+    are empty, and one holds every occurrence of up to three terms."""
+    ids = draw(
+        st.lists(st.text('ab ,"ñÜ', min_size=1, max_size=4), min_size=2, max_size=6, unique=True)
+    )
+    terms = st.sampled_from(TERMS[:4] + QUOTED_TERMS)
+    rows = [
+        {} if draw(st.integers(0, 3)) == 0 else draw(st.dictionaries(terms, st.integers(0, 3)))
+        for _ in ids
+    ]
+    owner = draw(st.integers(0, len(rows) - 1))
+    rows[owner].update(
+        draw(st.dictionaries(st.sampled_from(OWNED_TERMS), st.integers(1, 5), max_size=3))
+    )
+    return dict(zip(ids, rows))
+
+
+def assert_fig4_matches_oracle(table, chosen=None) -> tuple[str, list[str]]:
+    """Compare ``write_fig4`` with the oracle; return its text and warnings."""
+    corpus = make_corpus(table)
+    docs = corpus.documents if chosen is None else [corpus.get(i) for i in chosen]
+    handle = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        write_fig4(handle, corpus, docs)
+    messages = [str(w.message) for w in caught]
+    assert (handle.getvalue(), messages) == oracle_fig4(corpus, docs)
+    return handle.getvalue(), messages
+
+
+@settings(max_examples=300)
+@given(table=fig4_tables(), data=st.data())
+def test_write_fig4_matches_oracle(table, data):
+    chosen = data.draw(st.none() | st.lists(st.sampled_from(sorted(table)), min_size=1))
+    assert_fig4_matches_oracle(table, chosen)
+
+
+def test_write_fig4_quotes_ids_and_terms_and_drops_owned_terms():
+    text, _ = assert_fig4_matches_oracle(
+        {
+            'say "hi", Ünï': {"a,b": 2, 'x"y': 2, "a b": 2, "line\nbreak": 2, "own0": 3},
+            "plain": {"a,b": 1, 'x"y': 1, "a b": 1, "line\nbreak": 1, "t0": 4},
+            "empty": {},
+        }
+    )
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [row[:2] for row in rows[1:]] == [
+        [doc_id, term]
+        for doc_id in ('say "hi", Ünï', "plain")
+        for term in ["a b", "a,b", "line\nbreak", 'x"y']
+    ]  # own0 and t0 each have a single holder, so no reference count
+
+
+def test_write_fig4_warns_for_a_document_with_no_reference():
+    text, messages = assert_fig4_matches_oracle({"only": {"a,b": 2, "t0": 1}, "empty": {}})
+    assert text == ",".join(FIG4_HEADER) + "\n"
+    assert messages == ["no reference terms for 'only'; skipped in fig4"]
