@@ -40,7 +40,6 @@ from .infotheory import (
 from .intelligence import (
     AggregationResult,
     AggregationRound,
-    AggregationWarning,
     Clustering,
     EntropicState,
     aggregate_corpus,
@@ -50,7 +49,6 @@ from .intelligence import (
 from .knowledge import (
     CorrelationResult,
     EventSpace,
-    RankingWarning,
     correlate_document,
     correlation_p_value,
     justification_score,
@@ -60,7 +58,6 @@ from .knowledge import (
 from .pipeline import (
     LAYERS,
     PipelineError,
-    PipelineWarning,
     RunConfig,
     RunReport,
     emit_plot_data,
@@ -82,7 +79,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregationResult",
     "AggregationRound",
-    "AggregationWarning",
     "Clustering",
     "Corpus",
     "CorrelationResult",
@@ -97,8 +93,6 @@ __all__ = [
     "LAYERS",
     "MassFunction",
     "PipelineError",
-    "PipelineWarning",
-    "RankingWarning",
     "RunConfig",
     "RunReport",
     "TokenDistribution",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -58,7 +57,7 @@ def _stop_words(path: str | None) -> frozenset[str]:
     return ENGLISH_STOP_WORDS if path is None else load_stop_words(path)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace, notes: list[str]) -> int:
     config = RunConfig(
         source=Path(args.corpus),
         out_dir=Path(args.out),
@@ -72,15 +71,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         force_bit_layer=args.force_bit_layer,
     )
     report = run_pipeline(config)
-    written = [write_report(report), *emit_tables(report), *emit_plot_data(report)]
-    for message in report.warnings:
-        print(f"warning: {message}", file=sys.stderr)
+    written = [write_report(report), *emit_tables(report), *emit_plot_data(report, notes)]
+    # the report's notes go ahead of the plot notes, once every artifact is written
+    notes[:0] = report.warnings
     for path in written:
         print(path)
     return 0
 
 
-def _cmd_entropy(args: argparse.Namespace) -> int:
+def _cmd_entropy(args: argparse.Namespace, notes: list[str]) -> int:
     data, text = read_source(Path(args.file))
     counts = Counter(tokenize(text, _stop_words(args.stopwords)))
     total = sum(counts.values())
@@ -96,13 +95,14 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _cmd_rank(args: argparse.Namespace, notes: list[str]) -> int:
     corpus = ingest_corpus(args.corpus, _stop_words(args.stopwords))
-    sys.stdout.write(ranking_tsv(ranking_rows(rank_documents(corpus, top_k=args.top), corpus)))
+    ranked = rank_documents(corpus, top_k=args.top, notes=notes)
+    sys.stdout.write(ranking_tsv(ranking_rows(ranked, corpus)))
     return 0
 
 
-def _cmd_aggregate(args: argparse.Namespace) -> int:
+def _cmd_aggregate(args: argparse.Namespace, notes: list[str]) -> int:
     corpus = ingest_corpus(args.corpus, _stop_words(args.stopwords))
     result = aggregate_corpus(
         corpus,
@@ -110,6 +110,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         rounds=args.rounds,
         per_cluster=args.per_cluster,
         seed=args.seed,
+        notes=notes,
     )
     sys.stdout.write(ranking_tsv(ranking_rows(result.ranking[: args.top], corpus)))
     return 0
@@ -134,7 +135,7 @@ def _load_mass(frame: Frame, path: str) -> MassFunction:
         raise ValueError(f"mass file {path}: {exc}") from exc
 
 
-def _cmd_belief(args: argparse.Namespace) -> int:
+def _cmd_belief(args: argparse.Namespace, notes: list[str]) -> int:
     elements = tuple(part.strip() for part in args.frame.split(",") if part.strip())
     frame = Frame(elements=elements)
     result = vacuous_mass(frame) if args.prior is None else _load_mass(frame, args.prior)
@@ -151,7 +152,7 @@ def _cmd_belief(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scatter(args: argparse.Namespace) -> int:
+def _cmd_scatter(args: argparse.Namespace, notes: list[str]) -> int:
     corpus = ingest_corpus(args.corpus, _stop_words(args.stopwords))
     if len(corpus) < 2:
         raise ValueError("scatter needs at least 2 documents for a leave-one-out reference")
@@ -162,7 +163,7 @@ def _cmd_scatter(args: argparse.Namespace) -> int:
             raise ValueError(f"document {args.doc!r} not in corpus") from None
     else:
         docs = corpus.documents
-    write_fig4(sys.stdout, corpus, docs)
+    write_fig4(sys.stdout, corpus, docs, notes)
     return 0
 
 
@@ -227,15 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    notes: list[str] = []
     error = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            code = args.handler(args)
-        except (PipelineError, ValueError, OSError) as exc:
-            code, error = 1, exc
-    for w in caught:
-        print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
+    try:
+        code = args.handler(args, notes)
+    except (PipelineError, ValueError, OSError) as exc:
+        code, error = 1, exc
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
     return code

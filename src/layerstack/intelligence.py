@@ -11,7 +11,6 @@ bit-identical outputs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -29,10 +28,6 @@ _BLOCK_FLOATS = 2**18
 _TIE_GAP = 1e-9
 #: slack for the non-increasing inertia check (float accumulation noise)
 _INERTIA_SLACK = 1e-9
-
-
-class AggregationWarning(UserWarning):
-    """Non-fatal aggregation condition (tiny cluster, early stop)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +61,8 @@ def unit_term_rows(
 ) -> tuple[tuple[str, ...], TermRows]:
     """One row per document: its term proportions laid out over
     ``vocabulary`` (terms outside it are dropped), scaled to unit L2 length.
-    A document sharing no term with the vocabulary is excluded with a
-    warning. Returns the ids of the rows and the rows."""
+    A document sharing no term with the vocabulary gets no row, so it is
+    absent from the returned ids. Returns the ids of the rows and the rows."""
     column = {term: j for j, term in enumerate(vocabulary)}
     # the norm is taken over the dense layout, one reused row at a time: BLAS
     # sums the squares in lanes set by column position, so the norm of the
@@ -78,12 +73,6 @@ def unit_term_rows(
     for doc in docs:
         terms = [(column[t], c) for t, c in doc.token_counts.items() if c > 0 and t in column]
         if not terms:
-            warnings.warn(
-                f"excluding {doc.id!r}: orthogonal document: "
-                f"{doc.id!r} shares no terms with the vocabulary",
-                AggregationWarning,
-                stacklevel=2,
-            )
             continue
         cols = np.fromiter((j for j, _ in terms), dtype=np.intp, count=len(terms))
         counts = np.fromiter((c for _, c in terms), dtype=np.float64, count=len(terms))
@@ -183,25 +172,13 @@ def _seed_centroids(rows: TermRows, k: int, rng: Generator) -> np.ndarray:
 
 
 def _products(rows: TermRows, centroids: np.ndarray) -> np.ndarray:
-    """x·c for every row x and centroid c, summed over the row's nonzeros,
-    on row blocks of at most _BLOCK_FLOATS (nonzero, centroid) products."""
-    n, k = rows.shape[0], centroids.shape[0]
-    budget = max(1, _BLOCK_FLOATS // k)
-    out = np.empty((n, k))
-    start = 0
-    while start < n:
-        last = int(np.searchsorted(rows.indptr, rows.indptr[start] + budget, side="right")) - 1
-        stop = max(start + 1, last)
-        lo, hi = rows.indptr[start], rows.indptr[stop]
-        products = np.take(centroids, rows.indices[lo:hi], axis=1)
-        products *= rows.data[lo:hi]
-        # reduceat sums each row's run of products, but a run must be nonempty
-        filled = np.diff(rows.indptr[start : stop + 1]) > 0
-        block = out[start:stop]
-        block[~filled] = 0.0
-        if filled.any():
-            block[filled] = np.add.reduceat(products, rows.indptr[start:stop][filled] - lo, axis=1).T
-        start = stop
+    """x·c for every row x and centroid c, summed over the row's nonzeros in
+    column order, one centroid at a time: temporaries are nonzero-sized."""
+    n = rows.shape[0]
+    owner = np.repeat(np.arange(n), np.diff(rows.indptr))
+    out = np.empty((n, centroids.shape[0]))
+    for j, c in enumerate(centroids):
+        out[:, j] = np.bincount(owner, rows.data * c[rows.indices], minlength=n)
     return out
 
 
@@ -336,22 +313,21 @@ def _entropic_gain(state: EntropicState, candidate: Document, before: float) -> 
 
 
 def _cluster_rankings(
-    clustering: Clustering, corpus: Corpus, per_cluster: int
+    clustering: Clustering, corpus: Corpus, per_cluster: int, notes: list[str]
 ) -> list[tuple[CorrelationResult, ...]]:
     """Per-cluster leave-one-out rankings truncated to ``per_cluster``;
-    clusters with fewer than 2 members rank nothing (warning)."""
+    clusters with fewer than 2 members rank nothing (noted)."""
     rankings: list[tuple[CorrelationResult, ...]] = []
     for cluster in range(clustering.k):
         members = clustering.members(cluster)
         if len(members) < 2:
-            warnings.warn(
-                f"cluster {cluster} has {len(members)} member(s); nothing selected",
-                AggregationWarning,
-                stacklevel=3,
+            notes.append(
+                f"AggregationWarning: cluster {cluster} has {len(members)} member(s); "
+                "nothing selected"
             )
             rankings.append(())
             continue
-        ranked = rank_documents(corpus.subset(members), top_k=per_cluster)
+        ranked = rank_documents(corpus.subset(members), top_k=per_cluster, notes=notes)
         rankings.append(tuple(ranked))
     return rankings
 
@@ -376,12 +352,21 @@ class AggregationResult:
 
 
 def aggregate_corpus(
-    corpus: Corpus, k: int, rounds: int = 1, per_cluster: int = 5, seed: int = 42
+    corpus: Corpus,
+    k: int,
+    rounds: int = 1,
+    per_cluster: int = 5,
+    seed: int = 42,
+    notes: list[str] | None = None,
 ) -> AggregationResult:
-    """Run ``rounds`` cluster-and-reselect reductions, then rank the
-    survivors globally. Round r uses seed ``seed + r``. Stops early (with a
-    warning) if a reduction would leave fewer than 2 documents, keeping the
-    last corpus that could still be ranked."""
+    """Run ``rounds`` cluster-and-reselect reductions, then re-rank the
+    survivors among themselves. Round r uses seed ``seed + r``. Stops early
+    if a reduction would leave fewer than 2 documents, keeping the last
+    corpus that could still be ranked.
+
+    Every soft error (a document with no term row, a cluster too small to
+    rank, an early stop, a document the rankings drop) appends one
+    ``"<Category>: <message>"`` line to ``notes`` when it is given."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if rounds < 0:
@@ -391,29 +376,34 @@ def aggregate_corpus(
     if len(corpus) < k:
         raise ValueError(f"fewer documents than clusters: {len(corpus)} < {k}")
 
+    if notes is None:
+        notes = []
     current = corpus
     trace: list[AggregationRound] = []
     for index in range(rounds):
         if len(current) < 2:
             break
         ids, rows = unit_term_rows(current.documents, sorted(current.vocabulary))
+        kept = set(ids)
+        notes.extend(
+            f"AggregationWarning: excluding {doc.id!r}: orthogonal document: "
+            f"{doc.id!r} shares no terms with the vocabulary"
+            for doc in current
+            if doc.id not in kept
+        )
         if len(ids) < 2:
-            warnings.warn(
-                f"aggregation stopped at round {index}: fewer than 2 vectorizable documents",
-                AggregationWarning,
-                stacklevel=2,
+            notes.append(
+                f"AggregationWarning: aggregation stopped at round {index}: "
+                "fewer than 2 vectorizable documents"
             )
             break
         clustering = kmeans(ids, rows, min(k, len(ids)), seed + index)
-        vector_corpus = current.subset(ids)
-        cluster_rankings = _cluster_rankings(clustering, vector_corpus, per_cluster)
+        cluster_rankings = _cluster_rankings(clustering, current, per_cluster, notes)
         selected = [res.doc_id for ranked in cluster_rankings for res in ranked]
         if len(selected) < 2:
-            warnings.warn(
-                f"aggregation stopped at round {index}: only {len(selected)} document(s) "
-                "would survive; keeping the previous selection",
-                AggregationWarning,
-                stacklevel=2,
+            notes.append(
+                f"AggregationWarning: aggregation stopped at round {index}: only "
+                f"{len(selected)} document(s) would survive; keeping the previous selection"
             )
             break
         trace.append(
@@ -426,7 +416,7 @@ def aggregate_corpus(
         )
         current = current.subset(selected)
 
-    ranking = tuple(rank_documents(current, top_k=len(current)))
+    ranking = tuple(rank_documents(current, top_k=len(current), notes=notes))
     return AggregationResult(
         ranking=ranking,
         rounds=tuple(trace),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
@@ -34,10 +33,6 @@ _MAX_STEPS = 1000
 _SERIES_FROM = 25.0
 #: a from which the lower tail comes from the large-a expansion
 _EXPANSION_FROM = 15.0
-
-
-class RankingWarning(UserWarning):
-    """A document was excluded from a ranking (soft, per-document error)."""
 
 
 @dataclass(frozen=True)
@@ -240,12 +235,15 @@ def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
     return _correlate(doc, totals, sum(totals.values()), corpus.get(doc.id))
 
 
-def rank_documents(corpus: Corpus, top_k: int) -> list[CorrelationResult]:
+def rank_documents(
+    corpus: Corpus, top_k: int, notes: list[str] | None = None
+) -> list[CorrelationResult]:
     """Correlation results for every document, descending by r (ties by
     ascending id), truncated to ``top_k``.
 
     Documents that cannot be scored (insufficient overlap, zero variance)
-    are dropped with a :class:`RankingWarning` rather than failing the run.
+    are dropped rather than failing the run; each drop appends one
+    ``"RankingWarning: excluding ..."`` line to ``notes`` when it is given.
     """
     if len(corpus) < 2:
         raise ValueError(f"ranking needs at least 2 documents, got {len(corpus)}")
@@ -258,7 +256,8 @@ def rank_documents(corpus: Corpus, top_k: int) -> list[CorrelationResult]:
         try:
             results.append(_correlate(doc, totals, grand, doc))
         except ValueError as exc:
-            warnings.warn(f"excluding {doc.id!r}: {exc}", RankingWarning, stacklevel=2)
+            if notes is not None:
+                notes.append(f"RankingWarning: excluding {doc.id!r}: {exc}")
     results.sort(key=lambda res: (-res.r, res.doc_id))
     return results[:top_k]
 

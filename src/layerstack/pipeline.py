@@ -17,7 +17,6 @@ import heapq
 import io
 import json
 import math
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -44,10 +43,6 @@ LAYERS = ("bit", "data", "information", "knowledge", "intelligence", "wisdom", "
 REPORT_NAME = "report.json"
 KNOWLEDGE_TABLE = "table1"
 INTELLIGENCE_TABLE = "table2"
-
-
-class PipelineWarning(UserWarning):
-    """Per-document soft error recorded during a pipeline run."""
 
 
 class PipelineError(RuntimeError):
@@ -103,8 +98,9 @@ class RunReport:
     """Layer-by-layer results of one run.
 
     ``sections`` holds one JSON-safe entry per layer; a layer that could not
-    run is marked ``{"skipped": true, "reason": ...}``. The ingested corpus
-    rides along for the plot emitter.
+    run is marked ``{"skipped": true, "reason": ...}``. ``warnings`` holds
+    the run's soft errors as ``"<Category>: <message>"`` lines. The
+    ingested corpus rides along for the plot emitter.
     """
 
     config_echo: Mapping[str, Any]
@@ -158,14 +154,14 @@ def _skip(reason: str) -> dict[str, Any]:
     return {"skipped": True, "reason": reason}
 
 
-def _bit_section(raw: Mapping[str, bytes], force: bool) -> dict[str, Any]:
+def _bit_section(raw: Mapping[str, bytes], force: bool, notes: list[str]) -> dict[str, Any]:
     if not force:
         return _skip("input is digital text; enable force_bit_layer to compute byte entropies")
     histograms = {}
     for doc_id in sorted(raw):
         data = raw[doc_id]
         if not data:
-            warnings.warn(f"empty file for {doc_id!r}; no byte entropy", PipelineWarning, stacklevel=2)
+            notes.append(f"PipelineWarning: empty file for {doc_id!r}; no byte entropy")
             continue
         histograms[doc_id] = _byte_counts(data)
     if not histograms:
@@ -181,14 +177,14 @@ def _bit_section(raw: Mapping[str, bytes], force: bool) -> dict[str, Any]:
     }
 
 
-def _data_section(corpus: Corpus, totals: Mapping[str, int]) -> dict[str, Any]:
+def _data_section(
+    corpus: Corpus, totals: Mapping[str, int], notes: list[str]
+) -> dict[str, Any]:
     per_document: dict[str, float] = {}
     for doc in corpus:
         if doc.total_tokens == 0:
-            warnings.warn(
-                f"document {doc.id!r} has no terms; excluded from token entropy",
-                PipelineWarning,
-                stacklevel=2,
+            notes.append(
+                f"PipelineWarning: document {doc.id!r} has no terms; excluded from token entropy"
             )
             continue
         per_document[doc.id] = count_entropy(doc.token_counts.values())
@@ -235,16 +231,16 @@ def ranking_rows(ranking: Iterable[CorrelationResult], corpus: Corpus) -> list[d
 
 
 def _knowledge_section(
-    corpus: Corpus, top_k: int
+    corpus: Corpus, top_k: int, notes: list[str]
 ) -> tuple[dict[str, Any], tuple[CorrelationResult, ...]]:
     if len(corpus) < 2:
         return _skip(f"ranking needs at least 2 documents, got {len(corpus)}"), ()
-    ranking = tuple(rank_documents(corpus, top_k=top_k))
+    ranking = tuple(rank_documents(corpus, top_k=top_k, notes=notes))
     return {"skipped": False, "ranking": ranking_rows(ranking, corpus)}, ranking
 
 
 def _intelligence_section(
-    corpus: Corpus, config: RunConfig
+    corpus: Corpus, config: RunConfig, notes: list[str]
 ) -> tuple[dict[str, Any], AggregationResult | None]:
     if len(corpus) < 2:
         return _skip(f"aggregation needs at least 2 documents, got {len(corpus)}"), None
@@ -256,6 +252,7 @@ def _intelligence_section(
         rounds=config.rounds,
         per_cluster=config.per_cluster,
         seed=config.seed,
+        notes=notes,
     )
     rounds_summary = []
     for rnd in agg.rounds:
@@ -384,32 +381,31 @@ def _stage(layer: str) -> Iterator[None]:
 def run_pipeline(config: RunConfig) -> RunReport:
     """Execute the layers in order on the configured corpus.
 
-    Per-document soft errors surface as recorded warnings; a fatal problem
-    raises :class:`PipelineError` naming the layer. Identical config and
-    input bytes give an identical report.
+    Per-document soft errors become the report's ``warnings``, one
+    ``"<Category>: <message>"`` line each in the order they arise; a fatal
+    problem raises :class:`PipelineError` naming the layer. Identical config
+    and input bytes give an identical report.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with _stage("ingest"):
-            corpus, raw, input_hash = _ingest(config)
-        totals = corpus.total_counts()
-        sections: dict[str, dict[str, Any]] = {}
-        with _stage("bit"):
-            sections["bit"] = _bit_section(raw, config.force_bit_layer)
-        with _stage("data"):
-            sections["data"] = _data_section(corpus, totals)
-        with _stage("information"):
-            sections["information"] = _information_section(corpus, totals)
-        with _stage("knowledge"):
-            sections["knowledge"], knowledge_ranking = _knowledge_section(corpus, config.top_k)
-        with _stage("intelligence"):
-            sections["intelligence"], agg = _intelligence_section(corpus, config)
-        with _stage("wisdom"):
-            sections["wisdom"] = _wisdom_section(agg)
-        with _stage("belief"):
-            sections["belief"] = _belief_section(corpus, totals, knowledge_ranking, config.top_k)
+    notes: list[str] = []
+    with _stage("ingest"):
+        corpus, raw, input_hash = _ingest(config)
+    totals = corpus.total_counts()
+    sections: dict[str, dict[str, Any]] = {}
+    with _stage("bit"):
+        sections["bit"] = _bit_section(raw, config.force_bit_layer, notes)
+    with _stage("data"):
+        sections["data"] = _data_section(corpus, totals, notes)
+    with _stage("information"):
+        sections["information"] = _information_section(corpus, totals)
+    with _stage("knowledge"):
+        sections["knowledge"], knowledge_ranking = _knowledge_section(corpus, config.top_k, notes)
+    with _stage("intelligence"):
+        sections["intelligence"], agg = _intelligence_section(corpus, config, notes)
+    with _stage("wisdom"):
+        sections["wisdom"] = _wisdom_section(agg)
+    with _stage("belief"):
+        sections["belief"] = _belief_section(corpus, totals, knowledge_ranking, config.top_k)
 
-    recorded = tuple(f"{w.category.__name__}: {w.message}" for w in caught)
     provenance = {
         "input_sha256": input_hash,
         "document_count": len(corpus),
@@ -419,7 +415,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
         config_echo=config.echo(),
         provenance=provenance,
         sections=sections,
-        warnings=recorded,
+        warnings=tuple(notes),
         corpus=corpus,
     )
 
@@ -482,11 +478,14 @@ def _csv_field(value: str) -> str:
     return buffer.getvalue()[:-1]
 
 
-def write_fig4(handle: IO[str], corpus: Corpus, docs: Iterable[Document]) -> None:
+def write_fig4(
+    handle: IO[str], corpus: Corpus, docs: Iterable[Document], notes: list[str]
+) -> None:
     """Write fig4 CSV rows for ``docs``: each term's proportion in the
     document versus in the rest of ``corpus``, with the log10 deviation.
-    Empty documents are skipped, as is (with a warning) any document whose
-    leave-one-out reference has no terms.
+    Empty documents are skipped, as is any document whose leave-one-out
+    reference has no terms, with a ``"PipelineWarning: ..."`` line in
+    ``notes``.
 
     The bytes are those of ``csv.writer``: floats as ``repr``, ids and terms
     quoted where needed. A document's rows are joined and written at once,
@@ -498,11 +497,7 @@ def write_fig4(handle: IO[str], corpus: Corpus, docs: Iterable[Document]) -> Non
             continue
         reference = corpus.leave_one_out_counts(doc.id)
         if not reference:
-            warnings.warn(
-                f"no reference terms for {doc.id!r}; skipped in fig4",
-                PipelineWarning,
-                stacklevel=2,
-            )
+            notes.append(f"PipelineWarning: no reference terms for {doc.id!r}; skipped in fig4")
             continue
         doc_id = _csv_field(doc.id)
         tails: dict[tuple[float, float], str] = {}
@@ -516,9 +511,12 @@ def write_fig4(handle: IO[str], corpus: Corpus, docs: Iterable[Document]) -> Non
         handle.write("".join(rows))
 
 
-def emit_plot_data(report: RunReport) -> list[Path]:
+def emit_plot_data(report: RunReport, notes: list[str] | None = None) -> list[Path]:
     """Write fig3.csv (top-10 terms per document) and fig4.csv (per-term
-    document-versus-rest proportions with log10 deviation)."""
+    document-versus-rest proportions with log10 deviation). Documents fig4
+    cannot plot are noted in ``notes`` when it is given."""
+    if notes is None:
+        notes = []
     out = _out_dir(report)
     corpus = report.corpus
     fig3 = out / "fig3.csv"
@@ -534,12 +532,10 @@ def emit_plot_data(report: RunReport) -> list[Path]:
                     writer.writerow([doc.id, rank, term, count])
         with fig4.open("w", encoding="utf-8", newline="") as handle:
             if len(corpus) < 2:
-                warnings.warn(
-                    "single-document corpus: no leave-one-out reference for fig4",
-                    PipelineWarning,
-                    stacklevel=2,
+                notes.append(
+                    "PipelineWarning: single-document corpus: no leave-one-out reference for fig4"
                 )
-            write_fig4(handle, corpus, corpus.documents if len(corpus) > 1 else ())
+            write_fig4(handle, corpus, corpus.documents if len(corpus) > 1 else (), notes)
     except OSError as exc:
         raise PipelineError("emit", exc) from exc
     return [fig3, fig4]

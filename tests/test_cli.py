@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerstack import synthetic_corpus, write_corpus
 from layerstack.cli import main
@@ -358,3 +362,92 @@ class TestArgumentValidation:
 
     def test_missing_subcommand_exits_2(self):
         self.assert_usage_exit([])
+
+
+#: the category that opens every soft-error line on stderr
+NOTE_PREFIXES = tuple(
+    f"warning: {name}: " for name in ("RankingWarning", "AggregationWarning", "PipelineWarning")
+)
+WORDS = ["signal", "noise", "channel", "entropy", "code", "cluster", "vector"]
+#: file bodies: empty, stop words only, one term, and word mixes
+BODIES = st.one_of(
+    st.sampled_from([b"", b"the and of the a"]),
+    st.sampled_from(WORDS).map(str.encode),
+    st.lists(st.sampled_from(WORDS), min_size=2, max_size=12).map(lambda w: " ".join(w).encode()),
+)
+
+
+@st.composite
+def degenerate_sources(draw) -> tuple[dict[str, bytes], list[dict[str, str]] | None]:
+    """Up to six file bodies, one of which may not be UTF-8, and either no
+    manifest (a directory corpus) or a manifest over them whose titles need
+    quoting and whose ids may repeat."""
+    bodies = draw(st.lists(BODIES, max_size=6))
+    if bodies and draw(st.integers(0, 4)) == 4:
+        bodies[draw(st.integers(0, len(bodies) - 1))] = b"signal \xff\xfe noise"
+    files = {f"d{i}.txt": body for i, body in enumerate(bodies)}
+    if not draw(st.booleans()):
+        return files, None
+    ids = draw(st.permutations(["a", "b", "c", "d e", 'q"x', "\u00f1,1"]))[: len(files)]
+    if len(ids) > 1 and draw(st.integers(0, 3)) == 1:
+        ids[-1] = ids[0]
+    manifest = [
+        {"id": doc_id, "title": draw(st.text('tT ,"\u00fc', max_size=4)), "path": f"corpus/{name}"}
+        for doc_id, name in zip(ids, files)
+    ]
+    return files, manifest
+
+
+def assert_ends_cleanly(code, err):
+    """Exit 0 with only soft-error lines, or exit 1 with one error line last."""
+    lines = err.splitlines()
+    if code == 0:
+        assert all(line.startswith(NOTE_PREFIXES) for line in lines), err
+    else:
+        assert code == 1
+        assert lines and lines[-1].startswith("error: "), err
+        assert all(line.startswith(NOTE_PREFIXES) for line in lines[:-1]), err
+
+
+@settings(max_examples=30)
+@given(
+    source=degenerate_sources(),
+    k=st.integers(1, 8),
+    rounds=st.integers(0, 2),
+    per_cluster=st.integers(1, 3),
+    force_bit_layer=st.booleans(),
+)
+def test_degenerate_corpora_end_in_notes_or_one_error(
+    source, k, rounds, per_cluster, force_bit_layer
+):
+    """Every subcommand over a small, possibly degenerate corpus exits 0 with
+    a reason for each skipped layer, or 1 with a one-line error; no
+    exception escapes ``main``."""
+    files, manifest = source
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        corpus_dir = root / "corpus"
+        corpus_dir.mkdir()
+        for name, body in files.items():
+            (corpus_dir / name).write_bytes(body)
+        corpus = corpus_dir
+        if manifest is not None:
+            corpus = root / "manifest.jsonl"
+            lines = (json.dumps(record) + "\n" for record in manifest)
+            corpus.write_text("".join(lines), encoding="utf-8")
+        clustering = ["--k", str(k), "--rounds", str(rounds), "--per-cluster", str(per_cluster)]
+        out_dir = root / "out"
+        commands = [
+            ["run", str(corpus), "--out", str(out_dir), *clustering]
+            + (["--force-bit-layer"] if force_bit_layer else []),
+            ["rank", str(corpus)],
+            ["aggregate", str(corpus), *clustering],
+            ["scatter", str(corpus)],
+        ]
+        for argv in commands:
+            code, _, err = run_cli(main, argv)
+            assert_ends_cleanly(code, err)
+            if argv[0] == "run" and code == 0:
+                report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+                for section in report["sections"].values():
+                    assert not section["skipped"] or section["reason"]

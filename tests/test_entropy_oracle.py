@@ -14,7 +14,6 @@ tolerance.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from typing import Mapping
 
@@ -33,7 +32,7 @@ from layerstack import (
     joint_entropy,
     shannon_entropy,
 )
-from layerstack.pipeline import PipelineWarning, _bit_section, _data_section, _information_section
+from layerstack.pipeline import _bit_section, _data_section, _information_section
 
 from helpers import make_corpus, make_doc
 
@@ -138,11 +137,13 @@ _SLICE_EDGE_SIZES = [2**16 - 1, 2**16, 2**16 + 1, 2**17 - 1, 2**17, 2**17 + 1]
 )
 def test_bit_section_pools_the_per_file_histograms(files):
     raw = {f"f{i}": data for i, data in enumerate(files)}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        section = _bit_section(raw, force=True)
-    empty = [doc_id for doc_id, data in raw.items() if not data]
-    assert [w.category for w in caught] == [PipelineWarning] * len(empty)
+    notes: list[str] = []
+    section = _bit_section(raw, True, notes)
+    assert notes == [
+        f"PipelineWarning: empty file for {doc_id!r}; no byte entropy"
+        for doc_id in sorted(raw)
+        if not raw[doc_id]
+    ]
     joined = b"".join(raw[doc_id] for doc_id in sorted(raw))
     if not joined:
         assert section == {"skipped": True, "reason": "all input files are empty"}
@@ -157,11 +158,14 @@ def test_bit_section_pools_the_per_file_histograms(files):
 @given(table=count_tables())
 def test_data_section_matches_distributions(table):
     corpus = make_corpus(table)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        section = _data_section(corpus, corpus.total_counts())
+    notes: list[str] = []
+    section = _data_section(corpus, corpus.total_counts(), notes)
     empty = {doc.id for doc in corpus if doc.total_tokens == 0}
-    assert len(caught) == len(empty)
+    assert notes == [
+        f"PipelineWarning: document {doc.id!r} has no terms; excluded from token entropy"
+        for doc in corpus
+        if doc.id in empty
+    ]
     if len(empty) == len(corpus):
         assert section["skipped"]
         return

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from layerstack import (
-    AggregationWarning,
     Clustering,
     Document,
     EntropicState,
-    RankingWarning,
     aggregate_corpus,
     count_entropy,
     entropic_gain,
@@ -37,15 +35,11 @@ class TestDocVector:
         assert np.allclose(row, [1 / math.sqrt(2)] * 2, atol=1e-12)
 
     def test_orthogonal_document_rejected(self):
+        # the ids show who was left out; aggregate_corpus notes each of them
         docs = [make_doc("c", {"c": 5}), make_doc("d", {"a": 1}), make_doc("e", {})]
-        with pytest.warns(AggregationWarning) as caught:
-            ids, rows = unit_term_rows(docs, ("a", "b"))
+        ids, rows = unit_term_rows(docs, ("a", "b"))
         assert ids == ("d",)
         assert rows.shape == (1, 2)
-        assert [str(w.message) for w in caught] == [
-            "excluding 'c': orthogonal document: 'c' shares no terms with the vocabulary",
-            "excluding 'e': orthogonal document: 'e' shares no terms with the vocabulary",
-        ]
 
     def test_unit_norm_and_prescaling_norm(self):
         row = self.dense_row(make_doc("d", {"a": 3, "b": 1}), ("a", "b", "c"))
@@ -54,8 +48,7 @@ class TestDocVector:
         assert np.allclose(row * prescaling, [0.75, 0.25, 0.0], atol=1e-12)
 
     def test_empty_vocabulary_excludes_every_document(self):
-        with pytest.warns(AggregationWarning, match="orthogonal document"):
-            ids, rows = unit_term_rows([make_doc("d", {"a": 1})], ())
+        ids, rows = unit_term_rows([make_doc("d", {"a": 1})], ())
         assert ids == ()
         assert rows.shape == (0, 0)
 
@@ -202,8 +195,13 @@ class TestSelectRepresentatives:
     def test_central_docs_selected_per_cluster(self):
         corpus = self.two_topic_corpus()
         # the two survivors share no term, so the final ranking excludes both
-        with pytest.warns(RankingWarning, match="shares 0 terms with the rest"):
-            result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=1, seed=0)
+        notes: list[str] = []
+        result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=1, seed=0, notes=notes)
+        assert notes == [
+            f"RankingWarning: excluding {doc_id!r}: insufficient overlap: "
+            f"{doc_id!r} shares 0 terms with the rest"
+            for doc_id in ("a-center", "b-center")
+        ]
         (round_trace,) = result.rounds
         clustering = round_trace.clustering
         assert len(round_trace.selected_ids) == 2
@@ -238,8 +236,9 @@ class TestSelectRepresentatives:
                 "solo": {"x": 1, "y": 1, "z": 1},
             }
         )
-        with pytest.warns(AggregationWarning, match="1 member"):
-            result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=5, seed=0)
+        notes: list[str] = []
+        result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=5, seed=0, notes=notes)
+        assert notes == ["AggregationWarning: cluster 0 has 1 member(s); nothing selected"]
         (round_trace,) = result.rounds
         solo_cluster = round_trace.clustering.assignments["solo"]
         assert round_trace.clustering.members(solo_cluster) == ("solo",)
@@ -274,8 +273,14 @@ class TestAggregation:
                 "d2": {"p": 2, "q": 2, "r": 1},
             }
         )
-        with pytest.warns(AggregationWarning):
-            result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=5)
+        notes: list[str] = []
+        result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=5, notes=notes)
+        assert notes == [
+            "AggregationWarning: cluster 0 has 1 member(s); nothing selected",
+            "AggregationWarning: cluster 1 has 1 member(s); nothing selected",
+            "AggregationWarning: aggregation stopped at round 0: only 0 document(s) "
+            "would survive; keeping the previous selection",
+        ]
         assert sorted(result.survivor_ids) == ["d1", "d2"]
         assert len(result.ranking) == 2
 
@@ -293,15 +298,23 @@ class TestAggregation:
         assert sorted(round_trace.selected_ids) == sorted(result.survivor_ids)
 
     def test_survivors_have_no_duplicates(self):
-        with pytest.warns(AggregationWarning, match="1 member"):
-            result = aggregate_corpus(six_doc_corpus(), k=3, rounds=2, per_cluster=2, seed=3)
+        notes: list[str] = []
+        result = aggregate_corpus(
+            six_doc_corpus(), k=3, rounds=2, per_cluster=2, seed=3, notes=notes
+        )
+        assert notes == [
+            f"AggregationWarning: cluster {c} has 1 member(s); nothing selected" for c in (1, 0, 1)
+        ]
         assert len(result.survivor_ids) == len(set(result.survivor_ids))
 
     def test_deterministic(self):
-        with pytest.warns(AggregationWarning, match="cluster 1 has 1 member"):
-            a = aggregate_corpus(six_doc_corpus(), k=2, rounds=1, per_cluster=2, seed=11)
-        with pytest.warns(AggregationWarning, match="cluster 1 has 1 member"):
-            b = aggregate_corpus(six_doc_corpus(), k=2, rounds=1, per_cluster=2, seed=11)
+        notes_a: list[str] = []
+        notes_b: list[str] = []
+        a = aggregate_corpus(six_doc_corpus(), k=2, rounds=1, per_cluster=2, seed=11, notes=notes_a)
+        b = aggregate_corpus(six_doc_corpus(), k=2, rounds=1, per_cluster=2, seed=11, notes=notes_b)
+        assert notes_a == notes_b == [
+            "AggregationWarning: cluster 1 has 1 member(s); nothing selected"
+        ]
         assert a.ranking == b.ranking
         assert a.survivor_ids == b.survivor_ids
 
@@ -325,9 +338,11 @@ class TestAggregation:
                 "empty": {},
             }
         )
-        with (
-            pytest.warns(AggregationWarning, match="1 member"),
-            pytest.warns(AggregationWarning, match="excluding 'empty'"),
-        ):
-            result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=2, seed=0)
+        notes: list[str] = []
+        result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=2, seed=0, notes=notes)
+        assert notes == [
+            "AggregationWarning: excluding 'empty': orthogonal document: "
+            "'empty' shares no terms with the vocabulary",
+            "AggregationWarning: cluster 0 has 1 member(s); nothing selected",
+        ]
         assert "empty" not in result.survivor_ids

@@ -6,7 +6,6 @@ import pytest
 from layerstack import (
     CorrelationResult,
     EventSpace,
-    RankingWarning,
     correlate_document,
     correlation_p_value,
     justification_score,
@@ -198,8 +197,12 @@ class TestRankDocuments:
                 "loner": {"zz": 7},
             }
         )
-        with pytest.warns(RankingWarning, match="loner"):
-            ranked = rank_documents(corpus, top_k=5)
+        notes: list[str] = []
+        ranked = rank_documents(corpus, top_k=5, notes=notes)
+        assert notes == [
+            "RankingWarning: excluding 'loner': insufficient overlap: "
+            "'loner' shares 0 terms with the rest"
+        ]
         assert {res.doc_id for res in ranked} == {"good1", "good2"}
 
     def test_validation(self):

@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import warnings
 from collections import Counter
 
 import pytest
 
+from layerstack import pipeline
 from layerstack import (
     LAYERS,
     PipelineError,
@@ -17,6 +19,9 @@ from layerstack import (
     write_corpus,
     write_report,
 )
+from layerstack.cli import main
+
+from helpers import run_cli
 
 
 @pytest.fixture(scope="module")
@@ -195,8 +200,11 @@ class TestDegenerateCorpora:
         (tmp_path / "only.txt").write_text("signal noise channel", encoding="utf-8")
         config = RunConfig(source=tmp_path, out_dir=tmp_path / "out")
         report = run_pipeline(config)
-        with pytest.warns(UserWarning, match="single-document"):
-            paths = emit_plot_data(report)
+        notes: list[str] = []
+        paths = emit_plot_data(report, notes)
+        assert notes == [
+            "PipelineWarning: single-document corpus: no leave-one-out reference for fig4"
+        ]
         fig4 = next(p for p in paths if p.name == "fig4.csv")
         lines = fig4.read_text(encoding="utf-8").splitlines()
         assert lines == ["doc_id,term,doc_proportion,reference_proportion,deviation"]
@@ -294,3 +302,36 @@ class TestRunConfig:
         json.dumps(echoed)
         assert echoed["k"] == 3
         assert echoed["seed"] == 42
+
+
+class TestForeignWarnings:
+    """A warning raised by code the pipeline calls is not a soft error of
+    the run: it reaches the caller's filters, not the report or stderr."""
+
+    def test_deprecation_warning_stays_out_of_report_and_stderr(
+        self, text_corpus_dir, tmp_path, monkeypatch
+    ):
+        (text_corpus_dir / "empty.txt").write_text("", encoding="utf-8")
+        config = RunConfig(source=text_corpus_dir, out_dir=tmp_path / "out", k=2)
+        argv = ["run", str(text_corpus_dir), "--out", str(tmp_path / "cli"), "--k", "2"]
+        clean_report = run_pipeline(config)
+        _, _, clean_err = run_cli(main, argv)
+        assert clean_report.warnings
+
+        hartley_entropy = pipeline.hartley_entropy
+
+        def deprecated_hartley_entropy(n):
+            warnings.warn("some library deprecation", DeprecationWarning)
+            return hartley_entropy(n)
+
+        monkeypatch.setattr(pipeline, "hartley_entropy", deprecated_hartley_entropy)
+        with pytest.warns(DeprecationWarning, match="some library deprecation"):
+            report = run_pipeline(config)
+        assert report.warnings == clean_report.warnings
+        assert report.to_json() == clean_report.to_json()
+        assert "some library deprecation" not in write_report(report).read_text(encoding="utf-8")
+        with pytest.warns(DeprecationWarning, match="some library deprecation"):
+            code, _, err = run_cli(main, argv)
+        assert code == 0
+        assert err == clean_err
+        assert "DeprecationWarning" not in err

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from collections import Counter
 
 from hypothesis import given, settings
@@ -101,13 +100,14 @@ def _as_tuples(results):
 
 
 def _ranked_with_exclusions(corpus: Corpus, top_k: int):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ranked = rank_documents(corpus, top_k=top_k)
-    messages = [str(w.message) for w in caught]
+    notes: list[str] = []
+    ranked = rank_documents(corpus, top_k=top_k, notes=notes)
     excluded = {
-        doc.id for doc in corpus if any(m.startswith(f"excluding {doc.id!r}:") for m in messages)
+        doc.id
+        for doc in corpus
+        if any(m.startswith(f"RankingWarning: excluding {doc.id!r}:") for m in notes)
     }
+    assert len(notes) == len(excluded)
     return ranked, excluded
 
 
@@ -199,9 +199,9 @@ class TestPoolsOnce:
             calls["leave_one_out_counts"] += 1
             return leave_one_out_counts(self, doc_id)
 
-        def counted_rank_documents(corpus, top_k):
+        def counted_rank_documents(corpus, top_k, notes=None):
             calls["rankings"] += 1
-            return ranker(corpus, top_k)
+            return ranker(corpus, top_k, notes)
 
         monkeypatch.setattr(Corpus, "total_counts", counted_total_counts)
         monkeypatch.setattr(Corpus, "leave_one_out_counts", counted_leave_one_out_counts)
@@ -230,7 +230,7 @@ FIG4_HEADER = ["doc_id", "term", "doc_proportion", "reference_proportion", "devi
 
 
 def oracle_fig4(corpus: Corpus, docs) -> tuple[str, list[str]]:
-    """fig4 text and warnings, with each reference pooled from scratch and
+    """fig4 text and notes, with each reference pooled from scratch and
     every row written by ``csv.writer``."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -245,7 +245,7 @@ def oracle_fig4(corpus: Corpus, docs) -> tuple[str, list[str]]:
                 reference.update(other.token_counts)
         ref_total = sum(reference.values())
         if ref_total == 0:
-            warned.append(f"no reference terms for {doc.id!r}; skipped in fig4")
+            warned.append(f"PipelineWarning: no reference terms for {doc.id!r}; skipped in fig4")
             continue
         for term in sorted(doc.token_counts):
             count, ref_count = doc.token_counts[term], reference[term]
@@ -276,16 +276,14 @@ def fig4_tables(draw) -> dict[str, dict[str, int]]:
 
 
 def assert_fig4_matches_oracle(table, chosen=None) -> tuple[str, list[str]]:
-    """Compare ``write_fig4`` with the oracle; return its text and warnings."""
+    """Compare ``write_fig4`` with the oracle; return its text and notes."""
     corpus = make_corpus(table)
     docs = corpus.documents if chosen is None else [corpus.get(i) for i in chosen]
     handle = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        write_fig4(handle, corpus, docs)
-    messages = [str(w.message) for w in caught]
-    assert (handle.getvalue(), messages) == oracle_fig4(corpus, docs)
-    return handle.getvalue(), messages
+    notes: list[str] = []
+    write_fig4(handle, corpus, docs, notes)
+    assert (handle.getvalue(), notes) == oracle_fig4(corpus, docs)
+    return handle.getvalue(), notes
 
 
 @settings(max_examples=300)
@@ -314,4 +312,4 @@ def test_write_fig4_quotes_ids_and_terms_and_drops_owned_terms():
 def test_write_fig4_warns_for_a_document_with_no_reference():
     text, messages = assert_fig4_matches_oracle({"only": {"a,b": 2, "t0": 1}, "empty": {}})
     assert text == ",".join(FIG4_HEADER) + "\n"
-    assert messages == ["no reference terms for 'only'; skipped in fig4"]
+    assert messages == ["PipelineWarning: no reference terms for 'only'; skipped in fig4"]
