@@ -110,8 +110,6 @@ def make_mass(
         if value <= 0.0:
             raise ValueError(f"non-positive mass {value!r}")
         mask = frame.mask(subset)
-        if mask == 0:
-            raise ValueError("mass on the empty set")
         merged[mask] = merged.get(mask, 0.0) + value
     return MassFunction(frame=frame, masses=merged)
 

@@ -176,7 +176,7 @@ def _add_aggregation_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=_positive_int, default=3, help="cluster count (default 3)")
     parser.add_argument("--rounds", type=_nonnegative_int, default=1, help="aggregation rounds (default 1)")
     parser.add_argument("--per-cluster", type=_positive_int, default=5, help="representatives per cluster (default 5)")
-    parser.add_argument("--seed", type=int, default=42, help="clustering seed (default 42)")
+    parser.add_argument("--seed", type=_nonnegative_int, default=42, help="clustering seed (default 42)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,6 +45,11 @@ def tokenize(text: str, stop_words: frozenset[str] = ENGLISH_STOP_WORDS) -> list
     ]
 
 
+def _repeated(ids: Iterable[str]) -> list[str]:
+    """The ids that occur more than once, sorted; one counting pass."""
+    return sorted(i for i, n in Counter(ids).items() if n > 1)
+
+
 @dataclass(frozen=True)
 class Document:
     """One ingested text with its term-count profile."""
@@ -98,9 +103,7 @@ class Corpus:
     def __post_init__(self) -> None:
         by_id = {d.id: d for d in self.documents}
         if len(by_id) != len(self.documents):
-            ids = [d.id for d in self.documents]
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate document ids: {dupes}")
+            raise ValueError(f"duplicate document ids: {_repeated(d.id for d in self.documents)}")
         object.__setattr__(self, "_by_id", by_id)
         vocab: set[str] = set()
         for doc in self.documents:
@@ -236,9 +239,8 @@ def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:
             raise ValueError(f"empty corpus: no records in manifest {src}")
     else:
         raise ValueError(f"corpus source not found: {src}")
-    ids = [e[0] for e in entries]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = _repeated(e[0] for e in entries)
+    if dupes:
         raise ValueError(f"duplicate document ids in source: {dupes}")
     return sorted(entries, key=lambda e: e[0])
 

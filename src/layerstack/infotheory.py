@@ -21,6 +21,24 @@ DISTRIBUTION_TOL = 1e-9
 _BYTE_CHUNK = 2**16
 
 
+def _checked(probabilities: Mapping[Hashable, float], kind: str) -> dict[Hashable, float]:
+    """A copy of ``probabilities`` once each lies in (0, 1] and they sum to
+    1 within :data:`DISTRIBUTION_TOL`. ``kind`` ("" or "joint ") opens the
+    empty and total messages."""
+    if not probabilities:
+        raise ValueError(f"empty {kind}distribution")
+    cleaned: dict[Hashable, float] = {}
+    for outcome, p in probabilities.items():
+        # summation noise may overshoot 1.0 by an ulp; clamp it back
+        if not 0.0 < p <= 1.0 + DISTRIBUTION_TOL:
+            raise ValueError(f"probability {p!r} for {outcome!r} outside (0, 1]")
+        cleaned[outcome] = min(p, 1.0)
+    total = math.fsum(cleaned.values())
+    if abs(total - 1.0) > DISTRIBUTION_TOL:
+        raise ValueError(f"{kind}probabilities sum to {total!r}, not 1")
+    return cleaned
+
+
 @dataclass(frozen=True)
 class TokenDistribution:
     """A probability mass function over a finite outcome set.
@@ -32,18 +50,7 @@ class TokenDistribution:
     probabilities: Mapping[Hashable, float]
 
     def __post_init__(self) -> None:
-        if not self.probabilities:
-            raise ValueError("empty distribution")
-        cleaned: dict[Hashable, float] = {}
-        for outcome, p in self.probabilities.items():
-            # summation noise may overshoot 1.0 by an ulp; clamp it back
-            if not 0.0 < p <= 1.0 + DISTRIBUTION_TOL:
-                raise ValueError(f"probability {p!r} for {outcome!r} outside (0, 1]")
-            cleaned[outcome] = min(p, 1.0)
-        total = math.fsum(cleaned.values())
-        if abs(total - 1.0) > DISTRIBUTION_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probabilities", cleaned)
+        object.__setattr__(self, "probabilities", _checked(self.probabilities, ""))
 
     @classmethod
     def uniform(cls, n: int) -> "TokenDistribution":
@@ -60,19 +67,10 @@ class JointDistribution:
     probabilities: Mapping[tuple[Hashable, Hashable], float]
 
     def __post_init__(self) -> None:
-        if not self.probabilities:
-            raise ValueError("empty joint distribution")
-        cleaned: dict[tuple[Hashable, Hashable], float] = {}
-        for pair, p in self.probabilities.items():
+        for pair in self.probabilities:
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 raise ValueError(f"joint outcome {pair!r} is not a pair")
-            if not 0.0 < p <= 1.0 + DISTRIBUTION_TOL:
-                raise ValueError(f"probability {p!r} for {pair!r} outside (0, 1]")
-            cleaned[pair] = min(p, 1.0)
-        total = math.fsum(cleaned.values())
-        if abs(total - 1.0) > DISTRIBUTION_TOL:
-            raise ValueError(f"joint probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probabilities", cleaned)
+        object.__setattr__(self, "probabilities", _checked(self.probabilities, "joint "))
 
     def marginal_transmitter(self) -> TokenDistribution:
         return self._marginal(0)

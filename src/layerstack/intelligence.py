@@ -231,6 +231,8 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
         raise ValueError(f"fewer rows than k: {len(ids)} < {k}")
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate doc ids among rows")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = default_rng(seed)
     centroids = _seed_centroids(rows, k, rng)
 

@@ -82,6 +82,8 @@ class RunConfig:
             raise ValueError(f"per_cluster must be >= 1, got {self.per_cluster}")
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.reservoir_strength) or self.reservoir_strength <= 0.0:
             raise ValueError(
                 f"reservoir_strength must be positive, got {self.reservoir_strength!r}"
@@ -370,11 +372,11 @@ def _belief_section(
 
 @contextmanager
 def _stage(layer: str) -> Iterator[None]:
-    """Turn a ``ValueError`` raised inside the block into a
-    :class:`PipelineError` naming ``layer``."""
+    """Turn a ``ValueError`` or ``OSError`` raised inside the block (or the
+    decorated function) into a :class:`PipelineError` naming ``layer``."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise PipelineError(layer, exc) from exc
 
 
@@ -422,20 +424,15 @@ def run_pipeline(config: RunConfig) -> RunReport:
 
 def _out_dir(report: RunReport) -> Path:
     out = Path(report.config_echo["out_dir"])
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise PipelineError("emit", exc) from exc
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+@_stage("emit")
 def write_report(report: RunReport) -> Path:
     """Write the JSON run summary (sorted keys, so byte-stable)."""
     path = _out_dir(report) / REPORT_NAME
-    try:
-        path.write_text(report.to_json(), encoding="utf-8")
-    except OSError as exc:
-        raise PipelineError("emit", exc) from exc
+    path.write_text(report.to_json(), encoding="utf-8")
     return path
 
 
@@ -446,6 +443,7 @@ def ranking_tsv(rows: Iterable[Mapping[str, Any]]) -> str:
     return "\n".join(["title\tcorrelation\tp_value", *lines]) + "\n"
 
 
+@_stage("emit")
 def emit_tables(report: RunReport) -> list[Path]:
     """Write the report's knowledge and aggregated ranking rows as
     table1/table2: TSV through :func:`ranking_tsv`, then JSON at full
@@ -456,18 +454,15 @@ def emit_tables(report: RunReport) -> list[Path]:
         INTELLIGENCE_TABLE: report.sections["intelligence"].get("aggregated_ranking", []),
     }
     written: list[Path] = []
-    try:
-        for name, rows in tables.items():
-            path = out / f"{name}.tsv"
-            path.write_text(ranking_tsv(rows), encoding="utf-8")
-            written.append(path)
-        for name, rows in tables.items():
-            path = out / f"{name}.json"
-            text = json.dumps(rows, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-            path.write_text(text, encoding="utf-8")
-            written.append(path)
-    except OSError as exc:
-        raise PipelineError("emit", exc) from exc
+    for name, rows in tables.items():
+        path = out / f"{name}.tsv"
+        path.write_text(ranking_tsv(rows), encoding="utf-8")
+        written.append(path)
+    for name, rows in tables.items():
+        path = out / f"{name}.json"
+        text = json.dumps(rows, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        path.write_text(text, encoding="utf-8")
+        written.append(path)
     return written
 
 
@@ -511,6 +506,7 @@ def write_fig4(
         handle.write("".join(rows))
 
 
+@_stage("emit")
 def emit_plot_data(report: RunReport, notes: list[str] | None = None) -> list[Path]:
     """Write fig3.csv (top-10 terms per document) and fig4.csv (per-term
     document-versus-rest proportions with log10 deviation). Documents fig4
@@ -521,21 +517,18 @@ def emit_plot_data(report: RunReport, notes: list[str] | None = None) -> list[Pa
     corpus = report.corpus
     fig3 = out / "fig3.csv"
     fig4 = out / "fig4.csv"
-    try:
-        with fig3.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["doc_id", "rank", "term", "count"])
-            for doc in corpus:
-                if doc.total_tokens == 0:
-                    continue
-                for rank, (term, count) in enumerate(top_k_terms(doc, 10), start=1):
-                    writer.writerow([doc.id, rank, term, count])
-        with fig4.open("w", encoding="utf-8", newline="") as handle:
-            if len(corpus) < 2:
-                notes.append(
-                    "PipelineWarning: single-document corpus: no leave-one-out reference for fig4"
-                )
-            write_fig4(handle, corpus, corpus.documents if len(corpus) > 1 else (), notes)
-    except OSError as exc:
-        raise PipelineError("emit", exc) from exc
+    with fig3.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["doc_id", "rank", "term", "count"])
+        for doc in corpus:
+            if doc.total_tokens == 0:
+                continue
+            for rank, (term, count) in enumerate(top_k_terms(doc, 10), start=1):
+                writer.writerow([doc.id, rank, term, count])
+    with fig4.open("w", encoding="utf-8", newline="") as handle:
+        if len(corpus) < 2:
+            notes.append(
+                "PipelineWarning: single-document corpus: no leave-one-out reference for fig4"
+            )
+        write_fig4(handle, corpus, corpus.documents if len(corpus) > 1 else (), notes)
     return [fig3, fig4]

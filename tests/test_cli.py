@@ -253,6 +253,14 @@ class TestRun:
         ]
         assert str(out_dir / "report.json") in out
 
+    def test_out_naming_a_file_is_one_emit_error_line(self, corpus_dir, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        code, stdout, err = run_cli(main, ["run", str(corpus_dir), "--out", str(out)])
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: emit layer failed: [Errno 17] File exists: '{out}'\n"
+
     def test_stop_word_override_changes_vocabulary(self, corpus_dir, tmp_path):
         stops = tmp_path / "stops.txt"
         stops.write_text("core00\ncore01\n", encoding="utf-8")
@@ -359,6 +367,10 @@ class TestArgumentValidation:
 
     def test_negative_rounds_exits_2(self, corpus_dir):
         self.assert_usage_exit(["aggregate", str(corpus_dir), "--rounds", "-1"])
+
+    @pytest.mark.parametrize("command", ["run", "aggregate"])
+    def test_negative_seed_exits_2(self, corpus_dir, command):
+        self.assert_usage_exit([command, str(corpus_dir), "--seed", "-1"])
 
     def test_missing_subcommand_exits_2(self):
         self.assert_usage_exit([])

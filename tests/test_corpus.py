@@ -238,6 +238,49 @@ class TestResolveSources:
             resolve_sources(tmp_path / "nope")
 
 
+class CountingId(str):
+    """A str id that counts the equality tests made on it."""
+
+    calls = 0
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        CountingId.calls += 1
+        return str.__eq__(self, other)
+
+
+class TestDuplicateIds:
+    @pytest.fixture
+    def ids(self):
+        # distinct objects, so no comparison is skipped by identity
+        unique = [CountingId(f"d{i}") for i in range(4000)]
+        return unique + [CountingId("d7"), CountingId("d9"), CountingId("d7")]
+
+    def test_corpus_lists_repeats_in_linear_time(self, ids):
+        docs = tuple(make_doc(doc_id, {"a": 1}) for doc_id in ids)
+        CountingId.calls = 0
+        with pytest.raises(ValueError, match=r"^duplicate document ids: \['d7', 'd9'\]$"):
+            Corpus(documents=docs, stop_words=frozenset())
+        assert CountingId.calls < 4 * len(ids)
+
+    def test_manifest_lists_repeats_in_linear_time(self, ids, tmp_path, monkeypatch):
+        manifest = tmp_path / "m.jsonl"
+        lines = (json.dumps({"id": i, "title": i, "path": f"{i}.txt"}) for i in ids)
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loads = json.loads
+
+        def counting_ids(line):
+            record = loads(line)
+            record["id"] = CountingId(record["id"])
+            return record
+
+        monkeypatch.setattr(json, "loads", counting_ids)
+        CountingId.calls = 0
+        with pytest.raises(ValueError, match=r"in source: \['d7', 'd9'\]$"):
+            resolve_sources(manifest)
+        assert CountingId.calls < 4 * len(ids)
+
+
 class TestIngestCorpus:
     def test_directory_ingestion(self, text_corpus_dir):
         corpus = ingest_corpus(text_corpus_dir)

@@ -121,6 +121,8 @@ class TestKmeans:
             kmeans(("a1", "a1"), blob_rows(2)[1], k=1, seed=0)
         with pytest.raises(ValueError, match="3 ids for 8 rows"):
             kmeans(ids[:3], rows, k=1, seed=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            kmeans(ids, rows, k=1, seed=-1)
 
     def test_clustering_invariants_enforced(self):
         with pytest.raises(ValueError, match="last history entry"):

@@ -214,9 +214,7 @@ def test_peak_memory_is_far_below_the_distance_tensor():
     assert peak < n * v * 8 / 2  # nor dense in N x V
 
 
-@pytest.mark.parametrize("block_floats", [1, 2**18])
-def test_products_of_rows_without_entries_are_zero(block_floats, monkeypatch):
-    monkeypatch.setattr(intelligence, "_BLOCK_FLOATS", block_floats)
+def test_products_of_rows_without_entries_are_zero():
     rows = intelligence.TermRows(
         indptr=np.array([0, 0, 2, 2]),
         indices=np.array([0, 2]),

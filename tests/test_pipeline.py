@@ -295,6 +295,8 @@ class TestRunConfig:
             RunConfig(source=tmp_path, out_dir=tmp_path, top_k=0)
         with pytest.raises(ValueError, match="reservoir_strength"):
             RunConfig(source=tmp_path, out_dir=tmp_path, reservoir_strength=0.0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            RunConfig(source=tmp_path, out_dir=tmp_path, seed=-1)
 
     def test_echo_is_json_safe(self, tmp_path):
         config = RunConfig(source=tmp_path, out_dir=tmp_path / "out")
