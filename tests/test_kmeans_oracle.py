@@ -214,7 +214,10 @@ def test_peak_memory_is_far_below_the_distance_tensor():
     assert peak < n * v * 8 / 2  # nor dense in N x V
 
 
-def test_products_of_rows_without_entries_are_zero():
+@pytest.mark.parametrize("block_floats", [1, 2**18])
+def test_products_of_rows_without_entries_are_zero(block_floats, monkeypatch):
+    # _BLOCK_FLOATS 1 gives _squared_distances one-row blocks, empty rows alone
+    monkeypatch.setattr(intelligence, "_BLOCK_FLOATS", block_floats)
     rows = intelligence.TermRows(
         indptr=np.array([0, 0, 2, 2]),
         indices=np.array([0, 2]),
@@ -222,4 +225,8 @@ def test_products_of_rows_without_entries_are_zero():
         n_columns=3,
     )
     centroids = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(intelligence._products(rows, centroids), rows.dense() @ centroids.T)
+    dense = rows.dense()
+    assert np.array_equal(intelligence._products(rows, centroids), dense @ centroids.T)
+    labels = np.array([1, 0, 1])
+    expected = ((dense - centroids[labels]) ** 2).sum(axis=1)
+    assert np.array_equal(intelligence._squared_distances(rows, centroids, labels), expected)
