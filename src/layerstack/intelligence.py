@@ -11,7 +11,7 @@ bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,8 +22,6 @@ from .infotheory import count_entropy
 from .knowledge import CorrelationResult, rank_documents
 
 MAX_KMEANS_ITERATIONS = 100
-#: most floats in one dense row block (2 MB)
-_BLOCK_FLOATS = 2**18
 #: nearest-centroid scores closer than this are re-decided exactly
 _TIE_GAP = 1e-9
 #: slack for the non-increasing inertia check (float accumulation noise)
@@ -45,15 +43,12 @@ class TermRows:
     def shape(self) -> tuple[int, int]:
         return len(self.indptr) - 1, self.n_columns
 
-    def dense(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows ``start:stop`` (clipped to the row count) as a dense array."""
-        n = self.shape[0]
-        stop = n if stop is None else min(stop, n)
-        block = np.zeros((stop - start, self.n_columns))
-        lo, hi = self.indptr[start], self.indptr[stop]
-        owner = np.repeat(np.arange(stop - start), np.diff(self.indptr[start : stop + 1]))
-        block[owner, self.indices[lo:hi]] = self.data[lo:hi]
-        return block
+    def row(self, i: int) -> np.ndarray:
+        """Row i as a dense array of ``n_columns`` floats."""
+        out = np.zeros(self.n_columns)
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        out[self.indices[lo:hi]] = self.data[lo:hi]
+        return out
 
 
 def unit_term_rows(
@@ -138,18 +133,17 @@ class Clustering:
 def _squared_distances(
     rows: TermRows, centroids: np.ndarray, labels: np.ndarray | int
 ) -> np.ndarray:
-    """``((row - centroids[label]) ** 2).sum()`` for every row, on dense row
-    blocks of at most _BLOCK_FLOATS floats. ``labels`` is one index per row,
-    or one index for all of them."""
-    n, v = rows.shape
+    """``((row - centroids[label]) ** 2).sum()`` for every row, one dense row
+    at a time: (−c) + x gives the same floats as x − c. ``labels`` is one
+    index per row, or one index for all of them."""
+    n = rows.shape[0]
     labels = np.broadcast_to(labels, (n,))
-    step = max(1, _BLOCK_FLOATS // v)
     out = np.empty(n)
-    for start in range(0, n, step):
-        block = rows.dense(start, start + step)
-        block -= centroids[labels[start : start + step]]
-        np.square(block, out=block)
-        out[start : start + step] = block.sum(axis=1)
+    for i in range(n):
+        lo, hi = rows.indptr[i], rows.indptr[i + 1]
+        diff = np.negative(centroids[labels[i]])
+        diff[rows.indices[lo:hi]] += rows.data[lo:hi]
+        out[i] = np.square(diff, out=diff).sum()
     return out
 
 
@@ -158,7 +152,7 @@ def _seed_centroids(rows: TermRows, k: int, rng: Generator) -> np.ndarray:
     squared distance from the nearest already-chosen one."""
     n = rows.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _squared_distances(rows, rows.dense(chosen[0], chosen[0] + 1), 0)
+    d2 = _squared_distances(rows, rows.row(chosen[0])[None], 0)
     while len(chosen) < k:
         total = float(d2.sum())
         if total <= 0.0:
@@ -167,8 +161,8 @@ def _seed_centroids(rows: TermRows, k: int, rng: Generator) -> np.ndarray:
         else:
             index = int(rng.choice(n, p=d2 / total))
         chosen.append(index)
-        d2 = np.minimum(d2, _squared_distances(rows, rows.dense(index, index + 1), 0))
-    return np.vstack([rows.dense(i, i + 1) for i in chosen])
+        d2 = np.minimum(d2, _squared_distances(rows, rows.row(index)[None], 0))
+    return np.vstack([rows.row(i) for i in chosen])
 
 
 def _products(rows: TermRows, centroids: np.ndarray) -> np.ndarray:
@@ -195,7 +189,7 @@ def _nearest(rows: TermRows, centroids: np.ndarray) -> np.ndarray:
     if centroids.shape[0] > 1:
         best_two = np.partition(scores, 1, axis=1)
         for i in np.flatnonzero(best_two[:, 1] - best_two[:, 0] <= _TIE_GAP):
-            labels[i] = _nearest_exactly(rows.dense(i, i + 1), centroids)
+            labels[i] = _nearest_exactly(rows.row(i), centroids)
     return labels
 
 
@@ -220,7 +214,7 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
     cluster is re-seeded to the point farthest from its previous centroid.
 
     Work per pass is the products of the nonzeros with the centroids and
-    dense row blocks, both of bounded size; distances and inertia are the
+    one dense V-length difference per row; distances and inertia are the
     row-wise sums of squared differences, so results equal those of the
     dense N x k x V computation."""
     if k < 1:
@@ -256,7 +250,7 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
                 updated[c] /= sizes[c]
             else:
                 farthest = int(np.argmax(_squared_distances(rows, centroids, c)))
-                updated[c] = rows.dense(farthest, farthest + 1)
+                updated[c] = rows.row(farthest)
         centroids = updated
     else:
         # iteration cap landed on an update; re-sync assignments to centroids
@@ -275,11 +269,13 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
 
 @dataclass(frozen=True)
 class EntropicState:
-    """Macrostate of the current selection (pooled term counts) and the
-    reservoir strength scaling the gain."""
+    """Macrostate of the current selection (pooled term counts), the
+    reservoir strength scaling the gain, and the macrostate's Shannon
+    entropy in bits, taken once."""
 
     macrostate: Mapping[str, int]
     reservoir_strength: float
+    bits: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.reservoir_strength) or self.reservoir_strength <= 0.0:
@@ -293,25 +289,20 @@ class EntropicState:
         if positive == 0:
             raise ValueError("macrostate has no terms")
         object.__setattr__(self, "macrostate", dict(self.macrostate))
+        object.__setattr__(self, "bits", count_entropy(self.macrostate.values()))
 
 
 def entropic_gain(state: EntropicState, candidate: Document) -> float:
     """Reservoir-scaled change in Shannon entropy from merging the
     candidate's counts into the macrostate: the forward difference of the
     selection entropy along the merge action."""
-    return _entropic_gain(state, candidate, count_entropy(state.macrostate.values()))
-
-
-def _entropic_gain(state: EntropicState, candidate: Document, before: float) -> float:
-    """:func:`entropic_gain` given ``before``, the macrostate's entropy, so
-    that scoring many candidates against one state takes it once."""
     if candidate.total_tokens == 0:
         raise ValueError(f"empty candidate: {candidate.id!r}")
     merged = dict(state.macrostate)
     for term, count in candidate.token_counts.items():
         merged[term] = merged.get(term, 0) + count
     after = count_entropy(merged.values())
-    return state.reservoir_strength * (after - before)
+    return state.reservoir_strength * (after - state.bits)
 
 
 def _cluster_rankings(

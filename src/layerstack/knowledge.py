@@ -66,11 +66,12 @@ def pearson_parts(
         raise ValueError(f"need at least {MIN_SHARED_TERMS} points, got {x.size}")
     dx = x - x.mean()
     dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
+    denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    # equal inputs decide it, as a mean of equal floats can be off in the last
+    # bit; denom is 0 for unequal inputs only where the squares underflow
+    if x.min() == x.max() or y.min() == y.max() or denom == 0.0:
         raise ValueError("zero variance input")
-    return dx, dy, math.sqrt(sxx * syy)
+    return dx, dy, denom
 
 
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -33,7 +33,7 @@ from .corpus import (
     top_k_terms,
 )
 from .infotheory import _byte_counts, count_entropy, hartley_entropy
-from .intelligence import AggregationResult, EntropicState, _entropic_gain, aggregate_corpus
+from .intelligence import AggregationResult, EntropicState, aggregate_corpus, entropic_gain
 from .knowledge import CorrelationResult, _log_proportion_profiles, pearson_parts, rank_documents
 from .stopwords import ENGLISH_STOP_WORDS
 from .wisdom import aggregate_round_quality
@@ -280,11 +280,11 @@ def _intelligence_section(
         state = EntropicState(
             macrostate=macrostate, reservoir_strength=config.reservoir_strength
         )
-        macrostate_bits = count_entropy(state.macrostate.values())
+        macrostate_bits = state.bits
         for doc in corpus:
             if doc.id in survivors or doc.total_tokens == 0:
                 continue
-            gains[doc.id] = _entropic_gain(state, doc, macrostate_bits)
+            gains[doc.id] = entropic_gain(state, doc)
     section = {
         "skipped": False,
         "rounds": rounds_summary,

@@ -6,7 +6,10 @@ import contextlib
 import io
 from typing import Mapping
 
+import numpy as np
+
 from layerstack import Corpus, Document
+from layerstack.intelligence import TermRows
 
 
 #: Two topics over disjoint terms. Clustered with k=2, per_cluster=1 and
@@ -28,6 +31,11 @@ def make_doc(doc_id: str, counts: Mapping[str, int], title: str | None = None) -
         token_counts=dict(counts),
         total_tokens=sum(counts.values()),
     )
+
+
+def dense(rows: TermRows) -> np.ndarray:
+    """Every row of ``rows`` stacked into one N x V array (N >= 1)."""
+    return np.vstack([rows.row(i) for i in range(rows.shape[0])])
 
 
 def make_corpus(docs: Mapping[str, Mapping[str, int]], stop_words=frozenset()) -> Corpus:

@@ -372,6 +372,10 @@ class TestArgumentValidation:
     def test_negative_seed_exits_2(self, corpus_dir, command):
         self.assert_usage_exit([command, str(corpus_dir), "--seed", "-1"])
 
+    @pytest.mark.parametrize("strength", ["0", "inf", "nan"])
+    def test_bad_reservoir_strength_exits_2(self, corpus_dir, strength):
+        self.assert_usage_exit(["run", str(corpus_dir), "--reservoir-strength", strength])
+
     def test_missing_subcommand_exits_2(self):
         self.assert_usage_exit([])
 

@@ -15,7 +15,7 @@ from layerstack import (
 )
 from layerstack.intelligence import unit_term_rows
 
-from helpers import TWO_TOPIC_COUNTS, make_corpus, make_doc
+from helpers import TWO_TOPIC_COUNTS, dense, make_corpus, make_doc
 
 
 class TestDocVector:
@@ -25,7 +25,7 @@ class TestDocVector:
     def dense_row(doc, vocabulary):
         ids, rows = unit_term_rows([doc], vocabulary)
         assert ids == (doc.id,)
-        return rows.dense()[0]
+        return rows.row(0)
 
     def test_single_term(self):
         assert self.dense_row(make_doc("d", {"a": 1}), ("a", "b")).tolist() == [1.0, 0.0]
@@ -75,7 +75,7 @@ class TestKmeans:
         ids, rows = blob_rows(3)
         clustering = kmeans(ids, rows, k=1, seed=0)
         assert set(clustering.assignments.values()) == {0}
-        points = rows.dense()
+        points = dense(rows)
         assert np.allclose(clustering.centroids[0], points.mean(axis=0), atol=1e-12)
 
     def test_two_blobs_recovered_for_any_seed(self):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from layerstack import intelligence
 from layerstack.intelligence import kmeans, unit_term_rows
 
-from helpers import make_doc
+from helpers import dense, make_doc
 
 
 def dense_rows(docs, vocabulary):
@@ -80,7 +80,7 @@ def dense_kmeans(points, k, seed):
 def assert_matches_oracle(docs, vocabulary, k, seed):
     ids, rows = unit_term_rows(docs, vocabulary)
     points = dense_rows(docs, vocabulary)
-    assert np.array_equal(rows.dense(), points)
+    assert np.array_equal(dense(rows), points)
     clustering = kmeans(ids, rows, k, seed)
     labels, history, centroids = dense_kmeans(points, k, seed)
     assert clustering.assignments == {i: int(c) for i, c in zip(ids, labels)}
@@ -89,10 +89,11 @@ def assert_matches_oracle(docs, vocabulary, k, seed):
 
 
 @st.composite
-def count_tables(draw):
-    """(docs, vocabulary, k, seed): a few distinct documents, some of them
-    single-term, then duplicated so that rows and centroids tie exactly."""
-    v = draw(st.integers(1, 8))
+def count_tables(draw, max_v=8):
+    """(docs, vocabulary, k, seed): a few distinct documents over at most
+    ``max_v`` terms, some of them single-term, then duplicated so that rows
+    and centroids tie exactly."""
+    v = draw(st.integers(1, min(8, max_v)))
     vocabulary = [f"t{j}" for j in range(v)]
     single = st.builds(lambda j, c: {vocabulary[j]: c}, st.integers(0, v - 1), st.integers(1, 4))
     mixed = st.lists(st.integers(0, 4), min_size=v, max_size=v).filter(any).map(
@@ -109,12 +110,11 @@ def count_tables(draw):
 
 @pytest.mark.parametrize("block_floats", [1, 5, 2**18])
 @settings(max_examples=150, deadline=None)
-@given(table=count_tables())
-def test_sparse_kmeans_equals_dense_oracle(block_floats, table):
-    # block_floats 1 and 5 put block edges inside the corpus and inside rows
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(intelligence, "_BLOCK_FLOATS", block_floats)
-        assert_matches_oracle(*table)
+@given(data=st.data())
+def test_sparse_kmeans_equals_dense_oracle(block_floats, data):
+    # block_floats caps the vocabulary width: at 1 every row is the same
+    # point, so seeding runs out of distance (its total <= 0 branch)
+    assert_matches_oracle(*data.draw(count_tables(block_floats)))
 
 
 @st.composite
@@ -139,7 +139,7 @@ def assert_rows_are_well_formed(docs, vocabulary):
     for lo, hi in zip(rows.indptr[:-1], rows.indptr[1:]):
         assert np.all(np.diff(rows.indices[lo:hi]) > 0)
     if kept:
-        assert np.array_equal(rows.dense(), dense_rows(kept, vocabulary))
+        assert np.array_equal(dense(rows), dense_rows(kept, vocabulary))
 
 
 @settings(max_examples=200)
@@ -163,7 +163,6 @@ def test_a_vocabulary_that_excludes_every_document_gives_no_rows():
     assert rows.shape == (0, 3)
     assert rows.indptr.tolist() == [0]
     assert rows.indices.dtype == np.intp and rows.data.dtype == np.float64
-    assert rows.dense().shape == (0, 3)
 
 
 def test_duplicates_with_k_equal_to_n_take_the_exact_path(monkeypatch):
@@ -181,8 +180,7 @@ def test_duplicates_with_k_equal_to_n_take_the_exact_path(monkeypatch):
 
 
 def test_wide_corpus_across_row_blocks_equals_dense_oracle():
-    # 9,000 columns: 29 rows per dense block and reductions longer than
-    # numpy's 8,192-element buffer
+    # 9,000 columns: reductions longer than numpy's 8,192-element buffer
     rng = np.random.default_rng(11)
     vocabulary = [f"t{j:04d}" for j in range(9000)]
     docs = []
@@ -212,21 +210,30 @@ def test_peak_memory_is_far_below_the_distance_tensor():
     assert len(clustering.assignments) == n
     assert peak < tensor_bytes / 4
     assert peak < n * v * 8 / 2  # nor dense in N x V
+    labels = np.array([clustering.assignments[i] for i in ids])
+    tracemalloc.start()
+    try:
+        intelligence._squared_distances(rows, clustering.centroids, labels)
+        pass_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pass_peak < 4 * v * 8  # a few dense rows, not a block of them
 
 
 @pytest.mark.parametrize("block_floats", [1, 2**18])
-def test_products_of_rows_without_entries_are_zero(block_floats, monkeypatch):
-    # _BLOCK_FLOATS 1 gives _squared_distances one-row blocks, empty rows alone
-    monkeypatch.setattr(intelligence, "_BLOCK_FLOATS", block_floats)
+def test_products_of_rows_without_entries_are_zero(block_floats):
+    # block_floats zero columns lie between the middle row's two entries;
+    # 2**18 makes rows longer than numpy's 8,192-element buffer
+    v = block_floats + 2
     rows = intelligence.TermRows(
         indptr=np.array([0, 0, 2, 2]),
-        indices=np.array([0, 2]),
+        indices=np.array([0, v - 1]),
         data=np.array([0.6, 0.8]),
-        n_columns=3,
+        n_columns=v,
     )
-    centroids = np.arange(6.0).reshape(2, 3)
-    dense = rows.dense()
-    assert np.array_equal(intelligence._products(rows, centroids), dense @ centroids.T)
+    centroids = np.arange(2.0 * v).reshape(2, v)
+    points = dense(rows)
+    assert np.array_equal(intelligence._products(rows, centroids), points @ centroids.T)
     labels = np.array([1, 0, 1])
-    expected = ((dense - centroids[labels]) ** 2).sum(axis=1)
+    expected = ((points - centroids[labels]) ** 2).sum(axis=1)
     assert np.array_equal(intelligence._squared_distances(rows, centroids, labels), expected)

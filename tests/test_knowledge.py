@@ -52,8 +52,17 @@ class TestPearson:
             pearson_r((1, 2), (3, 4))
 
     def test_zero_variance(self):
-        with pytest.raises(ValueError, match="zero variance"):
-            pearson_r((1, 1, 1), (1, 2, 3))
+        # numpy's mean of six equal log10 values is off in the last bit;
+        # a spread of 1e-200 has squares that underflow to 0
+        flat = [math.log10(1 / 6)] * 6
+        for xs, ys in [
+            ((1, 1, 1), (1, 2, 3)),
+            (flat, [math.log10(1 / 54)] * 6),
+            (flat, range(1, 7)),
+            ((0, 1e-200, 0), (1, 2, 3)),
+        ]:
+            with pytest.raises(ValueError, match="zero variance"):
+                pearson_r(xs, ys)
 
 
 class TestPValue:
@@ -204,6 +213,15 @@ class TestRankDocuments:
             "'loner' shares 0 terms with the rest"
         ]
         assert {res.doc_id for res in ranked} == {"good1", "good2"}
+        # a profile whose shared terms all have one count has no variance
+        flat = {f"t{j}": 1 for j in range(6)}
+        tables = {**{f"s{i}": {"signal": 6} for i in range(8)}, "u1": flat, "u2": flat}
+        notes.clear()
+        assert not rank_documents(make_corpus(tables), top_k=10, notes=notes)
+        assert notes[-2:] == [
+            "RankingWarning: excluding 'u1': zero variance input",
+            "RankingWarning: excluding 'u2': zero variance input",
+        ]
 
     def test_validation(self):
         corpus = make_corpus({"d1": {"a": 1, "b": 1, "c": 1}})
