@@ -7,6 +7,8 @@ and chart which terms it over- and under-uses relative to everyone else
 (the signed log10 ratio that the ``scatter`` CLI subcommand emits as CSV).
 """
 
+import math
+
 from layerstack import frequency_scatter, synthetic_corpus, top_k_terms
 
 # 12 documents over 3 topics (6 + 4 + 2), deterministic for a fixed seed.
@@ -22,15 +24,19 @@ for term, count in top_k_terms(doc, 10):
 # Compare the document's term proportions against the pooled counts of
 # every OTHER document; the deviation is log10(doc share / rest share).
 reference = corpus.leave_one_out_counts(doc.id)
-points = frequency_scatter(doc, reference)
-print(f"\n{len(points)} terms appear on both sides of the comparison")
+terms, doc_props, rest_props = frequency_scatter(doc, reference, sum(reference.values()))
+print(f"\n{len(terms)} terms appear on both sides of the comparison")
 
 # Most over-used and most under-used terms: the topic-specific vocabulary
 # shows up at the top, the shared filler vocabulary sits near zero.
-by_deviation = sorted(points, key=lambda p: p.deviation, reverse=True)
+points = [
+    (term, dp, rp, math.log10(dp) - math.log10(rp))
+    for term, dp, rp in zip(terms, doc_props, rest_props)
+]
+by_deviation = sorted(points, key=lambda p: p[3], reverse=True)
 print("\nmost over-used (positive deviation):")
-for p in by_deviation[:5]:
-    print(f"  {p.term:<12} doc {p.doc_proportion:.4f}  rest {p.reference_proportion:.4f}  dev {p.deviation:+.3f}")
+for term, dp, rp, dev in by_deviation[:5]:
+    print(f"  {term:<12} doc {dp:.4f}  rest {rp:.4f}  dev {dev:+.3f}")
 print("most under-used (negative deviation):")
-for p in by_deviation[-5:]:
-    print(f"  {p.term:<12} doc {p.doc_proportion:.4f}  rest {p.reference_proportion:.4f}  dev {p.deviation:+.3f}")
+for term, dp, rp, dev in by_deviation[-5:]:
+    print(f"  {term:<12} doc {dp:.4f}  rest {rp:.4f}  dev {dev:+.3f}")

@@ -14,9 +14,8 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from math import log10
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 from .stopwords import ENGLISH_STOP_WORDS
 
@@ -62,6 +61,8 @@ class Document:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("document id must be non-empty")
+        if any(c in self.title for c in "\t\r\n"):
+            raise ValueError(f"title of {self.id!r} contains a tab or line break: {self.title!r}")
         total = 0
         for term, count in self.token_counts.items():
             if not term or term != term.lower():
@@ -151,16 +152,6 @@ class Corpus:
         return +rest  # drops zero and negative entries
 
 
-class ScatterPoint(NamedTuple):
-    """One term's relative frequency in a document versus a reference body,
-    with the signed log10 ratio between the two."""
-
-    term: str
-    doc_proportion: float
-    reference_proportion: float
-    deviation: float
-
-
 def top_k_terms(doc: Document, k: int) -> list[tuple[str, int]]:
     """The ``k`` most frequent terms, descending by count, ties broken by
     ascending term."""
@@ -170,31 +161,23 @@ def top_k_terms(doc: Document, k: int) -> list[tuple[str, int]]:
 
 
 def frequency_scatter(
-    doc: Document, reference: Mapping[str, int]
-) -> list[ScatterPoint]:
-    """Compare a document's term proportions against a reference count table.
+    doc: Document, reference: Mapping[str, int], reference_total: int
+) -> tuple[list[str], list[float], list[float]]:
+    """The terms ``doc`` shares with a reference count table, in lexicographic
+    order, and their proportions on each side.
 
-    Emits one point per term present on both sides (terms absent from either
-    side would have an infinite log ratio and are skipped), ordered
-    lexicographically by term. ``deviation`` is
-    log10(doc_proportion) - log10(reference_proportion): positive means the
-    term is relatively more frequent in the document than in the reference.
-    """
-    if doc.total_tokens == 0:
-        raise ValueError(f"empty document {doc.id!r}")
-    ref_total = sum(reference.values())
-    if ref_total == 0:
-        raise ValueError("empty reference")
-    points = []
-    for term in sorted(doc.token_counts):
-        doc_count = doc.token_counts[term]
+    A term is shared when both its counts are positive. A document proportion
+    is the count over ``doc.total_tokens``, a reference proportion the
+    reference count over ``reference_total``. An empty side shares no term."""
+    counts = doc.token_counts
+    terms, doc_proportions, reference_proportions = [], [], []
+    for term in sorted(counts):
         ref_count = reference.get(term, 0)
-        if doc_count <= 0 or ref_count <= 0:
-            continue
-        dp = doc_count / doc.total_tokens
-        rp = ref_count / ref_total
-        points.append(ScatterPoint(term, dp, rp, log10(dp) - log10(rp)))
-    return points
+        if counts[term] > 0 and ref_count > 0:
+            terms.append(term)
+            doc_proportions.append(counts[term] / doc.total_tokens)
+            reference_proportions.append(ref_count / reference_total)
+    return terms, doc_proportions, reference_proportions
 
 
 def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:

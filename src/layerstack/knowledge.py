@@ -19,7 +19,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, frequency_scatter
 
 #: shortest term overlap for which a correlation is computed
 MIN_SHARED_TERMS = 3
@@ -203,13 +203,9 @@ def _log_proportion_profiles(
     ``held_out`` document's counts: the leave-one-out aggregate, taken in
     the document's own terms without building it."""
     held = held_out.token_counts
-    rest = {t: totals.get(t, 0) - held.get(t, 0) for t, c in doc.token_counts.items() if c > 0}
-    shared = sorted(t for t, c in rest.items() if c > 0)
-    doc_total = doc.total_tokens
-    ref_total = grand - held_out.total_tokens
-    xs = [math.log10(doc.token_counts[t] / doc_total) for t in shared]
-    ys = [math.log10(rest[t] / ref_total) for t in shared]
-    return shared, xs, ys
+    rest = {t: totals.get(t, 0) - held.get(t, 0) for t in doc.token_counts}
+    shared, dps, rps = frequency_scatter(doc, rest, grand - held_out.total_tokens)
+    return shared, [math.log10(p) for p in dps], [math.log10(p) for p in rps]
 
 
 def _correlate(

@@ -497,9 +497,11 @@ def write_fig4(
         doc_id = _csv_field(doc.id)
         tails: dict[tuple[float, float], str] = {}
         rows = []
-        for term, dp, rp, deviation in frequency_scatter(doc, reference):
+        terms, dps, rps = frequency_scatter(doc, reference, sum(reference.values()))
+        for term, dp, rp in zip(terms, dps, rps):
             tail = tails.get((dp, rp))
             if tail is None:
+                deviation = math.log10(dp) - math.log10(rp)
                 tail = tails[dp, rp] = f"{dp!r},{rp!r},{deviation!r}\n"
             # tokenized terms are alphanumeric: only API-built ones need quoting
             rows.append(f"{doc_id},{term if term.isalnum() else _csv_field(term)},{tail}")

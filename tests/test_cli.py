@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shlex
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerstack import synthetic_corpus, write_corpus
-from layerstack.cli import main
+from layerstack.cli import build_parser, main
 
 from helpers import TWO_TOPIC_COUNTS, make_corpus, run_cli
 
@@ -71,6 +72,32 @@ class TestRank:
         assert err == (
             f"error: manifest line 1 in {manifest}: {field} must be a string, "
             f"got {type(value).__name__}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "title, in_manifest",
+        [("tab\there", True), ("line\nbreak", True), ("cr\rhere", True), ("stem\ttab", False)],
+        ids=["manifest-tab", "manifest-lf", "manifest-cr", "directory-stem"],
+    )
+    def test_title_with_a_tab_or_line_break_is_one_error_line(self, tmp_path, title, in_manifest):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        stems = ["a", "b", "c" if in_manifest else title]
+        for stem in stems:
+            (corpus / f"{stem}.txt").write_text(
+                "signal noise channel entropy code signal", encoding="utf-8"
+            )
+        if in_manifest:
+            records = [
+                {"id": s, "title": title if s == "c" else s, "path": f"corpus/{s}.txt"}
+                for s in stems
+            ]
+            corpus = tmp_path / "m.jsonl"
+            corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        message = f"title of {stems[-1]!r} contains a tab or line break: {title!r}"
+        assert run_cli(main, ["rank", str(corpus)]) == (1, "", f"error: {message}\n")
+        assert run_cli(main, ["run", str(corpus), "--out", str(tmp_path / "out")]) == (
+            1, "", f"error: ingest layer failed: {message}\n"
         )
 
     def test_warnings_print_one_line_each_even_as_errors(self, text_corpus_dir):
@@ -353,6 +380,15 @@ class TestStdoutMatchesArtifacts:
         assert out == (out_dir / artifact).read_text(encoding="utf-8")
 
 
+def test_readme_command_lines_parse():
+    """Every ``layerstack ...`` line of the README is accepted by the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line.split("#")[0] for line in readme.splitlines() if line.startswith("layerstack ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
 class TestArgumentValidation:
     @staticmethod
     def assert_usage_exit(argv):
@@ -407,8 +443,9 @@ def degenerate_sources(draw) -> tuple[dict[str, bytes], list[dict[str, str]] | N
     ids = draw(st.permutations(["a", "b", "c", "d e", 'q"x', "\u00f1,1"]))[: len(files)]
     if len(ids) > 1 and draw(st.integers(0, 3)) == 1:
         ids[-1] = ids[0]
+    titles = st.text('tT ,"\u00fc\t\r\n', max_size=4)
     manifest = [
-        {"id": doc_id, "title": draw(st.text('tT ,"\u00fc', max_size=4)), "path": f"corpus/{name}"}
+        {"id": doc_id, "title": draw(titles), "path": f"corpus/{name}"}
         for doc_id, name in zip(ids, files)
     ]
     return files, manifest

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -15,6 +17,7 @@ from layerstack import (
     top_k_terms,
 )
 from layerstack.corpus import resolve_sources
+from layerstack.pipeline import write_fig4
 from layerstack.stopwords import ENGLISH_STOP_WORDS
 
 from helpers import make_corpus, make_doc
@@ -155,35 +158,38 @@ class TestTopKTerms:
 
 
 class TestFrequencyScatter:
+    @staticmethod
+    def fig4_rows(doc_counts, reference_counts):
+        """fig4 rows, by term, of document "d" against the one other document."""
+        corpus = make_corpus({"d": doc_counts, "r": reference_counts})
+        handle = io.StringIO()
+        write_fig4(handle, corpus, [corpus.get("d")], [])
+        rows = csv.DictReader(io.StringIO(handle.getvalue()))
+        return {row["term"]: row for row in rows}
+
     def test_equal_proportions_give_zero_deviation(self):
-        doc = make_doc("d", {"a": 1, "b": 99})
-        points = frequency_scatter(doc, {"a": 2, "b": 198})
-        assert points[0].term == "a"
-        assert points[0].doc_proportion == 0.01
-        assert points[0].deviation == 0.0
+        rows = self.fig4_rows({"a": 1, "b": 99}, {"a": 2, "b": 198})
+        assert list(rows) == ["a", "b"]
+        assert float(rows["a"]["doc_proportion"]) == 0.01
+        assert float(rows["a"]["deviation"]) == 0.0
 
     def test_log_ratio(self):
-        doc = make_doc("d", {"a": 10, "b": 90})
-        points = frequency_scatter(doc, {"a": 1, "b": 99})
-        a = points[0]
-        assert math.isclose(a.deviation, 1.0, abs_tol=1e-12)  # 0.1 vs 0.01
+        rows = self.fig4_rows({"a": 10, "b": 90}, {"a": 1, "b": 99})
+        assert math.isclose(float(rows["a"]["deviation"]), 1.0, abs_tol=1e-12)  # 0.1 vs 0.01
 
     def test_terms_missing_on_either_side_skipped(self):
         doc = make_doc("d", {"a": 1, "b": 1})
-        points = frequency_scatter(doc, {"b": 1, "c": 1})
-        assert [p.term for p in points] == ["b"]
+        assert frequency_scatter(doc, {"b": 1, "c": 1}, 2) == (["b"], [0.5], [0.5])
 
     def test_deviation_sign_matches_proportion_difference(self):
-        doc = make_doc("d", {"a": 3, "b": 1})
-        for point in frequency_scatter(doc, {"a": 1, "b": 3}):
-            diff = point.doc_proportion - point.reference_proportion
-            assert (point.deviation > 0) == (diff > 0)
+        rows = self.fig4_rows({"a": 3, "b": 1}, {"a": 1, "b": 3})
+        for row in rows.values():
+            diff = float(row["doc_proportion"]) - float(row["reference_proportion"])
+            assert (float(row["deviation"]) > 0) == (diff > 0)
 
-    def test_empty_sides_rejected(self):
-        with pytest.raises(ValueError, match="empty document"):
-            frequency_scatter(make_doc("d", {}), {"a": 1})
-        with pytest.raises(ValueError, match="empty reference"):
-            frequency_scatter(make_doc("d", {"a": 1}), {})
+    def test_empty_sides_share_nothing(self):
+        assert frequency_scatter(make_doc("d", {}), {"a": 1}, 1) == ([], [], [])
+        assert frequency_scatter(make_doc("d", {"a": 1}), {}, 0) == ([], [], [])
 
 
 class TestResolveSources:
