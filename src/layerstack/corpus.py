@@ -4,7 +4,9 @@ Documents are plain-text UTF-8 files (or a JSON-lines manifest pointing at
 them). Tokenization is deliberately simple and deterministic: lowercase,
 split on anything non-alphanumeric, drop purely numeric tokens, drop stop
 words. Everything downstream (entropy, correlation, clustering) consumes the
-per-document term counts built here.
+per-document term counts built here. A :class:`Corpus` holds them once more
+as an integer :class:`CountTable`, which the rankings, the k-means rows, the
+macrostate and the belief evidence read instead of the string-keyed maps.
 """
 
 from __future__ import annotations
@@ -15,12 +17,17 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .stopwords import ENGLISH_STOP_WORDS
 
 # word characters minus underscore, applied to lowercased text
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+#: a count table's counts sum to less than this: every pooled sum then fits
+#: int64, and every count / total is the float Python's int / int gives
+_COUNT_LIMIT = 2**53
 
 
 def parse_stop_words(text: str) -> frozenset[str]:
@@ -92,29 +99,99 @@ class Document:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """Term counts of a sequence of documents as integer rows in CSR form
+    (Saad, *Iterative Methods for Sparse Linear Systems*, §3.4).
+
+    ``terms`` is the sorted vocabulary, so term ids run in lexicographic
+    order. Row i holds document i's positive counts: ``counts[indptr[i]:
+    indptr[i + 1]]``, of the terms whose ids are the same slice of
+    ``term_ids``, in increasing id order. The arrays are read-only."""
+
+    terms: tuple[str, ...]
+    indptr: np.ndarray
+    term_ids: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.indptr, self.term_ids, self.counts):
+            array.flags.writeable = False
+
+    @classmethod
+    def build(cls, documents: Iterable[Document]) -> "CountTable":
+        """The table of ``documents``, one row each, in their order."""
+        ends, keys, values = [0], [], []
+        for doc in documents:
+            for term, count in doc.token_counts.items():
+                if count > 0:
+                    keys.append(term)
+                    values.append(count)
+            ends.append(len(keys))
+        total = sum(values)
+        if total >= _COUNT_LIMIT:
+            raise ValueError(f"term counts sum to {total}, not below 2**53")
+        terms = tuple(sorted(set(keys)))
+        index = {term: i for i, term in enumerate(terms)}
+        term_ids = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+        indptr = np.array(ends, dtype=np.intp)
+        rows = np.repeat(np.arange(len(ends) - 1), np.diff(indptr))
+        order = np.lexsort((term_ids, rows))
+        counts = np.fromiter(values, np.int64, len(values))
+        return cls(terms, indptr, term_ids[order], counts[order])
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row i: its term ids and their counts."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.term_ids[lo:hi], self.counts[lo:hi]
+
+    def pooled(self) -> np.ndarray:
+        """Every term's count summed over all rows, by term id, in int64."""
+        totals = np.zeros(len(self.terms), dtype=np.int64)
+        np.add.at(totals, self.term_ids, self.counts)
+        return totals
+
+    def select(self, rows: Sequence[int]) -> "CountTable":
+        """The given rows, in the given order, over the sorted terms they
+        hold: ids are compacted, so id order stays lexicographic."""
+        rows = np.asarray(rows, dtype=np.intp)
+        lengths = self.indptr[rows + 1] - self.indptr[rows]
+        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=indptr[1:])
+        take = np.repeat(self.indptr[rows] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        old_ids = self.term_ids[take]
+        kept = np.unique(old_ids)
+        terms = tuple(self.terms[j] for j in kept.tolist())
+        return CountTable(terms, indptr, np.searchsorted(kept, old_ids), self.counts[take])
+
+
 @dataclass(frozen=True)
 class Corpus:
-    """An ordered, immutable collection of documents."""
+    """An ordered, immutable collection of documents, with their term
+    counts as one :class:`CountTable` (row i is document i)."""
 
     documents: tuple[Document, ...]
     stop_words: frozenset[str] = ENGLISH_STOP_WORDS
     vocabulary: frozenset[str] = field(init=False)
-    _by_id: Mapping[str, Document] = field(init=False, repr=False, compare=False)
+    table: CountTable = field(init=False, repr=False, compare=False)
+    _by_id: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_id = {d.id: d for d in self.documents}
+        by_id = {d.id: i for i, d in enumerate(self.documents)}
         if len(by_id) != len(self.documents):
             raise ValueError(f"duplicate document ids: {_repeated(d.id for d in self.documents)}")
-        object.__setattr__(self, "_by_id", by_id)
-        vocab: set[str] = set()
         for doc in self.documents:
             overlap = self.stop_words.intersection(doc.token_counts)
             if overlap:
                 raise ValueError(
                     f"stop words present in document {doc.id!r}: {sorted(overlap)[:5]}"
                 )
-            vocab.update(t for t, c in doc.token_counts.items() if c > 0)
-        object.__setattr__(self, "vocabulary", frozenset(vocab))
+        self._hold(by_id, CountTable.build(self.documents))
+
+    def _hold(self, by_id: Mapping[str, int], table: CountTable) -> None:
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "vocabulary", frozenset(table.terms))
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -123,19 +200,31 @@ class Corpus:
         return iter(self.documents)
 
     def get(self, doc_id: str) -> Document:
+        return self.documents[self._by_id[doc_id]]
+
+    def position(self, doc_id: str) -> int:
+        """Index of ``doc_id`` in ``documents``, and so its table row."""
         return self._by_id[doc_id]
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._by_id
 
     def subset(self, doc_ids: Iterable[str]) -> "Corpus":
-        """Restrict to the given ids, keeping lexicographic-id order."""
+        """Restrict to the given ids, keeping this corpus's document order.
+
+        The table rows are sliced, not rebuilt, and nothing is validated
+        again: the documents already passed this corpus's checks."""
         wanted = set(doc_ids)
         missing = wanted - self._by_id.keys()
         if missing:
             raise KeyError(f"ids not in corpus: {sorted(missing)}")
-        kept = tuple(d for d in self.documents if d.id in wanted)
-        return Corpus(documents=kept, stop_words=self.stop_words)
+        rows = sorted(self._by_id[doc_id] for doc_id in wanted)
+        kept = tuple(self.documents[i] for i in rows)
+        sub = object.__new__(Corpus)
+        object.__setattr__(sub, "documents", kept)
+        object.__setattr__(sub, "stop_words", self.stop_words)
+        sub._hold({d.id: i for i, d in enumerate(kept)}, self.table.select(rows))
+        return sub
 
     def total_counts(self) -> Counter[str]:
         """Aggregate term counts over every document."""
@@ -160,24 +249,38 @@ def top_k_terms(doc: Document, k: int) -> list[tuple[str, int]]:
     return heapq.nsmallest(k, doc.token_counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
+def shared_proportions(
+    counts: np.ndarray, total: int, reference: np.ndarray, reference_total: int
+) -> tuple[np.ndarray, list[float], list[float]]:
+    """The one shared-term rule: the positions where two aligned count
+    arrays are both positive, and the proportions there, ``counts / total``
+    and ``reference / reference_total``. IEEE division of integers below
+    2**53, as a count table holds, gives the floats Python's ``int / int``
+    gives."""
+    shared = np.flatnonzero((counts > 0) & (reference > 0))
+    return (
+        shared,
+        (counts[shared] / total).tolist(),
+        (reference[shared] / reference_total).tolist(),
+    )
+
+
 def frequency_scatter(
     doc: Document, reference: Mapping[str, int], reference_total: int
 ) -> tuple[list[str], list[float], list[float]]:
     """The terms ``doc`` shares with a reference count table, in lexicographic
-    order, and their proportions on each side.
+    order, and their proportions on each side, by :func:`shared_proportions`.
 
     A term is shared when both its counts are positive. A document proportion
     is the count over ``doc.total_tokens``, a reference proportion the
     reference count over ``reference_total``. An empty side shares no term."""
-    counts = doc.token_counts
-    terms, doc_proportions, reference_proportions = [], [], []
-    for term in sorted(counts):
-        ref_count = reference.get(term, 0)
-        if counts[term] > 0 and ref_count > 0:
-            terms.append(term)
-            doc_proportions.append(counts[term] / doc.total_tokens)
-            reference_proportions.append(ref_count / reference_total)
-    return terms, doc_proportions, reference_proportions
+    terms = sorted(doc.token_counts)
+    counts = np.fromiter((doc.token_counts[t] for t in terms), np.int64, len(terms))
+    ref_counts = np.fromiter((reference.get(t, 0) for t in terms), np.int64, len(terms))
+    shared, doc_proportions, reference_proportions = shared_proportions(
+        counts, doc.total_tokens, ref_counts, reference_total
+    )
+    return [terms[i] for i in shared.tolist()], doc_proportions, reference_proportions
 
 
 def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:

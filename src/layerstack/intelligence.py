@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, CountTable, Document
 from .infotheory import count_entropy
 from .knowledge import CorrelationResult, rank_documents
 
@@ -52,25 +52,40 @@ class TermRows:
 
 
 def unit_term_rows(
-    docs: Sequence[Document], vocabulary: Sequence[str]
+    docs: Corpus | Sequence[Document], vocabulary: Sequence[str]
 ) -> tuple[tuple[str, ...], TermRows]:
     """One row per document: its term proportions laid out over
     ``vocabulary`` (terms outside it are dropped), scaled to unit L2 length.
     A document sharing no term with the vocabulary gets no row, so it is
-    absent from the returned ids. Returns the ids of the rows and the rows."""
-    column = {term: j for j, term in enumerate(vocabulary)}
+    absent from the returned ids. Returns the ids of the rows and the rows.
+
+    The counts come from the corpus's :class:`CountTable`, or from one built
+    here for a plain sequence of documents. Over the table's own terms the
+    columns are its term ids."""
+    if isinstance(docs, Corpus):
+        documents, table = docs.documents, docs.table
+    else:
+        documents = tuple(docs)
+        table = CountTable.build(documents)
+    if tuple(vocabulary) == table.terms:
+        columns = table.term_ids
+    else:
+        column = {term: j for j, term in enumerate(vocabulary)}
+        at = np.fromiter((column.get(t, -1) for t in table.terms), np.intp, len(table.terms))
+        columns = at[table.term_ids]
     # the norm is taken over the dense layout, one reused row at a time: BLAS
     # sums the squares in lanes set by column position, so the norm of the
     # nonzeros alone often differs in the last bit
     scratch = np.zeros(len(vocabulary))
     ids: list[str] = []
     lengths, indices, data = [0], [], []
-    for doc in docs:
-        terms = [(column[t], c) for t, c in doc.token_counts.items() if c > 0 and t in column]
-        if not terms:
+    for i, doc in enumerate(documents):
+        lo, hi = table.indptr[i], table.indptr[i + 1]
+        cols, counts = columns[lo:hi], table.counts[lo:hi]
+        inside = cols >= 0
+        cols, counts = cols[inside], counts[inside]
+        if not cols.size:
             continue
-        cols = np.fromiter((j for j, _ in terms), dtype=np.intp, count=len(terms))
-        counts = np.fromiter((c for _, c in terms), dtype=np.float64, count=len(terms))
         order = np.argsort(cols)
         cols = cols[order]
         # IEEE division of exactly held integers: the same floats as Python's
@@ -79,7 +94,7 @@ def unit_term_rows(
         norm = float(np.linalg.norm(scratch))
         scratch[cols] = 0.0
         ids.append(doc.id)
-        lengths.append(len(terms))
+        lengths.append(len(cols))
         indices.append(cols)
         data.append(values / norm)
     rows = TermRows(
@@ -376,7 +391,7 @@ def aggregate_corpus(
     for index in range(rounds):
         if len(current) < 2:
             break
-        ids, rows = unit_term_rows(current.documents, sorted(current.vocabulary))
+        ids, rows = unit_term_rows(current, current.table.terms)
         kept = set(ids)
         notes.extend(
             f"AggregationWarning: excluding {doc.id!r}: orthogonal document: "

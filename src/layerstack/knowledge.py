@@ -5,9 +5,11 @@ proportions and those of the leave-one-out aggregate (every other document
 pooled), computed over the terms both sides share. Significance comes from
 the two-sided Student t test on r, evaluated in this module.
 
-A ranking pools the corpus once: each leave-one-out count is the pooled
-total minus the document's own count, so scoring every document costs work
-linear in the (document, term) pairs rather than one re-pool per document.
+A ranking pools the corpus's integer count table once, by term id: each
+leave-one-out count is the pooled total minus the document's own count, read
+from the document's table row. Scoring every document so costs work linear
+in the (document, term) pairs, with no string lookup and no re-pool per
+document.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, frequency_scatter
+from .corpus import Corpus, Document, frequency_scatter, shared_proportions
 
 #: shortest term overlap for which a correlation is computed
 MIN_SHARED_TERMS = 3
@@ -194,32 +196,32 @@ def correlation_p_value(r: float, n: int) -> float:
     return 1.0 - front * _beta_fraction(0.5, a, y) / 0.5
 
 
+def _log10s(proportions: list[float]) -> list[float]:
+    return [math.log10(p) for p in proportions]
+
+
 def _log_proportion_profiles(
-    doc: Document, totals: Mapping[str, int], grand: int, held_out: Document
-) -> tuple[list[str], list[float], list[float]]:
-    """Shared terms (lexicographic) with log10 proportions on both sides.
+    corpus: Corpus, totals: np.ndarray, grand: int, row: int
+) -> tuple[np.ndarray, list[float], list[float]]:
+    """Ids of the terms table row ``row`` shares with the rest of the corpus
+    (increasing, so in lexicographic term order), with log10 proportions on
+    both sides.
 
     The reference is the pooled ``totals`` (summing to ``grand``) less the
-    ``held_out`` document's counts: the leave-one-out aggregate, taken in
-    the document's own terms without building it."""
-    held = held_out.token_counts
-    rest = {t: totals.get(t, 0) - held.get(t, 0) for t in doc.token_counts}
-    shared, dps, rps = frequency_scatter(doc, rest, grand - held_out.total_tokens)
-    return shared, [math.log10(p) for p in dps], [math.log10(p) for p in rps]
+    row's own counts: the leave-one-out aggregate, taken over the row's own
+    terms without building it."""
+    ids, counts = corpus.table.row(row)
+    total = corpus.documents[row].total_tokens
+    shared, dps, rps = shared_proportions(counts, total, totals[ids] - counts, grand - total)
+    return ids[shared], _log10s(dps), _log10s(rps)
 
 
-def _correlate(
-    doc: Document, totals: Mapping[str, int], grand: int, held_out: Document
-) -> CorrelationResult:
-    shared, xs, ys = _log_proportion_profiles(doc, totals, grand, held_out)
-    if len(shared) < MIN_SHARED_TERMS:
-        raise ValueError(
-            f"insufficient overlap: {doc.id!r} shares {len(shared)} terms with the rest"
-        )
+def _correlate(doc_id: str, n: int, xs: list[float], ys: list[float]) -> CorrelationResult:
+    """The result for ``n`` shared terms with log proportions ``xs``, ``ys``."""
+    if n < MIN_SHARED_TERMS:
+        raise ValueError(f"insufficient overlap: {doc_id!r} shares {n} terms with the rest")
     r = pearson_r(xs, ys)
-    return CorrelationResult(
-        doc_id=doc.id, r=r, p_value=correlation_p_value(r, len(shared)), n=len(shared)
-    )
+    return CorrelationResult(doc_id=doc_id, r=r, p_value=correlation_p_value(r, n), n=n)
 
 
 def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
@@ -228,8 +230,13 @@ def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
     of ``doc.id`` is the one held out)."""
     if doc.id not in corpus:
         raise ValueError(f"document {doc.id!r} not in corpus")
-    totals = corpus.total_counts()
-    return _correlate(doc, totals, sum(totals.values()), corpus.get(doc.id))
+    table = corpus.table
+    rest = table.pooled()
+    ids, counts = table.row(corpus.position(doc.id))
+    rest[ids] -= counts
+    reference = dict(zip(table.terms, rest.tolist()))
+    shared, dps, rps = frequency_scatter(doc, reference, int(rest.sum()))
+    return _correlate(doc.id, len(shared), _log10s(dps), _log10s(rps))
 
 
 def rank_documents(
@@ -246,12 +253,13 @@ def rank_documents(
         raise ValueError(f"ranking needs at least 2 documents, got {len(corpus)}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    totals = corpus.total_counts()
-    grand = sum(totals.values())
+    totals = corpus.table.pooled()
+    grand = int(totals.sum())
     results = []
-    for doc in corpus:
+    for row, doc in enumerate(corpus):
         try:
-            results.append(_correlate(doc, totals, grand, doc))
+            shared, xs, ys = _log_proportion_profiles(corpus, totals, grand, row)
+            results.append(_correlate(doc.id, len(shared), xs, ys))
         except ValueError as exc:
             if notes is not None:
                 notes.append(f"RankingWarning: excluding {doc.id!r}: {exc}")

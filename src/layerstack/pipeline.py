@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import heapq
 import io
 import json
 import math
@@ -21,6 +20,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .belief import MAX_FRAME_SIZE, Frame, belief, keyword_belief_update, plausibility, vacuous_mass
 from .corpus import (
@@ -152,6 +153,11 @@ def _ingest(config: RunConfig) -> tuple[Corpus, dict[str, bytes], str]:
     return corpus, raw, hasher.hexdigest()
 
 
+def _pooled(corpus: Corpus) -> dict[str, int]:
+    """The corpus's pooled term counts, from its count table, by term."""
+    return dict(zip(corpus.table.terms, corpus.table.pooled().tolist()))
+
+
 def _skip(reason: str) -> dict[str, Any]:
     return {"skipped": True, "reason": reason}
 
@@ -273,7 +279,7 @@ def _intelligence_section(
             }
         )
     survivors = set(agg.survivor_ids)
-    macrostate = corpus.subset(agg.survivor_ids).total_counts()
+    macrostate = _pooled(corpus.subset(agg.survivor_ids))
     gains: dict[str, float] = {}
     macrostate_bits = None
     if macrostate:
@@ -322,33 +328,33 @@ def _wisdom_section(agg: AggregationResult | None) -> dict[str, Any]:
 
 
 def _belief_section(
-    corpus: Corpus,
-    totals: Mapping[str, int],
-    knowledge_ranking: tuple[CorrelationResult, ...],
-    top_k: int,
+    corpus: Corpus, knowledge_ranking: tuple[CorrelationResult, ...], top_k: int
 ) -> dict[str, Any]:
     if not knowledge_ranking:
         return _skip("no ranked documents to draw evidence from")
     keyword_count = min(top_k, MAX_FRAME_SIZE, len(corpus.vocabulary))
     if keyword_count < 1:
         return _skip("no terms in corpus")
-    by_frequency = heapq.nsmallest(keyword_count, totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    keywords = [term for term, _ in by_frequency]
+    totals = corpus.table.pooled()
+    # descending count, ties by ascending id, which is ascending term
+    by_frequency = np.argsort(-totals, kind="stable")[:keyword_count].tolist()
+    keywords = [corpus.table.terms[j] for j in by_frequency]
     frame = Frame(elements=tuple(keywords))
-    grand = sum(totals.values())
-    contributions = {kw: 0.0 for kw in keywords}
+    grand = int(totals.sum())
+    contributions = dict.fromkeys(by_frequency, 0.0)
     for res in knowledge_ranking:
-        doc = corpus.get(res.doc_id)
-        shared, xs, ys = _log_proportion_profiles(doc, totals, grand, doc)
+        row = corpus.position(res.doc_id)
+        shared, xs, ys = _log_proportion_profiles(corpus, totals, grand, row)
         dx, dy, denom = pearson_parts(xs, ys)
-        for term, a, b in zip(shared, dx.tolist(), dy.tolist()):
-            if term in contributions:
+        for j, a, b in zip(shared.tolist(), dx.tolist(), dy.tolist()):
+            if j in contributions:
                 piece = a * b / denom
                 if piece > 0.0:
-                    contributions[term] += piece
+                    contributions[j] += piece
     total = math.fsum(contributions.values())
     evidence = {
-        kw: (contributions[kw] / total if total > 0.0 else 0.0) for kw in keywords
+        kw: (contributions[j] / total if total > 0.0 else 0.0)
+        for kw, j in zip(keywords, by_frequency)
     }
     posterior = keyword_belief_update(vacuous_mass(frame), evidence)
     named_masses = {
@@ -391,7 +397,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
     notes: list[str] = []
     with _stage("ingest"):
         corpus, raw, input_hash = _ingest(config)
-    totals = corpus.total_counts()
+    totals = _pooled(corpus)
     sections: dict[str, dict[str, Any]] = {}
     with _stage("bit"):
         sections["bit"] = _bit_section(raw, config.force_bit_layer, notes)
@@ -406,7 +412,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
     with _stage("wisdom"):
         sections["wisdom"] = _wisdom_section(agg)
     with _stage("belief"):
-        sections["belief"] = _belief_section(corpus, totals, knowledge_ranking, config.top_k)
+        sections["belief"] = _belief_section(corpus, knowledge_ranking, config.top_k)
 
     provenance = {
         "input_sha256": input_hash,

@@ -123,6 +123,14 @@ class TestCorpus:
         with pytest.raises(KeyError, match="zz"):
             corpus.subset(["zz"])
 
+    def test_subset_keeps_the_parent_order_of_an_unsorted_corpus(self):
+        corpus = make_corpus({"d3": {"c": 1}, "d1": {"a": 1}, "d2": {"b": 2, "c": 1}})
+        sub = corpus.subset(["d1", "d3", "d2", "d1"])
+        assert [d.id for d in sub] == ["d3", "d1", "d2"]
+        assert [d.id for d in corpus.subset(["d2", "d3"])] == ["d3", "d2"]
+        with pytest.raises(KeyError, match="zz"):
+            corpus.subset(["d1", "zz"])
+
     def test_total_and_leave_one_out_counts(self):
         corpus = make_corpus({"d1": {"a": 2, "b": 1}, "d2": {"a": 1, "c": 4}})
         assert corpus.total_counts() == {"a": 3, "b": 1, "c": 4}

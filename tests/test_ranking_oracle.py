@@ -34,6 +34,7 @@ from layerstack import (
 )
 from layerstack import intelligence
 from layerstack.belief import MAX_FRAME_SIZE
+from layerstack.corpus import CountTable
 from layerstack.knowledge import MIN_SHARED_TERMS, pearson_parts
 from layerstack.pipeline import _belief_section, write_fig4
 
@@ -156,7 +157,7 @@ def test_correlate_document_holds_out_the_corpus_copy(table, data):
 def test_belief_evidence_matches_oracle(table, top_k):
     corpus = make_corpus(table)
     ranking, _ = _ranked_with_exclusions(corpus, len(corpus))
-    section = _belief_section(corpus, corpus.total_counts(), tuple(ranking), top_k)
+    section = _belief_section(corpus, tuple(ranking), top_k)
     if not ranking or not corpus.vocabulary:
         assert section["skipped"]
         return
@@ -183,13 +184,19 @@ def test_belief_evidence_matches_oracle(table, top_k):
 
 
 class TestPoolsOnce:
-    """A ranking pools the corpus once, whatever the number of documents."""
+    """A ranking pools the corpus's count table once, whatever the number of
+    documents, and nothing but fig4 pools the string-keyed counts."""
 
     def _count_calls(self, monkeypatch) -> Counter[str]:
         calls: Counter[str] = Counter()
+        pooled = CountTable.pooled
         total_counts = Corpus.total_counts
         leave_one_out_counts = Corpus.leave_one_out_counts
         ranker = intelligence.rank_documents
+
+        def counted_pooled(self):
+            calls["pooled"] += 1
+            return pooled(self)
 
         def counted_total_counts(self):
             calls["total_counts"] += 1
@@ -203,6 +210,7 @@ class TestPoolsOnce:
             calls["rankings"] += 1
             return ranker(corpus, top_k, notes)
 
+        monkeypatch.setattr(CountTable, "pooled", counted_pooled)
         monkeypatch.setattr(Corpus, "total_counts", counted_total_counts)
         monkeypatch.setattr(Corpus, "leave_one_out_counts", counted_leave_one_out_counts)
         monkeypatch.setattr(intelligence, "rank_documents", counted_rank_documents)
@@ -213,7 +221,8 @@ class TestPoolsOnce:
         calls = self._count_calls(monkeypatch)
         rank_documents(corpus, top_k=5)
         assert calls["leave_one_out_counts"] == 0
-        assert calls["total_counts"] == 1
+        assert calls["total_counts"] == 0
+        assert calls["pooled"] == 1
 
     def test_aggregate_corpus(self, monkeypatch):
         corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
@@ -221,7 +230,17 @@ class TestPoolsOnce:
         aggregate_corpus(corpus, k=3, rounds=2, per_cluster=4, seed=1)
         assert calls["rankings"] >= 4
         assert calls["leave_one_out_counts"] == 0
-        assert calls["total_counts"] == calls["rankings"]
+        assert calls["total_counts"] == 0
+        assert calls["pooled"] == calls["rankings"]
+
+    def test_belief_section(self, monkeypatch):
+        corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
+        ranking = tuple(rank_documents(corpus, top_k=len(corpus)))
+        calls = self._count_calls(monkeypatch)
+        assert not _belief_section(corpus, ranking, top_k=5)["skipped"]
+        assert calls["leave_one_out_counts"] == 0
+        assert calls["total_counts"] == 0
+        assert calls["pooled"] == 1
 
 
 # terms that csv.writer must quote, and one that it must not
