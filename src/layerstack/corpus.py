@@ -16,6 +16,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -74,6 +75,11 @@ class Document:
         for term, count in self.token_counts.items():
             if not term or term != term.lower():
                 raise ValueError(f"invalid term {term!r} in document {self.id!r}")
+            # int first: an isinstance check against the Integral ABC is far slower
+            if type(count) is not int and not isinstance(count, Integral):
+                raise ValueError(
+                    f"count of term {term!r} in {self.id!r} is not an integer: {count!r}"
+                )
             if count < 0:
                 raise ValueError(f"negative count for term {term!r} in {self.id!r}")
             total += count

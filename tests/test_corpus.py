@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -89,6 +90,13 @@ class TestDocument:
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError, match="negative count"):
             Document(id="d", title="d", token_counts={"a": -1}, total_tokens=-1)
+
+    def test_rejects_non_integer_counts(self):
+        # a count table holds int64: 1.5 would be read as 1
+        with pytest.raises(ValueError, match="count of term 'a' in 'd' is not an integer: 1.5"):
+            Document(id="d", title="d", token_counts={"a": 1.5, "b": 0.5}, total_tokens=2)
+        doc = Document(id="d", title="d", token_counts={"a": np.int64(2)}, total_tokens=2)
+        assert make_corpus({"d": doc.token_counts}).table.counts.tolist() == [2]
 
     def test_rejects_empty_id(self):
         with pytest.raises(ValueError, match="non-empty"):
