@@ -21,7 +21,7 @@ from layerstack.intelligence import unit_term_rows
 
 from helpers import make_corpus, make_doc
 
-# terms whose code-point order differs from their ASCII-folded order
+# ASCII, accented and CJK terms, one with a space, and prefixes of others
 TERMS = ["a", "b", "ab", "a b", "z", "ß", "ñandú", "ünï", "日本", "éa"]
 
 
