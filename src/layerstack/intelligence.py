@@ -60,19 +60,15 @@ def unit_term_rows(
     absent from the returned ids. Returns the ids of the rows and the rows.
 
     The counts come from the corpus's :class:`CountTable`, or from one built
-    here for a plain sequence of documents. Over the table's own terms the
-    columns are its term ids."""
+    here for a plain sequence of documents."""
     if isinstance(docs, Corpus):
         documents, table = docs.documents, docs.table
     else:
         documents = tuple(docs)
         table = CountTable.build(documents)
-    if tuple(vocabulary) == table.terms:
-        columns = table.term_ids
-    else:
-        column = {term: j for j, term in enumerate(vocabulary)}
-        at = np.fromiter((column.get(t, -1) for t in table.terms), np.intp, len(table.terms))
-        columns = at[table.term_ids]
+    column = {term: j for j, term in enumerate(vocabulary)}
+    at = np.fromiter((column.get(t, -1) for t in table.terms), np.intp, len(table.terms))
+    columns = at[table.term_ids]
     # the norm is taken over the dense layout, one reused row at a time: BLAS
     # sums the squares in lanes set by column position, so the norm of the
     # nonzeros alone often differs in the last bit

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, frequency_scatter, shared_proportions
+from .corpus import Corpus, Document, shared_proportions
 
 #: shortest term overlap for which a correlation is computed
 MIN_SHARED_TERMS = 3
@@ -232,10 +233,17 @@ def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
         raise ValueError(f"document {doc.id!r} not in corpus")
     table = corpus.table
     rest = table.pooled()
-    ids, counts = table.row(corpus.position(doc.id))
-    rest[ids] -= counts
-    reference = dict(zip(table.terms, rest.tolist()))
-    shared, dps, rps = frequency_scatter(doc, reference, int(rest.sum()))
+    ids, held = table.row(corpus.position(doc.id))
+    rest[ids] -= held
+    # the reference only over doc's own terms, looked up in the sorted terms
+    terms = sorted(doc.token_counts)
+    counts = np.fromiter((doc.token_counts[t] for t in terms), np.int64, len(terms))
+    reference = np.zeros(len(terms), dtype=np.int64)
+    for i, term in enumerate(terms):
+        j = bisect_left(table.terms, term)
+        if j < len(table.terms) and table.terms[j] == term:
+            reference[i] = rest[j]
+    shared, dps, rps = shared_proportions(counts, doc.total_tokens, reference, int(rest.sum()))
     return _correlate(doc.id, len(shared), _log10s(dps), _log10s(rps))
 
 

@@ -19,7 +19,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping
+from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -153,11 +153,6 @@ def _ingest(config: RunConfig) -> tuple[Corpus, dict[str, bytes], str]:
     return corpus, raw, hasher.hexdigest()
 
 
-def _pooled(corpus: Corpus) -> dict[str, int]:
-    """The corpus's pooled term counts, from its count table, by term."""
-    return dict(zip(corpus.table.terms, corpus.table.pooled().tolist()))
-
-
 def _skip(reason: str) -> dict[str, Any]:
     return {"skipped": True, "reason": reason}
 
@@ -185,9 +180,7 @@ def _bit_section(raw: Mapping[str, bytes], force: bool, notes: list[str]) -> dic
     }
 
 
-def _data_section(
-    corpus: Corpus, totals: Mapping[str, int], notes: list[str]
-) -> dict[str, Any]:
+def _data_section(corpus: Corpus, totals: Sequence[int], notes: list[str]) -> dict[str, Any]:
     per_document: dict[str, float] = {}
     for doc in corpus:
         if doc.total_tokens == 0:
@@ -201,18 +194,18 @@ def _data_section(
     return {
         "skipped": False,
         "per_document_bits": per_document,
-        "corpus_bits": count_entropy(totals.values()),
+        "corpus_bits": count_entropy(totals),
         "vocabulary_size": len(corpus.vocabulary),
         "hartley_vocabulary_bits": hartley_entropy(len(corpus.vocabulary)),
     }
 
 
-def _information_section(corpus: Corpus, totals: Mapping[str, int]) -> dict[str, Any]:
+def _information_section(corpus: Corpus, totals: Sequence[int]) -> dict[str, Any]:
     if not totals:
         return _skip("no terms in corpus")
     joint_bits = count_entropy(c for doc in corpus for c in doc.token_counts.values())
     document_bits = count_entropy(doc.total_tokens for doc in corpus)
-    term_bits = count_entropy(totals.values())
+    term_bits = count_entropy(totals)
     return {
         "skipped": False,
         "joint_bits": joint_bits,
@@ -279,7 +272,8 @@ def _intelligence_section(
             }
         )
     survivors = set(agg.survivor_ids)
-    macrostate = _pooled(corpus.subset(agg.survivor_ids))
+    survivor_table = corpus.subset(agg.survivor_ids).table
+    macrostate = dict(zip(survivor_table.terms, survivor_table.pooled().tolist()))
     gains: dict[str, float] = {}
     macrostate_bits = None
     if macrostate:
@@ -397,7 +391,9 @@ def run_pipeline(config: RunConfig) -> RunReport:
     notes: list[str] = []
     with _stage("ingest"):
         corpus, raw, input_hash = _ingest(config)
-    totals = _pooled(corpus)
+    # pooled term counts by term id; the data and information layers need
+    # only the counts, not the terms
+    totals = corpus.table.pooled().tolist()
     sections: dict[str, dict[str, Any]] = {}
     with _stage("bit"):
         sections["bit"] = _bit_section(raw, config.force_bit_layer, notes)
