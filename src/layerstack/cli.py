@@ -11,11 +11,10 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from pathlib import Path
 
 from .belief import Frame, MassFunction, belief, combine, make_mass, plausibility, vacuous_mass
-from .corpus import ingest_corpus, load_stop_words, read_source, tokenize
+from .corpus import count_terms, ingest_corpus, load_stop_words, read_source
 from .infotheory import bitstream_entropy, count_entropy, hartley_entropy
 from .intelligence import aggregate_corpus
 from .knowledge import rank_documents
@@ -82,7 +81,7 @@ def _cmd_run(args: argparse.Namespace, notes: list[str]) -> int:
 
 def _cmd_entropy(args: argparse.Namespace, notes: list[str]) -> int:
     data, text = read_source(Path(args.file))
-    counts = Counter(tokenize(text, _stop_words(args.stopwords)))
+    counts = count_terms(text, _stop_words(args.stopwords))
     total = sum(counts.values())
     payload = {
         "byte_count": len(data),

@@ -1,4 +1,4 @@
-"""Corpus ingestion, tokenization, and term-frequency products.
+r"""Corpus ingestion, tokenization, and term-frequency products.
 
 Documents are plain-text UTF-8 files (or a JSON-lines manifest pointing at
 them). Tokenization is deliberately simple and deterministic: lowercase,
@@ -7,6 +7,16 @@ words. Everything downstream (entropy, correlation, clustering) consumes the
 per-document term counts built here. A :class:`Corpus` holds them once more
 as an integer :class:`CountTable`, which the rankings, the k-means rows, the
 macrostate and the belief evidence read instead of the string-keyed maps.
+
+The words of a lowercased text are its runs of ``[^\W_]+``, that is of the
+characters for which ``str.isalnum()`` holds: the regex engine's ``\w`` is
+``isalnum()`` plus ``_``. When the lowercased text is ASCII, the words come
+from ``str.translate``, which maps every ASCII character that is not
+alphanumeric (``_`` included) to a space, and ``str.split()``: both run in
+C. Otherwise they come from the regex, which is the faster of the two on
+non-ASCII text. :func:`count_terms` tallies the words, then drops numeric
+words and stop words from the distinct terms, so that filter runs once per
+term rather than once per token.
 """
 
 from __future__ import annotations
@@ -26,6 +36,8 @@ from .stopwords import ENGLISH_STOP_WORDS
 
 # word characters minus underscore, applied to lowercased text
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# every ASCII character that is not alphanumeric, ``_`` included, to a space
+_ASCII_SPACES = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalnum()})
 #: a count table's counts sum to less than this: every pooled sum then fits
 #: int64, and every count / total is the float Python's int / int gives
 _COUNT_LIMIT = 2**53
@@ -42,14 +54,29 @@ def load_stop_words(path: str | Path) -> frozenset[str]:
     return parse_stop_words(read_source(Path(path))[1])
 
 
+def _words(text: str) -> list[str]:
+    """The alphanumeric runs of ``text`` lowercased, in order (see the
+    module docstring for the two ways of splitting)."""
+    lowered = text.lower()
+    if lowered.isascii():
+        return lowered.translate(_ASCII_SPACES).split()
+    return _WORD_RE.findall(lowered)
+
+
 def tokenize(text: str, stop_words: frozenset[str] = ENGLISH_STOP_WORDS) -> list[str]:
     """Split ``text`` into terms: lowercase, alphanumeric runs only, purely
     numeric tokens and stop words removed, original order preserved."""
-    return [
-        tok
-        for tok in _WORD_RE.findall(text.lower())
-        if not tok.isdigit() and tok not in stop_words
-    ]
+    return [tok for tok in _words(text) if not tok.isdigit() and tok not in stop_words]
+
+
+def count_terms(text: str, stop_words: frozenset[str] = ENGLISH_STOP_WORDS) -> dict[str, int]:
+    """The count of each term :func:`tokenize` finds in ``text``, keyed in
+    order of first occurrence. Numeric words and stop words are dropped
+    from the distinct words once they are counted."""
+    counts = Counter(_words(text))
+    for word in [w for w in counts if w.isdigit() or w in stop_words]:
+        del counts[word]
+    return dict(counts)
 
 
 def _repeated(ids: Iterable[str]) -> list[str]:
@@ -96,12 +123,9 @@ class Document:
         text: str,
         stop_words: frozenset[str] = ENGLISH_STOP_WORDS,
     ) -> "Document":
-        counts = Counter(tokenize(text, stop_words))
+        counts = count_terms(text, stop_words)
         return cls(
-            id=doc_id,
-            title=title,
-            token_counts=dict(counts),
-            total_tokens=sum(counts.values()),
+            id=doc_id, title=title, token_counts=counts, total_tokens=sum(counts.values())
         )
 
 
@@ -151,20 +175,31 @@ class CountTable:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.term_ids[lo:hi], self.counts[lo:hi]
 
-    def pooled(self) -> np.ndarray:
-        """Every term's count summed over all rows, by term id, in int64."""
-        totals = np.zeros(len(self.terms), dtype=np.int64)
-        np.add.at(totals, self.term_ids, self.counts)
-        return totals
-
-    def select(self, rows: Sequence[int]) -> "CountTable":
-        """The given rows, in the given order, over the sorted terms they
-        hold: ids are compacted, so id order stays lexicographic."""
+    def _entries(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The row pointers of ``rows`` laid end to end, and the positions of
+        their entries in this table's arrays."""
         rows = np.asarray(rows, dtype=np.intp)
         lengths = self.indptr[rows + 1] - self.indptr[rows]
         indptr = np.zeros(len(rows) + 1, dtype=np.intp)
         np.cumsum(lengths, out=indptr[1:])
         take = np.repeat(self.indptr[rows] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return indptr, take
+
+    def pooled(self, rows: Sequence[int] | None = None) -> np.ndarray:
+        """Every term's count summed over ``rows`` (all rows by default), by
+        term id, in int64. A term none of the rows holds reads 0."""
+        totals = np.zeros(len(self.terms), dtype=np.int64)
+        if rows is None:
+            np.add.at(totals, self.term_ids, self.counts)
+        else:
+            take = self._entries(rows)[1]
+            np.add.at(totals, self.term_ids[take], self.counts[take])
+        return totals
+
+    def select(self, rows: Sequence[int]) -> "CountTable":
+        """The given rows, in the given order, over the sorted terms they
+        hold: ids are compacted, so id order stays lexicographic."""
+        indptr, take = self._entries(rows)
         old_ids = self.term_ids[take]
         kept = np.unique(old_ids)
         terms = tuple(self.terms[j] for j in kept.tolist())

@@ -163,8 +163,11 @@ def _seed_centroids(rows: TermRows, k: int, rng: Generator) -> np.ndarray:
     squared distance from the nearest already-chosen one."""
     n = rows.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _squared_distances(rows, rows.row(chosen[0])[None], 0)
+    d2 = np.full(n, np.inf)
+    # a centroid's distances are taken only while another is left to draw:
+    # k - 1 passes, none after the last draw
     while len(chosen) < k:
+        d2 = np.minimum(d2, _squared_distances(rows, rows.row(chosen[-1])[None], 0))
         total = float(d2.sum())
         if total <= 0.0:
             # every point coincides with a chosen centroid
@@ -172,7 +175,6 @@ def _seed_centroids(rows: TermRows, k: int, rng: Generator) -> np.ndarray:
         else:
             index = int(rng.choice(n, p=d2 / total))
         chosen.append(index)
-        d2 = np.minimum(d2, _squared_distances(rows, rows.row(index)[None], 0))
     return np.vstack([rows.row(i) for i in chosen])
 
 
@@ -331,7 +333,8 @@ def _cluster_rankings(
             )
             rankings.append(())
             continue
-        ranked = rank_documents(corpus.subset(members), top_k=per_cluster, notes=notes)
+        rows = sorted(corpus.position(doc_id) for doc_id in members)
+        ranked = rank_documents(corpus, top_k=per_cluster, notes=notes, rows=rows)
         rankings.append(tuple(ranked))
     return rankings
 

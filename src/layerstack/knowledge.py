@@ -248,23 +248,40 @@ def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
 
 
 def rank_documents(
-    corpus: Corpus, top_k: int, notes: list[str] | None = None
+    corpus: Corpus,
+    top_k: int,
+    notes: list[str] | None = None,
+    *,
+    rows: Sequence[int] | None = None,
 ) -> list[CorrelationResult]:
     """Correlation results for every document, descending by r (ties by
     ascending id), truncated to ``top_k``.
+
+    ``rows`` restricts the ranking to those table rows, given in corpus
+    order (all rows by default): each is scored against the pooled counts
+    of the other given rows, as in a subset of the corpus holding just
+    them. The rows are read from the corpus's own table, whose term ids are
+    lexicographic like a subset's, so the shared terms, their order and
+    every float are those of ranking ``corpus.subset`` of their ids.
 
     Documents that cannot be scored (insufficient overlap, zero variance)
     are dropped rather than failing the run; each drop appends one
     ``"RankingWarning: excluding ..."`` line to ``notes`` when it is given.
     """
-    if len(corpus) < 2:
-        raise ValueError(f"ranking needs at least 2 documents, got {len(corpus)}")
+    if rows is not None:
+        rows = list(rows)
+        if rows != sorted(set(rows)) or not all(0 <= row < len(corpus) for row in rows):
+            raise ValueError(f"rows must be distinct table rows in increasing order, got {rows}")
+    ranked = range(len(corpus)) if rows is None else rows
+    if len(ranked) < 2:
+        raise ValueError(f"ranking needs at least 2 documents, got {len(ranked)}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    totals = corpus.table.pooled()
+    totals = corpus.table.pooled(rows)
     grand = int(totals.sum())
     results = []
-    for row, doc in enumerate(corpus):
+    for row in ranked:
+        doc = corpus.documents[row]
         try:
             shared, xs, ys = _log_proportion_profiles(corpus, totals, grand, row)
             results.append(_correlate(doc.id, len(shared), xs, ys))

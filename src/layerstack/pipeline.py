@@ -272,8 +272,8 @@ def _intelligence_section(
             }
         )
     survivors = set(agg.survivor_ids)
-    survivor_table = corpus.subset(agg.survivor_ids).table
-    macrostate = dict(zip(survivor_table.terms, survivor_table.pooled().tolist()))
+    pooled = corpus.table.pooled([corpus.position(doc_id) for doc_id in agg.survivor_ids])
+    macrostate = {t: c for t, c in zip(corpus.table.terms, pooled.tolist()) if c > 0}
     gains: dict[str, float] = {}
     macrostate_bits = None
     if macrostate:

@@ -2,10 +2,12 @@ import csv
 import io
 import json
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerstack import (
@@ -53,6 +55,57 @@ class TestTokenize:
 
     def test_custom_stop_words(self):
         assert tokenize("signal noise the", frozenset({"signal"})) == ["noise", "the"]
+
+
+def oracle_tokens(text: str, stop_words: frozenset[str]) -> list[str]:
+    """The terms of ``text`` by the rule itself: the regex's alphanumeric
+    runs of the lowercased text, numeric runs and stop words dropped."""
+    words = re.findall(r"[^\W_]+", text.lower())
+    return [w for w in words if not w.isdigit() and w not in stop_words]
+
+
+# ASCII text with words, stop words, numbers, underscores, and the separators
+# \x1c-\x1f that str.split treats as whitespace
+ASCII_PIECES = st.one_of(
+    st.sampled_from(["The", "and", "AI", "x9", "42", "a_b", "_", "a\x1cb", "\x1d\x1e\x1f", " "]),
+    st.text(st.characters(max_codepoint=127), max_size=6),
+)
+# the same with non-ASCII letters, digits, spaces and case folds
+UNICODE_PIECES = st.one_of(
+    ASCII_PIECES,
+    st.sampled_from(["Naïve", "ß", "İ", "\u212a", "²", "٣", "\u00a0", "\u2028", "日本"]),
+    st.text(max_size=6),
+)
+STOP_SETS = st.sampled_from([ENGLISH_STOP_WORDS, frozenset(), frozenset({"ai", "naïve", "b"})])
+
+
+class TestSplitterOracle:
+    """tokenize and Document.from_text against the regex rule, on text that
+    takes the ASCII split and on text that takes the regex."""
+
+    @staticmethod
+    def check(text: str, stop_words: frozenset[str]) -> None:
+        expected = oracle_tokens(text, stop_words)
+        assert tokenize(text, stop_words) == expected
+        doc = Document.from_text("d", "d", text, stop_words)
+        assert list(doc.token_counts.items()) == list(Counter(expected).items())
+        assert doc.total_tokens == len(expected)
+
+    @settings(max_examples=300)
+    @given(pieces=st.lists(ASCII_PIECES, max_size=12), stop_words=STOP_SETS)
+    def test_ascii_text(self, pieces, stop_words):
+        text = "".join(pieces)
+        assert text.isascii()
+        self.check(text, stop_words)
+
+    @settings(max_examples=300)
+    @given(pieces=st.lists(UNICODE_PIECES, max_size=12), stop_words=STOP_SETS)
+    def test_unicode_text(self, pieces, stop_words):
+        self.check("".join(pieces), stop_words)
+
+    def test_non_ascii_text_that_lowercases_to_ascii(self):
+        # KELVIN SIGN lowercases to "k"
+        self.check("\u212a_9 \u212aelvin", frozenset())
 
 
 class TestTermFrequencies:

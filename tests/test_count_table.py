@@ -3,7 +3,8 @@
 ``Corpus.table`` holds every document's positive counts as CSR rows over the
 sorted vocabulary. The checks here rebuild each row from the document's own
 ``token_counts``, compare ``subset`` with a corpus built afresh from the
-kept documents, and compare the pooled integers with ``total_counts``.
+kept documents, compare the pooled integers with ``total_counts``, and
+rank a subset's rows in place against the subset itself.
 Corpora include zero counts, non-ASCII terms, empty documents and ids that
 are not in sorted order.
 """
@@ -66,6 +67,21 @@ def assert_same_corpus(sub: Corpus, fresh: Corpus) -> None:
         assert sub.get(doc.id) is doc and sub.position(doc.id) == i and doc.id in sub
 
 
+def assert_row_rankings_match_subset(corpus: Corpus, sub: Corpus) -> None:
+    """Pooling and ranking the subset's rows of ``corpus`` in place give the
+    subset's own totals and ranking, notes included."""
+    rows = [corpus.position(doc.id) for doc in sub]
+    pooled = corpus.table.pooled(rows)
+    held = {corpus.table.terms[j]: c for j, c in enumerate(pooled.tolist()) if c}
+    assert held == sub.total_counts()
+    if len(sub) >= 2:
+        in_place: list[str] = []
+        fresh: list[str] = []
+        ranked = rank_documents(corpus, top_k=len(sub), notes=in_place, rows=rows)
+        assert ranked == rank_documents(sub, top_k=len(sub), notes=fresh)
+        assert in_place == fresh
+
+
 @settings(max_examples=300)
 @given(corpus=corpora(), data=st.data())
 def test_table_matches_documents_and_subsets_match_fresh_corpora(corpus, data):
@@ -83,6 +99,7 @@ def test_table_matches_documents_and_subsets_match_fresh_corpora(corpus, data):
         sub = current.subset(chosen)
         assert_same_corpus(sub, Corpus(documents=kept, stop_words=current.stop_words))
         assert_rows_match_documents(sub)
+        assert_row_rankings_match_subset(current, sub)
         current, ids = sub, [doc.id for doc in kept]
 
     if len(corpus) >= 2:  # no numpy warning on empty rows or overlaps

@@ -179,6 +179,23 @@ def test_duplicates_with_k_equal_to_n_take_the_exact_path(monkeypatch):
     assert decided  # seeding ran out of distinct points, so centroids tie
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_seeding_takes_a_distance_pass_only_while_a_centroid_is_left_to_draw(monkeypatch, k):
+    passes = []
+    squared_distances = intelligence._squared_distances
+
+    def counting(rows, centroids, labels):
+        passes.append(len(centroids))
+        return squared_distances(rows, centroids, labels)
+
+    monkeypatch.setattr(intelligence, "_squared_distances", counting)
+    docs = [make_doc(f"d{i}", {"a": 1 + i, "b": 6 - i, "c": 1 + i % 2}) for i in range(6)]
+    _, rows = unit_term_rows(docs, ["a", "b", "c"])
+    centroids = intelligence._seed_centroids(rows, k, np.random.default_rng(5))
+    assert passes == [1] * (k - 1)
+    assert centroids.shape == (k, 3)
+
+
 def test_wide_corpus_across_row_blocks_equals_dense_oracle():
     # 9,000 columns: reductions longer than numpy's 8,192-element buffer
     rng = np.random.default_rng(11)

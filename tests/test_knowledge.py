@@ -230,6 +230,11 @@ class TestRankDocuments:
         two = make_corpus({"d1": {"a": 1, "b": 1, "c": 1}, "d2": {"a": 1, "b": 1, "c": 1}})
         with pytest.raises(ValueError, match="top_k"):
             rank_documents(two, top_k=0)
+        with pytest.raises(ValueError, match="at least 2"):
+            rank_documents(two, top_k=5, rows=[1])
+        for rows in ([1, 0], [0, 0, 1], [0, 2], [-1, 0]):
+            with pytest.raises(ValueError, match="distinct table rows in increasing order"):
+                rank_documents(two, top_k=5, rows=rows)
 
 
 class TestJustification:

@@ -185,18 +185,34 @@ def test_belief_evidence_matches_oracle(table, top_k):
 
 class TestPoolsOnce:
     """A ranking pools the corpus's count table once, whatever the number of
-    documents, and nothing but fig4 pools the string-keyed counts."""
+    documents, and nothing but fig4 pools the string-keyed counts. Cluster
+    rankings read the rows of the corpus they are given: aggregation builds
+    a subset only for the next round."""
 
     def _count_calls(self, monkeypatch) -> Counter[str]:
         calls: Counter[str] = Counter()
         pooled = CountTable.pooled
+        subset = Corpus.subset
         total_counts = Corpus.total_counts
         leave_one_out_counts = Corpus.leave_one_out_counts
         ranker = intelligence.rank_documents
+        cluster_rankings = intelligence._cluster_rankings
 
-        def counted_pooled(self):
+        def counted_pooled(self, rows=None):
             calls["pooled"] += 1
-            return pooled(self)
+            return pooled(self, rows)
+
+        def counted_subset(self, doc_ids):
+            calls["subset"] += 1
+            calls["subset_in_cluster_rankings"] += calls["inside_cluster_rankings"]
+            return subset(self, doc_ids)
+
+        def counted_cluster_rankings(*args, **kwargs):
+            calls["inside_cluster_rankings"] += 1
+            try:
+                return cluster_rankings(*args, **kwargs)
+            finally:
+                calls["inside_cluster_rankings"] -= 1
 
         def counted_total_counts(self):
             calls["total_counts"] += 1
@@ -206,11 +222,13 @@ class TestPoolsOnce:
             calls["leave_one_out_counts"] += 1
             return leave_one_out_counts(self, doc_id)
 
-        def counted_rank_documents(corpus, top_k, notes=None):
+        def counted_rank_documents(corpus, top_k, notes=None, *, rows=None):
             calls["rankings"] += 1
-            return ranker(corpus, top_k, notes)
+            return ranker(corpus, top_k, notes, rows=rows)
 
         monkeypatch.setattr(CountTable, "pooled", counted_pooled)
+        monkeypatch.setattr(Corpus, "subset", counted_subset)
+        monkeypatch.setattr(intelligence, "_cluster_rankings", counted_cluster_rankings)
         monkeypatch.setattr(Corpus, "total_counts", counted_total_counts)
         monkeypatch.setattr(Corpus, "leave_one_out_counts", counted_leave_one_out_counts)
         monkeypatch.setattr(intelligence, "rank_documents", counted_rank_documents)
@@ -227,11 +245,14 @@ class TestPoolsOnce:
     def test_aggregate_corpus(self, monkeypatch):
         corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
         calls = self._count_calls(monkeypatch)
-        aggregate_corpus(corpus, k=3, rounds=2, per_cluster=4, seed=1)
+        result = aggregate_corpus(corpus, k=3, rounds=2, per_cluster=4, seed=1)
+        assert len(result.rounds) == 2
         assert calls["rankings"] >= 4
         assert calls["leave_one_out_counts"] == 0
         assert calls["total_counts"] == 0
         assert calls["pooled"] == calls["rankings"]
+        assert calls["subset"] == len(result.rounds)
+        assert calls["subset_in_cluster_rankings"] == 0
 
     def test_belief_section(self, monkeypatch):
         corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
