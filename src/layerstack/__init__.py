@@ -24,7 +24,6 @@ from .corpus import (
     frequency_scatter,
     ingest_corpus,
     load_stop_words,
-    tokenize,
     top_k_terms,
 )
 from .infotheory import (
@@ -124,7 +123,6 @@ __all__ = [
     "run_pipeline",
     "shannon_entropy",
     "synthetic_corpus",
-    "tokenize",
     "top_k_terms",
     "vacuous_mass",
     "write_corpus",

@@ -63,16 +63,11 @@ def _words(text: str) -> list[str]:
     return _WORD_RE.findall(lowered)
 
 
-def tokenize(text: str, stop_words: frozenset[str] = ENGLISH_STOP_WORDS) -> list[str]:
-    """Split ``text`` into terms: lowercase, alphanumeric runs only, purely
-    numeric tokens and stop words removed, original order preserved."""
-    return [tok for tok in _words(text) if not tok.isdigit() and tok not in stop_words]
-
-
 def count_terms(text: str, stop_words: frozenset[str] = ENGLISH_STOP_WORDS) -> dict[str, int]:
-    """The count of each term :func:`tokenize` finds in ``text``, keyed in
-    order of first occurrence. Numeric words and stop words are dropped
-    from the distinct words once they are counted."""
+    """The count of each term of ``text``: each word :func:`_words` finds
+    that is neither purely numeric nor a stop word, keyed in order of first
+    occurrence. Numeric words and stop words are dropped from the distinct
+    words once they are counted."""
     counts = Counter(_words(text))
     for word in [w for w in counts if w.isdigit() or w in stop_words]:
         del counts[word]

@@ -2,6 +2,10 @@
 discrete entropic-gain score for candidate additions, and the
 cluster-and-reselect aggregation loop.
 
+The k-means rows are the corpus count table's own CSR arrays, its term ids
+and row pointers, with each count replaced by a float weight: the term's
+proportion in its document, scaled so the row has unit length.
+
 Aggregation repeatedly clusters the corpus, keeps the most correlated
 documents from each cluster, and re-ranks the survivors. Every stochastic
 step is driven by a caller-supplied seed, so identical inputs give
@@ -17,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .corpus import Corpus, CountTable, Document
+from .corpus import Corpus, Document
 from .infotheory import count_entropy
 from .knowledge import CorrelationResult, rank_documents
 
@@ -51,55 +55,32 @@ class TermRows:
         return out
 
 
-def unit_term_rows(
-    docs: Corpus | Sequence[Document], vocabulary: Sequence[str]
-) -> tuple[tuple[str, ...], TermRows]:
-    """One row per document: its term proportions laid out over
-    ``vocabulary`` (terms outside it are dropped), scaled to unit L2 length.
-    A document sharing no term with the vocabulary gets no row, so it is
-    absent from the returned ids. Returns the ids of the rows and the rows.
+def unit_term_rows(corpus: Corpus) -> tuple[tuple[str, ...], TermRows]:
+    """One row per document with a nonempty table row: its term proportions
+    over the corpus's sorted vocabulary, scaled to unit L2 length. A
+    document with no positive count gets no row, so it is absent from the
+    returned ids. Returns the ids of the rows and the rows.
 
-    The counts come from the corpus's :class:`CountTable`, or from one built
-    here for a plain sequence of documents."""
-    if isinstance(docs, Corpus):
-        documents, table = docs.documents, docs.table
-    else:
-        documents = tuple(docs)
-        table = CountTable.build(documents)
-    column = {term: j for j, term in enumerate(vocabulary)}
-    at = np.fromiter((column.get(t, -1) for t in table.terms), np.intp, len(table.terms))
-    columns = at[table.term_ids]
+    The rows are ``corpus.table``'s own: its term ids are the columns and
+    its row pointers, less the empty rows, the row pointers."""
+    table = corpus.table
+    lengths = np.diff(table.indptr)
+    kept = np.flatnonzero(lengths)
+    totals = np.fromiter((doc.total_tokens for doc in corpus), np.int64, len(corpus))
+    # IEEE division of exactly held integers: the same floats as Python's
+    data = table.counts / np.repeat(totals, lengths)
+    indptr = table.indptr[np.concatenate(([0], kept + 1))]
     # the norm is taken over the dense layout, one reused row at a time: BLAS
     # sums the squares in lanes set by column position, so the norm of the
     # nonzeros alone often differs in the last bit
-    scratch = np.zeros(len(vocabulary))
-    ids: list[str] = []
-    lengths, indices, data = [0], [], []
-    for i, doc in enumerate(documents):
-        lo, hi = table.indptr[i], table.indptr[i + 1]
-        cols, counts = columns[lo:hi], table.counts[lo:hi]
-        inside = cols >= 0
-        cols, counts = cols[inside], counts[inside]
-        if not cols.size:
-            continue
-        order = np.argsort(cols)
-        cols = cols[order]
-        # IEEE division of exactly held integers: the same floats as Python's
-        values = counts[order] / doc.total_tokens
-        scratch[cols] = values
-        norm = float(np.linalg.norm(scratch))
+    scratch = np.zeros(len(table.terms))
+    for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        cols = table.term_ids[lo:hi]
+        scratch[cols] = data[lo:hi]
+        data[lo:hi] /= float(np.linalg.norm(scratch))
         scratch[cols] = 0.0
-        ids.append(doc.id)
-        lengths.append(len(cols))
-        indices.append(cols)
-        data.append(values / norm)
-    rows = TermRows(
-        indptr=np.cumsum(lengths, dtype=np.intp),
-        indices=np.concatenate([np.empty(0, np.intp), *indices]),
-        data=np.concatenate([np.empty(0), *data]),
-        n_columns=len(vocabulary),
-    )
-    return tuple(ids), rows
+    ids = tuple(corpus.documents[i].id for i in kept.tolist())
+    return ids, TermRows(indptr, table.term_ids, data, n_columns=len(table.terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,7 +371,7 @@ def aggregate_corpus(
     for index in range(rounds):
         if len(current) < 2:
             break
-        ids, rows = unit_term_rows(current, current.table.terms)
+        ids, rows = unit_term_rows(current)
         kept = set(ids)
         notes.extend(
             f"AggregationWarning: excluding {doc.id!r}: orthogonal document: "

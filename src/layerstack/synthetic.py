@@ -10,6 +10,7 @@ seed.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -100,7 +101,13 @@ def write_corpus(
 ) -> Path:
     """Write one ``<doc_id>.txt`` per document; with ``manifest=True`` also
     write ``manifest.jsonl`` preserving titles. Returns the ingestion source
-    path (the manifest if written, else the directory)."""
+    path (the manifest if written, else the directory).
+
+    Raises ValueError, and writes nothing, if an id holds a path separator:
+    its file would land outside ``directory``."""
+    for doc in corpus:
+        if "/" in doc.id or os.sep in doc.id:
+            raise ValueError(f"document id {doc.id!r} holds a path separator")
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     records = []

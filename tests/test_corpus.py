@@ -16,10 +16,9 @@ from layerstack import (
     frequency_scatter,
     ingest_corpus,
     load_stop_words,
-    tokenize,
     top_k_terms,
 )
-from layerstack.corpus import resolve_sources
+from layerstack.corpus import count_terms, resolve_sources
 from layerstack.pipeline import write_fig4
 from layerstack.stopwords import ENGLISH_STOP_WORDS
 
@@ -27,34 +26,38 @@ from helpers import make_corpus, make_doc
 
 
 class TestTokenize:
+    """The tokenization rule, through count_terms."""
+
     def test_lowercase_and_split(self):
-        assert tokenize("AI, ai Ai!") == ["ai", "ai", "ai"]
+        assert count_terms("AI, ai Ai!") == {"ai": 3}
 
     def test_numeric_and_stop_words_dropped(self):
-        assert tokenize("model 2023 the") == ["model"]
+        assert count_terms("model 2023 the") == {"model": 1}
 
     def test_empty(self):
-        assert tokenize("") == []
+        assert count_terms("") == {}
 
     def test_underscore_splits(self):
-        assert tokenize("foo_bar") == ["foo", "bar"]
+        assert count_terms("foo_bar") == {"foo": 1, "bar": 1}
 
     def test_mixed_alphanumeric_kept(self):
-        assert tokenize("word2vec 42") == ["word2vec"]
+        assert count_terms("word2vec 42") == {"word2vec": 1}
 
     def test_unicode_letters_kept(self):
-        assert tokenize("naïve Bayes café") == ["naïve", "bayes", "café"]
+        assert count_terms("naïve Bayes café") == {"naïve": 1, "bayes": 1, "café": 1}
 
     def test_order_preserved(self):
-        assert tokenize("zebra apple zebra") == ["zebra", "apple", "zebra"]
+        # keys in order of first occurrence
+        assert list(count_terms("zebra apple zebra").items()) == [("zebra", 2), ("apple", 1)]
 
     def test_idempotent_over_own_output(self):
         text = "Signal-to-noise ratios; 42 models, the AI's edge!"
-        once = tokenize(text)
-        assert tokenize(" ".join(once)) == once
+        once = count_terms(text)
+        words = " ".join(term for term, count in once.items() for _ in range(count))
+        assert list(count_terms(words).items()) == list(once.items())
 
     def test_custom_stop_words(self):
-        assert tokenize("signal noise the", frozenset({"signal"})) == ["noise", "the"]
+        assert count_terms("signal noise the", frozenset({"signal"})) == {"noise": 1, "the": 1}
 
 
 def oracle_tokens(text: str, stop_words: frozenset[str]) -> list[str]:
@@ -80,16 +83,16 @@ STOP_SETS = st.sampled_from([ENGLISH_STOP_WORDS, frozenset(), frozenset({"ai", "
 
 
 class TestSplitterOracle:
-    """tokenize and Document.from_text against the regex rule, on text that
-    takes the ASCII split and on text that takes the regex."""
+    """count_terms and Document.from_text against the regex rule, on text
+    that takes the ASCII split and on text that takes the regex."""
 
     @staticmethod
     def check(text: str, stop_words: frozenset[str]) -> None:
-        expected = oracle_tokens(text, stop_words)
-        assert tokenize(text, stop_words) == expected
+        expected = list(Counter(oracle_tokens(text, stop_words)).items())
+        assert list(count_terms(text, stop_words).items()) == expected
         doc = Document.from_text("d", "d", text, stop_words)
-        assert list(doc.token_counts.items()) == list(Counter(expected).items())
-        assert doc.total_tokens == len(expected)
+        assert list(doc.token_counts.items()) == expected
+        assert doc.total_tokens == sum(count for _, count in expected)
 
     @settings(max_examples=300)
     @given(pieces=st.lists(ASCII_PIECES, max_size=12), stop_words=STOP_SETS)
@@ -397,4 +400,4 @@ def test_load_stop_words_folds_case_and_blanks(tmp_path):
 
 def test_default_config_blocks_common_words():
     assert "the" in ENGLISH_STOP_WORDS
-    assert tokenize("the model of the year") == ["model", "year"]
+    assert count_terms("the model of the year") == {"model": 1, "year": 1}

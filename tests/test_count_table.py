@@ -2,9 +2,10 @@
 
 ``Corpus.table`` holds every document's positive counts as CSR rows over the
 sorted vocabulary. The checks here rebuild each row from the document's own
-``token_counts``, compare ``subset`` with a corpus built afresh from the
-kept documents, compare the pooled integers with ``total_counts``, and
-rank a subset's rows in place against the subset itself.
+``token_counts``, compare ``subset`` and its k-means rows with a corpus
+built afresh from the kept documents, compare the pooled integers with
+``total_counts``, and rank a subset's rows in place against the subset
+itself.
 Corpora include zero counts, non-ASCII terms, empty documents and ids that
 are not in sorted order.
 """
@@ -67,6 +68,18 @@ def assert_same_corpus(sub: Corpus, fresh: Corpus) -> None:
         assert sub.get(doc.id) is doc and sub.position(doc.id) == i and doc.id in sub
 
 
+def assert_same_unit_rows(sub: Corpus, fresh: Corpus) -> None:
+    """The k-means rows of a subset's compacted table are those of a fresh
+    corpus, exactly."""
+    (sub_ids, sub_rows), (fresh_ids, fresh_rows) = unit_term_rows(sub), unit_term_rows(fresh)
+    assert sub_ids == fresh_ids
+    assert sub_rows.n_columns == fresh_rows.n_columns
+    for name in ("indptr", "indices", "data"):
+        left, right = getattr(sub_rows, name), getattr(fresh_rows, name)
+        assert left.dtype == right.dtype
+        assert np.array_equal(left, right), name
+
+
 def assert_row_rankings_match_subset(corpus: Corpus, sub: Corpus) -> None:
     """Pooling and ranking the subset's rows of ``corpus`` in place give the
     subset's own totals and ranking, notes included."""
@@ -97,18 +110,15 @@ def test_table_matches_documents_and_subsets_match_fresh_corpora(corpus, data):
         chosen = data.draw(st.lists(st.sampled_from(ids), max_size=8)) if ids else []
         kept = tuple(doc for doc in current if doc.id in set(chosen))
         sub = current.subset(chosen)
-        assert_same_corpus(sub, Corpus(documents=kept, stop_words=current.stop_words))
+        fresh = Corpus(documents=kept, stop_words=current.stop_words)
+        assert_same_corpus(sub, fresh)
+        assert_same_unit_rows(sub, fresh)
         assert_rows_match_documents(sub)
         assert_row_rankings_match_subset(current, sub)
         current, ids = sub, [doc.id for doc in kept]
 
     if len(corpus) >= 2:  # no numpy warning on empty rows or overlaps
         rank_documents(corpus, top_k=len(corpus), notes=[])
-    from_table = unit_term_rows(corpus, corpus.table.terms)
-    from_documents = unit_term_rows(list(corpus), sorted(corpus.vocabulary))
-    assert from_table[0] == from_documents[0]
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(from_table[1], name), getattr(from_documents[1], name))
 
 
 def test_empty_corpus_has_an_empty_table():

@@ -22,52 +22,48 @@ class TestDocVector:
     """Document rows built by unit_term_rows, the input of kmeans."""
 
     @staticmethod
-    def dense_row(doc, vocabulary):
-        ids, rows = unit_term_rows([doc], vocabulary)
-        assert ids == (doc.id,)
+    def dense_row(docs):
+        """The dense row of the first document of ``docs``, over the sorted
+        terms of them all."""
+        ids, rows = unit_term_rows(make_corpus(docs))
+        assert ids[0] == next(iter(docs))
         return rows.row(0)
 
     def test_single_term(self):
-        assert self.dense_row(make_doc("d", {"a": 1}), ("a", "b")).tolist() == [1.0, 0.0]
+        assert self.dense_row({"d": {"a": 1}, "e": {"b": 1}}).tolist() == [1.0, 0.0]
 
     def test_two_equal_terms(self):
-        row = self.dense_row(make_doc("d", {"a": 1, "b": 1}), ("a", "b"))
+        row = self.dense_row({"d": {"a": 1, "b": 1}})
         assert np.allclose(row, [1 / math.sqrt(2)] * 2, atol=1e-12)
 
     def test_orthogonal_document_rejected(self):
         # the ids show who was left out; aggregate_corpus notes each of them
-        docs = [make_doc("c", {"c": 5}), make_doc("d", {"a": 1}), make_doc("e", {})]
-        ids, rows = unit_term_rows(docs, ("a", "b"))
-        assert ids == ("d",)
-        assert rows.shape == (1, 2)
+        corpus = make_corpus({"c": {"c": 5}, "z": {"a": 0}, "d": {"a": 1}, "e": {}})
+        ids, rows = unit_term_rows(corpus)
+        assert ids == ("c", "d")
+        assert rows.shape == (2, 2)
 
     def test_unit_norm_and_prescaling_norm(self):
-        row = self.dense_row(make_doc("d", {"a": 3, "b": 1}), ("a", "b", "c"))
+        row = self.dense_row({"d": {"a": 3, "b": 1}, "e": {"c": 1}})
         assert math.isclose(float(np.linalg.norm(row)), 1.0, abs_tol=1e-12)
         prescaling = math.sqrt(0.75**2 + 0.25**2)
         assert np.allclose(row * prescaling, [0.75, 0.25, 0.0], atol=1e-12)
-
-    def test_empty_vocabulary_excludes_every_document(self):
-        ids, rows = unit_term_rows([make_doc("d", {"a": 1})], ())
-        assert ids == ()
-        assert rows.shape == (0, 0)
 
 
 def blob_rows(count=8):
     """Two tight 4-row blobs over disjoint term pairs, the first ``count``
     rows of them."""
-    vocab = ("a", "b", "x", "y")
-    docs = [
-        make_doc("a1", {"a": 9, "b": 1}),
-        make_doc("a2", {"a": 8, "b": 2}),
-        make_doc("a3", {"a": 7, "b": 2}),
-        make_doc("a4", {"a": 9, "b": 2}),
-        make_doc("x1", {"x": 9, "y": 1}),
-        make_doc("x2", {"x": 8, "y": 2}),
-        make_doc("x3", {"x": 7, "y": 2}),
-        make_doc("x4", {"x": 9, "y": 2}),
-    ]
-    return unit_term_rows(docs[:count], vocab)
+    docs = {
+        "a1": {"a": 9, "b": 1},
+        "a2": {"a": 8, "b": 2},
+        "a3": {"a": 7, "b": 2},
+        "a4": {"a": 9, "b": 2},
+        "x1": {"x": 9, "y": 1},
+        "x2": {"x": 8, "y": 2},
+        "x3": {"x": 7, "y": 2},
+        "x4": {"x": 9, "y": 2},
+    }
+    return unit_term_rows(make_corpus(dict(list(docs.items())[:count])))
 
 
 class TestKmeans:
@@ -91,8 +87,8 @@ class TestKmeans:
             ]
 
     def test_identical_vectors_collapse(self):
-        docs = [make_doc(f"d{i}", {"a": 2, "b": 2}) for i in range(4)]
-        clustering = kmeans(*unit_term_rows(docs, ("a", "b")), k=2, seed=1)
+        corpus = make_corpus({f"d{i}": {"a": 2, "b": 2} for i in range(4)})
+        clustering = kmeans(*unit_term_rows(corpus), k=2, seed=1)
         assert clustering.inertia == 0.0
         non_empty = {c for c in clustering.assignments.values()}
         assert len(non_empty) >= 1  # a fully empty second cluster is legal

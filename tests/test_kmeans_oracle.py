@@ -1,10 +1,11 @@
 """Sparse k-means against the dense N x k x V implementation it replaced.
 
 The oracle below is that implementation, kept verbatim apart from its
-input: dense unit rows laid out over the vocabulary, stacked into an N x V
-array, and a distance tensor broadcast to N x k x V on every pass. The
-sparse path must give the same assignments, inertia trace and centroids,
-bit for bit, and must not come near the tensor's memory.
+input: dense unit rows laid out over the corpus's sorted vocabulary,
+stacked into an N x V array, and a distance tensor broadcast to N x k x V
+on every pass. The sparse path must give the same assignments, inertia
+trace and centroids, bit for bit, and must not come near the tensor's
+memory.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from layerstack import intelligence
 from layerstack.intelligence import kmeans, unit_term_rows
 
-from helpers import dense, make_doc
+from helpers import dense, make_corpus
 
 
 def dense_rows(docs, vocabulary):
@@ -77,9 +78,9 @@ def dense_kmeans(points, k, seed):
     return assign, tuple(history), centroids
 
 
-def assert_matches_oracle(docs, vocabulary, k, seed):
-    ids, rows = unit_term_rows(docs, vocabulary)
-    points = dense_rows(docs, vocabulary)
+def assert_matches_oracle(corpus, k, seed):
+    ids, rows = unit_term_rows(corpus)
+    points = dense_rows(corpus, corpus.table.terms)
     assert np.array_equal(dense(rows), points)
     clustering = kmeans(ids, rows, k, seed)
     labels, history, centroids = dense_kmeans(points, k, seed)
@@ -90,8 +91,8 @@ def assert_matches_oracle(docs, vocabulary, k, seed):
 
 @st.composite
 def count_tables(draw, max_v=8):
-    """(docs, vocabulary, k, seed): a few distinct documents over at most
-    ``max_v`` terms, some of them single-term, then duplicated so that rows
+    """(corpus, k, seed): a few distinct documents over at most ``max_v``
+    terms, some of them single-term, then duplicated so that rows
     and centroids tie exactly."""
     v = draw(st.integers(1, min(8, max_v)))
     vocabulary = [f"t{j}" for j in range(v)]
@@ -102,10 +103,9 @@ def count_tables(draw, max_v=8):
     bases = draw(st.lists(st.one_of(single, mixed), min_size=1, max_size=6))
     copies = draw(st.lists(st.integers(0, len(bases) - 1), max_size=6))
     tables = bases + [bases[i] for i in copies]
-    docs = [make_doc(f"d{i:02d}", counts) for i, counts in enumerate(tables)]
-    k = draw(st.integers(1, len(docs)))
+    k = draw(st.integers(1, len(tables)))
     seed = draw(st.integers(0, 2**16))
-    return docs, vocabulary, k, seed
+    return make_corpus({f"d{i:02d}": counts for i, counts in enumerate(tables)}), k, seed
 
 
 @pytest.mark.parametrize("block_floats", [1, 5, 2**18])
@@ -119,21 +119,19 @@ def test_sparse_kmeans_equals_dense_oracle(block_floats, data):
 
 @st.composite
 def row_inputs(draw):
-    """(docs, vocabulary): a shuffled vocabulary, and documents that may hold
-    terms outside it, no term of it, or only zero counts."""
-    v = draw(st.integers(1, 8))
-    vocabulary = draw(st.permutations([f"t{j}" for j in range(v)]))
-    terms = st.sampled_from(vocabulary + ["x0", "x1"])
+    """A corpus of documents that may hold no term or only zero counts."""
+    terms = st.sampled_from([f"t{j}" for j in range(draw(st.integers(1, 8)))])
     tables = draw(st.lists(st.dictionaries(terms, st.integers(0, 4), min_size=1), max_size=6))
-    docs = [make_doc(f"d{i}", counts) for i, counts in enumerate(tables)]
-    return docs, vocabulary
+    return make_corpus({f"d{i}": counts for i, counts in enumerate(tables)})
 
 
-def assert_rows_are_well_formed(docs, vocabulary):
-    kept = [d for d in docs if any(d.token_counts.get(t, 0) > 0 for t in vocabulary)]
-    ids, rows = unit_term_rows(docs, vocabulary)
+def assert_rows_are_well_formed(corpus):
+    vocabulary = corpus.table.terms
+    kept = [d for d in corpus if d.total_tokens > 0]
+    ids, rows = unit_term_rows(corpus)
     assert ids == tuple(d.id for d in kept)
     assert rows.shape == (len(kept), len(vocabulary))
+    assert rows.indices is corpus.table.term_ids
     assert rows.indptr.dtype == np.intp and rows.indices.dtype == np.intp
     assert rows.data.dtype == np.float64
     for lo, hi in zip(rows.indptr[:-1], rows.indptr[1:]):
@@ -143,26 +141,9 @@ def assert_rows_are_well_formed(docs, vocabulary):
 
 
 @settings(max_examples=200)
-@given(inputs=row_inputs())
-def test_unit_term_rows_equal_dense_rows(inputs):
-    assert_rows_are_well_formed(*inputs)
-
-
-def test_unit_term_rows_over_a_shuffled_vocabulary():
-    vocabulary = ["t3", "t0", "t2", "t1"]
-    docs = [make_doc("d0", {"t1": 2, "t0": 1, "x": 5}), make_doc("d1", {"t2": 3, "t3": 1})]
-    assert_rows_are_well_formed(docs, vocabulary)
-    _, rows = unit_term_rows(docs, vocabulary)
-    assert rows.indices.tolist() == [1, 3, 0, 2]
-
-
-def test_a_vocabulary_that_excludes_every_document_gives_no_rows():
-    docs = [make_doc("d0", {"x": 2}), make_doc("d1", {"y": 1, "z": 3})]
-    ids, rows = unit_term_rows(docs, ["a", "b", "c"])
-    assert ids == ()
-    assert rows.shape == (0, 3)
-    assert rows.indptr.tolist() == [0]
-    assert rows.indices.dtype == np.intp and rows.data.dtype == np.float64
+@given(corpus=row_inputs())
+def test_unit_term_rows_equal_dense_rows(corpus):
+    assert_rows_are_well_formed(corpus)
 
 
 def test_duplicates_with_k_equal_to_n_take_the_exact_path(monkeypatch):
@@ -174,8 +155,8 @@ def test_duplicates_with_k_equal_to_n_take_the_exact_path(monkeypatch):
         return exact(row, centroids)
 
     monkeypatch.setattr(intelligence, "_nearest_exactly", counting)
-    docs = [make_doc(f"d{i}", {"a": 1 + i % 2, "b": 1}) for i in range(6)]
-    assert_matches_oracle(docs, ["a", "b"], 6, 3)
+    corpus = make_corpus({f"d{i}": {"a": 1 + i % 2, "b": 1} for i in range(6)})
+    assert_matches_oracle(corpus, 6, 3)
     assert decided  # seeding ran out of distinct points, so centroids tie
 
 
@@ -189,42 +170,46 @@ def test_seeding_takes_a_distance_pass_only_while_a_centroid_is_left_to_draw(mon
         return squared_distances(rows, centroids, labels)
 
     monkeypatch.setattr(intelligence, "_squared_distances", counting)
-    docs = [make_doc(f"d{i}", {"a": 1 + i, "b": 6 - i, "c": 1 + i % 2}) for i in range(6)]
-    _, rows = unit_term_rows(docs, ["a", "b", "c"])
+    corpus = make_corpus({f"d{i}": {"a": 1 + i, "b": 6 - i, "c": 1 + i % 2} for i in range(6)})
+    _, rows = unit_term_rows(corpus)
     centroids = intelligence._seed_centroids(rows, k, np.random.default_rng(5))
     assert passes == [1] * (k - 1)
     assert centroids.shape == (k, 3)
 
 
 def test_wide_corpus_across_row_blocks_equals_dense_oracle():
-    # 9,000 columns: reductions longer than numpy's 8,192-element buffer
+    # nearly all of 9,000 terms occur, and the columns are the terms that
+    # do: reductions longer than numpy's 8,192-element buffer
     rng = np.random.default_rng(11)
     vocabulary = [f"t{j:04d}" for j in range(9000)]
-    docs = []
+    docs = {}
     for i in range(60):
         topic = (i % 3) * 3000
-        cols = topic + rng.choice(3000, size=int(rng.integers(40, 400)), replace=False)
-        docs.append(make_doc(f"d{i:02d}", {vocabulary[j]: int(rng.integers(1, 6)) for j in cols}))
-    assert_matches_oracle(docs, vocabulary, 3, 0)
+        cols = topic + rng.choice(3000, size=int(rng.integers(400, 1500)), replace=False)
+        docs[f"d{i:02d}"] = {vocabulary[j]: int(rng.integers(1, 6)) for j in cols}
+    corpus = make_corpus(docs)
+    assert len(corpus.table.terms) > 8192
+    assert_matches_oracle(corpus, 3, 0)
 
 
 def test_peak_memory_is_far_below_the_distance_tensor():
     n, v, k = 400, 5000, 8
     rng = np.random.default_rng(0)
     vocabulary = [f"t{j:04d}" for j in range(v)]
-    docs = []
+    docs = {}
     for i in range(n):
         cols = rng.choice(v, size=int(rng.integers(50, 300)), replace=False)
-        docs.append(make_doc(f"d{i:03d}", {vocabulary[j]: int(rng.integers(1, 6)) for j in cols}))
+        docs[f"d{i:03d}"] = {vocabulary[j]: int(rng.integers(1, 6)) for j in cols}
+    corpus = make_corpus(docs)
     tensor_bytes = n * k * v * 8  # 128 MB
     tracemalloc.start()
     try:
-        ids, rows = unit_term_rows(docs, vocabulary)
+        ids, rows = unit_term_rows(corpus)
         clustering = kmeans(ids, rows, k, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(clustering.assignments) == n
+    assert len(clustering.assignments) == n and rows.n_columns == v
     assert peak < tensor_bytes / 4
     assert peak < n * v * 8 / 2  # nor dense in N x V
     labels = np.array([clustering.assignments[i] for i in ids])

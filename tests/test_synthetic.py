@@ -1,9 +1,11 @@
 import json
 import math
+import re
 
 import pytest
 
 from layerstack import (
+    Corpus,
     Document,
     ingest_corpus,
     synthetic_corpus,
@@ -106,3 +108,16 @@ class TestRoundTrips:
             loaded = again.get(doc.id)
             assert loaded.title == doc.title
             assert loaded.token_counts == dict(doc.token_counts)
+
+    @pytest.mark.parametrize("bad_id", ["../escaped", "sub/doc", "/abs"])
+    def test_write_corpus_rejects_an_id_with_a_path_separator(self, tmp_path, bad_id):
+        # the good id comes first: nothing may be written before every id is checked
+        corpus = Corpus(
+            documents=(
+                Document.from_text("ok", "ok", "alpha beta"),
+                Document.from_text(bad_id, "t", "gamma"),
+            )
+        )
+        with pytest.raises(ValueError, match=re.escape(repr(bad_id))):
+            write_corpus(corpus, tmp_path / "out", manifest=True)
+        assert list(tmp_path.rglob("*")) == []
