@@ -5,18 +5,17 @@ proportions and those of the leave-one-out aggregate (every other document
 pooled), computed over the terms both sides share. Significance comes from
 the two-sided Student t test on r, evaluated in this module.
 
-A ranking pools the corpus's integer count table once, by term id: each
-leave-one-out count is the pooled total minus the document's own count, read
-from the document's table row. Scoring every document so costs work linear
-in the (document, term) pairs, with no string lookup and no re-pool per
-document.
+One scorer serves ``rank_documents`` and ``correlate_document``. It reads
+the corpus's integer count table pooled once, by term id: each leave-one-out
+count is the pooled total minus the document's own count, from its table row.
+So only the corpus's own documents are scored, at work linear in the
+(document, term) pairs, with no string lookup and no re-pool per document.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
@@ -197,10 +196,6 @@ def correlation_p_value(r: float, n: int) -> float:
     return 1.0 - front * _beta_fraction(0.5, a, y) / 0.5
 
 
-def _log10s(proportions: list[float]) -> list[float]:
-    return [math.log10(p) for p in proportions]
-
-
 def _log_proportion_profiles(
     corpus: Corpus, totals: np.ndarray, grand: int, row: int
 ) -> tuple[np.ndarray, list[float], list[float]]:
@@ -214,11 +209,15 @@ def _log_proportion_profiles(
     ids, counts = corpus.table.row(row)
     total = corpus.documents[row].total_tokens
     shared, dps, rps = shared_proportions(counts, total, totals[ids] - counts, grand - total)
-    return ids[shared], _log10s(dps), _log10s(rps)
+    return ids[shared], [math.log10(p) for p in dps], [math.log10(p) for p in rps]
 
 
-def _correlate(doc_id: str, n: int, xs: list[float], ys: list[float]) -> CorrelationResult:
-    """The result for ``n`` shared terms with log proportions ``xs``, ``ys``."""
+def _score(corpus: Corpus, totals: np.ndarray, grand: int, row: int) -> CorrelationResult:
+    """The one leave-one-out scorer: table row ``row`` correlated over the
+    terms it shares with the pooled ``totals`` less its own counts."""
+    doc_id = corpus.documents[row].id
+    shared, xs, ys = _log_proportion_profiles(corpus, totals, grand, row)
+    n = len(shared)
     if n < MIN_SHARED_TERMS:
         raise ValueError(f"insufficient overlap: {doc_id!r} shares {n} terms with the rest")
     r = pearson_r(xs, ys)
@@ -226,25 +225,17 @@ def _correlate(doc_id: str, n: int, xs: list[float], ys: list[float]) -> Correla
 
 
 def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
-    """Correlate one document's log-proportion profile against the pooled
-    profile of every other document in the corpus (the corpus's own copy
-    of ``doc.id`` is the one held out)."""
+    """Correlate one of the corpus's own documents against the pooled
+    profile of every other document, by the scorer ``rank_documents`` uses.
+
+    ``doc`` must be the corpus's copy of ``doc.id``: an id not in the corpus,
+    or a document that differs from the corpus's copy, is a ``ValueError``."""
     if doc.id not in corpus:
         raise ValueError(f"document {doc.id!r} not in corpus")
-    table = corpus.table
-    rest = table.pooled()
-    ids, held = table.row(corpus.position(doc.id))
-    rest[ids] -= held
-    # the reference only over doc's own terms, looked up in the sorted terms
-    terms = sorted(doc.token_counts)
-    counts = np.fromiter((doc.token_counts[t] for t in terms), np.int64, len(terms))
-    reference = np.zeros(len(terms), dtype=np.int64)
-    for i, term in enumerate(terms):
-        j = bisect_left(table.terms, term)
-        if j < len(table.terms) and table.terms[j] == term:
-            reference[i] = rest[j]
-    shared, dps, rps = shared_proportions(counts, doc.total_tokens, reference, int(rest.sum()))
-    return _correlate(doc.id, len(shared), _log10s(dps), _log10s(rps))
+    if doc != corpus.get(doc.id):
+        raise ValueError(f"document {doc.id!r} differs from the corpus's copy")
+    totals = corpus.table.pooled()
+    return _score(corpus, totals, int(totals.sum()), corpus.position(doc.id))
 
 
 def rank_documents(
@@ -281,13 +272,11 @@ def rank_documents(
     grand = int(totals.sum())
     results = []
     for row in ranked:
-        doc = corpus.documents[row]
         try:
-            shared, xs, ys = _log_proportion_profiles(corpus, totals, grand, row)
-            results.append(_correlate(doc.id, len(shared), xs, ys))
+            results.append(_score(corpus, totals, grand, row))
         except ValueError as exc:
             if notes is not None:
-                notes.append(f"RankingWarning: excluding {doc.id!r}: {exc}")
+                notes.append(f"RankingWarning: excluding {corpus.documents[row].id!r}: {exc}")
     results.sort(key=lambda res: (-res.r, res.doc_id))
     return results[:top_k]
 

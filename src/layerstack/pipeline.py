@@ -480,9 +480,8 @@ def write_fig4(
 ) -> None:
     """Write fig4 CSV rows for ``docs``: each term's proportion in the
     document versus in the rest of ``corpus``, with the log10 deviation.
-    Empty documents are skipped, as is any document whose leave-one-out
-    reference has no terms, with a ``"PipelineWarning: ..."`` line in
-    ``notes``.
+    An empty document, or one whose leave-one-out reference has no terms, is
+    skipped with a ``"PipelineWarning: ..."`` line in ``notes``.
 
     The bytes are those of ``csv.writer``: floats as ``repr``, ids and terms
     quoted where needed. A document's rows are joined and written at once,
@@ -491,6 +490,7 @@ def write_fig4(
     handle.write("doc_id,term,doc_proportion,reference_proportion,deviation\n")
     for doc in docs:
         if doc.total_tokens == 0:
+            notes.append(f"PipelineWarning: document {doc.id!r} has no terms; skipped in fig4")
             continue
         reference = corpus.leave_one_out_counts(doc.id)
         if not reference:

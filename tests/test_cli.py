@@ -255,6 +255,14 @@ class TestScatter:
         doc_ids = {line.split(",")[0] for line in out.splitlines()[1:]}
         assert doc_ids == {"doc000"}
 
+    def test_empty_doc_is_a_warning(self, tmp_path):
+        (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+        (tmp_path / "full.txt").write_text("signal noise channel\n", encoding="utf-8")
+        code, out, err = run_cli(main, ["scatter", str(tmp_path), "--doc", "empty"])
+        assert code == 0
+        assert out == "doc_id,term,doc_proportion,reference_proportion,deviation\n"
+        assert err == "warning: PipelineWarning: document 'empty' has no terms; skipped in fig4\n"
+
     def test_unknown_doc_is_reported_error(self, corpus_dir):
         code, _, err = run_cli(main, ["scatter", str(corpus_dir), "--doc", "ghost"])
         assert code == 1

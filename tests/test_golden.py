@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from layerstack.cli import main
 from helpers import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 VERBATIM_LIMIT = 64 * 1024
 
 DEGENERATE = {
@@ -89,16 +92,14 @@ def _outputs(case: str, workdir: Path) -> dict[str, bytes]:
     source = write(Path("corpus"))
     code, out, err = run_cli(main, ["run", source.as_posix(), "--out", "out", *extra])
     assert code == 0, err
-    outputs = {"stdout.txt": out.encode(), "stderr.txt": err.encode()}
-    for path in sorted((workdir / "out").iterdir()):
-        outputs[path.name] = path.read_bytes()
-    return outputs
+    return {"stdout.txt": out.encode(), "stderr.txt": err.encode(), **_artifacts(workdir / "out")}
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_run_matches_golden(case, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    actual = _outputs(case, tmp_path)
+def _artifacts(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _assert_matches_golden(case: str, actual: dict[str, bytes]) -> None:
     expected_dir = GOLDEN / case
     expected_names = sorted(p.name.removesuffix(".sha256") for p in expected_dir.iterdir())
     assert sorted(actual) == expected_names
@@ -109,6 +110,31 @@ def test_run_matches_golden(case, tmp_path, monkeypatch):
             assert digest == path.read_text(encoding="ascii").strip(), f"{case}/{name}"
         else:
             assert actual[path.name] == path.read_bytes(), f"{case}/{path.name}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_matches_golden(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _assert_matches_golden(case, _outputs(case, tmp_path))
+
+
+@pytest.mark.parametrize("seed", ["2", "3"])
+@pytest.mark.parametrize("case", ["quoted", "synthetic36"])
+def test_run_output_is_independent_of_the_hash_seed(case, seed, tmp_path):
+    """``python -m layerstack run`` under a string-hash seed the CI jobs do
+    not fix (they use 0 and 1) writes the golden bytes."""
+    write, extra = CASES[case]
+    source = write(tmp_path / "corpus").relative_to(tmp_path)
+    # stdout and stderr as UTF-8, like the golden's in-process capture
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONIOENCODING": "utf-8"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["run", source.as_posix(), "--out", "out", *extra]
+    done = subprocess.run(
+        [sys.executable, "-m", "layerstack", *argv], cwd=tmp_path, env=env, capture_output=True
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    outputs = {"stdout.txt": done.stdout, "stderr.txt": done.stderr}
+    _assert_matches_golden(case, {**outputs, **_artifacts(tmp_path / "out")})
 
 
 def _regenerate() -> None:

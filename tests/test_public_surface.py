@@ -74,3 +74,32 @@ def test_a_name_used_only_in_its_own_definition_is_not_referenced():
     found = references(source)
     assert "used" in found
     assert "lonely" not in found and "VALUE" not in found and "imported" not in found
+
+
+def private_names(source: str) -> set[str]:
+    """The module-level ``_name``s that ``source`` defines, dunders aside."""
+    return {
+        name
+        for statement in ast.parse(source).body
+        for name in defined_names(statement)
+        if name.startswith("_") and not name.startswith("__")
+    }
+
+
+def test_every_private_name_is_referenced_outside_its_definition():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    found = set().union(*map(references, sources))
+    unused = sorted(set().union(*map(private_names, sources)) - found)
+    assert unused == [], f"private names with no caller in src/layerstack: {unused}"
+
+
+def test_a_private_name_used_only_in_its_own_definition_is_unused():
+    source = (
+        "_LIMIT = 3\n"
+        "def _helper(n):\n    return min(n, _LIMIT)\n"
+        "def _leftover(n):\n    return _leftover(n - 1) if n else 0\n"
+        "def api(n):\n    return _helper(n)\n"
+        "__all__ = ['api']\n"
+    )
+    assert private_names(source) == {"_LIMIT", "_helper", "_leftover"}
+    assert private_names(source) - references(source) == {"_leftover"}

@@ -17,9 +17,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from collections import Counter
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from layerstack import (
@@ -129,27 +131,44 @@ def test_rank_documents_matches_oracle(table, data):
 
 @settings(max_examples=200)
 @given(table=count_tables(), data=st.data())
-def test_correlate_document_holds_out_the_corpus_copy(table, data):
+def test_correlate_document_matches_oracle(table, data):
+    corpus = make_corpus(table)
+    doc = corpus.get(data.draw(st.sampled_from(sorted(table))))
+    expected = oracle_correlate(doc, corpus)
+    if expected is None:
+        with pytest.raises(ValueError):
+            correlate_document(doc, corpus)
+    else:
+        assert _as_tuples([correlate_document(doc, corpus)]) == _as_tuples([expected])
+
+
+@settings(max_examples=100)
+@given(table=count_tables(), data=st.data())
+def test_correlate_document_rejects_a_document_other_than_the_corpus_copy(table, data):
     corpus = make_corpus(table)
     doc_id = data.draw(st.sampled_from(sorted(table)))
-    # a document under a corpus id whose counts may differ from the corpus's copy
     counts = data.draw(
-        st.one_of(
-            st.just(table[doc_id]),
-            st.dictionaries(st.sampled_from(TERMS + OWNED_TERMS), st.integers(0, 6), min_size=1),
-        )
+        st.dictionaries(st.sampled_from(TERMS + OWNED_TERMS), st.integers(0, 6), min_size=1)
     )
-    doc = make_doc(doc_id, counts)
+    title = data.draw(st.sampled_from([doc_id, "another title"]))
+    assume(counts != table[doc_id] or title != doc_id)
+    with pytest.raises(ValueError, match=re.escape(repr(doc_id))):
+        correlate_document(make_doc(doc_id, counts, title), corpus)
 
-    # the oracle pools every document except the corpus's copy of doc_id
-    expected = oracle_correlate(doc, corpus)
-    try:
-        got = correlate_document(doc, corpus)
-    except ValueError:
-        got = None
-    assert (got is None) == (expected is None)
-    if got is not None:
-        assert _as_tuples([got]) == _as_tuples([expected])
+
+@settings(max_examples=200)
+@given(table=count_tables())
+def test_correlate_document_is_the_ranking_entry(table):
+    corpus = make_corpus(table)
+    notes: list[str] = []
+    ranked = {res.doc_id: res for res in rank_documents(corpus, top_k=len(corpus), notes=notes)}
+    for doc in corpus:
+        if doc.id in ranked:
+            assert _as_tuples([correlate_document(doc, corpus)]) == _as_tuples([ranked[doc.id]])
+            continue
+        with pytest.raises(ValueError) as raised:
+            correlate_document(doc, corpus)
+        assert f"RankingWarning: excluding {doc.id!r}: {raised.value}" in notes
 
 
 @settings(max_examples=200)
@@ -278,6 +297,7 @@ def oracle_fig4(corpus: Corpus, docs) -> tuple[str, list[str]]:
     warned = []
     for doc in docs:
         if doc.total_tokens == 0:
+            warned.append(f"PipelineWarning: document {doc.id!r} has no terms; skipped in fig4")
             continue
         reference: Counter[str] = Counter()
         for other in corpus:
@@ -352,4 +372,7 @@ def test_write_fig4_quotes_ids_and_terms_and_drops_owned_terms():
 def test_write_fig4_warns_for_a_document_with_no_reference():
     text, messages = assert_fig4_matches_oracle({"only": {"a,b": 2, "t0": 1}, "empty": {}})
     assert text == ",".join(FIG4_HEADER) + "\n"
-    assert messages == ["PipelineWarning: no reference terms for 'only'; skipped in fig4"]
+    assert messages == [
+        "PipelineWarning: no reference terms for 'only'; skipped in fig4",
+        "PipelineWarning: document 'empty' has no terms; skipped in fig4",
+    ]
