@@ -70,6 +70,28 @@ def _write_quoted(root: Path) -> Path:
     return manifest
 
 
+# stem -> text: Latin-1, Greek, Cyrillic and CJK letters between non-ASCII
+# separators (curly quotes, dashes, guillemets, NBSP, U+2028, U+3000,
+# combining marks, and İ, which lowercases to i + U+0307). Every character
+# has the same isalnum(), isdigit(), isspace() and lower() under Unicode 13.0
+# (Python 3.10) and 15.1 (Python 3.13). "latin" starts with a byte-order mark.
+SEPARATORS = {
+    "latin": "\ufeffCafé—signal “noise” naïve\u00a0straße, don’t «λόγος» café–noise øre ÅNGSTRÖM\n",
+    "greek": "Λόγος\u2028ψυχή—σήμα «λόγος» signal noise café ψυχή’s straße\n",
+    "cyrillic": "Слово—знание «слово» сигнал\u00a0шум signal noise λόγος\u2028слово café\n",
+    "cjk": "日本語の信号「雑音」signal—noise 日本語\u3000café слово 信号 ψυχή signal 日本語\n",
+    "combining": "cafe\u0301 nai\u0308ve signal noise İstanbul İZMIR café слово λόγος signal café\n",
+    "mixed": "signal–noise—channel ‘café’ “straße” «ñandú» ñandú\u2028日本語 λόγος signal\n",
+}
+
+
+def _write_separators(root: Path) -> Path:
+    root.mkdir()
+    for stem, text in SEPARATORS.items():
+        (root / f"{stem}.txt").write_text(text, encoding="utf-8")
+    return root
+
+
 # case name -> (corpus writer, extra ``run`` arguments)
 CASES = {
     "synthetic36": (
@@ -82,6 +104,7 @@ CASES = {
     ),
     "degenerate": (_write_degenerate, []),
     "quoted": (_write_quoted, ["--k", "2"]),
+    "separators": (_write_separators, ["--k", "2", "--force-bit-layer"]),
 }
 
 
