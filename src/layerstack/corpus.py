@@ -10,13 +10,15 @@ macrostate and the belief evidence read instead of the string-keyed maps.
 
 The words of a lowercased text are its runs of ``[^\W_]+``, that is of the
 characters for which ``str.isalnum()`` holds: the regex engine's ``\w`` is
-``isalnum()`` plus ``_``. When the lowercased text is ASCII, the words come
-from ``str.translate``, which maps every ASCII character that is not
-alphanumeric (``_`` included) to a space, and ``str.split()``: both run in
-C. Otherwise they come from the regex, which is the faster of the two on
-non-ASCII text. :func:`count_terms` tallies the words, then drops numeric
-words and stop words from the distinct terms, so that filter runs once per
-term rather than once per token.
+``isalnum()`` plus ``_``. Every text is split the same way, in C: its UTF-8
+bytes pass through a 256-byte table that maps each ASCII byte that is not
+alphanumeric (``_`` included) to a space and keeps every byte of a non-ASCII
+character, and ``str.split()`` cuts the result into runs. A run is a word
+unless it holds a non-ASCII separator, such as ``’``, ``—`` or a combining
+mark; each such distinct run is split once more by the regex.
+:func:`count_terms` tallies the runs, then drops numeric words and stop
+words from the distinct words, so those rules run once per term rather than
+once per token.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from .stopwords import ENGLISH_STOP_WORDS
 
 # word characters minus underscore, applied to lowercased text
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# every ASCII character that is not alphanumeric, ``_`` included, to a space
-_ASCII_SPACES = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalnum()})
+# UTF-8 bytes: every ASCII byte that is not alphanumeric, ``_`` included, to
+# a space; bytes of non-ASCII characters (0x80 and up) kept
+_SPACES = bytes(c if c >= 0x80 or chr(c).isalnum() else 0x20 for c in range(256))
 #: a count table's counts sum to less than this: every pooled sum then fits
 #: int64, and every count / total is the float Python's int / int gives
 _COUNT_LIMIT = 2**53
@@ -54,21 +57,24 @@ def load_stop_words(path: str | Path) -> frozenset[str]:
     return parse_stop_words(read_source(Path(path))[1])
 
 
-def _words(text: str) -> list[str]:
-    """The alphanumeric runs of ``text`` lowercased, in order (see the
-    module docstring for the two ways of splitting)."""
-    lowered = text.lower()
-    if lowered.isascii():
-        return lowered.translate(_ASCII_SPACES).split()
-    return _WORD_RE.findall(lowered)
-
-
 def count_terms(text: str, stop_words: frozenset[str] = ENGLISH_STOP_WORDS) -> dict[str, int]:
-    """The count of each term of ``text``: each word :func:`_words` finds
-    that is neither purely numeric nor a stop word, keyed in order of first
-    occurrence. Numeric words and stop words are dropped from the distinct
-    words once they are counted."""
-    counts = Counter(_words(text))
+    """The count of each term of ``text``: each run of ``[^\\W_]+`` in the
+    lowercased text that is neither purely numeric nor a stop word, keyed in
+    order of first occurrence.
+
+    The whitespace-separated runs of the translated bytes (see the module
+    docstring) are counted first. If a run holds a non-ASCII separator, the
+    distinct runs are walked in first-occurrence order and each gives its
+    count to each of its words. A word first occurs inside the first
+    occurrence of a run that holds it, so the words keep their order.
+    Numeric words and stop words are then dropped from the distinct words."""
+    spaced = text.lower().encode("utf-8", "surrogatepass").translate(_SPACES)
+    counts = Counter(spaced.decode("utf-8", "surrogatepass").split())
+    if not all(map(str.isalnum, counts)):
+        runs, counts = counts, {}
+        for run, n in runs.items():
+            for word in (run,) if run.isalnum() else _WORD_RE.findall(run):
+                counts[word] = counts.get(word, 0) + n
     for word in [w for w in counts if w.isdigit() or w in stop_words]:
         del counts[word]
     return dict(counts)

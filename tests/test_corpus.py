@@ -73,10 +73,16 @@ ASCII_PIECES = st.one_of(
     st.sampled_from(["The", "and", "AI", "x9", "42", "a_b", "_", "a\x1cb", "\x1d\x1e\x1f", " "]),
     st.text(st.characters(max_codepoint=127), max_size=6),
 )
-# the same with non-ASCII letters, digits, spaces and case folds
+# the same with non-ASCII letters, digits, spaces and case folds, and with
+# non-ASCII separators inside words: a curly apostrophe, a dash, guillemets,
+# İ (which lowercases to i + U+0307), an ideographic space, NEL, a combining
+# mark and a lone surrogate
 UNICODE_PIECES = st.one_of(
     ASCII_PIECES,
     st.sampled_from(["Naïve", "ß", "İ", "\u212a", "²", "٣", "\u00a0", "\u2028", "日本"]),
+    st.sampled_from(
+        ["don’t", "a—b", "«a»", "a\u3000b", "a\u0085b", "cafe\u0301", "a\ud800b", "\udfff"]
+    ),
     st.text(max_size=6),
 )
 STOP_SETS = st.sampled_from([ENGLISH_STOP_WORDS, frozenset(), frozenset({"ai", "naïve", "b"})])
@@ -109,6 +115,15 @@ class TestSplitterOracle:
     def test_non_ascii_text_that_lowercases_to_ascii(self):
         # KELVIN SIGN lowercases to "k"
         self.check("\u212a_9 \u212aelvin", frozenset())
+
+    def test_lone_surrogate_separates(self):
+        assert count_terms("a\ud800b", frozenset()) == {"a": 1, "b": 1}
+
+    def test_every_code_point_between_two_letters(self):
+        # "a" + c + "b" for every code point c, surrogates included
+        text = "a" + "b a".join(map(chr, range(0x110000))) + "b"
+        expected = list(Counter(oracle_tokens(text, frozenset())).items())
+        assert list(count_terms(text, frozenset()).items()) == expected
 
 
 class TestTermFrequencies:
