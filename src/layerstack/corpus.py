@@ -374,13 +374,14 @@ def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:
 
 
 def read_source(path: Path) -> tuple[bytes, str]:
-    """Read one input file: its raw bytes and their UTF-8 text."""
+    """Read one input file: its raw bytes and their UTF-8 text, without a
+    leading byte-order mark (the raw bytes keep it)."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
-        return data, data.decode("utf-8")
+        return data, data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not valid UTF-8: {exc}") from exc
 

@@ -173,6 +173,15 @@ class TestEntropy:
             "token_count": 0,
         }
 
+    def test_byte_order_mark_counts_as_bytes_not_terms(self, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text("signal noise signal", encoding="utf-8")
+        marked.write_text("signal noise signal", encoding="utf-8-sig")
+        payloads = [json.loads(run_cli(main, ["entropy", str(p)])[1]) for p in (plain, marked)]
+        assert payloads[1]["byte_count"] == payloads[0]["byte_count"] + 3
+        for key in ("token_count", "distinct_terms", "token_bits", "hartley_term_bits"):
+            assert payloads[1][key] == payloads[0][key]
+
     def test_non_utf8_file_is_reported_with_its_path(self, tmp_path):
         target = tmp_path / "latin1.txt"
         target.write_bytes(b"\xffcaf\xe9 signal noise")
@@ -216,6 +225,13 @@ class TestBelief:
         )
         assert code == 1
         assert "irreconcilable evidence" in err
+
+    def test_mass_file_with_a_byte_order_mark(self, tmp_path):
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"b1": 0.6, "b1,b2": 0.4}), encoding="utf-8-sig")
+        code, out, err = run_cli(main, ["belief", "--frame", "b1,b2", "--prior", str(prior)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["b1"] == {"belief": 0.6, "plausibility": 1.0}
 
     def test_bad_mass_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -309,6 +325,15 @@ class TestRun:
         assert report["config"]["stop_words_path"] == str(stops)
         fig3 = (out_dir / "fig3.csv").read_text(encoding="utf-8")
         assert "core00" not in fig3
+
+    def test_stop_word_file_with_a_byte_order_mark(self, corpus_dir, tmp_path):
+        stops = tmp_path / "stops.txt"
+        stops.write_text("core00\ncore01\n", encoding="utf-8-sig")
+        out_dir = tmp_path / "out"
+        argv = ["run", str(corpus_dir), "--out", str(out_dir), "--stopwords", str(stops)]
+        assert run_cli(main, argv)[0] == 0
+        fig3 = (out_dir / "fig3.csv").read_text(encoding="utf-8")
+        assert "core00" not in fig3 and "core01" not in fig3
 
 
 class TestTablesMatchReport:

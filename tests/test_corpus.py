@@ -396,6 +396,20 @@ class TestIngestCorpus:
         with pytest.raises(ValueError, match="not valid UTF-8"):
             ingest_corpus(tmp_path)
 
+    def test_byte_order_mark_is_not_text(self, tmp_path):
+        text = "Café signal—noise signal\n"
+        (tmp_path / "plain.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "marked.txt").write_text(text, encoding="utf-8-sig")
+        corpus = ingest_corpus(tmp_path)
+        assert corpus.get("marked").token_counts == corpus.get("plain").token_counts
+
+    def test_manifest_with_a_byte_order_mark(self, tmp_path):
+        (tmp_path / "x.txt").write_text("alpha beta", encoding="utf-8")
+        manifest = tmp_path / "m.jsonl"
+        record = json.dumps({"id": "d1", "title": "T", "path": "x.txt"}) + "\n"
+        manifest.write_text(record, encoding="utf-8-sig")
+        assert ingest_corpus(manifest).get("d1").token_counts == {"alpha": 1, "beta": 1}
+
     def test_manifest_titles_carried(self, tmp_path):
         (tmp_path / "x.txt").write_text("alpha beta", encoding="utf-8")
         manifest = tmp_path / "m.jsonl"
@@ -411,6 +425,12 @@ def test_load_stop_words_folds_case_and_blanks(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("The\n\n  And \nof\n", encoding="utf-8")
     assert load_stop_words(path) == {"the", "and", "of"}
+
+
+def test_load_stop_words_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("signal\nnoise\n", encoding="utf-8-sig")
+    assert load_stop_words(path) == {"signal", "noise"}
 
 
 def test_default_config_blocks_common_words():
