@@ -144,8 +144,8 @@ def test_run_matches_golden(case, tmp_path, monkeypatch):
 @pytest.mark.parametrize("seed", ["2", "3"])
 @pytest.mark.parametrize("case", ["quoted", "synthetic36"])
 def test_run_output_is_independent_of_the_hash_seed(case, seed, tmp_path):
-    """``python -m layerstack run`` under a string-hash seed the CI jobs do
-    not fix (they use 0 and 1) writes the golden bytes."""
+    """``python -m layerstack run`` under string-hash seeds 2 and 3 writes
+    the golden bytes, whatever seed the suite itself runs under."""
     write, extra = CASES[case]
     source = write(tmp_path / "corpus").relative_to(tmp_path)
     # stdout and stderr as UTF-8, like the golden's in-process capture
