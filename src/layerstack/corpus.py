@@ -10,7 +10,7 @@ macrostate and the belief evidence read instead of the string-keyed maps.
 
 The words of a lowercased text are its runs of ``[^\W_]+``, that is of the
 characters for which ``str.isalnum()`` holds: the regex engine's ``\w`` is
-``isalnum()`` plus ``_``. Every text is split the same way, in C: its UTF-8
+``isalnum()`` plus ``_``. Every text is split the same way: its UTF-8
 bytes pass through a 256-byte table that maps each ASCII byte that is not
 alphanumeric (``_`` included) to a space and keeps every byte of a non-ASCII
 character, and ``str.split()`` cuts the result into runs. A run is a word

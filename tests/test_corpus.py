@@ -89,8 +89,9 @@ STOP_SETS = st.sampled_from([ENGLISH_STOP_WORDS, frozenset(), frozenset({"ai", "
 
 
 class TestSplitterOracle:
-    """count_terms and Document.from_text against the regex rule, on text
-    that takes the ASCII split and on text that takes the regex."""
+    """count_terms and Document.from_text against the regex rule, on ASCII
+    text, on text whose runs are all words, and on text whose runs hold
+    non-ASCII separators and are split again."""
 
     @staticmethod
     def check(text: str, stop_words: frozenset[str]) -> None:
