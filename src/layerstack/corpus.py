@@ -166,15 +166,12 @@ class CountTable:
         index = {term: i for i, term in enumerate(terms)}
         term_ids = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
         indptr = np.array(ends, dtype=np.intp)
-        rows = np.repeat(np.arange(len(ends) - 1), np.diff(indptr))
-        order = np.lexsort((term_ids, rows))
+        # one key per entry, unique, so any sort gives the row-major order
+        key = np.repeat(np.arange(len(ends) - 1) * len(terms), np.diff(indptr))
+        key += term_ids
+        order = np.argsort(key)
         counts = np.fromiter(values, np.int64, len(values))
         return cls(terms, indptr, term_ids[order], counts[order])
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row i: its term ids and their counts."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.term_ids[lo:hi], self.counts[lo:hi]
 
     def _entries(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """The row pointers of ``rows`` laid end to end, and the positions of
@@ -202,7 +199,9 @@ class CountTable:
         hold: ids are compacted, so id order stays lexicographic."""
         indptr, take = self._entries(rows)
         old_ids = self.term_ids[take]
-        kept = np.unique(old_ids)
+        held = np.zeros(len(self.terms), dtype=bool)
+        held[old_ids] = True
+        kept = np.flatnonzero(held)
         terms = tuple(self.terms[j] for j in kept.tolist())
         return CountTable(terms, indptr, np.searchsorted(kept, old_ids), self.counts[take])
 
@@ -292,18 +291,22 @@ def top_k_terms(doc: Document, k: int) -> list[tuple[str, int]]:
 
 
 def shared_proportions(
-    counts: np.ndarray, total: int, reference: np.ndarray, reference_total: int
+    counts: np.ndarray,
+    total: int | np.ndarray,
+    reference: np.ndarray,
+    reference_total: int | np.ndarray,
 ) -> tuple[np.ndarray, list[float], list[float]]:
     """The one shared-term rule: the positions where two aligned count
     arrays are both positive, and the proportions there, ``counts / total``
-    and ``reference / reference_total``. IEEE division of integers below
-    2**53, as a count table holds, gives the floats Python's ``int / int``
-    gives."""
-    shared = np.flatnonzero((counts > 0) & (reference > 0))
+    and ``reference / reference_total``. Each total is an int, or an array
+    aligned with the counts that gives each position its own. IEEE division
+    of integers below 2**53, as a count table holds, gives the floats
+    Python's ``int / int`` gives."""
+    both = (counts > 0) & (reference > 0)
     return (
-        shared,
-        (counts[shared] / total).tolist(),
-        (reference[shared] / reference_total).tolist(),
+        np.flatnonzero(both),
+        np.divide(counts, total, out=np.zeros(both.shape), where=both)[both].tolist(),
+        np.divide(reference, reference_total, out=np.zeros(both.shape), where=both)[both].tolist(),
     )
 
 

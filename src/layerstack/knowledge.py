@@ -5,11 +5,14 @@ proportions and those of the leave-one-out aggregate (every other document
 pooled), computed over the terms both sides share. Significance comes from
 the two-sided Student t test on r, evaluated in this module.
 
-One scorer serves ``rank_documents`` and ``correlate_document``. It reads
-the corpus's integer count table pooled once, by term id: each leave-one-out
-count is the pooled total minus the document's own count, from its table row.
-So only the corpus's own documents are scored, at work linear in the
-(document, term) pairs, with no string lookup and no re-pool per document.
+One scorer serves ``rank_documents``, ``correlate_document`` and the belief
+layer's evidence. It takes a ranking's rows of the corpus's integer count
+table, pooled once, and lays their entries end to end: each leave-one-out
+count is the pooled total minus the row's own count, and one numpy pass over
+a run of rows finds the shared terms and both sides' proportions for all of
+them. Each row then correlates its own span of those profiles. So only the
+corpus's own documents are scored, at work linear in the (document, term)
+pairs, with no string lookup and no re-pool per document.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +38,9 @@ _MAX_STEPS = 1000
 _SERIES_FROM = 25.0
 #: a from which the lower tail comes from the large-a expansion
 _EXPANSION_FROM = 15.0
+#: a scorer pass takes rows until their entries reach this many, so its
+#: arrays stay bounded by it and the longest row
+_PASS_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -59,19 +65,24 @@ def pearson_parts(
     xs: Sequence[float], ys: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Mean-centred samples and the Pearson denominator sqrt(Sxx * Syy), so
-    that r = dx @ dy / denom and dx[i] * dy[i] / denom is term i's share."""
+    that r = dx @ dy / denom and dx[i] * dy[i] / denom is term i's share.
+    A non-finite input makes denom non-finite, as overflow does: a ValueError."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < MIN_SHARED_TERMS:
         raise ValueError(f"need at least {MIN_SHARED_TERMS} points, got {x.size}")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the floats of x - x.mean(), whose mean is umr_sum / n
+        dx = x - float(np.add.reduce(x)) / x.size
+        dy = y - float(np.add.reduce(y)) / y.size
+        denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    if not math.isfinite(denom):
+        raise ValueError("non-finite input or denominator")
     # equal inputs decide it, as a mean of equal floats can be off in the last
     # bit; denom is 0 for unequal inputs only where the squares underflow
-    if x.min() == x.max() or y.min() == y.max() or denom == 0.0:
+    if (x == x[0]).all() or (y == y[0]).all() or denom == 0.0:
         raise ValueError("zero variance input")
     return dx, dy, denom
 
@@ -196,28 +207,36 @@ def correlation_p_value(r: float, n: int) -> float:
     return 1.0 - front * _beta_fraction(0.5, a, y) / 0.5
 
 
-def _log_proportion_profiles(
-    corpus: Corpus, totals: np.ndarray, grand: int, row: int
-) -> tuple[np.ndarray, list[float], list[float]]:
-    """Ids of the terms table row ``row`` shares with the rest of the corpus
-    (increasing, so in lexicographic term order), with log10 proportions on
-    both sides.
+def _profiles(
+    corpus: Corpus, rows: Sequence[int], totals: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The one leave-one-out scorer's profiles: for each table row of
+    ``rows``, in order, the ids of the terms it shares with the pooled
+    ``totals`` less its own counts (increasing, so in lexicographic term
+    order), with log10 proportions on both sides. Each run of rows of about
+    ``_PASS_ENTRIES`` entries goes through ``shared_proportions`` at once."""
+    table = corpus.table
+    grand = int(totals.sum())
+    rows = np.asarray(rows, dtype=np.intp)
+    lengths = table.indptr[rows + 1] - table.indptr[rows]
+    run = (np.cumsum(lengths) - lengths) // _PASS_ENTRIES
+    for block in np.split(rows, np.flatnonzero(np.diff(run)) + 1):
+        indptr, take = table._entries(block)
+        ids, counts = table.term_ids[take], table.counts[take]
+        own = np.repeat([corpus.documents[row].total_tokens for row in block], np.diff(indptr))
+        shared, dps, rps = shared_proportions(counts, own, totals[ids] - counts, grand - own)
+        ids = ids[shared]
+        xs = np.fromiter(map(math.log10, dps), float, len(dps))
+        ys = np.fromiter(map(math.log10, rps), float, len(rps))
+        bounds = np.searchsorted(shared, indptr).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield ids[lo:hi], xs[lo:hi], ys[lo:hi]
 
-    The reference is the pooled ``totals`` (summing to ``grand``) less the
-    row's own counts: the leave-one-out aggregate, taken over the row's own
-    terms without building it."""
-    ids, counts = corpus.table.row(row)
-    total = corpus.documents[row].total_tokens
-    shared, dps, rps = shared_proportions(counts, total, totals[ids] - counts, grand - total)
-    return ids[shared], [math.log10(p) for p in dps], [math.log10(p) for p in rps]
 
-
-def _score(corpus: Corpus, totals: np.ndarray, grand: int, row: int) -> CorrelationResult:
-    """The one leave-one-out scorer: table row ``row`` correlated over the
-    terms it shares with the pooled ``totals`` less its own counts."""
-    doc_id = corpus.documents[row].id
-    shared, xs, ys = _log_proportion_profiles(corpus, totals, grand, row)
-    n = len(shared)
+def _correlate(doc_id: str, xs: np.ndarray, ys: np.ndarray) -> CorrelationResult:
+    """One row's result from its profiles, or a ``ValueError`` naming why it
+    cannot be scored."""
+    n = len(xs)
     if n < MIN_SHARED_TERMS:
         raise ValueError(f"insufficient overlap: {doc_id!r} shares {n} terms with the rest")
     r = pearson_r(xs, ys)
@@ -234,8 +253,8 @@ def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
         raise ValueError(f"document {doc.id!r} not in corpus")
     if doc != corpus.get(doc.id):
         raise ValueError(f"document {doc.id!r} differs from the corpus's copy")
-    totals = corpus.table.pooled()
-    return _score(corpus, totals, int(totals.sum()), corpus.position(doc.id))
+    [(_, xs, ys)] = _profiles(corpus, [corpus.position(doc.id)], corpus.table.pooled())
+    return _correlate(doc.id, xs, ys)
 
 
 def rank_documents(
@@ -268,15 +287,14 @@ def rank_documents(
         raise ValueError(f"ranking needs at least 2 documents, got {len(ranked)}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    totals = corpus.table.pooled(rows)
-    grand = int(totals.sum())
     results = []
-    for row in ranked:
+    for row, (_, xs, ys) in zip(ranked, _profiles(corpus, ranked, corpus.table.pooled(rows))):
+        doc_id = corpus.documents[row].id
         try:
-            results.append(_score(corpus, totals, grand, row))
+            results.append(_correlate(doc_id, xs, ys))
         except ValueError as exc:
             if notes is not None:
-                notes.append(f"RankingWarning: excluding {corpus.documents[row].id!r}: {exc}")
+                notes.append(f"RankingWarning: excluding {doc_id!r}: {exc}")
     results.sort(key=lambda res: (-res.r, res.doc_id))
     return results[:top_k]
 

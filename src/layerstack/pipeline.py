@@ -35,7 +35,7 @@ from .corpus import (
 )
 from .infotheory import _byte_counts, count_entropy, hartley_entropy
 from .intelligence import AggregationResult, EntropicState, aggregate_corpus, entropic_gain
-from .knowledge import CorrelationResult, _log_proportion_profiles, pearson_parts, rank_documents
+from .knowledge import CorrelationResult, _profiles, pearson_parts, rank_documents
 from .stopwords import ENGLISH_STOP_WORDS
 from .wisdom import aggregate_round_quality
 
@@ -334,11 +334,9 @@ def _belief_section(
     by_frequency = np.argsort(-totals, kind="stable")[:keyword_count].tolist()
     keywords = [corpus.table.terms[j] for j in by_frequency]
     frame = Frame(elements=tuple(keywords))
-    grand = int(totals.sum())
     contributions = dict.fromkeys(by_frequency, 0.0)
-    for res in knowledge_ranking:
-        row = corpus.position(res.doc_id)
-        shared, xs, ys = _log_proportion_profiles(corpus, totals, grand, row)
+    rows = [corpus.position(res.doc_id) for res in knowledge_ranking]
+    for shared, xs, ys in _profiles(corpus, rows, totals):
         dx, dy, denom = pearson_parts(xs, ys)
         for j, a, b in zip(shared.tolist(), dx.tolist(), dy.tolist()):
             if j in contributions:

@@ -52,7 +52,8 @@ def assert_rows_match_documents(corpus: Corpus) -> None:
     assert corpus.vocabulary == frozenset(table.terms)
     assert table.indptr.tolist() == np.cumsum([0] + [len(row) for row in positive]).tolist()
     for i, row in enumerate(positive):
-        ids, counts = table.row(i)
+        lo, hi = table.indptr[i], table.indptr[i + 1]
+        ids, counts = table.term_ids[lo:hi], table.counts[lo:hi]
         assert np.all(np.diff(ids) > 0)
         assert [(table.terms[j], c) for j, c in zip(ids.tolist(), counts.tolist())] == sorted(
             row.items()

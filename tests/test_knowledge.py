@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from layerstack import (
     CorrelationResult,
@@ -12,6 +14,7 @@ from layerstack import (
     pearson_r,
     rank_documents,
 )
+from layerstack.knowledge import pearson_parts
 
 from helpers import make_corpus, make_doc
 
@@ -63,6 +66,49 @@ class TestPearson:
         ]:
             with pytest.raises(ValueError, match="zero variance"):
                 pearson_r(xs, ys)
+
+    # floats whose mean over equal copies is off in the last bit
+    INEXACT_MEANS = st.sampled_from([0.1, 1 / 3, math.log10(1 / 6)])
+
+    @given(
+        data=st.data(),
+        values=st.lists(st.floats(-1e70, 1e70) | INEXACT_MEANS, min_size=1, max_size=4)
+        | st.lists(st.floats(-1e70, 1e70), min_size=3, max_size=40),
+    )
+    def test_parts_match_the_mean_formulation(self, data, values):
+        """dx, dy and denom are the floats of ``x - x.mean()``, and zero
+        variance is decided as ``min == max`` (or a denominator that
+        underflows to 0). Either sample may be one value repeated."""
+        n = data.draw(st.integers(3, 40))
+        repeated = st.sampled_from(values).map(lambda v: [v] * n)
+        sample = st.lists(st.sampled_from(values), min_size=n, max_size=n) | repeated
+        x, y = np.array(data.draw(sample)), np.array(data.draw(sample))
+        dx, dy = x - x.mean(), y - y.mean()
+        denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
+        if x.min() == x.max() or y.min() == y.max() or denom == 0.0:
+            with pytest.raises(ValueError, match="zero variance"):
+                pearson_parts(x, y)
+            return
+        parts = pearson_parts(x.tolist(), y.tolist())
+        assert np.array_equal(parts[0], dx) and np.array_equal(parts[1], dy)
+        assert parts[2] == denom
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ((math.nan, 1, 2), (1, 2, 3)),
+            ((math.inf, 1, 2), (1, 2, 3)),
+            ((1, 2, -math.inf), (1, 2, 3)),
+            ((1, 2, 3), (math.nan,) * 3),
+            ((math.inf,) * 3, (1, 2, 3)),
+            ((1e308, -1e308, 0), (1, 2, 3)),  # finite, but the squares overflow
+        ],
+    )
+    def test_non_finite_input_or_denominator(self, xs, ys):
+        # no clamp may turn a NaN into 1.0, and no RuntimeWarning escapes
+        for left, right in ((xs, ys), (ys, xs)):
+            with pytest.raises(ValueError, match="non-finite"):
+                pearson_r(left, right)
 
 
 class TestPValue:

@@ -19,6 +19,7 @@ import io
 import math
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,7 +35,7 @@ from layerstack import (
     rank_documents,
     synthetic_corpus,
 )
-from layerstack import intelligence
+from layerstack import intelligence, knowledge
 from layerstack.belief import MAX_FRAME_SIZE
 from layerstack.corpus import CountTable
 from layerstack.knowledge import MIN_SHARED_TERMS, pearson_parts
@@ -86,16 +87,30 @@ def oracle_profile(doc, corpus: Corpus) -> tuple[list[str], list[float], list[fl
     return shared, xs, ys
 
 
-def oracle_correlate(doc, corpus: Corpus) -> CorrelationResult | None:
-    """The oracle's result for ``doc``, or None where it cannot be scored."""
+def oracle_correlate(doc, corpus: Corpus) -> CorrelationResult | str:
+    """The oracle's result for ``doc``, or why it cannot be scored."""
     shared, xs, ys = oracle_profile(doc, corpus)
     if len(shared) < MIN_SHARED_TERMS:
-        return None
+        return f"insufficient overlap: {doc.id!r} shares {len(shared)} terms with the rest"
     try:
         r = pearson_r(xs, ys)
-    except ValueError:
-        return None
+    except ValueError as exc:
+        return str(exc)
     return CorrelationResult(doc.id, r, correlation_p_value(r, len(shared)), len(shared))
+
+
+def oracle_ranking(corpus: Corpus, top_k: int) -> tuple[list[CorrelationResult], list[str]]:
+    """The oracle's top ``top_k`` of every corpus document, and one note per
+    excluded document, in corpus order."""
+    results, notes = [], []
+    for doc in corpus:
+        res = oracle_correlate(doc, corpus)
+        if isinstance(res, str):
+            notes.append(f"RankingWarning: excluding {doc.id!r}: {res}")
+        else:
+            results.append(res)
+    results.sort(key=lambda res: (-res.r, res.doc_id))
+    return results[:top_k], notes
 
 
 def _as_tuples(results):
@@ -117,16 +132,30 @@ def _ranked_with_exclusions(corpus: Corpus, top_k: int):
 @settings(max_examples=300)
 @given(table=count_tables(), data=st.data())
 def test_rank_documents_matches_oracle(table, data):
+    """Results and exclusion notes, line for line, for the whole corpus and
+    for a drawn set of its rows, whose oracle is a corpus of just them. The
+    scorer's passes are drawn short, so rows are split across several."""
     corpus = make_corpus(table)
     top_k = data.draw(st.integers(1, len(corpus) + 1))
-    ranked, excluded = _ranked_with_exclusions(corpus, top_k)
+    pass_entries = mock.patch.object(knowledge, "_PASS_ENTRIES", data.draw(st.integers(1, 40)))
+    notes: list[str] = []
+    with pass_entries:
+        ranked = rank_documents(corpus, top_k=top_k, notes=notes)
+    expected, expected_notes = oracle_ranking(corpus, top_k)
+    assert _as_tuples(ranked) == _as_tuples(expected)
+    assert notes == expected_notes
 
-    scored = {doc.id: oracle_correlate(doc, corpus) for doc in corpus}
-    expected = sorted(
-        (res for res in scored.values() if res is not None), key=lambda res: (-res.r, res.doc_id)
+    rows = data.draw(
+        st.lists(st.integers(0, len(corpus) - 1), min_size=2, unique=True).map(sorted)
     )
-    assert _as_tuples(ranked) == _as_tuples(expected[:top_k])
-    assert excluded == {doc_id for doc_id, res in scored.items() if res is None}
+    ids = [corpus.documents[row].id for row in rows]
+    alone = make_corpus({doc_id: table[doc_id] for doc_id in ids})
+    notes = []
+    with pass_entries:
+        ranked = rank_documents(corpus, top_k=top_k, notes=notes, rows=rows)
+    expected, expected_notes = oracle_ranking(alone, top_k)
+    assert _as_tuples(ranked) == _as_tuples(expected)
+    assert notes == expected_notes
 
 
 @settings(max_examples=200)
@@ -135,8 +164,8 @@ def test_correlate_document_matches_oracle(table, data):
     corpus = make_corpus(table)
     doc = corpus.get(data.draw(st.sampled_from(sorted(table))))
     expected = oracle_correlate(doc, corpus)
-    if expected is None:
-        with pytest.raises(ValueError):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             correlate_document(doc, corpus)
     else:
         assert _as_tuples([correlate_document(doc, corpus)]) == _as_tuples([expected])
@@ -172,11 +201,12 @@ def test_correlate_document_is_the_ranking_entry(table):
 
 
 @settings(max_examples=200)
-@given(table=count_tables(), top_k=st.integers(1, 12))
-def test_belief_evidence_matches_oracle(table, top_k):
+@given(table=count_tables(), top_k=st.integers(1, 12), pass_entries=st.integers(1, 40))
+def test_belief_evidence_matches_oracle(table, top_k, pass_entries):
     corpus = make_corpus(table)
     ranking, _ = _ranked_with_exclusions(corpus, len(corpus))
-    section = _belief_section(corpus, tuple(ranking), top_k)
+    with mock.patch.object(knowledge, "_PASS_ENTRIES", pass_entries):
+        section = _belief_section(corpus, tuple(ranking), top_k)
     if not ranking or not corpus.vocabulary:
         assert section["skipped"]
         return
