@@ -130,6 +130,29 @@ class Document:
         )
 
 
+def _entries(indptr: np.ndarray, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The row pointers of ``rows`` laid end to end, and the positions of
+    their entries in the CSR arrays ``indptr`` points into: a slice when the
+    rows are consecutive, else an index array."""
+    rows = np.asarray(rows, dtype=np.intp)
+    lengths = indptr[rows + 1] - indptr[rows]
+    local = np.concatenate(([0], np.cumsum(lengths)))
+    if len(rows) and rows[-1] - rows[0] == len(rows) - 1 and (rows[1:] > rows[:-1]).all():
+        return local, slice(int(indptr[rows[0]]), int(indptr[rows[-1] + 1]))
+    return local, np.repeat(indptr[rows] - local[:-1], lengths) + np.arange(local[-1])
+
+
+def _entry_runs(indptr: np.ndarray, rows: Sequence[int], limit: int) -> Iterator[tuple]:
+    """``rows`` in order, cut into runs that start within the same ``limit``
+    entries; for each run, its rows and their :func:`_entries`."""
+    rows = np.asarray(rows, dtype=np.intp)
+    lengths = indptr[rows + 1] - indptr[rows]
+    run = (np.cumsum(lengths) - lengths) // limit
+    cuts = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1).tolist(), len(rows)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        yield rows[lo:hi], *_entries(indptr, rows[lo:hi])
+
+
 @dataclass(frozen=True, eq=False)
 class CountTable:
     """Term counts of a sequence of documents as integer rows in CSR form
@@ -173,16 +196,6 @@ class CountTable:
         counts = np.fromiter(values, np.int64, len(values))
         return cls(terms, indptr, term_ids[order], counts[order])
 
-    def _entries(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The row pointers of ``rows`` laid end to end, and the positions of
-        their entries in this table's arrays."""
-        rows = np.asarray(rows, dtype=np.intp)
-        lengths = self.indptr[rows + 1] - self.indptr[rows]
-        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-        np.cumsum(lengths, out=indptr[1:])
-        take = np.repeat(self.indptr[rows] - indptr[:-1], lengths) + np.arange(indptr[-1])
-        return indptr, take
-
     def pooled(self, rows: Sequence[int] | None = None) -> np.ndarray:
         """Every term's count summed over ``rows`` (all rows by default), by
         term id, in int64. A term none of the rows holds reads 0."""
@@ -190,14 +203,14 @@ class CountTable:
         if rows is None:
             np.add.at(totals, self.term_ids, self.counts)
         else:
-            take = self._entries(rows)[1]
+            take = _entries(self.indptr, rows)[1]
             np.add.at(totals, self.term_ids[take], self.counts[take])
         return totals
 
     def select(self, rows: Sequence[int]) -> "CountTable":
         """The given rows, in the given order, over the sorted terms they
         hold: ids are compacted, so id order stays lexicographic."""
-        indptr, take = self._entries(rows)
+        indptr, take = _entries(self.indptr, rows)
         old_ids = self.term_ids[take]
         held = np.zeros(len(self.terms), dtype=bool)
         held[old_ids] = True

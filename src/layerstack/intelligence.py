@@ -4,7 +4,9 @@ cluster-and-reselect aggregation loop.
 
 The k-means rows are the corpus count table's own CSR arrays, its term ids
 and row pointers, with each count replaced by a float weight: the term's
-proportion in its document, scaled so the row has unit length.
+proportion in its document, scaled so the row has unit length. A squared
+distance's only dense work is its one sum, off the row's nonzeros over the
+centroid's own squares.
 
 Aggregation repeatedly clusters the corpus, keeps the most correlated
 documents from each cluster, and re-ranks the survivors. Every stochastic
@@ -21,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, _entry_runs
 from .infotheory import count_entropy
 from .knowledge import CorrelationResult, rank_documents
 
@@ -30,6 +32,8 @@ MAX_KMEANS_ITERATIONS = 100
 _TIE_GAP = 1e-9
 #: slack for the non-increasing inertia check (float accumulation noise)
 _INERTIA_SLACK = 1e-9
+#: a distance pass squares entries in runs of rows of about this many each
+_RUN_ENTRIES = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,17 +129,29 @@ class Clustering:
 def _squared_distances(
     rows: TermRows, centroids: np.ndarray, labels: np.ndarray | int
 ) -> np.ndarray:
-    """``((row - centroids[label]) ** 2).sum()`` for every row, one dense row
-    at a time: (−c) + x gives the same floats as x − c. ``labels`` is one
-    index per row, or one index for all of them."""
-    n = rows.shape[0]
-    labels = np.broadcast_to(labels, (n,))
-    out = np.empty(n)
-    for i in range(n):
-        lo, hi = rows.indptr[i], rows.indptr[i + 1]
-        diff = np.negative(centroids[labels[i]])
-        diff[rows.indices[lo:hi]] += rows.data[lo:hi]
-        out[i] = np.square(diff, out=diff).sum()
+    """``((row - centroids[label]) ** 2).sum()`` for every row, bit for bit;
+    ``labels`` is one index per row, or one for all. Off a row's nonzeros
+    those squares are the centroid's own, (−c)² = c², so a row's (x − c)²,
+    one numpy pass per run of rows, is written into one dense row of its
+    centroid's squares, summed by the same call, then restored."""
+    labels = np.broadcast_to(labels, rows.shape[:1])
+    out = np.empty(rows.shape[0])
+    for label, centroid in enumerate(centroids):
+        members = np.flatnonzero(labels == label)
+        if not len(members):
+            continue
+        squares = np.square(centroid)
+        for block, indptr, take in _entry_runs(rows.indptr, members, _RUN_ENTRIES):
+            cols = rows.indices[take]
+            own = centroid[cols]
+            moved = np.square(rows.data[take] - own)
+            np.square(own, out=own)
+            bounds = indptr.tolist()
+            for i, lo, hi in zip(block.tolist(), bounds, bounds[1:]):
+                at = cols[lo:hi]
+                squares[at] = moved[lo:hi]
+                out[i] = np.add.reduce(squares)
+                squares[at] = own[lo:hi]
     return out
 
 
@@ -207,10 +223,11 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
     seed. Stops when assignments repeat or after 100 iterations. An emptied
     cluster is re-seeded to the point farthest from its previous centroid.
 
-    Work per pass is the products of the nonzeros with the centroids and
-    one dense V-length difference per row; distances and inertia are the
-    row-wise sums of squared differences, so results equal those of the
-    dense N x k x V computation."""
+    Work per pass is the products of the nonzeros with the centroids, the
+    squared differences on the nonzeros, and one V-length sum per row over
+    a reused row of its centroid's squares. Distances and inertia are those
+    sums, the row-wise sums of squared differences, so results equal those
+    of the dense N x k x V computation bit for bit."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(ids) != rows.shape[0]:

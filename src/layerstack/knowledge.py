@@ -24,7 +24,7 @@ from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, shared_proportions
+from .corpus import Corpus, Document, _entry_runs, shared_proportions
 
 #: shortest term overlap for which a correlation is computed
 MIN_SHARED_TERMS = 3
@@ -109,20 +109,19 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     """The continued fraction of I_x(a, b) · a·B(a, b) / (x^a (1 − x)^b),
     evaluated by the modified Lentz method (Lentz 1976; Numerical Recipes
     ``betacf``). Converges quickly for x below (a + 1) / (a + b + 2)."""
-
-    def nonzero(value: float) -> float:
-        return value if abs(value) > _TINY else _TINY
-
     c = 1.0
-    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
     fraction = d
     for m in range(1, _MAX_STEPS):
         for numerator in (
             m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
             -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
         ):
-            d = 1.0 / nonzero(1.0 + numerator * d)
-            c = nonzero(1.0 + numerator / c)
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > _TINY else _TINY
             step = d * c
             fraction *= step
         if abs(step - 1.0) <= _EPS:
@@ -217,11 +216,7 @@ def _profiles(
     ``_PASS_ENTRIES`` entries goes through ``shared_proportions`` at once."""
     table = corpus.table
     grand = int(totals.sum())
-    rows = np.asarray(rows, dtype=np.intp)
-    lengths = table.indptr[rows + 1] - table.indptr[rows]
-    run = (np.cumsum(lengths) - lengths) // _PASS_ENTRIES
-    for block in np.split(rows, np.flatnonzero(np.diff(run)) + 1):
-        indptr, take = table._entries(block)
+    for block, indptr, take in _entry_runs(table.indptr, rows, _PASS_ENTRIES):
         ids, counts = table.term_ids[take], table.counts[take]
         own = np.repeat([corpus.documents[row].total_tokens for row in block], np.diff(indptr))
         shared, dps, rps = shared_proportions(counts, own, totals[ids] - counts, grand - own)

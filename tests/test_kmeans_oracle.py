@@ -11,6 +11,7 @@ memory.
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -239,3 +240,61 @@ def test_products_of_rows_without_entries_are_zero(block_floats):
     labels = np.array([1, 0, 1])
     expected = ((points - centroids[labels]) ** 2).sum(axis=1)
     assert np.array_equal(intelligence._squared_distances(rows, centroids, labels), expected)
+
+
+#: -0.0, subnormals, and squares that round or underflow to them
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 1e-160, -1e-160, 0.1, 1 / 3, -2.5]
+
+
+@st.composite
+def distance_inputs(draw):
+    """(rows, centroids, labels, run entries): rows over V columns, some
+    without entries, V past numpy's 8,192-element buffer when wide; values
+    mixed with SPECIAL_FLOATS; one label for all rows or one per row, out
+    of k that rows need not all use; runs of 1 entry to the default bound."""
+    wide = draw(st.booleans())
+    v = draw(st.integers(8193, 9000) if wide else st.integers(1, 12))
+    n = draw(st.integers(0, 6) if wide else st.one_of(st.integers(0, 8), st.integers(20, 60)))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        out = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        special = rng.random(shape) < 0.3
+        out[special] = rng.choice(SPECIAL_FLOATS, size=int(special.sum()))
+        return out
+
+    lengths = draw(st.lists(st.one_of(st.just(0), st.integers(0, v)), min_size=n, max_size=n))
+    rows = intelligence.TermRows(
+        indptr=np.concatenate(([0], np.cumsum(lengths, dtype=np.intp))),
+        indices=np.concatenate(
+            [np.sort(rng.choice(v, size=m, replace=False)) for m in lengths] + [[]]
+        ).astype(np.intp),
+        data=values(sum(lengths)),
+        n_columns=v,
+    )
+    labels = draw(
+        st.one_of(
+            st.integers(0, k - 1),
+            st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(np.array),
+        )
+    )
+    run_entries = draw(st.sampled_from([1, 3, 40, intelligence._RUN_ENTRIES]))
+    return rows, values((k, v)), labels, run_entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=distance_inputs())
+def test_squared_distances_equal_the_dense_sums(inputs):
+    rows, centroids, labels, run_entries = inputs
+    row_labels = np.broadcast_to(labels, (rows.shape[0],))
+    expected = np.array(
+        [((rows.row(i) - centroids[label]) ** 2).sum() for i, label in enumerate(row_labels)]
+    )
+    before = centroids.copy()
+    with mock.patch.object(intelligence, "_RUN_ENTRIES", run_entries):
+        got = intelligence._squared_distances(rows, centroids, labels)
+        again = intelligence._squared_distances(rows, centroids, labels)
+    assert got.tobytes() == expected.tobytes()
+    assert again.tobytes() == got.tobytes()
+    assert centroids.tobytes() == before.tobytes()
