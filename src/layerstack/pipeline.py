@@ -182,13 +182,14 @@ def _bit_section(raw: Mapping[str, bytes], force: bool, notes: list[str]) -> dic
 
 def _data_section(corpus: Corpus, totals: Sequence[int], notes: list[str]) -> dict[str, Any]:
     per_document: dict[str, float] = {}
-    for doc in corpus:
+    counts, bounds = corpus.table.counts, corpus.table.indptr.tolist()
+    for doc, lo, hi in zip(corpus, bounds, bounds[1:]):
         if doc.total_tokens == 0:
             notes.append(
                 f"PipelineWarning: document {doc.id!r} has no terms; excluded from token entropy"
             )
             continue
-        per_document[doc.id] = count_entropy(doc.token_counts.values())
+        per_document[doc.id] = count_entropy(counts[lo:hi].tolist())
     if not totals:
         return _skip("no terms in corpus")
     return {
@@ -203,7 +204,7 @@ def _data_section(corpus: Corpus, totals: Sequence[int], notes: list[str]) -> di
 def _information_section(corpus: Corpus, totals: Sequence[int]) -> dict[str, Any]:
     if not totals:
         return _skip("no terms in corpus")
-    joint_bits = count_entropy(c for doc in corpus for c in doc.token_counts.values())
+    joint_bits = count_entropy(corpus.table.counts.tolist())
     document_bits = count_entropy(doc.total_tokens for doc in corpus)
     term_bits = count_entropy(totals)
     return {
