@@ -74,15 +74,10 @@ def unit_term_rows(corpus: Corpus) -> tuple[tuple[str, ...], TermRows]:
     # IEEE division of exactly held integers: the same floats as Python's
     data = table.counts / np.repeat(totals, lengths)
     indptr = table.indptr[np.concatenate(([0], kept + 1))]
-    # the norm is taken over the dense layout, one reused row at a time: BLAS
-    # sums the squares in lanes set by column position, so the norm of the
-    # nonzeros alone often differs in the last bit
-    scratch = np.zeros(len(table.terms))
+    # each norm sums the squares of the row's own nonzeros, in term-id order,
+    # by numpy's reduction, so no CPU-picked BLAS kernel sets its bits
     for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
-        cols = table.term_ids[lo:hi]
-        scratch[cols] = data[lo:hi]
-        data[lo:hi] /= float(np.linalg.norm(scratch))
-        scratch[cols] = 0.0
+        data[lo:hi] /= math.sqrt(float(np.add.reduce(np.square(data[lo:hi]))))
     ids = tuple(corpus.documents[i].id for i in kept.tolist())
     return ids, TermRows(indptr, table.term_ids, data, n_columns=len(table.terms))
 

@@ -65,7 +65,8 @@ def pearson_parts(
     xs: Sequence[float], ys: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Mean-centred samples and the Pearson denominator sqrt(Sxx * Syy), so
-    that r = dx @ dy / denom and dx[i] * dy[i] / denom is term i's share.
+    that r = sum(dx * dy) / denom and dx[i] * dy[i] / denom is term i's share.
+    Each sum is numpy's own reduction, the same on every CPU.
     A non-finite input makes denom non-finite, as overflow does: a ValueError."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -77,7 +78,7 @@ def pearson_parts(
         # the floats of x - x.mean(), whose mean is umr_sum / n
         dx = x - float(np.add.reduce(x)) / x.size
         dy = y - float(np.add.reduce(y)) / y.size
-        denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
+        denom = math.sqrt(float(np.add.reduce(dx * dx)) * float(np.add.reduce(dy * dy)))
     if not math.isfinite(denom):
         raise ValueError("non-finite input or denominator")
     # equal inputs decide it, as a mean of equal floats can be off in the last
@@ -90,7 +91,7 @@ def pearson_parts(
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient, clamped to [-1, 1]."""
     dx, dy, denom = pearson_parts(xs, ys)
-    r = float(dx @ dy) / denom
+    r = float(np.add.reduce(dx * dy)) / denom
     return max(-1.0, min(1.0, r))
 
 

@@ -433,7 +433,7 @@ def _out_dir(report: RunReport) -> Path:
 def write_report(report: RunReport) -> Path:
     """Write the JSON run summary (sorted keys, so byte-stable)."""
     path = _out_dir(report) / REPORT_NAME
-    path.write_text(report.to_json(), encoding="utf-8")
+    path.write_text(report.to_json(), encoding="utf-8", newline="\n")
     return path
 
 
@@ -457,12 +457,12 @@ def emit_tables(report: RunReport) -> list[Path]:
     written: list[Path] = []
     for name, rows in tables.items():
         path = out / f"{name}.tsv"
-        path.write_text(ranking_tsv(rows), encoding="utf-8")
+        path.write_text(ranking_tsv(rows), encoding="utf-8", newline="\n")
         written.append(path)
     for name, rows in tables.items():
         path = out / f"{name}.json"
         text = json.dumps(rows, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", newline="\n")
         written.append(path)
     return written
 

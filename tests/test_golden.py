@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -141,15 +142,13 @@ def test_run_matches_golden(case, tmp_path, monkeypatch):
     _assert_matches_golden(case, _outputs(case, tmp_path))
 
 
-@pytest.mark.parametrize("seed", ["2", "3"])
-@pytest.mark.parametrize("case", ["quoted", "synthetic36"])
-def test_run_output_is_independent_of_the_hash_seed(case, seed, tmp_path):
-    """``python -m layerstack run`` under string-hash seeds 2 and 3 writes
-    the golden bytes, whatever seed the suite itself runs under."""
+def _assert_module_run_matches_golden(case: str, tmp_path: Path, **env_vars: str) -> None:
+    """``python -m layerstack run`` on ``case`` with ``env_vars`` set writes
+    the golden bytes."""
     write, extra = CASES[case]
     source = write(tmp_path / "corpus").relative_to(tmp_path)
     # stdout and stderr as UTF-8, like the golden's in-process capture
-    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONIOENCODING": "utf-8"}
+    env = {**os.environ, **env_vars, "PYTHONIOENCODING": "utf-8"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argv = ["run", source.as_posix(), "--out", "out", *extra]
     done = subprocess.run(
@@ -158,6 +157,28 @@ def test_run_output_is_independent_of_the_hash_seed(case, seed, tmp_path):
     assert done.returncode == 0, done.stderr.decode()
     outputs = {"stdout.txt": done.stdout, "stderr.txt": done.stderr}
     _assert_matches_golden(case, {**outputs, **_artifacts(tmp_path / "out")})
+
+
+@pytest.mark.parametrize("seed", ["2", "3"])
+@pytest.mark.parametrize("case", ["quoted", "synthetic36"])
+def test_run_output_is_independent_of_the_hash_seed(case, seed, tmp_path):
+    """Under string-hash seeds 2 and 3 the run writes the golden bytes,
+    whatever seed the suite itself runs under."""
+    _assert_module_run_matches_golden(case, tmp_path, PYTHONHASHSEED=seed)
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OpenBLAS core type names are x86-64 ones",
+)
+@pytest.mark.parametrize("case", ["quoted", "synthetic36"])
+def test_run_output_is_independent_of_the_blas_kernel(case, tmp_path):
+    """Under OpenBLAS's oldest x86-64 kernel, which sums in other lanes than
+    the kernels of newer CPUs, the run still writes the golden bytes: no
+    BLAS routine feeds an output float. Where numpy does not use OpenBLAS
+    the variable does nothing. A newer kernel is not forced, as a CPU
+    without its instructions would die with SIGILL."""
+    _assert_module_run_matches_golden(case, tmp_path, OPENBLAS_CORETYPE="Prescott")
 
 
 def _regenerate() -> None:

@@ -76,7 +76,8 @@ class TestPearson:
         | st.lists(st.floats(-1e70, 1e70), min_size=3, max_size=40),
     )
     def test_parts_match_the_mean_formulation(self, data, values):
-        """dx, dy and denom are the floats of ``x - x.mean()``, and zero
+        """dx, dy and denom are the floats of ``x - x.mean()`` and of
+        numpy's own sums of their squares, not a BLAS dot product; zero
         variance is decided as ``min == max`` (or a denominator that
         underflows to 0). Either sample may be one value repeated."""
         n = data.draw(st.integers(3, 40))
@@ -84,7 +85,7 @@ class TestPearson:
         sample = st.lists(st.sampled_from(values), min_size=n, max_size=n) | repeated
         x, y = np.array(data.draw(sample)), np.array(data.draw(sample))
         dx, dy = x - x.mean(), y - y.mean()
-        denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
+        denom = math.sqrt(float((dx * dx).sum()) * float((dy * dy).sum()))
         if x.min() == x.max() or y.min() == y.max() or denom == 0.0:
             with pytest.raises(ValueError, match="zero variance"):
                 pearson_parts(x, y)

@@ -4,6 +4,12 @@ The sources of ``src/layerstack`` are parsed, not imported or run, as in
 ``test_public_surface.py``. A finding names the module and the functions and
 classes that enclose it, such as ``corpus.Corpus.total_counts``.
 
+- No BLAS routine feeds an output float: no ``@``, ``dot``, ``inner``,
+  ``vdot``, ``matmul`` or ``linalg``. OpenBLAS picks its kernel by CPU, and
+  the kernels sum in different orders, so the output bytes would depend on
+  the host. ``np.einsum`` runs numpy's own loops; it is allowed in
+  ``_nearest`` alone, where it only picks labels and near ties are
+  re-decided exactly.
 - After ingest, the layers read the corpus's count table, not each
   document's ``token_counts`` dict. Only the functions listed in
   ``TOKEN_COUNT_READERS`` still read the dicts.
@@ -16,6 +22,11 @@ from pathlib import Path
 from typing import Callable
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "layerstack"
+
+#: numpy's BLAS routines, and einsum, which can hand its work to them
+BLAS_NAMES = {"dot", "inner", "vdot", "matmul", "linalg", "einsum"}
+#: the one allowed BLAS-named use
+BLAS_ALLOWED = [("intelligence._nearest", "einsum")]
 
 #: the scopes that may read ``.token_counts``; a module name admits all of it
 TOKEN_COUNT_READERS = {
@@ -54,6 +65,47 @@ def program_findings(match: Callable[[ast.AST], str | None]) -> list:
     for path in sorted(PACKAGE.glob("*.py")):
         found += findings(path.read_text(encoding="utf-8"), path.stem, match)
     return found
+
+
+def blas_use(node: ast.AST) -> str | None:
+    """The BLAS routine ``node`` uses: a matrix product, or an attribute or
+    import naming one of ``BLAS_NAMES``."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    if isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+        return node.attr
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        modules = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+        named = [part for module in modules for part in module.split(".")]
+        return next((name for name in named if name in BLAS_NAMES), None)
+    return None
+
+
+def test_no_blas_routine_in_the_program():
+    assert program_findings(blas_use) == BLAS_ALLOWED
+
+
+def test_each_form_of_a_blas_use_is_found():
+    source = (
+        "import numpy as np\nimport numpy.linalg\nfrom numpy import dot\n"
+        "from numpy.linalg import norm\n"
+        "def f(a, b):\n    a @= b\n    return a @ b, np.inner(a, b), a.dot(b), np.vdot(a, b)\n"
+        "class C:\n    def g(self, a):\n        return np.matmul(a, a), np.linalg.norm(a)\n"
+        "def h(a):\n    return np.einsum('ij,ij->i', a, a), np.add.reduce(a * a)\n"
+    )
+    assert findings(source, "m", blas_use) == [
+        ("m", "linalg"),
+        ("m", "dot"),
+        ("m", "linalg"),
+        ("m.f", "@"),
+        ("m.f", "@"),
+        ("m.f", "inner"),
+        ("m.f", "dot"),
+        ("m.f", "vdot"),
+        ("m.C.g", "matmul"),
+        ("m.C.g", "linalg"),
+        ("m.h", "einsum"),
+    ]
 
 
 def token_counts_read(node: ast.AST) -> str | None:
