@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .belief import Frame, MassFunction, belief, combine, make_mass, plausibility, vacuous_mass
@@ -58,18 +59,7 @@ def _stop_words(path: str | None) -> frozenset[str]:
 
 
 def _cmd_run(args: argparse.Namespace, notes: list[str]) -> int:
-    config = RunConfig(
-        source=Path(args.corpus),
-        out_dir=Path(args.out),
-        stop_words_path=None if args.stopwords is None else Path(args.stopwords),
-        k=args.k,
-        rounds=args.rounds,
-        per_cluster=args.per_cluster,
-        top_k=args.top,
-        seed=args.seed,
-        reservoir_strength=args.reservoir_strength,
-        force_bit_layer=args.force_bit_layer,
-    )
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     report = run_pipeline(config)
     written = [write_report(report), *emit_tables(report), *emit_plot_data(report, notes)]
     # the report's notes go ahead of the plot notes, once every artifact is written
@@ -81,7 +71,7 @@ def _cmd_run(args: argparse.Namespace, notes: list[str]) -> int:
 
 def _cmd_entropy(args: argparse.Namespace, notes: list[str]) -> int:
     data, text = read_source(Path(args.file))
-    counts = count_terms(text, _stop_words(args.stopwords))
+    counts = count_terms(text, _stop_words(args.stop_words_path))
     total = sum(counts.values())
     payload = {
         "byte_count": len(data),
@@ -96,14 +86,14 @@ def _cmd_entropy(args: argparse.Namespace, notes: list[str]) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace, notes: list[str]) -> int:
-    corpus = ingest_corpus(args.corpus, _stop_words(args.stopwords))
-    ranked = rank_documents(corpus, top_k=args.top, notes=notes)
+    corpus = ingest_corpus(args.source, _stop_words(args.stop_words_path))
+    ranked = rank_documents(corpus, top_k=args.top_k, notes=notes)
     sys.stdout.write(ranking_tsv(ranking_rows(ranked, corpus)))
     return 0
 
 
 def _cmd_aggregate(args: argparse.Namespace, notes: list[str]) -> int:
-    corpus = ingest_corpus(args.corpus, _stop_words(args.stopwords))
+    corpus = ingest_corpus(args.source, _stop_words(args.stop_words_path))
     result = aggregate_corpus(
         corpus,
         k=args.k,
@@ -112,7 +102,7 @@ def _cmd_aggregate(args: argparse.Namespace, notes: list[str]) -> int:
         seed=args.seed,
         notes=notes,
     )
-    sys.stdout.write(ranking_tsv(ranking_rows(result.ranking[: args.top], corpus)))
+    sys.stdout.write(ranking_tsv(ranking_rows(result.ranking[: args.top_k], corpus)))
     return 0
 
 
@@ -153,7 +143,7 @@ def _cmd_belief(args: argparse.Namespace, notes: list[str]) -> int:
 
 
 def _cmd_scatter(args: argparse.Namespace, notes: list[str]) -> int:
-    corpus = ingest_corpus(args.corpus, _stop_words(args.stopwords))
+    corpus = ingest_corpus(args.source, _stop_words(args.stop_words_path))
     if len(corpus) < 2:
         raise ValueError("scatter needs at least 2 documents for a leave-one-out reference")
     if args.doc is not None:
@@ -168,15 +158,15 @@ def _cmd_scatter(args: argparse.Namespace, notes: list[str]) -> int:
 
 
 def _add_corpus_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("corpus", help="corpus directory of .txt files or JSONL manifest")
-    parser.add_argument("--stopwords", metavar="FILE", help="stop-word override, one term per line")
+    parser.add_argument("source", metavar="corpus", help="corpus directory of .txt files or JSONL manifest")
+    parser.add_argument("--stopwords", dest="stop_words_path", metavar="FILE", help="stop-word override, one term per line")
 
 
 def _add_aggregation_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=_positive_int, default=3, help="cluster count (default 3)")
-    parser.add_argument("--rounds", type=_nonnegative_int, default=1, help="aggregation rounds (default 1)")
-    parser.add_argument("--per-cluster", type=_positive_int, default=5, help="representatives per cluster (default 5)")
-    parser.add_argument("--seed", type=_nonnegative_int, default=42, help="clustering seed (default 42)")
+    parser.add_argument("--k", type=_positive_int, default=RunConfig.k, help="cluster count (default %(default)s)")
+    parser.add_argument("--rounds", type=_nonnegative_int, default=RunConfig.rounds, help="aggregation rounds (default %(default)s)")
+    parser.add_argument("--per-cluster", type=_positive_int, default=RunConfig.per_cluster, help="representatives per cluster (default %(default)s)")
+    parser.add_argument("--seed", type=_nonnegative_int, default=RunConfig.seed, help="clustering seed (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,26 +179,26 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the full layered pipeline")
     _add_corpus_argument(run)
     _add_aggregation_arguments(run)
-    run.add_argument("--top", type=_positive_int, default=5, help="rows per ranking table (default 5)")
-    run.add_argument("--reservoir-strength", type=_positive_float, default=1.0, help="entropic gain scale (default 1.0)")
-    run.add_argument("--out", metavar="DIR", default="layerstack-out", help="output directory (default layerstack-out)")
+    run.add_argument("--top", dest="top_k", metavar="TOP", type=_positive_int, default=RunConfig.top_k, help="rows per ranking table (default %(default)s)")
+    run.add_argument("--reservoir-strength", type=_positive_float, default=RunConfig.reservoir_strength, help="entropic gain scale (default %(default)s)")
+    run.add_argument("--out", dest="out_dir", metavar="DIR", default=RunConfig.out_dir, help="output directory (default %(default)s)")
     run.add_argument("--force-bit-layer", action="store_true", help="compute byte-stream entropies even for text input")
     run.set_defaults(handler=_cmd_run)
 
     entropy = sub.add_parser("entropy", help="bitstream and token entropies of one file")
     entropy.add_argument("file", help="UTF-8 text file")
-    entropy.add_argument("--stopwords", metavar="FILE", help="stop-word override, one term per line")
+    entropy.add_argument("--stopwords", dest="stop_words_path", metavar="FILE", help="stop-word override, one term per line")
     entropy.set_defaults(handler=_cmd_entropy)
 
     rank = sub.add_parser("rank", help="rank documents by leave-one-out correlation")
     _add_corpus_argument(rank)
-    rank.add_argument("--top", type=_positive_int, default=5, help="rows to emit (default 5)")
+    rank.add_argument("--top", dest="top_k", metavar="TOP", type=_positive_int, default=RunConfig.top_k, help="rows to emit (default %(default)s)")
     rank.set_defaults(handler=_cmd_rank)
 
     aggregate = sub.add_parser("aggregate", help="cluster, reselect, and re-rank")
     _add_corpus_argument(aggregate)
     _add_aggregation_arguments(aggregate)
-    aggregate.add_argument("--top", type=_positive_int, default=5, help="rows to emit (default 5)")
+    aggregate.add_argument("--top", dest="top_k", metavar="TOP", type=_positive_int, default=RunConfig.top_k, help="rows to emit (default %(default)s)")
     aggregate.set_defaults(handler=_cmd_aggregate)
 
     belief_cmd = sub.add_parser("belief", help="combine mass functions and report Bel/Pl")

@@ -44,6 +44,9 @@ _SPACES = bytes(c if c >= 0x80 or chr(c).isalnum() else 0x20 for c in range(256)
 #: a count table's counts sum to less than this: every pooled sum then fits
 #: int64, and every count / total is the float Python's int / int gives
 _COUNT_LIMIT = 2**53
+#: a pass over a run of table rows takes rows until their entries reach this
+#: many, so its arrays stay bounded by it and the longest row
+_PASS_ENTRIES = 1024
 
 
 def parse_stop_words(text: str) -> frozenset[str]:
@@ -142,12 +145,12 @@ def _entries(indptr: np.ndarray, rows: Sequence[int]) -> tuple[np.ndarray, np.nd
     return local, np.repeat(indptr[rows] - local[:-1], lengths) + np.arange(local[-1])
 
 
-def _entry_runs(indptr: np.ndarray, rows: Sequence[int], limit: int) -> Iterator[tuple]:
-    """``rows`` in order, cut into runs that start within the same ``limit``
-    entries; for each run, its rows and their :func:`_entries`."""
+def _entry_runs(indptr: np.ndarray, rows: Sequence[int]) -> Iterator[tuple]:
+    """``rows`` in order, cut into runs that start in the same window of
+    ``_PASS_ENTRIES`` entries; for each, its rows and their :func:`_entries`."""
     rows = np.asarray(rows, dtype=np.intp)
     lengths = indptr[rows + 1] - indptr[rows]
-    run = (np.cumsum(lengths) - lengths) // limit
+    run = (np.cumsum(lengths) - lengths) // _PASS_ENTRIES
     cuts = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1).tolist(), len(rows)]
     for lo, hi in zip(cuts, cuts[1:]):
         yield rows[lo:hi], *_entries(indptr, rows[lo:hi])

@@ -6,7 +6,8 @@ The k-means rows are the corpus count table's own CSR arrays, its term ids
 and row pointers, with each count replaced by a float weight: the term's
 proportion in its document, scaled so the row has unit length. A squared
 distance's only dense work is its one sum, off the row's nonzeros over the
-centroid's own squares.
+centroid's own squares. A distance pass takes the rows in the same runs as
+the scorer, of about ``corpus._PASS_ENTRIES`` entries each.
 
 Aggregation repeatedly clusters the corpus, keeps the most correlated
 documents from each cluster, and re-ranks the survivors. Every stochastic
@@ -32,8 +33,6 @@ MAX_KMEANS_ITERATIONS = 100
 _TIE_GAP = 1e-9
 #: slack for the non-increasing inertia check (float accumulation noise)
 _INERTIA_SLACK = 1e-9
-#: a distance pass squares entries in runs of rows of about this many each
-_RUN_ENTRIES = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +126,8 @@ def _squared_distances(
     """``((row - centroids[label]) ** 2).sum()`` for every row, bit for bit;
     ``labels`` is one index per row, or one for all. Off a row's nonzeros
     those squares are the centroid's own, (−c)² = c², so a row's (x − c)²,
-    one numpy pass per run of rows, is written into one dense row of its
-    centroid's squares, summed by the same call, then restored."""
+    one numpy pass per ``_entry_runs`` run, is written into one dense row of
+    its centroid's squares, summed by the same call, then restored."""
     labels = np.broadcast_to(labels, rows.shape[:1])
     out = np.empty(rows.shape[0])
     for label, centroid in enumerate(centroids):
@@ -136,7 +135,7 @@ def _squared_distances(
         if not len(members):
             continue
         squares = np.square(centroid)
-        for block, indptr, take in _entry_runs(rows.indptr, members, _RUN_ENTRIES):
+        for block, indptr, take in _entry_runs(rows.indptr, members):
             cols = rows.indices[take]
             own = centroid[cols]
             moved = np.square(rows.data[take] - own)

@@ -9,10 +9,11 @@ One scorer serves ``rank_documents``, ``correlate_document`` and the belief
 layer's evidence. It takes a ranking's rows of the corpus's integer count
 table, pooled once, and lays their entries end to end: each leave-one-out
 count is the pooled total minus the row's own count, and one numpy pass over
-a run of rows finds the shared terms and both sides' proportions for all of
-them. Each row then correlates its own span of those profiles. So only the
-corpus's own documents are scored, at work linear in the (document, term)
-pairs, with no string lookup and no re-pool per document.
+a run of rows, of about ``corpus._PASS_ENTRIES`` entries, finds the shared
+terms and both sides' proportions for all of them. Each row then correlates
+its own span of those profiles. So only the corpus's own documents are
+scored, at work linear in the (document, term) pairs, with no string lookup
+and no re-pool per document.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ _MAX_STEPS = 1000
 _SERIES_FROM = 25.0
 #: a from which the lower tail comes from the large-a expansion
 _EXPANSION_FROM = 15.0
-#: a scorer pass takes rows until their entries reach this many, so its
-#: arrays stay bounded by it and the longest row
-_PASS_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -213,11 +211,11 @@ def _profiles(
     """The one leave-one-out scorer's profiles: for each table row of
     ``rows``, in order, the ids of the terms it shares with the pooled
     ``totals`` less its own counts (increasing, so in lexicographic term
-    order), with log10 proportions on both sides. Each run of rows of about
-    ``_PASS_ENTRIES`` entries goes through ``shared_proportions`` at once."""
+    order), with log10 proportions on both sides. Each run of rows from
+    ``_entry_runs`` goes through ``shared_proportions`` at once."""
     table = corpus.table
     grand = int(totals.sum())
-    for block, indptr, take in _entry_runs(table.indptr, rows, _PASS_ENTRIES):
+    for block, indptr, take in _entry_runs(table.indptr, rows):
         ids, counts = table.term_ids[take], table.counts[take]
         own = np.repeat([corpus.documents[row].total_tokens for row in block], np.diff(indptr))
         shared, dps, rps = shared_proportions(counts, own, totals[ids] - counts, grand - own)

@@ -57,10 +57,11 @@ class PipelineError(RuntimeError):
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline run depends on, so equal configs plus equal
-    inputs give byte-identical outputs."""
+    inputs give byte-identical outputs. Each field is one ``layerstack run``
+    argument, and its default is that argument's default."""
 
     source: Path
-    out_dir: Path
+    out_dir: Path = Path("layerstack-out")
     stop_words_path: Path | None = None
     k: int = 3
     rounds: int = 1

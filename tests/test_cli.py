@@ -1,16 +1,19 @@
 import contextlib
+import inspect
 import io
 import json
 import shlex
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerstack import synthetic_corpus, write_corpus
+from layerstack import RunConfig, aggregate_corpus, synthetic_corpus, write_corpus
 from layerstack.cli import build_parser, main
 
 from helpers import TWO_TOPIC_COUNTS, make_corpus, run_cli
@@ -420,6 +423,49 @@ def test_readme_command_lines_parse():
     assert lines
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+class TestRunConfigIsTheOneFieldList:
+    """``run`` options are ``RunConfig`` fields by name, and every default
+    the CLI or ``aggregate_corpus`` shows is the field's own."""
+
+    class Stop(Exception):
+        pass
+
+    def run_config(self, argv) -> RunConfig:
+        """The config ``layerstack run`` hands the pipeline for ``argv``."""
+        with mock.patch("layerstack.cli.run_pipeline", side_effect=self.Stop) as pipeline:
+            with pytest.raises(self.Stop):
+                main(["run", *argv])
+        return pipeline.call_args.args[0]
+
+    def test_defaults_are_the_config_defaults(self):
+        assert self.run_config(["c"]) == RunConfig(source="c")
+
+    def test_each_option_sets_its_field(self):
+        argv = ["c", "--out", "o", "--stopwords", "s", "--k", "4", "--rounds", "0"]
+        argv += ["--per-cluster", "2", "--top", "9", "--seed", "7"]
+        argv += ["--reservoir-strength", "2.5", "--force-bit-layer"]
+        expected = RunConfig(
+            source="c", out_dir="o", stop_words_path="s", k=4, rounds=0, per_cluster=2,
+            top_k=9, seed=7, reservoir_strength=2.5, force_bit_layer=True,
+        )
+        assert self.run_config(argv) == expected
+        assert all(getattr(expected, f.name) != f.default for f in fields(RunConfig))
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [("rank", ["top_k"]), ("aggregate", ["top_k", "k", "rounds", "per_cluster", "seed"])],
+    )
+    def test_layer_command_defaults_are_the_config_defaults(self, command, names):
+        args = build_parser().parse_args([command, "c"])
+        for name in names:
+            assert getattr(args, name) == getattr(RunConfig, name), name
+
+    def test_aggregate_corpus_defaults_are_the_config_defaults(self):
+        parameters = inspect.signature(aggregate_corpus).parameters
+        for name in ("rounds", "per_cluster", "seed"):
+            assert parameters[name].default == getattr(RunConfig, name), name
 
 
 class TestArgumentValidation:

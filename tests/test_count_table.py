@@ -5,12 +5,15 @@ sorted vocabulary. The checks here rebuild each row from the document's own
 ``token_counts``, compare ``subset`` and its k-means rows with a corpus
 built afresh from the kept documents, compare the pooled integers with
 ``total_counts``, and rank a subset's rows in place against the subset
-itself.
+itself, and check the row runs the rankings and k-means passes take against
+a walk over the rows.
 Corpora include zero counts, non-ASCII terms, empty documents and ids that
 are not in sorted order.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerstack import Corpus, rank_documents
-from layerstack.corpus import CountTable
+from layerstack.corpus import CountTable, _entries, _entry_runs
 from layerstack.intelligence import unit_term_rows
 
 from helpers import make_corpus, make_doc
@@ -157,3 +160,61 @@ def test_counts_summing_to_2_53_are_rejected():
         make_corpus({"d0": {"a": 2**52}, "d1": {"a": 2**52}})
     with pytest.raises(ValueError, match="not below 2"):
         make_corpus({"d0": {"a": 2**70}})
+
+
+@st.composite
+def row_selections(draw, min_size: int = 0) -> tuple[np.ndarray, list[int]]:
+    """Row pointers of up to nine rows, some empty and some longer than a
+    short pass, and a consecutive, gapped or permuted list of their rows."""
+    lengths = draw(st.lists(st.one_of(st.just(0), st.integers(0, 12)), min_size=1, max_size=9))
+    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.intp)
+    n = len(lengths)
+    lo = draw(st.integers(0, n - 1))
+    consecutive = st.integers(max(lo + 1, lo + min_size), n).map(lambda hi: list(range(lo, hi)))
+    gapped = st.lists(st.integers(0, n - 1), min_size=min_size, unique=True).map(sorted)
+    permuted = st.permutations(range(n)).flatmap(
+        lambda order: st.integers(max(min_size, 1), n).map(lambda m: list(order[:m]))
+    )
+    return indptr, draw(st.one_of(consecutive, gapped, permuted))
+
+
+def walk_entries(indptr: np.ndarray, rows: list[int]) -> list[int]:
+    """The CSR positions of ``rows``' entries, one row after another."""
+    return [pos for row in rows for pos in range(indptr[row], indptr[row + 1])]
+
+
+def assert_entries_of(indptr: np.ndarray, rows: list[int], local, take) -> None:
+    lengths = [int(indptr[row + 1] - indptr[row]) for row in rows]
+    assert local.tolist() == np.cumsum([0] + lengths).tolist()
+    assert np.arange(indptr[-1])[take].tolist() == walk_entries(indptr, rows)
+    ascending = all(b == a + 1 for a, b in zip(rows, rows[1:]))
+    assert isinstance(take, slice) == (len(rows) > 0 and ascending)
+
+
+@settings(max_examples=300)
+@given(selection=row_selections())
+def test_entries_gather_each_row_and_slice_only_consecutive_rows(selection):
+    indptr, rows = selection
+    assert_entries_of(indptr, rows, *_entries(indptr, rows))
+
+
+@settings(max_examples=300)
+@given(selection=row_selections(min_size=1), pass_entries=st.integers(1, 20))
+def test_entry_runs_match_a_walk_over_the_rows(selection, pass_entries):
+    """A row walk opens a run whenever a row starts in a pass window (of
+    ``pass_entries`` entries, counted over the rows laid end to end) that the
+    previous row did not start in."""
+    indptr, rows = selection
+    expected: list[list[int]] = []
+    start, window = 0, None
+    for row in rows:
+        if start // pass_entries != window:
+            window = start // pass_entries
+            expected.append([])
+        expected[-1].append(row)
+        start += int(indptr[row + 1] - indptr[row])
+    with mock.patch("layerstack.corpus._PASS_ENTRIES", pass_entries):
+        runs = list(_entry_runs(indptr, rows))
+    assert [block.tolist() for block, _, _ in runs] == expected
+    for block, local, take in runs:
+        assert_entries_of(indptr, block.tolist(), local, take)

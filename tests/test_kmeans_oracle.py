@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerstack import intelligence
+from layerstack.corpus import _PASS_ENTRIES
 from layerstack.intelligence import kmeans, unit_term_rows
 
 from helpers import dense, make_corpus
@@ -281,7 +282,7 @@ def distance_inputs(draw):
             st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(np.array),
         )
     )
-    run_entries = draw(st.sampled_from([1, 3, 40, intelligence._RUN_ENTRIES]))
+    run_entries = draw(st.sampled_from([1, 3, 40, _PASS_ENTRIES]))
     return rows, values((k, v)), labels, run_entries
 
 
@@ -294,7 +295,7 @@ def test_squared_distances_equal_the_dense_sums(inputs):
         [((rows.row(i) - centroids[label]) ** 2).sum() for i, label in enumerate(row_labels)]
     )
     before = centroids.copy()
-    with mock.patch.object(intelligence, "_RUN_ENTRIES", run_entries):
+    with mock.patch("layerstack.corpus._PASS_ENTRIES", run_entries):
         got = intelligence._squared_distances(rows, centroids, labels)
         again = intelligence._squared_distances(rows, centroids, labels)
     assert got.tobytes() == expected.tobytes()

@@ -35,7 +35,7 @@ from layerstack import (
     rank_documents,
     synthetic_corpus,
 )
-from layerstack import intelligence, knowledge
+from layerstack import intelligence
 from layerstack.belief import MAX_FRAME_SIZE
 from layerstack.corpus import CountTable
 from layerstack.knowledge import MIN_SHARED_TERMS, pearson_parts
@@ -137,7 +137,7 @@ def test_rank_documents_matches_oracle(table, data):
     scorer's passes are drawn short, so rows are split across several."""
     corpus = make_corpus(table)
     top_k = data.draw(st.integers(1, len(corpus) + 1))
-    pass_entries = mock.patch.object(knowledge, "_PASS_ENTRIES", data.draw(st.integers(1, 40)))
+    pass_entries = mock.patch("layerstack.corpus._PASS_ENTRIES", data.draw(st.integers(1, 40)))
     notes: list[str] = []
     with pass_entries:
         ranked = rank_documents(corpus, top_k=top_k, notes=notes)
@@ -205,7 +205,7 @@ def test_correlate_document_is_the_ranking_entry(table):
 def test_belief_evidence_matches_oracle(table, top_k, pass_entries):
     corpus = make_corpus(table)
     ranking, _ = _ranked_with_exclusions(corpus, len(corpus))
-    with mock.patch.object(knowledge, "_PASS_ENTRIES", pass_entries):
+    with mock.patch("layerstack.corpus._PASS_ENTRIES", pass_entries):
         section = _belief_section(corpus, tuple(ranking), top_k)
     if not ranking or not corpus.vocabulary:
         assert section["skipped"]
