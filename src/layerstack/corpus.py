@@ -225,10 +225,10 @@ class CountTable:
 @dataclass(frozen=True)
 class Corpus:
     """An ordered, immutable collection of documents, with their term
-    counts as one :class:`CountTable` (row i is document i)."""
+    counts as one :class:`CountTable` (row i is document i). Stop words
+    are the tokenizer's rule (:func:`count_terms`), not the corpus's."""
 
     documents: tuple[Document, ...]
-    stop_words: frozenset[str] = ENGLISH_STOP_WORDS
     vocabulary: frozenset[str] = field(init=False)
     table: CountTable = field(init=False, repr=False, compare=False)
     _by_id: Mapping[str, int] = field(init=False, repr=False, compare=False)
@@ -237,12 +237,6 @@ class Corpus:
         by_id = {d.id: i for i, d in enumerate(self.documents)}
         if len(by_id) != len(self.documents):
             raise ValueError(f"duplicate document ids: {_repeated(d.id for d in self.documents)}")
-        for doc in self.documents:
-            overlap = self.stop_words.intersection(doc.token_counts)
-            if overlap:
-                raise ValueError(
-                    f"stop words present in document {doc.id!r}: {sorted(overlap)[:5]}"
-                )
         self._hold(by_id, CountTable.build(self.documents))
 
     def _hold(self, by_id: Mapping[str, int], table: CountTable) -> None:
@@ -279,7 +273,6 @@ class Corpus:
         kept = tuple(self.documents[i] for i in rows)
         sub = object.__new__(Corpus)
         object.__setattr__(sub, "documents", kept)
-        object.__setattr__(sub, "stop_words", self.stop_words)
         sub._hold({d.id: i for i, d in enumerate(kept)}, self.table.select(rows))
         return sub
 
@@ -422,4 +415,4 @@ def ingest_corpus(
     JSON-lines manifest. Document order is lexicographic by id; ingestion is
     fully deterministic for fixed inputs and stop words."""
     docs = tuple(doc for doc, _ in read_documents(source, stop_words))
-    return Corpus(documents=docs, stop_words=stop_words)
+    return Corpus(documents=docs)

@@ -385,8 +385,7 @@ def aggregate_corpus(
         ids, rows = unit_term_rows(current)
         kept = set(ids)
         notes.extend(
-            f"AggregationWarning: excluding {doc.id!r}: orthogonal document: "
-            f"{doc.id!r} shares no terms with the vocabulary"
+            f"AggregationWarning: document {doc.id!r} has no terms; excluded from clustering"
             for doc in current
             if doc.id not in kept
         )

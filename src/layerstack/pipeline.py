@@ -150,8 +150,7 @@ def _ingest(config: RunConfig) -> tuple[Corpus, dict[str, bytes], str]:
             hasher.update(chunk)
         raw[doc.id] = data
         documents.append(doc)
-    corpus = Corpus(documents=tuple(documents), stop_words=stop_words)
-    return corpus, raw, hasher.hexdigest()
+    return Corpus(documents=tuple(documents)), raw, hasher.hexdigest()
 
 
 def _skip(reason: str) -> dict[str, Any]:
@@ -308,8 +307,6 @@ def _wisdom_section(agg: AggregationResult | None) -> dict[str, Any]:
         return _skip("empty final ranking")
     last = agg.rounds[-1]
     individuals = [ranked[0].r for ranked in last.cluster_rankings if ranked]
-    if not individuals:
-        return _skip("no cluster produced a ranked representative")
     truth = agg.ranking[0].r
     decomp = aggregate_round_quality(individuals, truth)
     return {
@@ -329,8 +326,6 @@ def _belief_section(
     if not knowledge_ranking:
         return _skip("no ranked documents to draw evidence from")
     keyword_count = min(top_k, MAX_FRAME_SIZE, len(corpus.vocabulary))
-    if keyword_count < 1:
-        return _skip("no terms in corpus")
     totals = corpus.table.pooled()
     # descending count, ties by ascending id, which is ascending term
     by_frequency = np.argsort(-totals, kind="stable")[:keyword_count].tolist()

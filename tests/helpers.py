@@ -38,13 +38,10 @@ def dense(rows: TermRows) -> np.ndarray:
     return np.vstack([rows.row(i) for i in range(rows.shape[0])])
 
 
-def make_corpus(docs: Mapping[str, Mapping[str, int]], stop_words=frozenset()) -> Corpus:
-    """Corpus from {doc_id: {term: count}}; no stop words by default so tests
-    may use short artificial terms like "a" freely."""
-    return Corpus(
-        documents=tuple(make_doc(doc_id, counts) for doc_id, counts in docs.items()),
-        stop_words=stop_words,
-    )
+def make_corpus(docs: Mapping[str, Mapping[str, int]]) -> Corpus:
+    """Corpus from {doc_id: {term: count}}. A corpus applies no stop-word
+    rule, so tests may use short artificial terms like "a" freely."""
+    return Corpus(documents=tuple(make_doc(doc_id, counts) for doc_id, counts in docs.items()))
 
 
 def run_cli(main, argv: list[str]) -> tuple[int, str, str]:

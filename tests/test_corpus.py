@@ -16,10 +16,11 @@ from layerstack import (
     frequency_scatter,
     ingest_corpus,
     load_stop_words,
+    rank_documents,
     top_k_terms,
 )
 from layerstack.corpus import count_terms, resolve_sources
-from layerstack.pipeline import write_fig4
+from layerstack.pipeline import LAYERS, RunReport, emit_plot_data, write_fig4
 from layerstack.stopwords import ENGLISH_STOP_WORDS
 
 from helpers import make_corpus, make_doc
@@ -183,11 +184,33 @@ class TestCorpus:
     def test_duplicate_ids_rejected(self):
         doc = make_doc("d1", {"a": 1})
         with pytest.raises(ValueError, match="duplicate document ids"):
-            Corpus(documents=(doc, doc), stop_words=frozenset())
+            Corpus(documents=(doc, doc))
 
-    def test_stop_words_must_be_absent(self):
-        with pytest.raises(ValueError, match="stop words present"):
-            make_corpus({"d1": {"the": 1}}, stop_words=frozenset({"the"}))
+    def test_a_hand_built_corpus_counts_a_stop_word_like_any_term(self, tmp_path):
+        # stop words are the tokenizer's rule; "theta" stands in the same
+        # place in term order, so every count and float must match
+        assert "the" in ENGLISH_STOP_WORDS and "theta" not in ENGLISH_STOP_WORDS
+        docs = {
+            "d1": {"the": 3, "model": 2, "signal": 1},
+            "d2": {"the": 1, "model": 3, "signal": 5},
+            "d3": {"the": 2, "model": 4, "signal": 2},
+        }
+        corpus = make_corpus(docs)
+        renamed = {"the": "theta"}
+        twin = make_corpus(
+            {d: {renamed.get(t, t): c for t, c in counts.items()} for d, counts in docs.items()}
+        )
+        assert corpus.table.terms == ("model", "signal", "the")
+        assert corpus.table.pooled().tolist() == [9, 8, 6]
+        assert corpus.table.counts.tolist() == twin.table.counts.tolist()
+        notes: list[str] = []
+        ranking = rank_documents(corpus, top_k=3, notes=notes)
+        assert notes == [] and [res.n for res in ranking] == [3, 3, 3]
+        assert ranking == rank_documents(twin, top_k=3)
+        sections = {layer: {"skipped": True, "reason": "not run"} for layer in LAYERS}
+        report = RunReport({"out_dir": str(tmp_path)}, {}, sections, (), corpus)
+        fig3 = emit_plot_data(report)[0].read_text(encoding="utf-8")
+        assert fig3.splitlines()[1:4] == ["d1,1,the,3", "d1,2,model,2", "d1,3,signal,1"]
 
     def test_get_and_contains(self):
         corpus = make_corpus({"d1": {"a": 1}, "d2": {"b": 1}})
@@ -354,7 +377,7 @@ class TestDuplicateIds:
         docs = tuple(make_doc(doc_id, {"a": 1}) for doc_id in ids)
         CountingId.calls = 0
         with pytest.raises(ValueError, match=r"^duplicate document ids: \['d7', 'd9'\]$"):
-            Corpus(documents=docs, stop_words=frozenset())
+            Corpus(documents=docs)
         assert CountingId.calls < 4 * len(ids)
 
     def test_manifest_lists_repeats_in_linear_time(self, ids, tmp_path, monkeypatch):

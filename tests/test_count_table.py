@@ -114,7 +114,7 @@ def test_table_matches_documents_and_subsets_match_fresh_corpora(corpus, data):
         chosen = data.draw(st.lists(st.sampled_from(ids), max_size=8)) if ids else []
         kept = tuple(doc for doc in current if doc.id in set(chosen))
         sub = current.subset(chosen)
-        fresh = Corpus(documents=kept, stop_words=current.stop_words)
+        fresh = Corpus(documents=kept)
         assert_same_corpus(sub, fresh)
         assert_same_unit_rows(sub, fresh)
         assert_rows_match_documents(sub)
@@ -126,7 +126,7 @@ def test_table_matches_documents_and_subsets_match_fresh_corpora(corpus, data):
 
 
 def test_empty_corpus_has_an_empty_table():
-    table = Corpus(documents=(), stop_words=frozenset()).table
+    table = Corpus(documents=()).table
     assert table.terms == () and table.indptr.tolist() == [0]
     assert table.pooled().tolist() == []
 
@@ -134,7 +134,7 @@ def test_empty_corpus_has_an_empty_table():
 def test_subset_of_no_ids_is_empty():
     sub = make_corpus({"d2": {"a": 1}, "d1": {"b": 2}}).subset([])
     assert len(sub) == 0 and sub.vocabulary == frozenset()
-    assert_same_table(sub.table, Corpus(documents=(), stop_words=frozenset()).table)
+    assert_same_table(sub.table, Corpus(documents=()).table)
 
 
 def test_table_arrays_are_read_only():
@@ -146,8 +146,7 @@ def test_table_arrays_are_read_only():
 
 def test_rows_follow_sorted_terms_not_insertion_order():
     corpus = Corpus(
-        documents=(make_doc("x", {"ñ": 1, "b": 2, "a": 0}), make_doc("c", {"é": 3, "b": 1})),
-        stop_words=frozenset(),
+        documents=(make_doc("x", {"ñ": 1, "b": 2, "a": 0}), make_doc("c", {"é": 3, "b": 1}))
     )
     assert corpus.table.terms == ("b", "é", "ñ")
     assert corpus.table.term_ids.tolist() == [0, 2, 0, 1]

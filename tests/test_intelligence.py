@@ -339,8 +339,7 @@ class TestAggregation:
         notes: list[str] = []
         result = aggregate_corpus(corpus, k=2, rounds=1, per_cluster=2, seed=0, notes=notes)
         assert notes == [
-            "AggregationWarning: excluding 'empty': orthogonal document: "
-            "'empty' shares no terms with the vocabulary",
+            "AggregationWarning: document 'empty' has no terms; excluded from clustering",
             "AggregationWarning: cluster 0 has 1 member(s); nothing selected",
         ]
         assert "empty" not in result.survivor_ids

@@ -183,8 +183,7 @@ def aggregate(docs, config: RunConfig, notes: list[str]):
         vocabulary = sorted(pooled(current))
         kept = [doc for doc in current if doc.total_tokens > 0]
         notes.extend(
-            f"AggregationWarning: excluding {doc.id!r}: orthogonal document: "
-            f"{doc.id!r} shares no terms with the vocabulary"
+            f"AggregationWarning: document {doc.id!r} has no terms; excluded from clustering"
             for doc in current
             if doc.total_tokens == 0
         )

@@ -32,7 +32,6 @@ BLAS_ALLOWED = [("intelligence._nearest", "einsum")]
 TOKEN_COUNT_READERS = {
     "corpus.Document.__post_init__",
     "corpus.CountTable.build",
-    "corpus.Corpus.__post_init__",
     "corpus.Corpus.total_counts",
     "corpus.Corpus.leave_one_out_counts",
     "corpus.top_k_terms",
