@@ -7,7 +7,10 @@ and row pointers, with each count replaced by a float weight: the term's
 proportion in its document, scaled so the row has unit length. A squared
 distance's only dense work is its one sum, off the row's nonzeros over the
 centroid's own squares. A distance pass takes the rows in the same runs as
-the scorer, of about ``corpus._PASS_ENTRIES`` entries each.
+the scorer, of about ``corpus._PASS_ENTRIES`` entries each. k-means++
+seeding sums a row's distance to a new centroid only where a sparse
+estimate, ‖x‖² + ‖c‖² − 2·x·c with a margin past its rounding, cannot rule
+out that the new centroid is nearer; elsewhere it could not change d².
 
 Aggregation repeatedly clusters the corpus, keeps the most correlated
 documents from each cluster, and re-ranks the survivors. Every stochastic
@@ -124,12 +127,13 @@ def _squared_distances(
     rows: TermRows, centroids: np.ndarray, labels: np.ndarray | int
 ) -> np.ndarray:
     """``((row - centroids[label]) ** 2).sum()`` for every row, bit for bit;
-    ``labels`` is one index per row, or one for all. Off a row's nonzeros
-    those squares are the centroid's own, (−c)² = c², so a row's (x − c)²,
-    one numpy pass per ``_entry_runs`` run, is written into one dense row of
-    its centroid's squares, summed by the same call, then restored."""
+    ``labels`` is one index per row, or one for all. A row labelled −1 is
+    not summed and reads +inf. Off a row's nonzeros those squares are the
+    centroid's own, (−c)² = c², so a row's (x − c)², one numpy pass per
+    ``_entry_runs`` run, is written into one dense row of its centroid's
+    squares, summed by the same call, then restored."""
     labels = np.broadcast_to(labels, rows.shape[:1])
-    out = np.empty(rows.shape[0])
+    out = np.full(rows.shape[0], np.inf)
     for label, centroid in enumerate(centroids):
         members = np.flatnonzero(labels == label)
         if not len(members):
@@ -151,14 +155,43 @@ def _squared_distances(
 
 def _seed_centroids(rows: TermRows, k: int, rng: Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centroids proportionally to the
-    squared distance from the nearest already-chosen one."""
+    squared distance from the nearest already-chosen one.
+
+    Each draw's exact distance d̂ is summed only for the rows the new
+    centroid c can bring nearer than their ``d2``; every other row keeps its
+    ``d2`` bits, as ``np.minimum`` would keep them. The sparse estimate
+    ê = (‖x‖² + ‖c‖²) − 2·x·c decides: a row is skipped where
+    ê > d2 + margin, margin = τ·(‖x‖² + ‖c‖² + d2) + tiny, τ = 8·(V + 2)·u,
+    u = 2⁻⁵³ the unit roundoff and tiny the least normal float.
+
+    Why that is exact: let D = Σ(x − c)², S = ‖x‖² + ‖c‖² and g = γ_{V+2},
+    γ_m = m·u / (1 − m·u). d̂ rounds each of its V terms at most V + 2
+    times, so d̂ ≥ (1 − g)·D; ê rounds each term of S and of 2·Σ|xⱼcⱼ| ≤ S at
+    most V + 2 times, so |ê − D| ≤ 2g·S. A skipped row then has
+    d̂ ≥ (1 − g)·(d2 + margin − 2g·S) ≥ d2 once margin ≥ 4g·(S + d2), which
+    τ covers with a factor 2 left for the rounding of the margin and of
+    d2 + margin. Below the normal range a product also adds an absolute
+    error of at most 2⁻¹⁰⁷⁵; the 4·V products of d̂ and ê stay under tiny.
+    An overflowed ê is NaN, or comes with an overflowed margin, or with a
+    D past the largest float; none of these skips a row that could draw
+    nearer. The first pass, at d2 = +inf, sums every row."""
     n = rows.shape[0]
+    with np.errstate(over="ignore"):
+        norms = np.bincount(
+            np.repeat(np.arange(n), np.diff(rows.indptr)), np.square(rows.data), minlength=n
+        )
+    tau = 8 * (rows.n_columns + 2) * np.finfo(float).epsneg
     chosen = [int(rng.integers(n))]
     d2 = np.full(n, np.inf)
     # a centroid's distances are taken only while another is left to draw:
     # k - 1 passes, none after the last draw
     while len(chosen) < k:
-        d2 = np.minimum(d2, _squared_distances(rows, rows.row(chosen[-1])[None], 0))
+        centroid = rows.row(chosen[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = norms + norms[chosen[-1]]
+            estimate = bound - 2.0 * _products(rows, centroid[None])[:, 0]
+            far = estimate > d2 + (tau * (bound + d2) + np.finfo(float).tiny)
+        d2 = np.minimum(d2, _squared_distances(rows, centroid[None], np.where(far, -1, 0)))
         total = float(d2.sum())
         if total <= 0.0:
             # every point coincides with a chosen centroid
@@ -219,9 +252,11 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
 
     Work per pass is the products of the nonzeros with the centroids, the
     squared differences on the nonzeros, and one V-length sum per row over
-    a reused row of its centroid's squares. Distances and inertia are those
-    sums, the row-wise sums of squared differences, so results equal those
-    of the dense N x k x V computation bit for bit."""
+    a reused row of its centroid's squares. Seeding takes that sum only for
+    the rows whose sparse estimate cannot rule out a nearer new centroid.
+    Distances and inertia are those sums, the row-wise sums of squared
+    differences, so results equal those of the dense N x k x V computation
+    bit for bit."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(ids) != rows.shape[0]:

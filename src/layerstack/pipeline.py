@@ -256,6 +256,11 @@ def _intelligence_section(
         seed=config.seed,
         notes=notes,
     )
+    if not agg.rounds:
+        # with no completed round the final ranking re-ranked this corpus, as
+        # the knowledge layer did: its notes, one per document it dropped and
+        # the last ones noted, repeat that layer's
+        del notes[len(notes) - (len(corpus) - len(agg.ranking)) :]
     rounds_summary = []
     for rnd in agg.rounds:
         sizes = [0] * rnd.clustering.k

@@ -307,6 +307,32 @@ class TestRun:
         ]
         assert str(out_dir / "report.json") in out
 
+    def test_a_ranking_warning_is_noted_once_with_no_completed_round(self, tmp_path):
+        # with --rounds 0 the final aggregated ranking re-ranks the corpus the
+        # knowledge layer ranked; its warnings must not be noted again
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        for stem, text in {
+            "a": "alpha beta gamma delta epsilon zeta alpha beta",
+            "b": "alpha beta gamma delta epsilon eta alpha gamma",
+            "d": "alpha beta omega psi chi",
+        }.items():
+            (corpus / f"{stem}.txt").write_text(text + "\n", encoding="utf-8")
+        note = "RankingWarning: excluding 'd': insufficient overlap: 'd' shares 2 terms with the rest"
+        out_dir = tmp_path / "o"
+        argv = ["run", str(corpus), "--out", str(out_dir), "--rounds", "0", "--k", "2"]
+        code, _, err = run_cli(main, argv)
+        assert code == 0
+        assert err.splitlines() == [f"warning: {note}"]
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["warnings"] == [note]
+        assert report["sections"]["intelligence"]["aggregated_ranking"] == (
+            report["sections"]["knowledge"]["ranking"]
+        )
+        # the aggregate command ranks only once, and keeps its note
+        argv = ["aggregate", str(corpus), "--rounds", "0", "--k", "2"]
+        assert run_cli(main, argv)[2] == f"warning: {note}\n"
+
     def test_out_naming_a_file_is_one_emit_error_line(self, corpus_dir, tmp_path):
         out = tmp_path / "taken"
         out.write_text("", encoding="utf-8")

@@ -16,10 +16,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from layerstack import intelligence
+from layerstack import intelligence, synthetic_corpus
 from layerstack.corpus import _PASS_ENTRIES
 from layerstack.intelligence import kmeans, unit_term_rows
 
@@ -37,10 +37,9 @@ def dense_rows(docs, vocabulary):
     return np.vstack(rows)
 
 
-def dense_kmeans(points, k, seed):
-    """(labels, inertia history, centroids) of the dense implementation."""
+def dense_seeds(points, k, rng):
+    """The rows k-means++ draws from ``rng`` in the dense implementation."""
     n = points.shape[0]
-    rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
     d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
     while len(chosen) < k:
@@ -51,7 +50,13 @@ def dense_kmeans(points, k, seed):
             index = int(rng.choice(n, p=d2 / total))
         chosen.append(index)
         d2 = np.minimum(d2, ((points - points[index]) ** 2).sum(axis=1))
-    centroids = points[chosen].copy()
+    return chosen
+
+
+def dense_kmeans(points, k, seed):
+    """(labels, inertia history, centroids) of the dense implementation."""
+    n = points.shape[0]
+    centroids = points[dense_seeds(points, k, np.random.default_rng(seed))].copy()
 
     def assignment_pass():
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -179,6 +184,108 @@ def test_seeding_takes_a_distance_pass_only_while_a_centroid_is_left_to_draw(mon
     centroids = intelligence._seed_centroids(rows, k, np.random.default_rng(5))
     assert passes == [1] * (k - 1)
     assert centroids.shape == (k, 3)
+
+
+def term_rows(points):
+    """The nonzeros of a dense N x V array as CSR rows."""
+    nonzero = points != 0
+    return intelligence.TermRows(
+        indptr=np.concatenate(([0], np.cumsum(nonzero.sum(axis=1)))).astype(np.intp),
+        indices=np.nonzero(nonzero)[1].astype(np.intp),
+        data=points[nonzero],
+        n_columns=points.shape[1],
+    )
+
+
+def add_near_ties(points, moves, rng):
+    """``points`` with one row added per entry of ``moves``: a copy of an
+    earlier row, moved by one ulp in one entry where the entry is true, so
+    rows can equal each other and chains of near ties form."""
+    for move in moves:
+        row = points[int(rng.integers(len(points)))].copy()
+        if move:
+            j = int(rng.integers(len(row)))
+            row[j] = np.nextafter(row[j], rng.choice([-np.inf, np.inf]))
+        points.append(row)
+    return np.vstack(points)
+
+
+@st.composite
+def seeding_inputs(draw):
+    """(rows, k, seed): a few base rows scaled by 1, 1e-150 or 1e150, with
+    near ties added and shuffled; k is anywhere in [1, n]."""
+    v = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    signs = rng.choice([-1.0, 0.0, 1.0], size=(n, v), p=[0.2, 0.4, 0.4])
+    scale = draw(st.sampled_from([1.0, 1e-150, 1e150]))
+    bases = list(signs * rng.uniform(0.1, 1.0, size=(n, v)) * scale)
+    points = rng.permutation(add_near_ties(bases, draw(st.lists(st.booleans(), max_size=10)), rng))
+    k = draw(st.integers(1, len(points)))
+    return term_rows(points), k, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=seeding_inputs())
+@example(inputs=(term_rows(np.full((4, 3), 0.5)), 4, 0))  # every total <= 0
+@example(inputs=(term_rows(np.eye(5, 6) * 1e150 + 1e150), 5, 1))
+@example(inputs=(term_rows(np.eye(5, 6) * 1e-150 + 1e-150), 5, 2))
+def test_pruned_seeding_draws_the_dense_seeds(inputs):
+    # a RuntimeWarning from the estimate would fail the test: pyproject
+    # turns warnings into errors
+    rows, k, seed = inputs
+    points = dense(rows)
+    expected_rng = np.random.default_rng(seed)
+    expected = dense_seeds(points, k, expected_rng)
+    asked = []
+    row = intelligence.TermRows.row
+
+    def recording(self, i):
+        asked.append(i)
+        return row(self, i)
+
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(intelligence.TermRows, "row", recording):
+        centroids = intelligence._seed_centroids(rows, k, rng)
+    assert asked[-k:] == expected  # the centroids are stacked from these rows
+    assert centroids.tobytes() == points[expected].tobytes()
+    assert rng.integers(2**62) == expected_rng.integers(2**62)
+
+
+def test_chains_of_one_ulp_moves_draw_the_dense_seeds():
+    # rows a few ulps apart in chains off one base, all drawn (k = n): the
+    # estimate's rounding dwarfs their distances, so a row is skipped
+    # wrongly unless the margin covers it: with no margin, 10 of these 600
+    # trials draw other rows
+    for trial in range(600):
+        rng = np.random.default_rng(trial)
+        v = int(rng.integers(1, 6))
+        base = rng.uniform(0.1, 1.0, v) * rng.choice([-1.0, 1.0], v)
+        points = add_near_ties([base], [True] * int(rng.integers(2, 7)), rng)
+        k = len(points)
+        expected = dense_seeds(points, k, np.random.default_rng(trial))
+        centroids = intelligence._seed_centroids(term_rows(points), k, np.random.default_rng(trial))
+        assert centroids.tobytes() == points[expected].tobytes(), trial
+
+
+@pytest.mark.parametrize("sizes", [(60, 60, 60), (270, 36, 18)])
+@pytest.mark.parametrize("seed", range(4))
+def test_seeding_sums_at_most_half_of_the_row_distances(monkeypatch, sizes, seed):
+    summed = []
+    squared_distances = intelligence._squared_distances
+
+    def counting(rows, centroids, labels):
+        out = squared_distances(rows, centroids, labels)
+        summed.append(int(np.isfinite(out).sum()))
+        return out
+
+    monkeypatch.setattr(intelligence, "_squared_distances", counting)
+    _, rows = unit_term_rows(synthetic_corpus(sizes, seed=seed)[0])
+    k = 9
+    intelligence._seed_centroids(rows, k, np.random.default_rng(seed))
+    assert len(summed) == k - 1
+    assert summed[0] == rows.shape[0]  # d2 = +inf: the first pass sums every row
+    assert sum(summed) <= (k - 1) * rows.shape[0] / 2
 
 
 def test_wide_corpus_across_row_blocks_equals_dense_oracle():

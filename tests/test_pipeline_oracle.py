@@ -226,7 +226,10 @@ def aggregate(docs, config: RunConfig, notes: list[str]):
         )
         last_rankings = rankings
         current = [doc for doc in current if doc.id in selected]
-    return summaries, last_rankings, current, rank(current, len(current), notes)
+    # with no completed round the survivors are the corpus the knowledge
+    # layer ranked, whose warnings are already noted
+    final = rank(current, len(current), notes if summaries else [])
+    return summaries, last_rankings, current, final
 
 
 def intelligence_section(docs, config: RunConfig, notes: list[str]):

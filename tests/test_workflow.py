@@ -1,0 +1,45 @@
+"""The CI workflow reruns every bit-exact check under OpenBLAS's oldest kernel.
+
+``.github/workflows/tests.yml`` names the files of its Prescott step one by
+one. A golden or oracle file left off that list would skip the rerun
+silently, so the list is checked here against the test files. The workflow
+is read as text: the step is the lines from its ``- name:`` to the next
+line indented no deeper than that one.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+PRESCOTT_STEP = "goldens and oracles under OPENBLAS_CORETYPE=Prescott"
+
+
+def step_lines(text: str, name: str) -> list[str]:
+    """The lines of the workflow step called ``name``."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == f"- name: {name}")
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    end = start + 1
+    while end < len(lines) and (
+        not lines[end].strip() or len(lines[end]) - len(lines[end].lstrip()) > indent
+    ):
+        end += 1
+    return lines[start:end]
+
+
+def test_step_lines_stop_at_the_next_step():
+    text = "steps:\n  - name: a\n    run: x tests/one.py\n\n  - name: b\n    run: tests/two.py\n"
+    assert step_lines(text, "a") == ["  - name: a", "    run: x tests/one.py", ""]
+
+
+def test_prescott_step_reruns_every_golden_and_oracle_file():
+    named = re.findall(r"tests/\S+\.py", "\n".join(step_lines(WORKFLOW.read_text(), PRESCOTT_STEP)))
+    assert len(named) == len(set(named))
+    assert all((ROOT / path).is_file() for path in named)
+    required = {"tests/test_golden.py"} | {
+        path.relative_to(ROOT).as_posix() for path in (ROOT / "tests").glob("test_*oracle*.py")
+    }
+    assert required <= set(named), sorted(required - set(named))
