@@ -10,7 +10,9 @@ centroid's own squares. A distance pass takes the rows in the same runs as
 the scorer, of about ``corpus._PASS_ENTRIES`` entries each. k-means++
 seeding sums a row's distance to a new centroid only where a sparse
 estimate, ‖x‖² + ‖c‖² − 2·x·c with a margin past its rounding, cannot rule
-out that the new centroid is nearer; elsewhere it could not change d².
+out that the new centroid is nearer; elsewhere it could not change d². It
+keeps each row's nearest centroid with its d², so k-means's first
+assignment and inertia come from seeding, not from a pass of their own.
 
 Aggregation repeatedly clusters the corpus, keeps the most correlated
 documents from each cluster, and re-ranks the survivors. Every stochastic
@@ -153,13 +155,20 @@ def _squared_distances(
     return out
 
 
-def _seed_centroids(rows: TermRows, k: int, rng: Generator) -> np.ndarray:
+def _seed_centroids(
+    rows: TermRows, k: int, rng: Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k-means++ seeding: spread initial centroids proportionally to the
-    squared distance from the nearest already-chosen one.
+    squared distance from the nearest already-chosen one. Returns the
+    centroids, each row's nearest centroid (ties to the lowest index) and
+    its squared distance d2 to it: the dense N x k argmin and minimum, so
+    :func:`kmeans` takes them as its first assignment.
 
-    Each draw's exact distance d̂ is summed only for the rows the new
-    centroid c can bring nearer than their ``d2``; every other row keeps its
-    ``d2`` bits, as ``np.minimum`` would keep them. The sparse estimate
+    Each chosen centroid c, the last included, takes one pass. The first
+    sums every row, as d2 = +inf. Each later one sums the exact distance d̂
+    only for the rows c can bring nearer than their ``d2``; every other row
+    keeps its ``d2`` bits, as ``np.minimum`` would keep them, and its index,
+    which changes only where d̂ < d2. The sparse estimate
     ê = (‖x‖² + ‖c‖²) − 2·x·c decides: a row is skipped where
     ê > d2 + margin, margin = τ·(‖x‖² + ‖c‖² + d2) + tiny, τ = 8·(V + 2)·u,
     u = 2⁻⁵³ the unit roundoff and tiny the least normal float.
@@ -174,32 +183,33 @@ def _seed_centroids(rows: TermRows, k: int, rng: Generator) -> np.ndarray:
     error of at most 2⁻¹⁰⁷⁵; the 4·V products of d̂ and ê stay under tiny.
     An overflowed ê is NaN, or comes with an overflowed margin, or with a
     D past the largest float; none of these skips a row that could draw
-    nearer. The first pass, at d2 = +inf, sums every row."""
+    nearer."""
     n = rows.shape[0]
     with np.errstate(over="ignore"):
         norms = np.bincount(
             np.repeat(np.arange(n), np.diff(rows.indptr)), np.square(rows.data), minlength=n
         )
     tau = 8 * (rows.n_columns + 2) * np.finfo(float).epsneg
-    chosen = [int(rng.integers(n))]
-    d2 = np.full(n, np.inf)
-    # a centroid's distances are taken only while another is left to draw:
-    # k - 1 passes, none after the last draw
-    while len(chosen) < k:
-        centroid = rows.row(chosen[-1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = norms + norms[chosen[-1]]
-            estimate = bound - 2.0 * _products(rows, centroid[None])[:, 0]
-            far = estimate > d2 + (tau * (bound + d2) + np.finfo(float).tiny)
-        d2 = np.minimum(d2, _squared_distances(rows, centroid[None], np.where(far, -1, 0)))
+    centroids = [rows.row(int(rng.integers(n)))]
+    d2 = _squared_distances(rows, centroids[0][None], 0)
+    labels = np.zeros(n, dtype=np.intp)
+    while len(centroids) < k:
         total = float(d2.sum())
         if total <= 0.0:
             # every point coincides with a chosen centroid
             index = int(rng.integers(n))
         else:
             index = int(rng.choice(n, p=d2 / total))
-        chosen.append(index)
-    return np.vstack([rows.row(i) for i in chosen])
+        centroid = rows.row(index)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = norms + norms[index]
+            estimate = bound - 2.0 * _products(rows, centroid[None])[:, 0]
+            far = estimate > d2 + (tau * (bound + d2) + np.finfo(float).tiny)
+        exact = _squared_distances(rows, centroid[None], np.where(far, -1, 0))
+        labels[exact < d2] = len(centroids)
+        d2 = np.minimum(d2, exact)
+        centroids.append(centroid)
+    return np.vstack(centroids), labels, d2
 
 
 def _products(rows: TermRows, centroids: np.ndarray) -> np.ndarray:
@@ -252,11 +262,13 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
 
     Work per pass is the products of the nonzeros with the centroids, the
     squared differences on the nonzeros, and one V-length sum per row over
-    a reused row of its centroid's squares. Seeding takes that sum only for
-    the rows whose sparse estimate cannot rule out a nearer new centroid.
-    Distances and inertia are those sums, the row-wise sums of squared
-    differences, so results equal those of the dense N x k x V computation
-    bit for bit."""
+    a reused row of its centroid's squares. The first assignment and its
+    inertia come from seeding, which keeps each row's nearest centroid and
+    d², so no pass of its own precedes the first update; seeding takes the
+    sum only for the rows whose sparse estimate cannot rule out a nearer
+    new centroid. Distances and inertia are those sums, the row-wise sums
+    of squared differences, so results equal those of the dense N x k x V
+    computation bit for bit."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(ids) != rows.shape[0]:
@@ -267,17 +279,12 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
         raise ValueError("duplicate doc ids among rows")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = default_rng(seed)
-    centroids = _seed_centroids(rows, k, rng)
-
-    def assignment_pass() -> tuple[np.ndarray, float]:
-        labels = _nearest(rows, centroids)
-        return labels, float(_squared_distances(rows, centroids, labels).sum())
+    centroids, labels, d2 = _seed_centroids(rows, k, default_rng(seed))
+    inertia = float(d2.sum())
 
     assign: np.ndarray | None = None
     history: list[float] = []
     for _ in range(MAX_KMEANS_ITERATIONS):
-        labels, inertia = assignment_pass()
         history.append(inertia)
         converged = assign is not None and np.array_equal(labels, assign)
         assign = labels
@@ -292,9 +299,12 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
                 farthest = int(np.argmax(_squared_distances(rows, centroids, c)))
                 updated[c] = rows.row(farthest)
         centroids = updated
+        labels = _nearest(rows, centroids)
+        inertia = float(_squared_distances(rows, centroids, labels).sum())
     else:
-        # iteration cap landed on an update; re-sync assignments to centroids
-        assign, inertia = assignment_pass()
+        # iteration cap landed on an update; the last pass re-synced
+        # assignments to its centroids
+        assign = labels
         history.append(inertia)
 
     return Clustering(

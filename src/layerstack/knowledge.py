@@ -13,7 +13,9 @@ a run of rows, of about ``corpus._PASS_ENTRIES`` entries, finds the shared
 terms and both sides' proportions for all of them. Each row then correlates
 its own span of those profiles. So only the corpus's own documents are
 scored, at work linear in the (document, term) pairs, with no string lookup
-and no re-pool per document.
+and no re-pool per document. A ranking takes every row's r and overlap n,
+but the p-value, a continued fraction or series, only for the rows it
+returns.
 """
 
 from __future__ import annotations
@@ -227,13 +229,17 @@ def _profiles(
             yield ids[lo:hi], xs[lo:hi], ys[lo:hi]
 
 
-def _correlate(doc_id: str, xs: np.ndarray, ys: np.ndarray) -> CorrelationResult:
-    """One row's result from its profiles, or a ``ValueError`` naming why it
-    cannot be scored."""
+def _score(doc_id: str, xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
+    """One row's r and n from its profiles, or a ``ValueError`` naming why
+    it cannot be scored."""
     n = len(xs)
     if n < MIN_SHARED_TERMS:
         raise ValueError(f"insufficient overlap: {doc_id!r} shares {n} terms with the rest")
-    r = pearson_r(xs, ys)
+    return pearson_r(xs, ys), n
+
+
+def _result(doc_id: str, r: float, n: int) -> CorrelationResult:
+    """A scored row's result, with the p-value of its r over n terms."""
     return CorrelationResult(doc_id=doc_id, r=r, p_value=correlation_p_value(r, n), n=n)
 
 
@@ -248,7 +254,7 @@ def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
     if doc != corpus.get(doc.id):
         raise ValueError(f"document {doc.id!r} differs from the corpus's copy")
     [(_, xs, ys)] = _profiles(corpus, [corpus.position(doc.id)], corpus.table.pooled())
-    return _correlate(doc.id, xs, ys)
+    return _result(doc.id, *_score(doc.id, xs, ys))
 
 
 def rank_documents(
@@ -270,7 +276,9 @@ def rank_documents(
 
     Documents that cannot be scored (insufficient overlap, zero variance)
     are dropped rather than failing the run; each drop appends one
-    ``"RankingWarning: excluding ..."`` line to ``notes`` when it is given.
+    ``"RankingWarning: excluding ..."`` line to ``notes`` when it is given,
+    in row order. Every row's r and n are taken, then sorted; p-values are
+    computed only for the ``top_k`` rows returned.
     """
     if rows is not None:
         rows = list(rows)
@@ -281,16 +289,18 @@ def rank_documents(
         raise ValueError(f"ranking needs at least 2 documents, got {len(ranked)}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    results = []
+    scored = []
     for row, (_, xs, ys) in zip(ranked, _profiles(corpus, ranked, corpus.table.pooled(rows))):
         doc_id = corpus.documents[row].id
         try:
-            results.append(_correlate(doc_id, xs, ys))
+            r, n = _score(doc_id, xs, ys)
         except ValueError as exc:
             if notes is not None:
                 notes.append(f"RankingWarning: excluding {doc_id!r}: {exc}")
-    results.sort(key=lambda res: (-res.r, res.doc_id))
-    return results[:top_k]
+            continue
+        scored.append((doc_id, r, n))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return [_result(doc_id, r, n) for doc_id, r, n in scored[:top_k]]
 
 
 @dataclass(frozen=True)

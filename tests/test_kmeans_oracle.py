@@ -181,8 +181,8 @@ def test_seeding_takes_a_distance_pass_only_while_a_centroid_is_left_to_draw(mon
     monkeypatch.setattr(intelligence, "_squared_distances", counting)
     corpus = make_corpus({f"d{i}": {"a": 1 + i, "b": 6 - i, "c": 1 + i % 2} for i in range(6)})
     _, rows = unit_term_rows(corpus)
-    centroids = intelligence._seed_centroids(rows, k, np.random.default_rng(5))
-    assert passes == [1] * (k - 1)
+    centroids, _, _ = intelligence._seed_centroids(rows, k, np.random.default_rng(5))
+    assert passes == [1] * k  # the last drawn centroid's pass is k-means's first assignment
     assert centroids.shape == (k, 3)
 
 
@@ -246,10 +246,14 @@ def test_pruned_seeding_draws_the_dense_seeds(inputs):
 
     rng = np.random.default_rng(seed)
     with mock.patch.object(intelligence.TermRows, "row", recording):
-        centroids = intelligence._seed_centroids(rows, k, rng)
+        centroids, labels, d2 = intelligence._seed_centroids(rows, k, rng)
     assert asked[-k:] == expected  # the centroids are stacked from these rows
     assert centroids.tobytes() == points[expected].tobytes()
     assert rng.integers(2**62) == expected_rng.integers(2**62)
+    # the first assignment: the dense N x k argmin, ties to the lowest index
+    distances = ((points[:, None, :] - points[expected][None, :, :]) ** 2).sum(axis=2)
+    assert (labels == np.argmin(distances, axis=1)).all()
+    assert d2.tobytes() == distances.min(axis=1).tobytes()
 
 
 def test_chains_of_one_ulp_moves_draw_the_dense_seeds():
@@ -264,7 +268,9 @@ def test_chains_of_one_ulp_moves_draw_the_dense_seeds():
         points = add_near_ties([base], [True] * int(rng.integers(2, 7)), rng)
         k = len(points)
         expected = dense_seeds(points, k, np.random.default_rng(trial))
-        centroids = intelligence._seed_centroids(term_rows(points), k, np.random.default_rng(trial))
+        centroids, _, _ = intelligence._seed_centroids(
+            term_rows(points), k, np.random.default_rng(trial)
+        )
         assert centroids.tobytes() == points[expected].tobytes(), trial
 
 
@@ -283,9 +289,50 @@ def test_seeding_sums_at_most_half_of_the_row_distances(monkeypatch, sizes, seed
     _, rows = unit_term_rows(synthetic_corpus(sizes, seed=seed)[0])
     k = 9
     intelligence._seed_centroids(rows, k, np.random.default_rng(seed))
-    assert len(summed) == k - 1
+    assert len(summed) == k  # k - 1 draw passes, then the last centroid's
     assert summed[0] == rows.shape[0]  # d2 = +inf: the first pass sums every row
-    assert sum(summed) <= (k - 1) * rows.shape[0] / 2
+    assert sum(summed[: k - 1]) <= (k - 1) * rows.shape[0] / 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_assignment_comes_from_seeding(monkeypatch, seed):
+    events = []
+    squared_distances = intelligence._squared_distances
+    products = intelligence._products
+    nearest = intelligence._nearest
+    centroid_sums = intelligence._centroid_sums
+
+    def counting_distances(rows, centroids, labels):
+        out = squared_distances(rows, centroids, labels)
+        events.append(("sums", int(np.isfinite(out).sum())))
+        return out
+
+    def counting_products(rows, centroids):
+        events.append(("products", len(centroids)))
+        return products(rows, centroids)
+
+    def counting_nearest(rows, centroids):
+        events.append(("nearest", len(centroids)))
+        return nearest(rows, centroids)
+
+    def counting_updates(rows, labels, k):
+        events.append(("update", k))
+        return centroid_sums(rows, labels, k)
+
+    monkeypatch.setattr(intelligence, "_squared_distances", counting_distances)
+    monkeypatch.setattr(intelligence, "_products", counting_products)
+    monkeypatch.setattr(intelligence, "_nearest", counting_nearest)
+    monkeypatch.setattr(intelligence, "_centroid_sums", counting_updates)
+    ids, rows = unit_term_rows(synthetic_corpus((60, 60, 60), seed=seed)[0])
+    k, n = 9, rows.shape[0]
+    kmeans(ids, rows, k, seed)
+    first = events[: events.index(("update", k))]
+    # no _nearest: k seeding passes, the first, at d2 = +inf, with no estimate
+    assert [kind for kind, _ in first] == ["sums"] + ["products", "sums"] * (k - 1)
+    summed = [count for kind, count in first if kind == "sums"]
+    # the k - 1 draw passes are unchanged; the last centroid's pruned pass
+    # stands where a full assignment pass summed all n rows
+    assert sum(summed) < sum(summed[: k - 1]) + n
 
 
 def test_wide_corpus_across_row_blocks_equals_dense_oracle():

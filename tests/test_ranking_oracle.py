@@ -138,9 +138,14 @@ def test_rank_documents_matches_oracle(table, data):
     corpus = make_corpus(table)
     top_k = data.draw(st.integers(1, len(corpus) + 1))
     pass_entries = mock.patch("layerstack.corpus._PASS_ENTRIES", data.draw(st.integers(1, 40)))
+    # p-values are taken for the returned rows alone
+    p_values = mock.patch(
+        "layerstack.knowledge.correlation_p_value", side_effect=correlation_p_value
+    )
     notes: list[str] = []
-    with pass_entries:
+    with pass_entries, p_values as counted:
         ranked = rank_documents(corpus, top_k=top_k, notes=notes)
+    assert counted.call_count == len(ranked)
     expected, expected_notes = oracle_ranking(corpus, top_k)
     assert _as_tuples(ranked) == _as_tuples(expected)
     assert notes == expected_notes
@@ -151,8 +156,9 @@ def test_rank_documents_matches_oracle(table, data):
     ids = [corpus.documents[row].id for row in rows]
     alone = make_corpus({doc_id: table[doc_id] for doc_id in ids})
     notes = []
-    with pass_entries:
+    with pass_entries, p_values as counted:
         ranked = rank_documents(corpus, top_k=top_k, notes=notes, rows=rows)
+    assert counted.call_count == len(ranked)
     expected, expected_notes = oracle_ranking(alone, top_k)
     assert _as_tuples(ranked) == _as_tuples(expected)
     assert notes == expected_notes
