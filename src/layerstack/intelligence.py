@@ -5,14 +5,14 @@ cluster-and-reselect aggregation loop.
 The k-means rows are the corpus count table's own CSR arrays, its term ids
 and row pointers, with each count replaced by a float weight: the term's
 proportion in its document, scaled so the row has unit length. A squared
-distance's only dense work is its one sum, off the row's nonzeros over the
-centroid's own squares. A distance pass takes the rows in the same runs as
-the scorer, of about ``corpus._PASS_ENTRIES`` entries each. k-means++
-seeding sums a row's distance to a new centroid only where a sparse
-estimate, ‖x‖² + ‖c‖² − 2·x·c with a margin past its rounding, cannot rule
-out that the new centroid is nearer; elsewhere it could not change d². It
-keeps each row's nearest centroid with its d², so k-means's first
-assignment and inertia come from seeding, not from a pass of their own.
+distance is d² = max(‖x‖² + ‖c‖² − 2·x·c, 0), with x·c taken on the row's
+nonzeros in runs of about ``corpus._PASS_ENTRIES`` entries, the scorer's
+runs, so a pass over k centroids costs O(k x stored entries) and sums no
+dense row. d² lies within 2γ_{V+2}·(‖x‖² + ‖c‖²) of the exact squared
+distance of the same floats, so k-means++ draws and labels can differ from
+the dense difference's only where d² values lie that close. Seeding keeps
+each row's d² to each centroid, and k-means takes its first assignment and
+inertia from them.
 
 Aggregation repeatedly clusters the corpus, keeps the most correlated
 documents from each cluster, and re-ranks the survivors. Every stochastic
@@ -34,8 +34,6 @@ from .infotheory import count_entropy
 from .knowledge import CorrelationResult, rank_documents
 
 MAX_KMEANS_ITERATIONS = 100
-#: nearest-centroid scores closer than this are re-decided exactly
-_TIE_GAP = 1e-9
 #: slack for the non-increasing inertia check (float accumulation noise)
 _INERTIA_SLACK = 1e-9
 
@@ -125,133 +123,113 @@ class Clustering:
         return tuple(d for d, c in self.assignments.items() if c == cluster)
 
 
-def _squared_distances(
-    rows: TermRows, centroids: np.ndarray, labels: np.ndarray | int
-) -> np.ndarray:
-    """``((row - centroids[label]) ** 2).sum()`` for every row, bit for bit;
-    ``labels`` is one index per row, or one for all. A row labelled −1 is
-    not summed and reads +inf. Off a row's nonzeros those squares are the
-    centroid's own, (−c)² = c², so a row's (x − c)², one numpy pass per
-    ``_entry_runs`` run, is written into one dense row of its centroid's
-    squares, summed by the same call, then restored."""
-    labels = np.broadcast_to(labels, rows.shape[:1])
-    out = np.full(rows.shape[0], np.inf)
-    for label, centroid in enumerate(centroids):
-        members = np.flatnonzero(labels == label)
-        if not len(members):
-            continue
-        squares = np.square(centroid)
-        for block, indptr, take in _entry_runs(rows.indptr, members):
-            cols = rows.indices[take]
-            own = centroid[cols]
-            moved = np.square(rows.data[take] - own)
-            np.square(own, out=own)
-            bounds = indptr.tolist()
-            for i, lo, hi in zip(block.tolist(), bounds, bounds[1:]):
-                at = cols[lo:hi]
-                squares[at] = moved[lo:hi]
-                out[i] = np.add.reduce(squares)
-                squares[at] = own[lo:hi]
+def _runs(rows: TermRows) -> list[tuple[np.ndarray, ...]]:
+    """The rows with entries, cut into ``_entry_runs`` runs of about
+    ``corpus._PASS_ENTRIES`` entries: for each, its rows, where each row's
+    entries start within the run, and the run's columns and values. Every
+    distance pass of one :func:`kmeans` call takes the same runs."""
+    filled = np.flatnonzero(np.diff(rows.indptr))
+    return [
+        (block, indptr[:-1], rows.indices[take], rows.data[take])
+        for block, indptr, take in _entry_runs(rows.indptr, filled)
+    ]
+
+
+def _products(runs: list[tuple[np.ndarray, ...]], n: int, centroids: np.ndarray) -> np.ndarray:
+    """x·c for each of the ``n`` rows x and every centroid c, an n x k array:
+    the products on the row's nonzeros, in column order, summed by
+    ``np.add.reduceat``. Each run gathers its columns of all k centroids at
+    once, so a pass makes a few numpy calls per run and its temporaries hold
+    k floats per entry of a run."""
+    out = np.zeros((n, len(centroids)))
+    for block, starts, cols, values in runs:
+        scaled = centroids.take(cols, axis=1)
+        scaled *= values
+        out[block] = np.add.reduceat(scaled, starts, axis=1).T
+        del scaled  # so the next run's gather does not coexist with this one
     return out
+
+
+def _squared_norms(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """‖x‖² of every CSR row: its squares in column order, summed by
+    ``np.add.reduceat`` as :func:`_products` sums x·c."""
+    out = np.zeros(len(indptr) - 1)
+    filled = np.flatnonzero(np.diff(indptr))
+    out[filled] = np.add.reduceat(np.square(values), indptr[filled])
+    return out
+
+
+def _distances(
+    norms: np.ndarray, runs: list[tuple[np.ndarray, ...]], centroids: np.ndarray
+) -> np.ndarray:
+    """Squared distances of every row x to every centroid c, an N x k array:
+    d² = max(‖x‖² + ‖c‖² − 2·x·c, 0), with ``norms`` the rows' ‖x‖², ‖c‖²
+    the sum over the centroid's nonzeros and x·c from :func:`_products` over
+    the rows' ``runs``. A pass costs O(k x stored entries), plus O(k x V)
+    for the ‖c‖².
+
+    Every sum runs over nonzeros in column order by one reduction, so a row
+    equal to a centroid reads 0 exactly: its ‖x‖², ‖c‖² and x·c are one sum
+    of the same squares.
+
+    The error bound: let D = Σ(xⱼ − cⱼ)², the exact value for the same
+    floats, S = ‖x‖² + ‖c‖², exact, u = 2⁻⁵³ the unit roundoff and
+    γ_m = m·u / (1 − m·u). The computed ê rounds each term of S, and of
+    2·Σ|xⱼcⱼ| ≤ S, at most V + 2 times: once for its product, at most V − 1
+    times in its sum, and in the two additions of the formula (doubling is
+    exact). So |ê − D| ≤ γ_{V+2}·(S + 2·Σ|xⱼcⱼ|) ≤ 2γ_{V+2}·S (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, §3.1), and the
+    clamp brings ê nearer to D ≥ 0. Below the normal range a product also
+    adds an absolute error of at most 2⁻¹⁰⁷⁵, and the 4·V of them stay under
+    the least normal float. Seeding draws and labels can therefore differ
+    from those of the dense Σ(x − c)² only where d² values lie within that
+    bound of each other."""
+    squares = np.zeros(len(centroids))
+    for j, c in enumerate(centroids):
+        on = c[c != 0]
+        squares[j] = _squared_norms(np.array([0, len(on)]), on)[0]
+    d2 = np.add.outer(norms, squares)
+    d2 -= 2.0 * _products(runs, len(norms), centroids)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _seed_centroids(
-    rows: TermRows, k: int, rng: Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k-means++ seeding: spread initial centroids proportionally to the
-    squared distance from the nearest already-chosen one. Returns the
-    centroids, each row's nearest centroid (ties to the lowest index) and
-    its squared distance d2 to it: the dense N x k argmin and minimum, so
-    :func:`kmeans` takes them as its first assignment.
-
-    Each chosen centroid c, the last included, takes one pass. The first
-    sums every row, as d2 = +inf. Each later one sums the exact distance d̂
-    only for the rows c can bring nearer than their ``d2``; every other row
-    keeps its ``d2`` bits, as ``np.minimum`` would keep them, and its index,
-    which changes only where d̂ < d2. The sparse estimate
-    ê = (‖x‖² + ‖c‖²) − 2·x·c decides: a row is skipped where
-    ê > d2 + margin, margin = τ·(‖x‖² + ‖c‖² + d2) + tiny, τ = 8·(V + 2)·u,
-    u = 2⁻⁵³ the unit roundoff and tiny the least normal float.
-
-    Why that is exact: let D = Σ(x − c)², S = ‖x‖² + ‖c‖² and g = γ_{V+2},
-    γ_m = m·u / (1 − m·u). d̂ rounds each of its V terms at most V + 2
-    times, so d̂ ≥ (1 − g)·D; ê rounds each term of S and of 2·Σ|xⱼcⱼ| ≤ S at
-    most V + 2 times, so |ê − D| ≤ 2g·S. A skipped row then has
-    d̂ ≥ (1 − g)·(d2 + margin − 2g·S) ≥ d2 once margin ≥ 4g·(S + d2), which
-    τ covers with a factor 2 left for the rounding of the margin and of
-    d2 + margin. Below the normal range a product also adds an absolute
-    error of at most 2⁻¹⁰⁷⁵; the 4·V products of d̂ and ê stay under tiny.
-    An overflowed ê is NaN, or comes with an overflowed margin, or with a
-    D past the largest float; none of these skips a row that could draw
-    nearer."""
+    rows: TermRows,
+    norms: np.ndarray,
+    runs: list[tuple[np.ndarray, ...]],
+    k: int,
+    rng: Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeding (Arthur and Vassilvitskii, SODA 2007): a uniformly
+    drawn row, then rows drawn with probability proportional to their d² to
+    the nearest centroid drawn so far, or uniformly once every such d² is 0.
+    Returns the centroids and the N x k matrix of every row's d² to each,
+    one :func:`_distances` pass per centroid: an entry depends only on its
+    row and centroid, so the matrix is that of one pass over all k, and
+    :func:`kmeans` takes its first assignment from it."""
     n = rows.shape[0]
-    with np.errstate(over="ignore"):
-        norms = np.bincount(
-            np.repeat(np.arange(n), np.diff(rows.indptr)), np.square(rows.data), minlength=n
-        )
-    tau = 8 * (rows.n_columns + 2) * np.finfo(float).epsneg
     centroids = [rows.row(int(rng.integers(n)))]
-    d2 = _squared_distances(rows, centroids[0][None], 0)
-    labels = np.zeros(n, dtype=np.intp)
+    columns = [_distances(norms, runs, centroids[0][None])]
+    d2 = columns[0][:, 0]
     while len(centroids) < k:
         total = float(d2.sum())
         if total <= 0.0:
-            # every point coincides with a chosen centroid
+            # every row coincides with a chosen centroid
             index = int(rng.integers(n))
         else:
             index = int(rng.choice(n, p=d2 / total))
-        centroid = rows.row(index)
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = norms + norms[index]
-            estimate = bound - 2.0 * _products(rows, centroid[None])[:, 0]
-            far = estimate > d2 + (tau * (bound + d2) + np.finfo(float).tiny)
-        exact = _squared_distances(rows, centroid[None], np.where(far, -1, 0))
-        labels[exact < d2] = len(centroids)
-        d2 = np.minimum(d2, exact)
-        centroids.append(centroid)
-    return np.vstack(centroids), labels, d2
-
-
-def _products(rows: TermRows, centroids: np.ndarray) -> np.ndarray:
-    """x·c for every row x and centroid c, summed over the row's nonzeros in
-    column order, one centroid at a time: temporaries are nonzero-sized."""
-    n = rows.shape[0]
-    owner = np.repeat(np.arange(n), np.diff(rows.indptr))
-    out = np.empty((n, centroids.shape[0]))
-    for j, c in enumerate(centroids):
-        out[:, j] = np.bincount(owner, rows.data * c[rows.indices], minlength=n)
-    return out
-
-
-def _nearest(rows: TermRows, centroids: np.ndarray) -> np.ndarray:
-    """Index of each row's nearest centroid, ties to the lowest index.
-
-    Decided on ‖c‖² − 2·x·c, the squared distance less the row's own ‖x‖²,
-    from the sparse products. A row whose best two scores lie within
-    _TIE_GAP is re-decided on exact row-wise distances."""
-    scores = _products(rows, centroids)
-    scores *= -2.0
-    scores += np.einsum("ij,ij->i", centroids, centroids)
-    labels = np.argmin(scores, axis=1)
-    if centroids.shape[0] > 1:
-        best_two = np.partition(scores, 1, axis=1)
-        for i in np.flatnonzero(best_two[:, 1] - best_two[:, 0] <= _TIE_GAP):
-            labels[i] = _nearest_exactly(rows.row(i), centroids)
-    return labels
-
-
-def _nearest_exactly(row: np.ndarray, centroids: np.ndarray) -> int:
-    """Nearest centroid of one dense row by the dense arithmetic."""
-    return int(np.argmin(((row - centroids) ** 2).sum(axis=1)))
+        centroids.append(rows.row(index))
+        columns.append(_distances(norms, runs, centroids[-1][None]))
+        d2 = np.minimum(d2, columns[-1][:, 0])
+    return np.vstack(centroids), np.hstack(columns)
 
 
 def _centroid_sums(rows: TermRows, labels: np.ndarray, k: int) -> np.ndarray:
     """Per-cluster column sums, each column summed in row order, as a dense
     mean over the members would sum it."""
-    sums = np.zeros((k, rows.n_columns))
-    row_labels = np.repeat(labels, np.diff(rows.indptr))
-    np.add.at(sums, (row_labels, rows.indices), rows.data)
-    return sums
+    v = rows.n_columns
+    cells = np.repeat(labels, np.diff(rows.indptr)) * v + rows.indices
+    return np.bincount(cells, rows.data, minlength=k * v).reshape(k, v)
 
 
 def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
@@ -260,15 +238,14 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
     seed. Stops when assignments repeat or after 100 iterations. An emptied
     cluster is re-seeded to the point farthest from its previous centroid.
 
-    Work per pass is the products of the nonzeros with the centroids, the
-    squared differences on the nonzeros, and one V-length sum per row over
-    a reused row of its centroid's squares. The first assignment and its
-    inertia come from seeding, which keeps each row's nearest centroid and
-    d², so no pass of its own precedes the first update; seeding takes the
-    sum only for the rows whose sparse estimate cannot rule out a nearer
-    new centroid. Distances and inertia are those sums, the row-wise sums
-    of squared differences, so results equal those of the dense N x k x V
-    computation bit for bit."""
+    Every pass is one N x k matrix of squared distances
+    d² = max(‖x‖² + ‖c‖² − 2·x·c, 0) (see :func:`_distances`), in
+    O(k x stored entries) work: the labels are its row-wise argmin, ties to
+    the lowest index, and the inertia the sum of the chosen entries. The
+    first matrix comes from seeding. Each d² lies within
+    2γ_{V+2}·(‖x‖² + ‖c‖²) of the exact squared distance of the same
+    floats, so the draws and labels can differ from the dense N x k x V
+    computation's only where d² values lie that close."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(ids) != rows.shape[0]:
@@ -279,38 +256,31 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
         raise ValueError("duplicate doc ids among rows")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    centroids, labels, d2 = _seed_centroids(rows, k, default_rng(seed))
-    inertia = float(d2.sum())
+    norms = _squared_norms(rows.indptr, rows.data)
+    runs = _runs(rows)
+    centroids, distances = _seed_centroids(rows, norms, runs, k, default_rng(seed))
 
-    assign: np.ndarray | None = None
+    labels = None
     history: list[float] = []
-    for _ in range(MAX_KMEANS_ITERATIONS):
-        history.append(inertia)
-        converged = assign is not None and np.array_equal(labels, assign)
-        assign = labels
-        if converged:
+    for passes in range(MAX_KMEANS_ITERATIONS + 1):
+        assign, labels = labels, np.argmin(distances, axis=1)
+        history.append(float(distances[np.arange(len(ids)), labels].sum()))
+        # the pass after the last allowed update only re-syncs the labels
+        if passes == MAX_KMEANS_ITERATIONS or np.array_equal(labels, assign):
             break
-        updated = _centroid_sums(rows, assign, k)
-        sizes = np.bincount(assign, minlength=k)
+        centroids = _centroid_sums(rows, labels, k)
+        sizes = np.bincount(labels, minlength=k)
         for c in range(k):
             if sizes[c]:
-                updated[c] /= sizes[c]
+                centroids[c] /= sizes[c]
             else:
-                farthest = int(np.argmax(_squared_distances(rows, centroids, c)))
-                updated[c] = rows.row(farthest)
-        centroids = updated
-        labels = _nearest(rows, centroids)
-        inertia = float(_squared_distances(rows, centroids, labels).sum())
-    else:
-        # iteration cap landed on an update; the last pass re-synced
-        # assignments to its centroids
-        assign = labels
-        history.append(inertia)
+                centroids[c] = rows.row(int(np.argmax(distances[:, c])))
+        distances = _distances(norms, runs, centroids)
 
     return Clustering(
         k=k,
         seed=seed,
-        assignments={doc_id: int(c) for doc_id, c in zip(ids, assign)},
+        assignments={doc_id: int(c) for doc_id, c in zip(ids, labels)},
         centroids=centroids,
         inertia=history[-1],
         inertia_history=tuple(history),

@@ -1,17 +1,21 @@
-"""Sparse k-means against the dense N x k x V implementation it replaced.
+"""Sparse k-means against a dense implementation of the same formula, and
+that formula against exact arithmetic.
 
-The oracle below is that implementation, kept verbatim apart from its
-input: dense unit rows laid out over the corpus's sorted vocabulary,
-stacked into an N x V array, and a distance tensor broadcast to N x k x V
-on every pass. The sparse path must give the same assignments, inertia
-trace and centroids, bit for bit, and must not come near the tensor's
-memory.
+The oracle lays the unit rows out densely over the corpus's sorted
+vocabulary and takes every squared distance one row at a time as
+d² = max(‖x‖² + ‖c‖² − 2·x·c, 0), each sum over the nonzeros in column order
+by the program's reduction. The sparse path must give the same distances,
+seeds, assignments, inertia trace and centroids, compared with ``==``, and
+must not come near the memory of a dense N x k x V tensor. Each d² must lie
+within 2γ_{V+2}·(‖x‖² + ‖c‖²) of the exact squared distance of the same
+floats, taken with ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -37,11 +41,27 @@ def dense_rows(docs, vocabulary):
     return np.vstack(rows)
 
 
+def nonzero_sum(values):
+    """The program's sum of one row's values on its nonzeros, in column order."""
+    return np.add.reduceat(values, [0])[0] if len(values) else 0.0
+
+
+def dense_distances(points, centroids):
+    """d² of each dense row to each centroid, one pair at a time."""
+    out = np.empty((len(points), len(centroids)))
+    for i, x in enumerate(points):
+        on = x != 0
+        for j, c in enumerate(centroids):
+            s = nonzero_sum(np.square(x[on])) + nonzero_sum(np.square(c[c != 0]))
+            out[i, j] = max(s - 2.0 * nonzero_sum(x[on] * c[on]), 0.0)
+    return out
+
+
 def dense_seeds(points, k, rng):
     """The rows k-means++ draws from ``rng`` in the dense implementation."""
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = dense_distances(points, points[chosen])[:, 0]
     while len(chosen) < k:
         total = float(d2.sum())
         if total <= 0.0:
@@ -49,7 +69,7 @@ def dense_seeds(points, k, rng):
         else:
             index = int(rng.choice(n, p=d2 / total))
         chosen.append(index)
-        d2 = np.minimum(d2, ((points - points[index]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, dense_distances(points, points[[index]])[:, 0])
     return chosen
 
 
@@ -59,14 +79,14 @@ def dense_kmeans(points, k, seed):
     centroids = points[dense_seeds(points, k, np.random.default_rng(seed))].copy()
 
     def assignment_pass():
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = dense_distances(points, centroids)
         labels = np.argmin(d2, axis=1)
-        return labels, float(d2[np.arange(n), labels].sum())
+        return d2, labels, float(d2[np.arange(n), labels].sum())
 
     assign = None
     history = []
     for _ in range(intelligence.MAX_KMEANS_ITERATIONS):
-        labels, inertia = assignment_pass()
+        d2, labels, inertia = assignment_pass()
         history.append(inertia)
         converged = assign is not None and np.array_equal(labels, assign)
         assign = labels
@@ -78,13 +98,18 @@ def dense_kmeans(points, k, seed):
             if mask.any():
                 updated[c] = points[mask].mean(axis=0)
             else:
-                farthest = int(np.argmax(((points - centroids[c]) ** 2).sum(axis=1)))
-                updated[c] = points[farthest]
+                updated[c] = points[int(np.argmax(d2[:, c]))]
         centroids = updated
     else:
-        assign, inertia = assignment_pass()
+        _, assign, inertia = assignment_pass()
         history.append(inertia)
     return assign, tuple(history), centroids
+
+
+def layout(rows):
+    """What one k-means call computes once for all its passes: the rows'
+    ‖x‖² and their runs."""
+    return intelligence._squared_norms(rows.indptr, rows.data), intelligence._runs(rows)
 
 
 def assert_matches_oracle(corpus, k, seed):
@@ -155,35 +180,28 @@ def test_unit_term_rows_equal_dense_rows(corpus):
     assert_rows_are_well_formed(corpus)
 
 
-def test_duplicates_with_k_equal_to_n_take_the_exact_path(monkeypatch):
-    decided = []
-    exact = intelligence._nearest_exactly
-
-    def counting(row, centroids):
-        decided.append(row)
-        return exact(row, centroids)
-
-    monkeypatch.setattr(intelligence, "_nearest_exactly", counting)
+def test_duplicates_with_k_equal_to_n_equal_the_dense_oracle():
+    # seeding runs out of distinct points, so later draws are uniform and
+    # centroids tie
     corpus = make_corpus({f"d{i}": {"a": 1 + i % 2, "b": 1} for i in range(6)})
     assert_matches_oracle(corpus, 6, 3)
-    assert decided  # seeding ran out of distinct points, so centroids tie
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
 def test_seeding_takes_a_distance_pass_only_while_a_centroid_is_left_to_draw(monkeypatch, k):
     passes = []
-    squared_distances = intelligence._squared_distances
+    distances = intelligence._distances
 
-    def counting(rows, centroids, labels):
+    def counting(norms, runs, centroids):
         passes.append(len(centroids))
-        return squared_distances(rows, centroids, labels)
+        return distances(norms, runs, centroids)
 
-    monkeypatch.setattr(intelligence, "_squared_distances", counting)
+    monkeypatch.setattr(intelligence, "_distances", counting)
     corpus = make_corpus({f"d{i}": {"a": 1 + i, "b": 6 - i, "c": 1 + i % 2} for i in range(6)})
     _, rows = unit_term_rows(corpus)
-    centroids, _, _ = intelligence._seed_centroids(rows, k, np.random.default_rng(5))
+    centroids, d2 = intelligence._seed_centroids(rows, *layout(rows), k, np.random.default_rng(5))
     assert passes == [1] * k  # the last drawn centroid's pass is k-means's first assignment
-    assert centroids.shape == (k, 3)
+    assert centroids.shape == (k, 3) and d2.shape == (6, k)
 
 
 def term_rows(points):
@@ -230,37 +248,25 @@ def seeding_inputs(draw):
 @example(inputs=(term_rows(np.full((4, 3), 0.5)), 4, 0))  # every total <= 0
 @example(inputs=(term_rows(np.eye(5, 6) * 1e150 + 1e150), 5, 1))
 @example(inputs=(term_rows(np.eye(5, 6) * 1e-150 + 1e-150), 5, 2))
-def test_pruned_seeding_draws_the_dense_seeds(inputs):
-    # a RuntimeWarning from the estimate would fail the test: pyproject
-    # turns warnings into errors
+def test_seeding_draws_the_dense_seeds(inputs):
+    # a RuntimeWarning from the formula would fail the test: pyproject turns
+    # warnings into errors
     rows, k, seed = inputs
     points = dense(rows)
     expected_rng = np.random.default_rng(seed)
     expected = dense_seeds(points, k, expected_rng)
-    asked = []
-    row = intelligence.TermRows.row
-
-    def recording(self, i):
-        asked.append(i)
-        return row(self, i)
-
     rng = np.random.default_rng(seed)
-    with mock.patch.object(intelligence.TermRows, "row", recording):
-        centroids, labels, d2 = intelligence._seed_centroids(rows, k, rng)
-    assert asked[-k:] == expected  # the centroids are stacked from these rows
+    centroids, d2 = intelligence._seed_centroids(rows, *layout(rows), k, rng)
     assert centroids.tobytes() == points[expected].tobytes()
     assert rng.integers(2**62) == expected_rng.integers(2**62)
-    # the first assignment: the dense N x k argmin, ties to the lowest index
-    distances = ((points[:, None, :] - points[expected][None, :, :]) ** 2).sum(axis=2)
-    assert (labels == np.argmin(distances, axis=1)).all()
-    assert d2.tobytes() == distances.min(axis=1).tobytes()
+    # the first assignment's matrix: every row's d² to every seed
+    assert np.array_equal(d2, dense_distances(points, points[expected]))
 
 
 def test_chains_of_one_ulp_moves_draw_the_dense_seeds():
-    # rows a few ulps apart in chains off one base, all drawn (k = n): the
-    # estimate's rounding dwarfs their distances, so a row is skipped
-    # wrongly unless the margin covers it: with no margin, 10 of these 600
-    # trials draw other rows
+    # rows a few ulps apart in chains off one base, all drawn (k = n): their
+    # d² is rounding noise of the formula, clamped at 0, and seeding must
+    # still draw what the dense formula draws
     for trial in range(600):
         rng = np.random.default_rng(trial)
         v = int(rng.integers(1, 6))
@@ -268,71 +274,100 @@ def test_chains_of_one_ulp_moves_draw_the_dense_seeds():
         points = add_near_ties([base], [True] * int(rng.integers(2, 7)), rng)
         k = len(points)
         expected = dense_seeds(points, k, np.random.default_rng(trial))
-        centroids, _, _ = intelligence._seed_centroids(
-            term_rows(points), k, np.random.default_rng(trial)
+        rows = term_rows(points)
+        centroids, d2 = intelligence._seed_centroids(
+            rows, *layout(rows), k, np.random.default_rng(trial)
         )
         assert centroids.tobytes() == points[expected].tobytes(), trial
+        assert (d2 >= 0.0).all(), trial
+
+
+def test_seeding_draws_uniformly_once_every_d2_is_zero():
+    # two distinct rows, each twice: the second draw takes the other row,
+    # after which every row equals a centroid, reads d² = 0, and the
+    # remaining draws take the uniform branch
+    rows = term_rows(np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 0.0], [0.6, 0.8]]))
+    rng = mock.Mock(wraps=np.random.default_rng(4))
+    centroids, d2 = intelligence._seed_centroids(rows, *layout(rows), 4, rng)
+    assert [name for name, _, _ in rng.mock_calls] == ["integers", "choice", "integers", "integers"]
+    assert len({tuple(c) for c in centroids[:2]}) == 2
+    assert (d2.min(axis=1) == 0.0).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=seeding_inputs())
+def test_a_row_equal_to_a_centroid_reads_zero(inputs):
+    # duplicates and rows drawn as centroids: x·c, ‖x‖² and ‖c‖² are one
+    # sum of the same squares, so d² is 0 exactly, not rounding noise
+    rows, _, _ = inputs
+    points = dense(rows)
+    d2 = intelligence._distances(*layout(rows), points)
+    assert (d2 >= 0.0).all()
+    for i, j in zip(*np.nonzero((points[:, None, :] == points[None, :, :]).all(axis=2))):
+        assert d2[i, j] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_identical_rows_cluster_with_zero_inertia_for_every_k(n):
+    # every row is one point: each d² reads 0, and Clustering's checks hold
+    for counts in ({"a": 1}, {"a": 3, "b": 1, "c": 7}):
+        ids, rows = unit_term_rows(make_corpus({f"d{i}": counts for i in range(n)}))
+        for k in range(1, n + 1):
+            clustering = kmeans(ids, rows, k, seed=k)
+            assert clustering.inertia_history == (0.0, 0.0)
+            assert set(clustering.assignments.values()) == {0}
 
 
 @pytest.mark.parametrize("sizes", [(60, 60, 60), (270, 36, 18)])
 @pytest.mark.parametrize("seed", range(4))
-def test_seeding_sums_at_most_half_of_the_row_distances(monkeypatch, sizes, seed):
-    summed = []
-    squared_distances = intelligence._squared_distances
+def test_seeding_visits_each_stored_entry_once_per_centroid(monkeypatch, sizes, seed):
+    # O(k x stored entries) work, and no dense row but the k centroids drawn
+    visited = []
+    made = []
+    products = intelligence._products
+    row = intelligence.TermRows.row
 
-    def counting(rows, centroids, labels):
-        out = squared_distances(rows, centroids, labels)
-        summed.append(int(np.isfinite(out).sum()))
-        return out
+    def counting_products(runs, n, centroids):
+        visited.append(len(centroids) * sum(len(cols) for _, _, cols, _ in runs))
+        return products(runs, n, centroids)
 
-    monkeypatch.setattr(intelligence, "_squared_distances", counting)
+    def counting_rows(self, i):
+        made.append(i)
+        return row(self, i)
+
+    monkeypatch.setattr(intelligence, "_products", counting_products)
+    monkeypatch.setattr(intelligence.TermRows, "row", counting_rows)
     _, rows = unit_term_rows(synthetic_corpus(sizes, seed=seed)[0])
     k = 9
-    intelligence._seed_centroids(rows, k, np.random.default_rng(seed))
-    assert len(summed) == k  # k - 1 draw passes, then the last centroid's
-    assert summed[0] == rows.shape[0]  # d2 = +inf: the first pass sums every row
-    assert sum(summed[: k - 1]) <= (k - 1) * rows.shape[0] / 2
+    intelligence._seed_centroids(rows, *layout(rows), k, np.random.default_rng(seed))
+    assert visited == [len(rows.data)] * k
+    assert len(made) == k
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_first_assignment_comes_from_seeding(monkeypatch, seed):
     events = []
-    squared_distances = intelligence._squared_distances
-    products = intelligence._products
-    nearest = intelligence._nearest
+    distances = intelligence._distances
     centroid_sums = intelligence._centroid_sums
 
-    def counting_distances(rows, centroids, labels):
-        out = squared_distances(rows, centroids, labels)
-        events.append(("sums", int(np.isfinite(out).sum())))
-        return out
-
-    def counting_products(rows, centroids):
-        events.append(("products", len(centroids)))
-        return products(rows, centroids)
-
-    def counting_nearest(rows, centroids):
-        events.append(("nearest", len(centroids)))
-        return nearest(rows, centroids)
+    def counting_distances(norms, runs, centroids):
+        events.append(("distances", len(centroids)))
+        return distances(norms, runs, centroids)
 
     def counting_updates(rows, labels, k):
         events.append(("update", k))
         return centroid_sums(rows, labels, k)
 
-    monkeypatch.setattr(intelligence, "_squared_distances", counting_distances)
-    monkeypatch.setattr(intelligence, "_products", counting_products)
-    monkeypatch.setattr(intelligence, "_nearest", counting_nearest)
+    monkeypatch.setattr(intelligence, "_distances", counting_distances)
     monkeypatch.setattr(intelligence, "_centroid_sums", counting_updates)
     ids, rows = unit_term_rows(synthetic_corpus((60, 60, 60), seed=seed)[0])
-    k, n = 9, rows.shape[0]
-    kmeans(ids, rows, k, seed)
-    first = events[: events.index(("update", k))]
-    # no _nearest: k seeding passes, the first, at d2 = +inf, with no estimate
-    assert [kind for kind, _ in first] == ["sums"] + ["products", "sums"] * (k - 1)
-    summed = [count for kind, count in first if kind == "sums"]
-    # the k - 1 draw passes are unchanged; the last centroid's pruned pass
-    # stands where a full assignment pass summed all n rows
-    assert sum(summed) < sum(summed[: k - 1]) + n
+    k = 9
+    clustering = kmeans(ids, rows, k, seed)
+    first = events.index(("update", k))
+    # k one-centroid seeding passes, then one k-centroid pass per update
+    assert events[:first] == [("distances", 1)] * k
+    assert events[first:] == [("update", k), ("distances", k)] * (len(events[first:]) // 2)
+    assert len(clustering.inertia_history) == len(events[first:]) // 2 + 1
 
 
 def test_wide_corpus_across_row_blocks_equals_dense_oracle():
@@ -370,14 +405,20 @@ def test_peak_memory_is_far_below_the_distance_tensor():
     assert len(clustering.assignments) == n and rows.n_columns == v
     assert peak < tensor_bytes / 4
     assert peak < n * v * 8 / 2  # nor dense in N x V
-    labels = np.array([clustering.assignments[i] for i in ids])
+    norms, runs = layout(rows)
     tracemalloc.start()
     try:
-        intelligence._squared_distances(rows, clustering.centroids, labels)
+        intelligence._distances(norms, runs, clustering.centroids)
         pass_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pass_peak < 4 * v * 8  # a few dense rows, not a block of them
+    # one run's gather of k centroid values per entry (a run starts inside a
+    # window of _PASS_ENTRIES entries, so it ends within one row past it)
+    # with numpy's 8,192-element ufunc buffer, the N x k output and two
+    # arrays like it, and one centroid's nonzeros and their squares: the
+    # bound follows _PASS_ENTRIES, not a count of dense rows
+    run_entries = _PASS_ENTRIES + int(np.diff(rows.indptr).max())
+    assert pass_peak < 8 * (k * run_entries + 8192 + 3 * n * k + 2 * v)
 
 
 @pytest.mark.parametrize("block_floats", [1, 2**18])
@@ -393,10 +434,11 @@ def test_products_of_rows_without_entries_are_zero(block_floats):
     )
     centroids = np.arange(2.0 * v).reshape(2, v)
     points = dense(rows)
-    assert np.array_equal(intelligence._products(rows, centroids), points @ centroids.T)
-    labels = np.array([1, 0, 1])
-    expected = ((points - centroids[labels]) ** 2).sum(axis=1)
-    assert np.array_equal(intelligence._squared_distances(rows, centroids, labels), expected)
+    norms, runs = layout(rows)
+    assert np.array_equal(intelligence._products(runs, 3, centroids), points @ centroids.T)
+    assert np.array_equal(norms, [0.0, 1.0, 0.0])
+    expected = dense_distances(points, centroids)
+    assert np.array_equal(intelligence._distances(norms, runs, centroids), expected)
 
 
 #: -0.0, subnormals, and squares that round or underflow to them
@@ -404,21 +446,21 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 1e-160, -1e-160, 0.1, 
 
 
 @st.composite
-def distance_inputs(draw):
-    """(rows, centroids, labels, run entries): rows over V columns, some
-    without entries, V past numpy's 8,192-element buffer when wide; values
-    mixed with SPECIAL_FLOATS; one label for all rows or one per row, out
-    of k that rows need not all use; runs of 1 entry to the default bound."""
-    wide = draw(st.booleans())
+def distance_inputs(draw, wide=st.booleans()):
+    """(rows, centroids, run entries): rows over V columns, some without
+    entries, V past numpy's 8,192-element buffer when wide; values mixed
+    with SPECIAL_FLOATS, the rows' stored ones nonzero as the program's
+    are; runs of 1 entry to the default bound."""
+    wide = draw(wide)
     v = draw(st.integers(8193, 9000) if wide else st.integers(1, 12))
     n = draw(st.integers(0, 6) if wide else st.one_of(st.integers(0, 8), st.integers(20, 60)))
     k = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def values(shape):
+    def values(shape, specials):
         out = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
         special = rng.random(shape) < 0.3
-        out[special] = rng.choice(SPECIAL_FLOATS, size=int(special.sum()))
+        out[special] = rng.choice(specials, size=int(special.sum()))
         return out
 
     lengths = draw(st.lists(st.one_of(st.just(0), st.integers(0, v)), min_size=n, max_size=n))
@@ -427,31 +469,44 @@ def distance_inputs(draw):
         indices=np.concatenate(
             [np.sort(rng.choice(v, size=m, replace=False)) for m in lengths] + [[]]
         ).astype(np.intp),
-        data=values(sum(lengths)),
+        data=values(sum(lengths), [x for x in SPECIAL_FLOATS if x != 0.0]),
         n_columns=v,
     )
-    labels = draw(
-        st.one_of(
-            st.integers(0, k - 1),
-            st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(np.array),
-        )
-    )
     run_entries = draw(st.sampled_from([1, 3, 40, _PASS_ENTRIES]))
-    return rows, values((k, v)), labels, run_entries
+    return rows, values((k, v), SPECIAL_FLOATS), run_entries
 
 
 @settings(max_examples=200, deadline=None)
 @given(inputs=distance_inputs())
 def test_squared_distances_equal_the_dense_sums(inputs):
-    rows, centroids, labels, run_entries = inputs
-    row_labels = np.broadcast_to(labels, (rows.shape[0],))
-    expected = np.array(
-        [((rows.row(i) - centroids[label]) ** 2).sum() for i, label in enumerate(row_labels)]
-    )
+    rows, centroids, run_entries = inputs
     before = centroids.copy()
     with mock.patch("layerstack.corpus._PASS_ENTRIES", run_entries):
-        got = intelligence._squared_distances(rows, centroids, labels)
-        again = intelligence._squared_distances(rows, centroids, labels)
-    assert got.tobytes() == expected.tobytes()
+        norms, runs = layout(rows)
+    got = intelligence._distances(norms, runs, centroids)
+    again = intelligence._distances(norms, runs, centroids)
+    assert sum(len(cols) for _, _, cols, _ in runs) == len(rows.data)
+    points = [rows.row(i) for i in range(rows.shape[0])]
+    assert np.array_equal(got, dense_distances(points, centroids))
     assert again.tobytes() == got.tobytes()
     assert centroids.tobytes() == before.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=distance_inputs(wide=st.just(False)))
+def test_distances_lie_within_the_rounding_bound_of_the_exact_ones(inputs):
+    # |d² − D| <= 2γ_{V+2}·(‖x‖² + ‖c‖²) + the least normal float, with D the
+    # exact squared distance of the same floats (see intelligence._distances)
+    rows, centroids, _ = inputs
+    got = intelligence._distances(*layout(rows), centroids)
+    m = Fraction(rows.n_columns + 2, 2**53)
+    gamma = m / (1 - m)
+    tiny = Fraction(np.finfo(float).tiny)
+    exact_centroids = [[Fraction(float(a)) for a in c] for c in centroids]
+    for i in range(rows.shape[0]):
+        x = [Fraction(float(a)) for a in rows.row(i)]
+        for j, c in enumerate(exact_centroids):
+            exact = sum((a - b) ** 2 for a, b in zip(x, c))
+            scale = sum(a * a for a in x) + sum(b * b for b in c)
+            assert got[i, j] >= 0.0
+            assert abs(Fraction(float(got[i, j])) - exact) <= 2 * gamma * scale + tiny

@@ -1,0 +1,81 @@
+"""Metamorphic relations over the whole ``run`` command.
+
+A relation compares two runs of the program on related inputs, so it needs
+no oracle (Chen et al., *Metamorphic Testing: A Review of Challenges and
+Opportunities*, ACM Computing Surveys 2018).
+
+Repeating each newline-terminated file's bytes m times multiplies every
+count by m. Every proportion (m·c)/(m·t) is then the float c/t, every byte
+histogram scales by m, and the k-means rows are the same floats. So every
+artifact must keep its bytes, except fig3's counts (× m), the provenance
+hash and the config echo's paths.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from layerstack import synthetic_corpus, write_corpus
+from layerstack.cli import main
+
+from helpers import run_cli
+
+ARTIFACTS = ("table1.tsv", "table1.json", "table2.tsv", "table2.json", "fig4.csv")
+
+
+def run(source, out_dir, k):
+    code, _, err = run_cli(
+        main, ["run", str(source), "--out", str(out_dir), "--k", str(k), "--force-bit-layer"]
+    )
+    assert code == 0, err
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}, err
+
+
+def fig3_rows(data, m=1):
+    """fig3's rows with each count divided by ``m``."""
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+    for row in rows[1:]:
+        count, rest = divmod(int(row[3]), m)
+        assert rest == 0
+        row[3] = str(count)
+    return rows
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    sizes=st.lists(st.integers(6, 13), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 4),
+    m=st.sampled_from([2, 3]),
+)
+def test_repeating_every_file_keeps_every_artifact(tmp_path_factory, sizes, seed, k, m):
+    root = tmp_path_factory.mktemp("repeat")
+    corpus, _ = synthetic_corpus(tuple(sizes), seed=seed, length_range=(30, 90))
+    source = write_corpus(corpus, root / "once")
+    repeated = root / "repeated"
+    repeated.mkdir()
+    for path in sorted(source.iterdir()):
+        assert path.read_bytes().endswith(b"\n")
+        (repeated / path.name).write_bytes(path.read_bytes() * m)
+
+    once, once_err = run(source, root / "out-once", k)
+    again, again_err = run(repeated, root / "out-repeated", k)
+    assert sorted(again) == sorted(once)
+    assert again_err == once_err
+    for name in ARTIFACTS:
+        assert again[name] == once[name], name
+    assert fig3_rows(again["fig3.csv"], m) == fig3_rows(once["fig3.csv"])
+
+    report = json.loads(once["report.json"])
+    moved = json.loads(again["report.json"])
+    assert moved["config"]["source"] == str(repeated)
+    assert moved["provenance"]["input_sha256"] != report["provenance"]["input_sha256"]
+    moved["config"].update(source=report["config"]["source"], out_dir=report["config"]["out_dir"])
+    moved["provenance"]["input_sha256"] = report["provenance"]["input_sha256"]
+    text = json.dumps(moved, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    assert text.encode("utf-8") == once["report.json"]

@@ -5,11 +5,9 @@ The sources of ``src/layerstack`` are parsed, not imported or run, as in
 classes that enclose it, such as ``corpus.Corpus.total_counts``.
 
 - No BLAS routine feeds an output float: no ``@``, ``dot``, ``inner``,
-  ``vdot``, ``matmul`` or ``linalg``. OpenBLAS picks its kernel by CPU, and
-  the kernels sum in different orders, so the output bytes would depend on
-  the host. ``np.einsum`` runs numpy's own loops; it is allowed in
-  ``_nearest`` alone, where it only picks labels and near ties are
-  re-decided exactly.
+  ``vdot``, ``matmul``, ``linalg`` or ``einsum``, which can hand its work to
+  BLAS. OpenBLAS picks its kernel by CPU, and the kernels sum in different
+  orders, so the output bytes would depend on the host.
 - After ingest, the layers read the corpus's count table, not each
   document's ``token_counts`` dict. Only the functions listed in
   ``TOKEN_COUNT_READERS`` still read the dicts.
@@ -25,8 +23,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "layerstack"
 
 #: numpy's BLAS routines, and einsum, which can hand its work to them
 BLAS_NAMES = {"dot", "inner", "vdot", "matmul", "linalg", "einsum"}
-#: the one allowed BLAS-named use
-BLAS_ALLOWED = [("intelligence._nearest", "einsum")]
 
 #: the scopes that may read ``.token_counts``; a module name admits all of it
 TOKEN_COUNT_READERS = {
@@ -81,7 +77,7 @@ def blas_use(node: ast.AST) -> str | None:
 
 
 def test_no_blas_routine_in_the_program():
-    assert program_findings(blas_use) == BLAS_ALLOWED
+    assert program_findings(blas_use) == []
 
 
 def test_each_form_of_a_blas_use_is_found():

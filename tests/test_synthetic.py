@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -64,6 +65,19 @@ class TestSyntheticCorpus:
         c, _ = synthetic_corpus((6, 6), seed=4)
         assert a == b
         assert a != c
+
+    def test_skewed_acceptance_corpus_files_are_pinned(self, tmp_path):
+        # a canary: synthetic_corpus draws from numpy's Generator, whose bit
+        # stream numpy does not promise to keep across releases, and the
+        # acceptance corpora, the goldens and the benchmark references all
+        # come from it. A release that moves the stream fails here first.
+        source = write_corpus(synthetic_corpus((270, 36, 18), seed=0)[0], tmp_path)
+        listing = "".join(
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+            for path in sorted(source.iterdir())
+        )
+        digest = hashlib.sha256(listing.encode("utf-8")).hexdigest()
+        assert digest == "24798b9c88e265138252046716336205056d65e90f9ca8dd98a3ccfc0facc5c5"
 
     def test_validation(self):
         with pytest.raises(ValueError):
