@@ -210,17 +210,6 @@ class CountTable:
             np.add.at(totals, self.term_ids[take], self.counts[take])
         return totals
 
-    def select(self, rows: Sequence[int]) -> "CountTable":
-        """The given rows, in the given order, over the sorted terms they
-        hold: ids are compacted, so id order stays lexicographic."""
-        indptr, take = _entries(self.indptr, rows)
-        old_ids = self.term_ids[take]
-        held = np.zeros(len(self.terms), dtype=bool)
-        held[old_ids] = True
-        kept = np.flatnonzero(held)
-        terms = tuple(self.terms[j] for j in kept.tolist())
-        return CountTable(terms, indptr, np.searchsorted(kept, old_ids), self.counts[take])
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -237,12 +226,9 @@ class Corpus:
         by_id = {d.id: i for i, d in enumerate(self.documents)}
         if len(by_id) != len(self.documents):
             raise ValueError(f"duplicate document ids: {_repeated(d.id for d in self.documents)}")
-        self._hold(by_id, CountTable.build(self.documents))
-
-    def _hold(self, by_id: Mapping[str, int], table: CountTable) -> None:
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "vocabulary", frozenset(table.terms))
+        object.__setattr__(self, "table", CountTable.build(self.documents))
+        object.__setattr__(self, "vocabulary", frozenset(self.table.terms))
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -261,20 +247,16 @@ class Corpus:
         return doc_id in self._by_id
 
     def subset(self, doc_ids: Iterable[str]) -> "Corpus":
-        """Restrict to the given ids, keeping this corpus's document order.
-
-        The table rows are sliced, not rebuilt, and nothing is validated
-        again: the documents already passed this corpus's checks."""
+        """A new corpus of the given ids, in this corpus's document order,
+        built afresh, so its table holds only their terms. The program
+        narrows a corpus by lists of its table rows instead (see
+        ``rank_documents`` and ``unit_term_rows``); this is their reference."""
         wanted = set(doc_ids)
         missing = wanted - self._by_id.keys()
         if missing:
             raise KeyError(f"ids not in corpus: {sorted(missing)}")
         rows = sorted(self._by_id[doc_id] for doc_id in wanted)
-        kept = tuple(self.documents[i] for i in rows)
-        sub = object.__new__(Corpus)
-        object.__setattr__(sub, "documents", kept)
-        sub._hold({d.id: i for i, d in enumerate(kept)}, self.table.select(rows))
-        return sub
+        return Corpus(documents=tuple(self.documents[i] for i in rows))
 
     def total_counts(self) -> Counter[str]:
         """Aggregate term counts over every document."""

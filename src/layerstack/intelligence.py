@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .corpus import Corpus, Document, _entry_runs
+from .corpus import Corpus, Document, _entries, _entry_runs
 from .infotheory import count_entropy
 from .knowledge import CorrelationResult, rank_documents
 
@@ -61,27 +61,35 @@ class TermRows:
         return out
 
 
-def unit_term_rows(corpus: Corpus) -> tuple[tuple[str, ...], TermRows]:
-    """One row per document with a nonempty table row: its term proportions
-    over the corpus's sorted vocabulary, scaled to unit L2 length. A
-    document with no positive count gets no row, so it is absent from the
-    returned ids. Returns the ids of the rows and the rows.
+def unit_term_rows(
+    corpus: Corpus, rows: Sequence[int] | None = None
+) -> tuple[tuple[str, ...], TermRows]:
+    """One row per document of the table ``rows`` (all rows by default), in
+    their order, with a nonempty table row: its term proportions over the
+    corpus's sorted vocabulary, scaled to unit L2 length. A document with no
+    positive count gets no row, so it is absent from the returned ids.
+    Returns the ids of the rows and the rows.
 
-    The rows are ``corpus.table``'s own: its term ids are the columns and
-    its row pointers, less the empty rows, the row pointers."""
+    The rows are ``corpus.table``'s own: the term ids of ``rows`` are the
+    columns (a view of the table when the rows are consecutive) and their
+    row pointers, less the empty rows, the row pointers. A subset's term
+    ids keep the order of the corpus's, so each row holds the floats, in the
+    same order, of its row in ``unit_term_rows(corpus.subset(ids))``."""
     table = corpus.table
-    lengths = np.diff(table.indptr)
+    rows = range(len(corpus)) if rows is None else rows
+    local, take = _entries(table.indptr, rows)
+    lengths = np.diff(local)
     kept = np.flatnonzero(lengths)
-    totals = np.fromiter((doc.total_tokens for doc in corpus), np.int64, len(corpus))
+    totals = np.fromiter((corpus.documents[i].total_tokens for i in rows), np.int64, len(rows))
     # IEEE division of exactly held integers: the same floats as Python's
-    data = table.counts / np.repeat(totals, lengths)
-    indptr = table.indptr[np.concatenate(([0], kept + 1))]
+    data = table.counts[take] / np.repeat(totals, lengths)
+    indptr = local[np.concatenate(([0], kept + 1))]
     # each norm sums the squares of the row's own nonzeros, in term-id order,
     # by numpy's reduction, so no CPU-picked BLAS kernel sets its bits
     for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
         data[lo:hi] /= math.sqrt(float(np.add.reduce(np.square(data[lo:hi]))))
-    ids = tuple(corpus.documents[i].id for i in kept.tolist())
-    return ids, TermRows(indptr, table.term_ids, data, n_columns=len(table.terms))
+    ids = tuple(corpus.documents[rows[i]].id for i in kept.tolist())
+    return ids, TermRows(indptr, table.term_ids[take], data, n_columns=len(table.terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +384,12 @@ def aggregate_corpus(
     """Run ``rounds`` cluster-and-reselect reductions, then re-rank the
     survivors among themselves. Round r uses seed ``seed + r``. Stops early
     if a reduction would leave fewer than 2 documents, keeping the last
-    corpus that could still be ranked.
+    selection that could still be ranked.
+
+    The selection is a sorted list of ``corpus``'s table rows, at first all
+    of them. Each round clusters :func:`unit_term_rows` of the selection and
+    ranks its clusters, and then the survivors, by ``rank_documents`` over
+    those rows, so every centroid spans the whole corpus's vocabulary.
 
     Every soft error (a document with no term row, a cluster too small to
     rank, an early stop, a document the rankings drop) appends one
@@ -392,16 +405,16 @@ def aggregate_corpus(
 
     if notes is None:
         notes = []
-    current = corpus
+    rows = list(range(len(corpus)))
     trace: list[AggregationRound] = []
     for index in range(rounds):
-        if len(current) < 2:
+        if len(rows) < 2:
             break
-        ids, rows = unit_term_rows(current)
+        ids, term_rows = unit_term_rows(corpus, rows)
         kept = set(ids)
         notes.extend(
             f"AggregationWarning: document {doc.id!r} has no terms; excluded from clustering"
-            for doc in current
+            for doc in (corpus.documents[i] for i in rows)
             if doc.id not in kept
         )
         if len(ids) < 2:
@@ -410,8 +423,8 @@ def aggregate_corpus(
                 "fewer than 2 vectorizable documents"
             )
             break
-        clustering = kmeans(ids, rows, min(k, len(ids)), seed + index)
-        cluster_rankings = _cluster_rankings(clustering, current, per_cluster, notes)
+        clustering = kmeans(ids, term_rows, min(k, len(ids)), seed + index)
+        cluster_rankings = _cluster_rankings(clustering, corpus, per_cluster, notes)
         selected = [res.doc_id for ranked in cluster_rankings for res in ranked]
         if len(selected) < 2:
             notes.append(
@@ -427,12 +440,11 @@ def aggregate_corpus(
                 selected_ids=tuple(selected),
             )
         )
-        current = current.subset(selected)
+        rows = sorted(corpus.position(doc_id) for doc_id in selected)
 
-    ranking = tuple(rank_documents(current, top_k=len(current), notes=notes))
+    ranking = tuple(rank_documents(corpus, top_k=len(rows), notes=notes, rows=rows))
     return AggregationResult(
         ranking=ranking,
         rounds=tuple(trace),
-        survivor_ids=tuple(doc.id for doc in current),
+        survivor_ids=tuple(corpus.documents[i].id for i in rows),
     )
-

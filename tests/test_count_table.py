@@ -2,11 +2,11 @@
 
 ``Corpus.table`` holds every document's positive counts as CSR rows over the
 sorted vocabulary. The checks here rebuild each row from the document's own
-``token_counts``, compare ``subset`` and its k-means rows with a corpus
-built afresh from the kept documents, compare the pooled integers with
-``total_counts``, and rank a subset's rows in place against the subset
-itself, and check the row runs the rankings and k-means passes take against
-a walk over the rows.
+``token_counts``, compare ``subset`` with a corpus built afresh from the
+kept documents, compare the pooled integers with ``total_counts``, take the
+k-means rows and the ranking of a subset's rows in place and compare them
+with the subset's own, and check the row runs the rankings and k-means
+passes take against a walk over the rows.
 Corpora include zero counts, non-ASCII terms, empty documents and ids that
 are not in sorted order.
 """
@@ -72,16 +72,21 @@ def assert_same_corpus(sub: Corpus, fresh: Corpus) -> None:
         assert sub.get(doc.id) is doc and sub.position(doc.id) == i and doc.id in sub
 
 
-def assert_same_unit_rows(sub: Corpus, fresh: Corpus) -> None:
-    """The k-means rows of a subset's compacted table are those of a fresh
-    corpus, exactly."""
-    (sub_ids, sub_rows), (fresh_ids, fresh_rows) = unit_term_rows(sub), unit_term_rows(fresh)
-    assert sub_ids == fresh_ids
-    assert sub_rows.n_columns == fresh_rows.n_columns
-    for name in ("indptr", "indices", "data"):
-        left, right = getattr(sub_rows, name), getattr(fresh_rows, name)
+def assert_unit_rows_match_subset(corpus: Corpus, sub: Corpus) -> None:
+    """The k-means rows of the subset's rows of ``corpus`` are the subset's
+    own: the same ids and the same bytes of row pointers and floats, over
+    the corpus's term ids, which name the subset's terms column for column."""
+    rows = [corpus.position(doc.id) for doc in sub]
+    (ids, in_place), (sub_ids, own) = unit_term_rows(corpus, rows), unit_term_rows(sub)
+    assert ids == sub_ids
+    assert in_place.n_columns == len(corpus.table.terms)
+    for name in ("indptr", "data"):
+        left, right = getattr(in_place, name), getattr(own, name)
         assert left.dtype == right.dtype
-        assert np.array_equal(left, right), name
+        assert left.tobytes() == right.tobytes(), name
+    assert [corpus.table.terms[j] for j in in_place.indices.tolist()] == [
+        sub.table.terms[j] for j in own.indices.tolist()
+    ]
 
 
 def assert_row_rankings_match_subset(corpus: Corpus, sub: Corpus) -> None:
@@ -110,13 +115,14 @@ def test_table_matches_documents_and_subsets_match_fresh_corpora(corpus, data):
 
     ids = [doc.id for doc in corpus]
     current = corpus
-    for _ in range(2):  # a subset of a subset compacts twice
+    for _ in range(2):  # a subset of a subset, also read as rows of the first corpus
         chosen = data.draw(st.lists(st.sampled_from(ids), max_size=8)) if ids else []
         kept = tuple(doc for doc in current if doc.id in set(chosen))
         sub = current.subset(chosen)
         fresh = Corpus(documents=kept)
         assert_same_corpus(sub, fresh)
-        assert_same_unit_rows(sub, fresh)
+        assert_unit_rows_match_subset(current, sub)
+        assert_unit_rows_match_subset(corpus, sub)
         assert_rows_match_documents(sub)
         assert_row_rankings_match_subset(current, sub)
         current, ids = sub, [doc.id for doc in kept]

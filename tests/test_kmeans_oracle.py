@@ -165,7 +165,8 @@ def assert_rows_are_well_formed(corpus):
     ids, rows = unit_term_rows(corpus)
     assert ids == tuple(d.id for d in kept)
     assert rows.shape == (len(kept), len(vocabulary))
-    assert rows.indices is corpus.table.term_ids
+    if len(corpus.table.term_ids):  # the whole corpus's columns are the table's, not a copy
+        assert np.shares_memory(rows.indices, corpus.table.term_ids)
     assert rows.indptr.dtype == np.intp and rows.indices.dtype == np.intp
     assert rows.data.dtype == np.float64
     for lo, hi in zip(rows.indptr[:-1], rows.indptr[1:]):

@@ -9,6 +9,14 @@ count by m. Every proportion (m·c)/(m·t) is then the float c/t, every byte
 histogram scales by m, and the k-means rows are the same floats. So every
 artifact must keep its bytes, except fig3's counts (× m), the provenance
 hash and the config echo's paths.
+
+An empty file adds a document with no bytes and no terms. It holds no term
+row, so every pool, ranking and k-means row of the other documents is
+unchanged, and aggregation leaves it out of its first round. With k below
+the count of the other documents, only the document count, the provenance
+hash, the config echo's paths and the warnings that name the new document
+may move, and the survivors when no round completes, as all the documents
+then survive.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import shutil
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,9 +37,10 @@ from helpers import run_cli
 ARTIFACTS = ("table1.tsv", "table1.json", "table2.tsv", "table2.json", "fig4.csv")
 
 
-def run(source, out_dir, k):
+def run(source, out_dir, k, *options):
     code, _, err = run_cli(
-        main, ["run", str(source), "--out", str(out_dir), "--k", str(k), "--force-bit-layer"]
+        main,
+        ["run", str(source), "--out", str(out_dir), "--k", str(k), "--force-bit-layer", *options],
     )
     assert code == 0, err
     return {p.name: p.read_bytes() for p in out_dir.iterdir()}, err
@@ -77,5 +87,49 @@ def test_repeating_every_file_keeps_every_artifact(tmp_path_factory, sizes, seed
     assert moved["provenance"]["input_sha256"] != report["provenance"]["input_sha256"]
     moved["config"].update(source=report["config"]["source"], out_dir=report["config"]["out_dir"])
     moved["provenance"]["input_sha256"] = report["provenance"]["input_sha256"]
+    text = json.dumps(moved, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    assert text.encode("utf-8") == once["report.json"]
+
+
+def without(lines, doc_id):
+    """``lines`` less those that name the document ``doc_id``."""
+    return [line for line in lines if repr(doc_id) not in line]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    sizes=st.lists(st.integers(6, 13), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 4),
+    rounds=st.integers(0, 2),
+    after=st.integers(0, 40),
+)
+def test_an_empty_file_moves_only_what_names_it(tmp_path_factory, sizes, seed, k, rounds, after):
+    root = tmp_path_factory.mktemp("empty")
+    corpus, _ = synthetic_corpus(tuple(sizes), seed=seed, length_range=(30, 90))
+    source = write_corpus(corpus, root / "without")
+    padded = shutil.copytree(source, root / "with")
+    empty = f"doc{after:03d}x"  # sorts just after doc{after:03d}, or after every document
+    (padded / f"{empty}.txt").write_bytes(b"")
+
+    options = ("--rounds", str(rounds))
+    once, once_err = run(source, root / "out-without", k, *options)
+    again, again_err = run(padded, root / "out-with", k, *options)
+    assert sorted(again) == sorted(once)
+    for name in ARTIFACTS + ("fig3.csv",):
+        assert again[name] == once[name], name
+    assert f"warning: PipelineWarning: empty file for {empty!r}; no byte entropy" in again_err
+    assert without(again_err.splitlines(), empty) == once_err.splitlines()
+
+    report = json.loads(once["report.json"])
+    moved = json.loads(again["report.json"])
+    assert moved["provenance"]["document_count"] == len(corpus) + 1
+    moved["warnings"] = without(moved["warnings"], empty)
+    intelligence = moved["sections"]["intelligence"]
+    if not intelligence["rounds"]:
+        intelligence["survivors"].remove(empty)
+    moved["config"].update(source=report["config"]["source"], out_dir=report["config"]["out_dir"])
+    for key in ("document_count", "input_sha256"):
+        moved["provenance"][key] = report["provenance"][key]
     text = json.dumps(moved, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     assert text.encode("utf-8") == once["report.json"]

@@ -240,9 +240,8 @@ def test_belief_evidence_matches_oracle(table, top_k, pass_entries):
 
 class TestPoolsOnce:
     """A ranking pools the corpus's count table once, whatever the number of
-    documents, and nothing but fig4 pools the string-keyed counts. Cluster
-    rankings read the rows of the corpus they are given: aggregation builds
-    a subset only for the next round."""
+    documents, and nothing but fig4 pools the string-keyed counts.
+    Aggregation narrows its corpus by table rows and builds no subset."""
 
     def _count_calls(self, monkeypatch) -> Counter[str]:
         calls: Counter[str] = Counter()
@@ -251,7 +250,6 @@ class TestPoolsOnce:
         total_counts = Corpus.total_counts
         leave_one_out_counts = Corpus.leave_one_out_counts
         ranker = intelligence.rank_documents
-        cluster_rankings = intelligence._cluster_rankings
 
         def counted_pooled(self, rows=None):
             calls["pooled"] += 1
@@ -259,15 +257,7 @@ class TestPoolsOnce:
 
         def counted_subset(self, doc_ids):
             calls["subset"] += 1
-            calls["subset_in_cluster_rankings"] += calls["inside_cluster_rankings"]
             return subset(self, doc_ids)
-
-        def counted_cluster_rankings(*args, **kwargs):
-            calls["inside_cluster_rankings"] += 1
-            try:
-                return cluster_rankings(*args, **kwargs)
-            finally:
-                calls["inside_cluster_rankings"] -= 1
 
         def counted_total_counts(self):
             calls["total_counts"] += 1
@@ -283,7 +273,6 @@ class TestPoolsOnce:
 
         monkeypatch.setattr(CountTable, "pooled", counted_pooled)
         monkeypatch.setattr(Corpus, "subset", counted_subset)
-        monkeypatch.setattr(intelligence, "_cluster_rankings", counted_cluster_rankings)
         monkeypatch.setattr(Corpus, "total_counts", counted_total_counts)
         monkeypatch.setattr(Corpus, "leave_one_out_counts", counted_leave_one_out_counts)
         monkeypatch.setattr(intelligence, "rank_documents", counted_rank_documents)
@@ -306,8 +295,7 @@ class TestPoolsOnce:
         assert calls["leave_one_out_counts"] == 0
         assert calls["total_counts"] == 0
         assert calls["pooled"] == calls["rankings"]
-        assert calls["subset"] == len(result.rounds)
-        assert calls["subset_in_cluster_rankings"] == 0
+        assert calls["subset"] == 0
 
     def test_belief_section(self, monkeypatch):
         corpus, _ = synthetic_corpus((12, 8, 6), seed=4)

@@ -11,6 +11,9 @@ classes that enclose it, such as ``corpus.Corpus.total_counts``.
 - After ingest, the layers read the corpus's count table, not each
   document's ``token_counts`` dict. Only the functions listed in
   ``TOKEN_COUNT_READERS`` still read the dicts.
+- The program narrows a corpus by lists of its table rows and calls no
+  ``.subset(``, which rebuilds a corpus; ``Corpus.subset`` is the tests'
+  reference.
 """
 
 from __future__ import annotations
@@ -130,3 +133,28 @@ def test_a_token_counts_read_is_found_in_its_scope():
     found = findings(source, "m", token_counts_read)
     assert found == [("m.Box.own", "token_counts"), ("m.entropy", "token_counts")]
     assert admitted("m.Box.own", {"m.Box"}) and not admitted("m.Boxes", {"m.Box"})
+
+
+def subset_call(node: ast.AST) -> str | None:
+    """``subset`` when ``node`` calls a ``.subset`` attribute."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return "subset" if node.func.attr == "subset" else None
+    return None
+
+
+def test_the_program_calls_no_subset():
+    assert program_findings(subset_call) == []
+
+
+def test_a_subset_call_is_found_in_its_scope():
+    source = (
+        "def narrow(corpus, ids):\n    return corpus.subset(ids)\n"
+        "class Loop:\n"
+        "    def run(self):\n        return self.corpus.subset([]).subset(['a'])\n"
+        "    def subset(self, ids):\n        return subset(ids), self.corpus.subset\n"
+    )
+    assert findings(source, "m", subset_call) == [
+        ("m.narrow", "subset"),
+        ("m.Loop.run", "subset"),
+        ("m.Loop.run", "subset"),
+    ]
