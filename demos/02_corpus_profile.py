@@ -9,7 +9,8 @@ and chart which terms it over- and under-uses relative to everyone else
 
 import math
 
-from layerstack import frequency_scatter, synthetic_corpus, top_k_terms
+from layerstack import synthetic_corpus, top_k_terms
+from layerstack.corpus import shared_proportions
 
 # 12 documents over 3 topics (6 + 4 + 2), deterministic for a fixed seed.
 corpus, topic_of = synthetic_corpus((6, 4, 2), seed=7)
@@ -23,8 +24,17 @@ for term, count in top_k_terms(doc, 10):
 
 # Compare the document's term proportions against the pooled counts of
 # every OTHER document; the deviation is log10(doc share / rest share).
-reference = corpus.leave_one_out_counts(doc.id)
-terms, doc_props, rest_props = frequency_scatter(doc, reference, sum(reference.values()))
+# The corpus's count table holds each document as a row of term ids and
+# counts; pooling every row and taking this row's counts back out leaves
+# the rest of the corpus.
+table = corpus.table
+row = corpus.position(doc.id)
+lo, hi = table.indptr[row], table.indptr[row + 1]
+ids, counts = table.term_ids[lo:hi], table.counts[lo:hi]
+rest = table.pooled()[ids] - counts
+rest_total = int(table.counts.sum()) - doc.total_tokens
+shared, doc_props, rest_props = shared_proportions(counts, doc.total_tokens, rest, rest_total)
+terms = [table.terms[i] for i in ids[shared].tolist()]
 print(f"\n{len(terms)} terms appear on both sides of the comparison")
 
 # Most over-used and most under-used terms: the topic-specific vocabulary

@@ -21,7 +21,6 @@ from .belief import (
 from .corpus import (
     Corpus,
     Document,
-    frequency_scatter,
     ingest_corpus,
     load_stop_words,
     top_k_terms,
@@ -107,7 +106,6 @@ __all__ = [
     "emit_plot_data",
     "emit_tables",
     "entropic_gain",
-    "frequency_scatter",
     "hartley_entropy",
     "ingest_corpus",
     "joint_entropy",

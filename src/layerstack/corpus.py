@@ -5,8 +5,8 @@ them). Tokenization is deliberately simple and deterministic: lowercase,
 split on anything non-alphanumeric, drop purely numeric tokens, drop stop
 words. Everything downstream (entropy, correlation, clustering) consumes the
 per-document term counts built here. A :class:`Corpus` holds them once more
-as an integer :class:`CountTable`, which the rankings, the k-means rows, the
-macrostate and the belief evidence read instead of the string-keyed maps.
+as an integer :class:`CountTable`, which the rankings, fig4, the k-means
+rows, the macrostate and the belief evidence read instead of the maps.
 
 The words of a lowercased text are its runs of ``[^\W_]+``, that is of the
 characters for which ``str.isalnum()`` holds: the regex engine's ``\w`` is
@@ -258,19 +258,16 @@ class Corpus:
         rows = sorted(self._by_id[doc_id] for doc_id in wanted)
         return Corpus(documents=tuple(self.documents[i] for i in rows))
 
-    def total_counts(self) -> Counter[str]:
-        """Aggregate term counts over every document."""
-        total: Counter[str] = Counter()
-        for doc in self.documents:
-            total.update(doc.token_counts)
-        return +total
-
     def leave_one_out_counts(self, doc_id: str) -> Counter[str]:
-        """Aggregate term counts over every document except ``doc_id``."""
-        held_out = self.get(doc_id)
-        rest = self.total_counts()
-        rest.subtract(held_out.token_counts)
-        return +rest  # drops zero and negative entries
+        """Aggregate term counts over every document except ``doc_id``: the
+        one pool of the string-keyed counts, where fig4 looks its reference
+        counts up."""
+        held_out = self._by_id[doc_id]
+        rest: Counter[str] = Counter()
+        for i, doc in enumerate(self.documents):
+            if i != held_out:
+                rest.update(doc.token_counts)
+        return +rest  # drops zero entries
 
 
 def top_k_terms(doc: Document, k: int) -> list[tuple[str, int]]:
@@ -287,36 +284,18 @@ def shared_proportions(
     reference: np.ndarray,
     reference_total: int | np.ndarray,
 ) -> tuple[np.ndarray, list[float], list[float]]:
-    """The one shared-term rule: the positions where two aligned count
-    arrays are both positive, and the proportions there, ``counts / total``
-    and ``reference / reference_total``. Each total is an int, or an array
-    aligned with the counts that gives each position its own. IEEE division
-    of integers below 2**53, as a count table holds, gives the floats
-    Python's ``int / int`` gives."""
+    """The one shared-term rule, of the scorer and of fig4: the positions
+    where two aligned count arrays are both positive, and the proportions
+    there, ``counts / total`` and ``reference / reference_total``. Each
+    total is an int, or an array aligned with the counts that gives each
+    position its own. IEEE division of integers below 2**53, as a count
+    table holds, gives the floats Python's ``int / int`` gives."""
     both = (counts > 0) & (reference > 0)
     return (
         np.flatnonzero(both),
         np.divide(counts, total, out=np.zeros(both.shape), where=both)[both].tolist(),
         np.divide(reference, reference_total, out=np.zeros(both.shape), where=both)[both].tolist(),
     )
-
-
-def frequency_scatter(
-    doc: Document, reference: Mapping[str, int], reference_total: int
-) -> tuple[list[str], list[float], list[float]]:
-    """The terms ``doc`` shares with a reference count table, in lexicographic
-    order, and their proportions on each side, by :func:`shared_proportions`.
-
-    A term is shared when both its counts are positive. A document proportion
-    is the count over ``doc.total_tokens``, a reference proportion the
-    reference count over ``reference_total``. An empty side shares no term."""
-    terms = sorted(doc.token_counts)
-    counts = np.fromiter((doc.token_counts[t] for t in terms), np.int64, len(terms))
-    ref_counts = np.fromiter((reference.get(t, 0) for t in terms), np.int64, len(terms))
-    shared, doc_proportions, reference_proportions = shared_proportions(
-        counts, doc.total_tokens, ref_counts, reference_total
-    )
-    return [terms[i] for i in shared.tolist()], doc_proportions, reference_proportions
 
 
 def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:

@@ -27,10 +27,10 @@ from .belief import MAX_FRAME_SIZE, Frame, belief, keyword_belief_update, plausi
 from .corpus import (
     Corpus,
     Document,
-    frequency_scatter,
     parse_stop_words,
     read_documents,
     read_source,
+    shared_proportions,
     top_k_terms,
 )
 from .infotheory import _byte_counts, count_entropy, hartley_entropy
@@ -483,24 +483,45 @@ def write_fig4(
     An empty document, or one whose leave-one-out reference has no terms, is
     skipped with a ``"PipelineWarning: ..."`` line in ``notes``.
 
+    Each document is read from its row of ``corpus.table``, its terms in
+    increasing id order and so lexicographic, against its reference counts
+    in ``corpus.leave_one_out_counts`` over the table's count sum less its
+    ``total_tokens``, by ``shared_proportions``. As in ``correlate_document``,
+    an id not in the corpus, or a document that differs from the corpus's
+    copy, is a ``ValueError``, raised before anything is written.
+
     The bytes are those of ``csv.writer``: floats as ``repr``, ids and terms
     quoted where needed. A document's rows are joined and written at once,
     and each distinct (doc_proportion, reference_proportion) pair, which
     fixes the deviation too, is formatted once per document."""
+    docs = list(docs)
+    for doc in docs:
+        if doc.id not in corpus:
+            raise ValueError(f"document {doc.id!r} not in corpus")
+        if doc != corpus.get(doc.id):
+            raise ValueError(f"document {doc.id!r} differs from the corpus's copy")
+    table = corpus.table
+    grand = int(table.counts.sum())
     handle.write("doc_id,term,doc_proportion,reference_proportion,deviation\n")
     for doc in docs:
         if doc.total_tokens == 0:
             notes.append(f"PipelineWarning: document {doc.id!r} has no terms; skipped in fig4")
             continue
-        reference = corpus.leave_one_out_counts(doc.id)
-        if not reference:
+        if grand == doc.total_tokens:
             notes.append(f"PipelineWarning: no reference terms for {doc.id!r}; skipped in fig4")
             continue
+        row = corpus.position(doc.id)
+        lo, hi = table.indptr[row : row + 2].tolist()
+        terms = [table.terms[i] for i in table.term_ids[lo:hi].tolist()]
+        reference = corpus.leave_one_out_counts(doc.id)
+        ref_counts = np.fromiter((reference.get(t, 0) for t in terms), np.int64, len(terms))
+        shared, dps, rps = shared_proportions(
+            table.counts[lo:hi], doc.total_tokens, ref_counts, grand - doc.total_tokens
+        )
         doc_id = _csv_field(doc.id)
         tails: dict[tuple[float, float], str] = {}
         rows = []
-        terms, dps, rps = frequency_scatter(doc, reference, sum(reference.values()))
-        for term, dp, rp in zip(terms, dps, rps):
+        for term, dp, rp in zip([terms[i] for i in shared.tolist()], dps, rps):
             tail = tails.get((dp, rp))
             if tail is None:
                 deviation = math.log10(dp) - math.log10(rp)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+from collections import Counter
 from typing import Mapping
 
 import numpy as np
@@ -42,6 +43,12 @@ def make_corpus(docs: Mapping[str, Mapping[str, int]]) -> Corpus:
     """Corpus from {doc_id: {term: count}}. A corpus applies no stop-word
     rule, so tests may use short artificial terms like "a" freely."""
     return Corpus(documents=tuple(make_doc(doc_id, counts) for doc_id, counts in docs.items()))
+
+
+def pooled_counts(corpus: Corpus) -> Counter[str]:
+    """Every term's count summed over the documents' ``token_counts`` by a
+    plain ``Counter``, terms that sum to 0 left out."""
+    return sum((Counter(doc.token_counts) for doc in corpus), Counter())
 
 
 def run_cli(main, argv: list[str]) -> tuple[int, str, str]:

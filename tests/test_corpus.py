@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from layerstack import (
     Corpus,
     Document,
-    frequency_scatter,
     ingest_corpus,
     load_stop_words,
     rank_documents,
@@ -23,7 +22,7 @@ from layerstack.corpus import count_terms, resolve_sources
 from layerstack.pipeline import LAYERS, RunReport, emit_plot_data, write_fig4
 from layerstack.stopwords import ENGLISH_STOP_WORDS
 
-from helpers import make_corpus, make_doc
+from helpers import make_corpus, make_doc, pooled_counts
 
 
 class TestTokenize:
@@ -235,10 +234,16 @@ class TestCorpus:
             corpus.subset(["d1", "zz"])
 
     def test_total_and_leave_one_out_counts(self):
-        corpus = make_corpus({"d1": {"a": 2, "b": 1}, "d2": {"a": 1, "c": 4}})
-        assert corpus.total_counts() == {"a": 3, "b": 1, "c": 4}
+        corpus = make_corpus(
+            {"d1": {"a": 2, "b": 1}, "d2": {"a": 1, "c": 4, "z": 0}, "d3": {"a": 1, "b": 0}}
+        )
+        for doc in corpus:
+            others = corpus.subset(d.id for d in corpus if d.id != doc.id)
+            assert corpus.leave_one_out_counts(doc.id) == pooled_counts(others)
         rest = corpus.leave_one_out_counts("d2")
-        assert rest == {"a": 2, "b": 1}  # c fully removed, not left at zero
+        assert dict(rest) == {"a": 3, "b": 1}  # c, z and d3's b dropped, not kept at 0
+        with pytest.raises(KeyError, match="zz"):
+            corpus.leave_one_out_counts("zz")
 
 
 class TestTopKTerms:
@@ -269,12 +274,14 @@ class TestTopKTerms:
 
 
 class TestFrequencyScatter:
+    """fig4's frequency scatter of one document against the rest."""
+
     @staticmethod
-    def fig4_rows(doc_counts, reference_counts):
+    def fig4_rows(doc_counts, reference_counts, notes=None):
         """fig4 rows, by term, of document "d" against the one other document."""
         corpus = make_corpus({"d": doc_counts, "r": reference_counts})
         handle = io.StringIO()
-        write_fig4(handle, corpus, [corpus.get("d")], [])
+        write_fig4(handle, corpus, [corpus.get("d")], [] if notes is None else notes)
         rows = csv.DictReader(io.StringIO(handle.getvalue()))
         return {row["term"]: row for row in rows}
 
@@ -289,8 +296,10 @@ class TestFrequencyScatter:
         assert math.isclose(float(rows["a"]["deviation"]), 1.0, abs_tol=1e-12)  # 0.1 vs 0.01
 
     def test_terms_missing_on_either_side_skipped(self):
-        doc = make_doc("d", {"a": 1, "b": 1})
-        assert frequency_scatter(doc, {"b": 1, "c": 1}, 2) == (["b"], [0.5], [0.5])
+        rows = self.fig4_rows({"a": 1, "b": 1}, {"b": 1, "c": 1})
+        assert list(rows) == ["b"]
+        assert float(rows["b"]["doc_proportion"]) == 0.5
+        assert float(rows["b"]["reference_proportion"]) == 0.5
 
     def test_deviation_sign_matches_proportion_difference(self):
         rows = self.fig4_rows({"a": 3, "b": 1}, {"a": 1, "b": 3})
@@ -299,8 +308,29 @@ class TestFrequencyScatter:
             assert (float(row["deviation"]) > 0) == (diff > 0)
 
     def test_empty_sides_share_nothing(self):
-        assert frequency_scatter(make_doc("d", {}), {"a": 1}, 1) == ([], [], [])
-        assert frequency_scatter(make_doc("d", {"a": 1}), {}, 0) == ([], [], [])
+        notes: list[str] = []
+        assert self.fig4_rows({}, {"a": 1}, notes) == {}
+        assert self.fig4_rows({"a": 1}, {}, notes) == {}
+        assert self.fig4_rows({"a": 1, "b": 0}, {"b": 1, "c": 0}, notes) == {}
+        assert notes == [
+            "PipelineWarning: document 'd' has no terms; skipped in fig4",
+            "PipelineWarning: no reference terms for 'd'; skipped in fig4",
+        ]
+
+    def test_a_document_must_be_the_corpus_copy(self):
+        corpus = make_corpus({"d": {"a": 2, "b": 1}, "r": {"a": 1, "b": 1}})
+        for doc, message in [
+            (make_doc("zz", {"a": 1}), "document 'zz' not in corpus"),
+            (make_doc("d", {"a": 1, "b": 1}), "document 'd' differs from the corpus's copy"),
+            (make_doc("d", {"a": 2, "b": 1}, title="other"), "differs from the corpus's copy"),
+        ]:
+            handle = io.StringIO()
+            with pytest.raises(ValueError, match=re.escape(message)):
+                write_fig4(handle, corpus, [corpus.get("r"), doc], [])
+            assert handle.getvalue() == ""  # nothing written before the check
+        handle = io.StringIO()
+        write_fig4(handle, corpus, [make_doc("d", {"a": 2, "b": 1})], [])  # an equal copy
+        assert handle.getvalue().count("\n") == 3
 
 
 class TestResolveSources:

@@ -3,7 +3,7 @@
 ``Corpus.table`` holds every document's positive counts as CSR rows over the
 sorted vocabulary. The checks here rebuild each row from the document's own
 ``token_counts``, compare ``subset`` with a corpus built afresh from the
-kept documents, compare the pooled integers with ``total_counts``, take the
+kept documents, compare the pooled integers with a ``Counter`` sum, take the
 k-means rows and the ranking of a subset's rows in place and compare them
 with the subset's own, and check the row runs the rankings and k-means
 passes take against a walk over the rows.
@@ -24,7 +24,7 @@ from layerstack import Corpus, rank_documents
 from layerstack.corpus import CountTable, _entries, _entry_runs
 from layerstack.intelligence import unit_term_rows
 
-from helpers import make_corpus, make_doc
+from helpers import make_corpus, make_doc, pooled_counts
 
 # ASCII, accented and CJK terms, one with a space, and prefixes of others
 TERMS = ["a", "b", "ab", "a b", "z", "ß", "ñandú", "ünï", "日本", "éa"]
@@ -95,7 +95,7 @@ def assert_row_rankings_match_subset(corpus: Corpus, sub: Corpus) -> None:
     rows = [corpus.position(doc.id) for doc in sub]
     pooled = corpus.table.pooled(rows)
     held = {corpus.table.terms[j]: c for j, c in enumerate(pooled.tolist()) if c}
-    assert held == sub.total_counts()
+    assert held == pooled_counts(sub)
     if len(sub) >= 2:
         in_place: list[str] = []
         fresh: list[str] = []
@@ -111,7 +111,7 @@ def test_table_matches_documents_and_subsets_match_fresh_corpora(corpus, data):
 
     pooled = corpus.table.pooled()
     assert pooled.dtype == np.int64
-    assert dict(zip(corpus.table.terms, pooled.tolist())) == corpus.total_counts()
+    assert dict(zip(corpus.table.terms, pooled.tolist())) == pooled_counts(corpus)
 
     ids = [doc.id for doc in corpus]
     current = corpus

@@ -10,6 +10,14 @@ histogram scales by m, and the k-means rows are the same floats. So every
 artifact must keep its bytes, except fig3's counts (× m), the provenance
 hash and the config echo's paths.
 
+Permuting the words within each file, with every separator kept in place,
+keeps every term count and every byte histogram; only the order in which
+terms first occur moves. So every artifact must keep its bytes, fig3 and
+the byte entropies included, except the provenance hash and the config
+echo's paths. fig4 and fig3 run end to end here, so an output that followed
+a document's first-occurrence order of terms instead of the sorted
+vocabulary would show.
+
 An empty file adds a document with no bytes and no terms. It holds no term
 row, so every pool, ranking and k-means row of the other documents is
 unchanged, and aggregation leaves it out of its first round. With k below
@@ -24,6 +32,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
+import re
 import shutil
 
 from hypothesis import given, settings
@@ -81,14 +91,60 @@ def test_repeating_every_file_keeps_every_artifact(tmp_path_factory, sizes, seed
         assert again[name] == once[name], name
     assert fig3_rows(again["fig3.csv"], m) == fig3_rows(once["fig3.csv"])
 
-    report = json.loads(once["report.json"])
     moved = json.loads(again["report.json"])
     assert moved["config"]["source"] == str(repeated)
-    assert moved["provenance"]["input_sha256"] != report["provenance"]["input_sha256"]
+    assert_same_report(moved, once["report.json"], "input_sha256")
+
+
+def assert_same_report(moved, once, *provenance):
+    """``moved``, written as ``report.json`` is, has the bytes ``once``
+    once the config echo's paths and the named ``provenance`` keys, which
+    must differ, are taken from ``once``."""
+    report = json.loads(once)
+    for key in provenance:
+        assert moved["provenance"][key] != report["provenance"][key], key
+        moved["provenance"][key] = report["provenance"][key]
     moved["config"].update(source=report["config"]["source"], out_dir=report["config"]["out_dir"])
-    moved["provenance"]["input_sha256"] = report["provenance"]["input_sha256"]
     text = json.dumps(moved, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    assert text.encode("utf-8") == once["report.json"]
+    assert text.encode("utf-8") == once
+
+
+def permute_words(data, rng):
+    """``data`` with its words, the runs of ``[^\\W_]+``, shuffled by
+    ``rng`` and every separator between them kept in place."""
+    parts = re.split(r"([^\W_]+)", data.decode("utf-8"))
+    words = parts[1::2]
+    rng.shuffle(words)
+    parts[1::2] = words
+    return "".join(parts).encode("utf-8")
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    sizes=st.lists(st.integers(6, 13), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 4),
+    shuffle_seed=st.integers(0, 2**32 - 1),
+)
+def test_permuting_the_words_of_every_file_keeps_every_artifact(
+    tmp_path_factory, sizes, seed, k, shuffle_seed
+):
+    root = tmp_path_factory.mktemp("permute")
+    corpus, _ = synthetic_corpus(tuple(sizes), seed=seed, length_range=(30, 90))
+    source = write_corpus(corpus, root / "sorted")
+    permuted = root / "permuted"
+    permuted.mkdir()
+    rng = random.Random(shuffle_seed)  # seeded, so no draw shrinks to the identity
+    for path in sorted(source.iterdir()):
+        (permuted / path.name).write_bytes(permute_words(path.read_bytes(), rng))
+
+    once, once_err = run(source, root / "out-sorted", k)
+    again, again_err = run(permuted, root / "out-permuted", k)
+    assert sorted(again) == sorted(once)
+    assert again_err == once_err
+    for name in ARTIFACTS + ("fig3.csv",):
+        assert again[name] == once[name], name
+    assert_same_report(json.loads(again["report.json"]), once["report.json"], "input_sha256")
 
 
 def without(lines, doc_id):
@@ -121,15 +177,10 @@ def test_an_empty_file_moves_only_what_names_it(tmp_path_factory, sizes, seed, k
     assert f"warning: PipelineWarning: empty file for {empty!r}; no byte entropy" in again_err
     assert without(again_err.splitlines(), empty) == once_err.splitlines()
 
-    report = json.loads(once["report.json"])
     moved = json.loads(again["report.json"])
     assert moved["provenance"]["document_count"] == len(corpus) + 1
     moved["warnings"] = without(moved["warnings"], empty)
     intelligence = moved["sections"]["intelligence"]
     if not intelligence["rounds"]:
         intelligence["survivors"].remove(empty)
-    moved["config"].update(source=report["config"]["source"], out_dir=report["config"]["out_dir"])
-    for key in ("document_count", "input_sha256"):
-        moved["provenance"][key] = report["provenance"][key]
-    text = json.dumps(moved, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    assert text.encode("utf-8") == once["report.json"]
+    assert_same_report(moved, once["report.json"], "document_count", "input_sha256")

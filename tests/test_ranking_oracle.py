@@ -247,7 +247,6 @@ class TestPoolsOnce:
         calls: Counter[str] = Counter()
         pooled = CountTable.pooled
         subset = Corpus.subset
-        total_counts = Corpus.total_counts
         leave_one_out_counts = Corpus.leave_one_out_counts
         ranker = intelligence.rank_documents
 
@@ -259,10 +258,6 @@ class TestPoolsOnce:
             calls["subset"] += 1
             return subset(self, doc_ids)
 
-        def counted_total_counts(self):
-            calls["total_counts"] += 1
-            return total_counts(self)
-
         def counted_leave_one_out_counts(self, doc_id):
             calls["leave_one_out_counts"] += 1
             return leave_one_out_counts(self, doc_id)
@@ -273,7 +268,6 @@ class TestPoolsOnce:
 
         monkeypatch.setattr(CountTable, "pooled", counted_pooled)
         monkeypatch.setattr(Corpus, "subset", counted_subset)
-        monkeypatch.setattr(Corpus, "total_counts", counted_total_counts)
         monkeypatch.setattr(Corpus, "leave_one_out_counts", counted_leave_one_out_counts)
         monkeypatch.setattr(intelligence, "rank_documents", counted_rank_documents)
         return calls
@@ -283,7 +277,6 @@ class TestPoolsOnce:
         calls = self._count_calls(monkeypatch)
         rank_documents(corpus, top_k=5)
         assert calls["leave_one_out_counts"] == 0
-        assert calls["total_counts"] == 0
         assert calls["pooled"] == 1
 
     def test_aggregate_corpus(self, monkeypatch):
@@ -293,7 +286,6 @@ class TestPoolsOnce:
         assert len(result.rounds) == 2
         assert calls["rankings"] >= 4
         assert calls["leave_one_out_counts"] == 0
-        assert calls["total_counts"] == 0
         assert calls["pooled"] == calls["rankings"]
         assert calls["subset"] == 0
 
@@ -303,7 +295,6 @@ class TestPoolsOnce:
         calls = self._count_calls(monkeypatch)
         assert not _belief_section(corpus, ranking, top_k=5)["skipped"]
         assert calls["leave_one_out_counts"] == 0
-        assert calls["total_counts"] == 0
         assert calls["pooled"] == 1
 
 

@@ -2,7 +2,7 @@
 
 The sources of ``src/layerstack`` are parsed, not imported or run, as in
 ``test_public_surface.py``. A finding names the module and the functions and
-classes that enclose it, such as ``corpus.Corpus.total_counts``.
+classes that enclose it, such as ``corpus.Corpus.leave_one_out_counts``.
 
 - No BLAS routine feeds an output float: no ``@``, ``dot``, ``inner``,
   ``vdot``, ``matmul``, ``linalg`` or ``einsum``, which can hand its work to
@@ -31,10 +31,8 @@ BLAS_NAMES = {"dot", "inner", "vdot", "matmul", "linalg", "einsum"}
 TOKEN_COUNT_READERS = {
     "corpus.Document.__post_init__",
     "corpus.CountTable.build",
-    "corpus.Corpus.total_counts",
     "corpus.Corpus.leave_one_out_counts",
     "corpus.top_k_terms",
-    "corpus.frequency_scatter",
     "intelligence.entropic_gain",
     "synthetic",
 }

@@ -1,10 +1,13 @@
-"""The CI workflow reruns every bit-exact check under OpenBLAS's oldest kernel.
+"""The CI workflow's hand-written lists match what they list.
 
 ``.github/workflows/tests.yml`` names the files of its Prescott step one by
-one. A golden or oracle file left off that list would skip the rerun
-silently, so the list is checked here against the test files. The workflow
-is read as text: the step is the lines from its ``- name:`` to the next
-line indented no deeper than that one.
+one, which reruns every bit-exact check under OpenBLAS's oldest kernel. A
+golden or oracle file left off that list would skip the rerun silently, so
+the list is checked here against the test files. The bench-smoke trace step
+requires one exact line naming the span targets the program no longer has;
+it is checked against ``RETIRED`` of ``test_bench_targets.py``. The
+workflow is read as text: the step is the lines from its ``- name:`` to the
+next line indented no deeper than that one.
 """
 
 from __future__ import annotations
@@ -12,9 +15,13 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from test_bench_targets import RETIRED, span_targets
+
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 PRESCOTT_STEP = "goldens and oracles under OPENBLAS_CORETYPE=Prescott"
+TRACE_STEP = "${{ matrix.workload }} traces every span target but the retired ones"
+ABSENT = "not traced, absent from the program: "
 
 
 def step_lines(text: str, name: str) -> list[str]:
@@ -43,3 +50,10 @@ def test_prescott_step_reruns_every_golden_and_oracle_file():
         path.relative_to(ROOT).as_posix() for path in (ROOT / "tests").glob("test_*oracle*.py")
     }
     assert required <= set(named), sorted(required - set(named))
+
+
+def test_trace_step_requires_the_retired_targets_in_targets_order():
+    step = "\n".join(step_lines(WORKFLOW.read_text(), TRACE_STEP))
+    copies = re.findall(re.escape(ABSENT) + r"(\[[^]]*\])", step)
+    retired = [f"{module}.{path}" for name, module, path in span_targets() if name in RETIRED]
+    assert copies == [str(retired)] * 2  # bench/run.py prints the list of missing targets
