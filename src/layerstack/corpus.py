@@ -45,7 +45,8 @@ _SPACES = bytes(c if c >= 0x80 or chr(c).isalnum() else 0x20 for c in range(256)
 #: int64, and every count / total is the float Python's int / int gives
 _COUNT_LIMIT = 2**53
 #: a pass over a run of table rows takes rows until their entries reach this
-#: many, so its arrays stay bounded by it and the longest row
+#: many, so its arrays stay bounded by it and the longest row; k-means++
+#: seeding, one centroid a pass, takes k of these windows a run
 _PASS_ENTRIES = 1024
 
 
@@ -145,15 +146,42 @@ def _entries(indptr: np.ndarray, rows: Sequence[int]) -> tuple[np.ndarray, np.nd
     return local, np.repeat(indptr[rows] - local[:-1], lengths) + np.arange(local[-1])
 
 
-def _entry_runs(indptr: np.ndarray, rows: Sequence[int]) -> Iterator[tuple]:
+def _entry_runs(indptr: np.ndarray, rows: Sequence[int], windows: int = 1) -> Iterator[tuple]:
     """``rows`` in order, cut into runs that start in the same window of
-    ``_PASS_ENTRIES`` entries; for each, its rows and their :func:`_entries`."""
+    ``windows`` x ``_PASS_ENTRIES`` entries; for each, its rows and their
+    :func:`_entries`."""
     rows = np.asarray(rows, dtype=np.intp)
     lengths = indptr[rows + 1] - indptr[rows]
-    run = (np.cumsum(lengths) - lengths) // _PASS_ENTRIES
+    run = (np.cumsum(lengths) - lengths) // (windows * _PASS_ENTRIES)
     cuts = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1).tolist(), len(rows)]
     for lo, hi in zip(cuts, cuts[1:]):
         yield rows[lo:hi], *_entries(indptr, rows[lo:hi])
+
+
+def _zero_led(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The layout in which :func:`_segment_sums` sums the segments ``bounds``
+    cuts: each segment laid after a 0.0 of its own. Returns the positions of
+    the zeros, which ``np.add.reduceat`` takes as its indices, and of the
+    values."""
+    lengths = np.diff(bounds)
+    heads = bounds[:-1] + np.arange(len(lengths))
+    return heads, np.arange(bounds[-1]) + np.repeat(np.arange(1, len(lengths) + 1), lengths)
+
+
+def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``np.add.reduce`` of every segment ``values[..., bounds[i]:bounds[i +
+    1]]``, bit for bit, in one call; ``bounds`` runs from 0 to the length of
+    the last axis.
+
+    numpy reduces a segment as 0.0 plus the pairwise sum of its elements,
+    while ``np.add.reduceat`` starts from the first element and so groups
+    the additions differently. Laid after a 0.0 of its own (``_zero_led``),
+    each segment's ``reduceat`` is again 0.0 plus its pairwise sum, along
+    any axis, and an empty segment reads 0.0."""
+    heads, slots = _zero_led(bounds)
+    led = np.zeros(values.shape[:-1] + (len(slots) + len(heads),))
+    led[..., slots] = values
+    return np.add.reduceat(led, heads, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,13 +316,18 @@ def shared_proportions(
     where two aligned count arrays are both positive, and the proportions
     there, ``counts / total`` and ``reference / reference_total``. Each
     total is an int, or an array aligned with the counts that gives each
-    position its own. IEEE division of integers below 2**53, as a count
-    table holds, gives the floats Python's ``int / int`` gives."""
-    both = (counts > 0) & (reference > 0)
+    position its own. Only the shared positions are divided. IEEE division
+    of integers below 2**53, as a count table holds, gives the floats
+    Python's ``int / int`` gives."""
+    shared = np.flatnonzero((counts > 0) & (reference > 0))
+
+    def at_shared(total: int | np.ndarray) -> int | np.ndarray:
+        return total[shared] if isinstance(total, np.ndarray) else total
+
     return (
-        np.flatnonzero(both),
-        np.divide(counts, total, out=np.zeros(both.shape), where=both)[both].tolist(),
-        np.divide(reference, reference_total, out=np.zeros(both.shape), where=both)[both].tolist(),
+        shared,
+        np.divide(counts[shared], at_shared(total)).tolist(),
+        np.divide(reference[shared], at_shared(reference_total)).tolist(),
     )
 
 

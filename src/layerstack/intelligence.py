@@ -12,7 +12,9 @@ dense row. d² lies within 2γ_{V+2}·(‖x‖² + ‖c‖²) of the exact squar
 distance of the same floats, so k-means++ draws and labels can differ from
 the dense difference's only where d² values lie that close. Seeding keeps
 each row's d² to each centroid, and k-means takes its first assignment and
-inertia from them.
+inertia from them. A seeding pass has one centroid, so it takes runs of k
+pass windows, and gathers about as many floats per run as a Lloyd pass over
+k centroids. The rows' unit lengths come from one segment sum per call.
 
 Aggregation repeatedly clusters the corpus, keeps the most correlated
 documents from each cluster, and re-ranks the survivors. Every stochastic
@@ -29,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .corpus import Corpus, Document, _entries, _entry_runs
+from .corpus import Corpus, Document, _entries, _entry_runs, _segment_sums
 from .infotheory import count_entropy
 from .knowledge import CorrelationResult, rank_documents
 
@@ -86,8 +88,7 @@ def unit_term_rows(
     indptr = local[np.concatenate(([0], kept + 1))]
     # each norm sums the squares of the row's own nonzeros, in term-id order,
     # by numpy's reduction, so no CPU-picked BLAS kernel sets its bits
-    for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
-        data[lo:hi] /= math.sqrt(float(np.add.reduce(np.square(data[lo:hi]))))
+    data /= np.repeat(np.sqrt(_segment_sums(np.square(data), indptr)), np.diff(indptr))
     ids = tuple(corpus.documents[rows[i]].id for i in kept.tolist())
     return ids, TermRows(indptr, table.term_ids[take], data, n_columns=len(table.terms))
 
@@ -131,15 +132,17 @@ class Clustering:
         return tuple(d for d, c in self.assignments.items() if c == cluster)
 
 
-def _runs(rows: TermRows) -> list[tuple[np.ndarray, ...]]:
+def _runs(rows: TermRows, windows: int = 1) -> list[tuple[np.ndarray, ...]]:
     """The rows with entries, cut into ``_entry_runs`` runs of about
-    ``corpus._PASS_ENTRIES`` entries: for each, its rows, where each row's
-    entries start within the run, and the run's columns and values. Every
-    distance pass of one :func:`kmeans` call takes the same runs."""
+    ``windows`` x ``corpus._PASS_ENTRIES`` entries: for each, its rows, where
+    each row's entries start within the run, and the run's columns and
+    values. A row's sums do not depend on the run it falls in, so a pass
+    over k centroids takes one-window runs and a pass over one centroid
+    k-window runs: either gathers about k x ``_PASS_ENTRIES`` floats a run."""
     filled = np.flatnonzero(np.diff(rows.indptr))
     return [
         (block, indptr[:-1], rows.indices[take], rows.data[take])
-        for block, indptr, take in _entry_runs(rows.indptr, filled)
+        for block, indptr, take in _entry_runs(rows.indptr, filled, windows)
     ]
 
 
@@ -214,7 +217,13 @@ def _seed_centroids(
     Returns the centroids and the N x k matrix of every row's d² to each,
     one :func:`_distances` pass per centroid: an entry depends only on its
     row and centroid, so the matrix is that of one pass over all k, and
-    :func:`kmeans` takes its first assignment from it."""
+    :func:`kmeans` takes its first assignment from it.
+
+    :func:`kmeans` hands seeding ``_runs(rows, k)``, runs of k pass windows:
+    a one-centroid pass then gathers about as many floats per run as a
+    k-centroid pass over one-window runs, over k times fewer runs, so its
+    per-run numpy calls cost k times less and its temporaries stay bounded
+    by about k x ``corpus._PASS_ENTRIES`` floats."""
     n = rows.shape[0]
     centroids = [rows.row(int(rng.integers(n)))]
     columns = [_distances(norms, runs, centroids[0][None])]
@@ -265,8 +274,8 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     norms = _squared_norms(rows.indptr, rows.data)
+    centroids, distances = _seed_centroids(rows, norms, _runs(rows, k), k, default_rng(seed))
     runs = _runs(rows)
-    centroids, distances = _seed_centroids(rows, norms, runs, k, default_rng(seed))
 
     labels = None
     history: list[float] = []

@@ -10,12 +10,16 @@ layer's evidence. It takes a ranking's rows of the corpus's integer count
 table, pooled once, and lays their entries end to end: each leave-one-out
 count is the pooled total minus the row's own count, and one numpy pass over
 a run of rows, of about ``corpus._PASS_ENTRIES`` entries, finds the shared
-terms and both sides' proportions for all of them. Each row then correlates
-its own span of those profiles. So only the corpus's own documents are
-scored, at work linear in the (document, term) pairs, with no string lookup
-and no re-pool per document. A ranking takes every row's r and overlap n,
-but the p-value, a continued fraction or series, only for the rows it
-returns.
+terms and both sides' proportions for all of them. The same pass then
+correlates every row of the run at once: each row's span of the profiles is
+one segment, and every Pearson sum of every segment comes from one
+``np.add.reduceat`` call, bit for bit the ``np.add.reduce`` of that segment
+alone. ``pearson_parts`` and ``pearson_r`` are the one-segment case of the
+same code, so the program has one Pearson and calls it once per run, not
+once per row. So only the corpus's own documents are scored, at work linear
+in the (document, term) pairs, with no string lookup and no re-pool per
+document. A ranking takes every row's r and overlap n, but the p-value, a
+continued fraction or series, only for the rows it returns.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, _entry_runs, shared_proportions
+from .corpus import Corpus, Document, _entry_runs, _zero_led, shared_proportions
 
 #: shortest term overlap for which a correlation is computed
 MIN_SHARED_TERMS = 3
@@ -61,6 +65,81 @@ class CorrelationResult:
             raise ValueError(f"n {self.n} < {MIN_SHARED_TERMS}")
 
 
+#: why a segment has no r, by ``_pearson_segments`` fault code
+_FAULTS = (None, "insufficient overlap", "non-finite input or denominator", "zero variance input")
+
+
+def _pearson_segments(
+    x: np.ndarray, y: np.ndarray, bounds: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The one Pearson: the parts of every segment ``x[bounds[i]:bounds[i +
+    1]]`` against the same span of ``y``, in one numpy pass over them all;
+    ``bounds`` runs from 0 to ``len(x)``.
+
+    Returns the mean-centred samples ``dx`` and ``dy``, aligned with ``x``,
+    and for each segment the denominator sqrt(Sxx * Syy), r = Sxy / denom
+    clamped to [-1, 1] and a fault code, an index into ``_FAULTS``: 0 when
+    r can be taken, else the first fault of a segment with fewer than
+    ``MIN_SHARED_TERMS`` points, a non-finite denominator (from a non-finite
+    input or an overflow) and equal inputs or a zero denominator.
+
+    The samples are laid out as ``_zero_led`` lays them, each segment after
+    a 0.0 of its own, and stay so while they are centred, so every sum is
+    one ``np.add.reduceat`` call over all the segments and equals
+    ``np.add.reduce`` of the segment's own floats (see ``_segment_sums``):
+    each float is the same on every CPU and for any cut of the segments
+    into calls, and IEEE ``sqrt``, ``*`` and ``/`` give the floats of their
+    scalar ``math`` forms."""
+    n = np.diff(bounds)
+    heads, slots = _zero_led(bounds)
+    led = np.zeros((2, len(slots) + len(heads)))
+    led[0, slots] = x
+    led[1, slots] = y
+    with np.errstate(all="ignore"):
+        # the floats of x - x.mean(), whose mean is umr_sum / n, each segment
+        # still after its 0.0, so that each sum is a _segment_sums
+        led -= np.repeat(np.add.reduceat(led, heads, axis=1) / n, n + 1, axis=1)
+        led[:, heads] = 0.0
+        sxx, syy = np.add.reduceat(led * led, heads, axis=1)
+        denom = np.sqrt(sxx * syy)
+        r = np.clip(np.add.reduceat(led[0] * led[1], heads) / denom, -1.0, 1.0)
+    # equal inputs decide it, as a mean of equal floats can be off in the
+    # last bit; denom is 0 for unequal inputs only where the squares underflow
+    fault = np.where((denom == 0.0) | _all_equal(x, bounds) | _all_equal(y, bounds), 3, 0)
+    fault[~np.isfinite(denom)] = 2
+    fault[n < MIN_SHARED_TERMS] = 1
+    dx, dy = led.take(slots, axis=1)
+    return dx, dy, denom, r, fault
+
+
+def _all_equal(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Whether each segment of ``values`` holds one value, as its least and
+    greatest agree. An empty segment, or one holding a NaN, reads False."""
+    filled = np.flatnonzero(np.diff(bounds))
+    equal = np.zeros(len(bounds) - 1, dtype=bool)
+    starts = bounds[filled]
+    # the filled segments, laid end to end, reach from each start to the next
+    equal[filled] = np.maximum.reduceat(values, starts) == np.minimum.reduceat(values, starts)
+    return equal
+
+
+def _pearson(
+    xs: Sequence[float], ys: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``_pearson_segments`` of two samples as one segment: dx, dy, denom and
+    r, or a ``ValueError`` naming its fault."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
+    dx, dy, denom, r, [fault] = _pearson_segments(x, y, np.array([0, x.size]))
+    if fault == 1:
+        raise ValueError(f"need at least {MIN_SHARED_TERMS} points, got {x.size}")
+    if fault:
+        raise ValueError(_FAULTS[fault])
+    return dx, dy, float(denom[0]), float(r[0])
+
+
 def pearson_parts(
     xs: Sequence[float], ys: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -68,31 +147,13 @@ def pearson_parts(
     that r = sum(dx * dy) / denom and dx[i] * dy[i] / denom is term i's share.
     Each sum is numpy's own reduction, the same on every CPU.
     A non-finite input makes denom non-finite, as overflow does: a ValueError."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    if x.size < MIN_SHARED_TERMS:
-        raise ValueError(f"need at least {MIN_SHARED_TERMS} points, got {x.size}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the floats of x - x.mean(), whose mean is umr_sum / n
-        dx = x - float(np.add.reduce(x)) / x.size
-        dy = y - float(np.add.reduce(y)) / y.size
-        denom = math.sqrt(float(np.add.reduce(dx * dx)) * float(np.add.reduce(dy * dy)))
-    if not math.isfinite(denom):
-        raise ValueError("non-finite input or denominator")
-    # equal inputs decide it, as a mean of equal floats can be off in the last
-    # bit; denom is 0 for unequal inputs only where the squares underflow
-    if (x == x[0]).all() or (y == y[0]).all() or denom == 0.0:
-        raise ValueError("zero variance input")
+    dx, dy, denom, _ = _pearson(xs, ys)
     return dx, dy, denom
 
 
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient, clamped to [-1, 1]."""
-    dx, dy, denom = pearson_parts(xs, ys)
-    r = float(np.add.reduce(dx * dy)) / denom
-    return max(-1.0, min(1.0, r))
+    return _pearson(xs, ys)[3]
 
 
 def _log_gamma_ratio(a: float) -> float:
@@ -207,35 +268,55 @@ def correlation_p_value(r: float, n: int) -> float:
     return 1.0 - front * _beta_fraction(0.5, a, y) / 0.5
 
 
-def _profiles(
-    corpus: Corpus, rows: Sequence[int], totals: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The one leave-one-out scorer's profiles: for each table row of
-    ``rows``, in order, the ids of the terms it shares with the pooled
-    ``totals`` less its own counts (increasing, so in lexicographic term
-    order), with log10 proportions on both sides. Each run of rows from
-    ``_entry_runs`` goes through ``shared_proportions`` at once."""
+class _ScoredRun(NamedTuple):
+    """One run of a ranking's rows, scored at once: each row's shared term
+    ids (increasing, so in lexicographic term order) laid end to end, row
+    i's span ``bounds[i]:bounds[i + 1]``, and ``_pearson_segments`` of the
+    rows' log10 proportions against their leave-one-out references."""
+
+    rows: np.ndarray
+    ids: np.ndarray
+    bounds: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    denom: np.ndarray
+    r: np.ndarray
+    fault: np.ndarray
+
+
+def _scored_runs(corpus: Corpus, rows: Sequence[int], totals: np.ndarray) -> Iterator[_ScoredRun]:
+    """The one leave-one-out scorer: the table ``rows``, in order, against
+    the pooled ``totals`` less each row's own counts, one ``_entry_runs``
+    run at a time. A run's shared terms and proportions come from one call
+    of ``shared_proportions``, and all its correlations from one of
+    ``_pearson_segments``."""
     table = corpus.table
     grand = int(totals.sum())
     for block, indptr, take in _entry_runs(table.indptr, rows):
         ids, counts = table.term_ids[take], table.counts[take]
         own = np.repeat([corpus.documents[row].total_tokens for row in block], np.diff(indptr))
         shared, dps, rps = shared_proportions(counts, own, totals[ids] - counts, grand - own)
-        ids = ids[shared]
         xs = np.fromiter(map(math.log10, dps), float, len(dps))
         ys = np.fromiter(map(math.log10, rps), float, len(rps))
-        bounds = np.searchsorted(shared, indptr).tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield ids[lo:hi], xs[lo:hi], ys[lo:hi]
+        bounds = np.searchsorted(shared, indptr)
+        yield _ScoredRun(block, ids[shared], bounds, *_pearson_segments(xs, ys, bounds))
 
 
-def _score(doc_id: str, xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
-    """One row's r and n from its profiles, or a ``ValueError`` naming why
-    it cannot be scored."""
-    n = len(xs)
-    if n < MIN_SHARED_TERMS:
-        raise ValueError(f"insufficient overlap: {doc_id!r} shares {n} terms with the rest")
-    return pearson_r(xs, ys), n
+def _scores(
+    corpus: Corpus, rows: Sequence[int], totals: np.ndarray
+) -> Iterator[tuple[str, float, int, str | None]]:
+    """Each of ``rows``'s id, r and overlap n, in order, with the reason it
+    cannot be scored, or None when it can."""
+    for run in _scored_runs(corpus, rows, totals):
+        for row, r, n, fault in zip(
+            run.rows.tolist(), run.r.tolist(), np.diff(run.bounds).tolist(), run.fault.tolist()
+        ):
+            doc_id = corpus.documents[row].id
+            if fault == 1:
+                reason = f"insufficient overlap: {doc_id!r} shares {n} terms with the rest"
+            else:
+                reason = _FAULTS[fault]
+            yield doc_id, r, n, reason
 
 
 def _result(doc_id: str, r: float, n: int) -> CorrelationResult:
@@ -253,8 +334,10 @@ def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
         raise ValueError(f"document {doc.id!r} not in corpus")
     if doc != corpus.get(doc.id):
         raise ValueError(f"document {doc.id!r} differs from the corpus's copy")
-    [(_, xs, ys)] = _profiles(corpus, [corpus.position(doc.id)], corpus.table.pooled())
-    return _result(doc.id, *_score(doc.id, xs, ys))
+    [(_, r, n, reason)] = _scores(corpus, [corpus.position(doc.id)], corpus.table.pooled())
+    if reason is not None:
+        raise ValueError(reason)
+    return _result(doc.id, r, n)
 
 
 def rank_documents(
@@ -290,15 +373,11 @@ def rank_documents(
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     scored = []
-    for row, (_, xs, ys) in zip(ranked, _profiles(corpus, ranked, corpus.table.pooled(rows))):
-        doc_id = corpus.documents[row].id
-        try:
-            r, n = _score(doc_id, xs, ys)
-        except ValueError as exc:
-            if notes is not None:
-                notes.append(f"RankingWarning: excluding {doc_id!r}: {exc}")
-            continue
-        scored.append((doc_id, r, n))
+    for doc_id, r, n, reason in _scores(corpus, ranked, corpus.table.pooled(rows)):
+        if reason is None:
+            scored.append((doc_id, r, n))
+        elif notes is not None:
+            notes.append(f"RankingWarning: excluding {doc_id!r}: {reason}")
     scored.sort(key=lambda item: (-item[1], item[0]))
     return [_result(doc_id, r, n) for doc_id, r, n in scored[:top_k]]
 

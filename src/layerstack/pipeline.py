@@ -35,7 +35,7 @@ from .corpus import (
 )
 from .infotheory import _byte_counts, count_entropy, hartley_entropy
 from .intelligence import AggregationResult, EntropicState, aggregate_corpus, entropic_gain
-from .knowledge import CorrelationResult, _profiles, pearson_parts, rank_documents
+from .knowledge import CorrelationResult, _scored_runs, rank_documents
 from .stopwords import ENGLISH_STOP_WORDS
 from .wisdom import aggregate_round_quality
 
@@ -337,14 +337,16 @@ def _belief_section(
     keywords = [corpus.table.terms[j] for j in by_frequency]
     frame = Frame(elements=tuple(keywords))
     contributions = dict.fromkeys(by_frequency, 0.0)
+    is_keyword = np.zeros(len(totals), dtype=bool)
+    is_keyword[by_frequency] = True
     rows = [corpus.position(res.doc_id) for res in knowledge_ranking]
-    for shared, xs, ys in _profiles(corpus, rows, totals):
-        dx, dy, denom = pearson_parts(xs, ys)
-        for j, a, b in zip(shared.tolist(), dx.tolist(), dy.tolist()):
-            if j in contributions:
-                piece = a * b / denom
-                if piece > 0.0:
-                    contributions[j] += piece
+    # every ranked row has r, so a finite, nonzero denom; each share is
+    # dx * dy / denom, and the positive ones add up in row and term order
+    for run in _scored_runs(corpus, rows, totals):
+        pieces = run.dx * run.dy / np.repeat(run.denom, np.diff(run.bounds))
+        kept = np.flatnonzero(is_keyword[run.ids] & (pieces > 0.0))
+        for j, piece in zip(run.ids[kept].tolist(), pieces[kept].tolist()):
+            contributions[j] += piece
     total = math.fsum(contributions.values())
     evidence = {
         kw: (contributions[j] / total if total > 0.0 else 0.0)

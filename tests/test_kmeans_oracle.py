@@ -420,6 +420,16 @@ def test_peak_memory_is_far_below_the_distance_tensor():
     # bound follows _PASS_ENTRIES, not a count of dense rows
     run_entries = _PASS_ENTRIES + int(np.diff(rows.indptr).max())
     assert pass_peak < 8 * (k * run_entries + 8192 + 3 * n * k + 2 * v)
+    # a seeding pass gathers one centroid's values over runs of k windows,
+    # which end within one row past k x _PASS_ENTRIES entries: the same bound
+    seeding_runs = intelligence._runs(rows, k)
+    tracemalloc.start()
+    try:
+        intelligence._distances(norms, seeding_runs, clustering.centroids[:1])
+        seed_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seed_peak < 8 * (k * run_entries + 8192 + 3 * n * k + 2 * v)
 
 
 @pytest.mark.parametrize("block_floats", [1, 2**18])

@@ -18,6 +18,18 @@ echo's paths. fig4 and fig3 run end to end here, so an output that followed
 a document's first-occurrence order of terms instead of the sorted
 vocabulary would show.
 
+Prefixing every file name with one common alphanumeric string prefixes
+every id and title with it, and keeps their order. So every artifact must
+keep its bytes once the prefix is taken back out of the ids and titles,
+except the provenance hash, which covers them, and the config echo's paths.
+
+Prefixing every term in every file with one common string, such that no
+prefixed term is a stop word, keeps every count, the order of the sorted
+vocabulary and every term id. So every artifact must keep its bytes once
+the prefix is taken back out of the terms, except the provenance hash and
+the config echo's paths. The byte histograms change, so these runs leave
+the bit layer skipped.
+
 An empty file adds a document with no bytes and no terms. It holds no term
 row, so every pool, ranking and k-means row of the other documents is
 unchanged, and aggregation leaves it out of its first round. With k below
@@ -41,17 +53,16 @@ from hypothesis import strategies as st
 
 from layerstack import synthetic_corpus, write_corpus
 from layerstack.cli import main
+from layerstack.stopwords import ENGLISH_STOP_WORDS
 
 from helpers import run_cli
 
 ARTIFACTS = ("table1.tsv", "table1.json", "table2.tsv", "table2.json", "fig4.csv")
 
 
-def run(source, out_dir, k, *options):
-    code, _, err = run_cli(
-        main,
-        ["run", str(source), "--out", str(out_dir), "--k", str(k), "--force-bit-layer", *options],
-    )
+def run(source, out_dir, k, *options, bit_layer=True):
+    argv = ["run", str(source), "--out", str(out_dir), "--k", str(k), *options]
+    code, _, err = run_cli(main, argv + ["--force-bit-layer"] * bit_layer)
     assert code == 0, err
     return {p.name: p.read_bytes() for p in out_dir.iterdir()}, err
 
@@ -145,6 +156,90 @@ def test_permuting_the_words_of_every_file_keeps_every_artifact(
     for name in ARTIFACTS + ("fig3.csv",):
         assert again[name] == once[name], name
     assert_same_report(json.loads(again["report.json"]), once["report.json"], "input_sha256")
+
+
+def assert_same_but_renamed(once, once_err, again, again_err, renamed):
+    """``again``'s artifacts and stderr, with each prefixed string of
+    ``renamed`` put back to its original, are those of ``once``, but for
+    the provenance hash and the config echo's paths."""
+
+    def restore(data: bytes) -> bytes:
+        for prefixed, original in renamed:
+            data = data.replace(prefixed.encode(), original.encode())
+        return data
+
+    for prefixed, _ in renamed:
+        for data in [*once.values(), once_err.encode()]:
+            assert prefixed.encode() not in data  # so restoring touches nothing else
+    assert sorted(again) == sorted(once)
+    assert restore(again_err.encode()) == once_err.encode()
+    for name in ARTIFACTS + ("fig3.csv",):
+        assert restore(again[name]) == once[name], name
+    moved = json.loads(restore(again["report.json"]))
+    assert_same_report(moved, once["report.json"], "input_sha256")
+
+
+prefixes = st.from_regex(r"[a-z0-9]{1,4}", fullmatch=True)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    sizes=st.lists(st.integers(6, 13), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 4),
+    prefix=prefixes | prefixes.map(str.upper),
+)
+def test_prefixing_every_file_name_moves_only_ids_and_titles(
+    tmp_path_factory, sizes, seed, k, prefix
+):
+    root = tmp_path_factory.mktemp("names")
+    corpus, _ = synthetic_corpus(tuple(sizes), seed=seed, length_range=(30, 90))
+    source = write_corpus(corpus, root / "plain")
+    prefixed = root / "prefixed"
+    prefixed.mkdir()
+    for path in sorted(source.iterdir()):
+        (prefixed / f"{prefix}{path.name}").write_bytes(path.read_bytes())
+
+    once, once_err = run(source, root / "out-plain", k)
+    again, again_err = run(prefixed, root / "out-prefixed", k)
+    # ids are doc000 onward, and no term holds "doc"
+    assert_same_but_renamed(once, once_err, again, again_err, [(f"{prefix}doc", "doc")])
+
+
+def prefix_terms(data, prefix):
+    """``data`` with ``prefix`` put before each of its words that tokenizes
+    to a term: neither purely numeric nor a stop word."""
+    text = data.decode("utf-8")
+
+    def prefixed(word):
+        term = word[0].lower()
+        return word[0] if term.isdigit() or term in ENGLISH_STOP_WORDS else prefix + word[0]
+
+    return re.sub(r"[^\W_]+", prefixed, text).encode("utf-8")
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    sizes=st.lists(st.integers(6, 13), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 4),
+    prefix=prefixes,
+)
+def test_prefixing_every_term_moves_only_terms(tmp_path_factory, sizes, seed, k, prefix):
+    root = tmp_path_factory.mktemp("terms")
+    corpus, _ = synthetic_corpus(tuple(sizes), seed=seed, length_range=(30, 90))
+    assert not {prefix + term for term in corpus.vocabulary} & ENGLISH_STOP_WORDS
+    source = write_corpus(corpus, root / "plain")
+    prefixed = root / "prefixed"
+    prefixed.mkdir()
+    for path in sorted(source.iterdir()):
+        (prefixed / path.name).write_bytes(prefix_terms(path.read_bytes(), prefix))
+
+    once, once_err = run(source, root / "out-plain", k, bit_layer=False)
+    again, again_err = run(prefixed, root / "out-prefixed", k, bit_layer=False)
+    # every synthetic term starts with "core" or "topic"
+    renamed = [(f"{prefix}{stem}", stem) for stem in ("core", "topic")]
+    assert_same_but_renamed(once, once_err, again, again_err, renamed)
 
 
 def without(lines, doc_id):

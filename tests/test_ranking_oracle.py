@@ -10,6 +10,12 @@ way, so every r, p-value, n and evidence value must be equal, not close.
 fig4 is checked the same way: its text must equal, character for character,
 the rows a ``csv.writer`` makes from a plain-``Counter`` leave-one-out
 reference.
+
+The scorer correlates a whole run of rows per numpy call. Its two fast
+paths have oracles of their own: each segment sum must be, bit for bit,
+``np.add.reduce`` of the segment, and each segment's r, n and fault must be
+those of the scalar one-sample Pearson, whose sums are ``np.add.reduce``
+of each sample.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ import re
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from layerstack import (
@@ -35,10 +42,10 @@ from layerstack import (
     rank_documents,
     synthetic_corpus,
 )
-from layerstack import intelligence
+from layerstack import intelligence, knowledge
 from layerstack.belief import MAX_FRAME_SIZE
-from layerstack.corpus import CountTable
-from layerstack.knowledge import MIN_SHARED_TERMS, pearson_parts
+from layerstack.corpus import CountTable, _entry_runs, _segment_sums
+from layerstack.knowledge import MIN_SHARED_TERMS, _pearson_segments, pearson_parts
 from layerstack.pipeline import _belief_section, write_fig4
 
 from helpers import make_corpus, make_doc
@@ -298,6 +305,36 @@ class TestPoolsOnce:
         assert calls["pooled"] == 1
 
 
+def test_scoring_takes_one_pearson_call_per_run(monkeypatch):
+    """No program path correlates row by row: a ranking, the belief
+    evidence and each ranking of an aggregation call ``_pearson_segments``
+    once per ``_entry_runs`` run of their rows."""
+    corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
+    calls: list[int] = []
+    segments = knowledge._pearson_segments
+
+    def counted(x, y, bounds):
+        calls.append(len(bounds) - 1)
+        return segments(x, y, bounds)
+
+    def runs(rows):
+        return [len(block) for block, _, _ in _entry_runs(corpus.table.indptr, rows)]
+
+    monkeypatch.setattr(knowledge, "_pearson_segments", counted)
+    ranking = tuple(rank_documents(corpus, top_k=len(corpus)))
+    assert 1 < len(calls) < len(corpus)
+    assert calls == runs(range(len(corpus)))
+    calls.clear()
+    _belief_section(corpus, ranking, top_k=5)
+    assert calls == runs([corpus.position(res.doc_id) for res in ranking])
+    calls.clear()
+    result = aggregate_corpus(corpus, k=3, rounds=1, per_cluster=4, seed=1)
+    members = [result.rounds[0].clustering.members(c) for c in range(3)]
+    expected = [runs(sorted(map(corpus.position, ids))) for ids in members if len(ids) > 1]
+    survivors = [corpus.position(doc_id) for doc_id in result.survivor_ids]
+    assert calls == [n for counts in expected for n in counts] + runs(survivors)
+
+
 # terms that csv.writer must quote, and one that it must not
 QUOTED_TERMS = ["a,b", 'x"y', "a b", "line\nbreak", "ñandú"]
 FIG4_HEADER = ["doc_id", "term", "doc_proportion", "reference_proportion", "deviation"]
@@ -390,4 +427,143 @@ def test_write_fig4_warns_for_a_document_with_no_reference():
     assert messages == [
         "PipelineWarning: no reference terms for 'only'; skipped in fig4",
         "PipelineWarning: document 'empty' has no terms; skipped in fig4",
+    ]
+
+
+# the lengths where numpy's pairwise sum changes its grouping: below and at
+# its 8-way unroll, at its 128-element block, and past its 8,192-element buffer
+SEGMENT_LENGTHS = (0, 1, 8, 9, 128, 129, 8193)
+
+
+@st.composite
+def segmented(draw) -> tuple[np.ndarray, np.ndarray]:
+    """(values, bounds): 1-5 segments laid end to end, of the lengths above
+    or of 0-20 elements, scaled by 1, 1e-150 or 1e150, with some or all of
+    the elements replaced by zeros of either sign."""
+    lengths = draw(
+        st.lists(st.sampled_from(SEGMENT_LENGTHS) | st.integers(0, 20), min_size=1, max_size=5)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(sum(lengths)) * draw(st.sampled_from([1.0, 1e-150, 1e150]))
+    zeros = rng.random(len(values)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    values[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
+    return values, np.concatenate(([0], np.cumsum(lengths))).astype(np.intp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=segmented(), copies=st.integers(1, 3))
+@example(inputs=(np.array([0.1, 0.2, 0.3]), np.array([0, 3])), copies=1)
+@example(inputs=(np.array([-0.0, -0.0, 1.0]), np.array([0, 2, 2, 3])), copies=1)
+def test_segment_sums_are_numpys_reduction_of_each_segment(inputs, copies):
+    values, bounds = inputs
+    stack = np.stack([np.roll(values, c) for c in range(copies)])
+    expected = np.array(
+        [[np.add.reduce(row[lo:hi]) for lo, hi in zip(bounds, bounds[1:])] for row in stack]
+    ).reshape(copies, len(bounds) - 1)
+    sums = _segment_sums(stack, bounds)
+    assert sums.shape == expected.shape
+    assert (sums == expected).all()
+    assert sums.tobytes() == expected.tobytes()  # zeros keep their sign
+    assert _segment_sums(values, bounds).tobytes() == expected[0].tobytes()
+
+
+def pearson_parts_oracle(xs, ys) -> tuple[np.ndarray, np.ndarray, float, float] | str:
+    """One sample's dx, dy, denom and clamped r, or the reason it has no r,
+    by scalar Python on ``np.add.reduce`` of the whole sample."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if x.size < MIN_SHARED_TERMS:
+        return "insufficient overlap"
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - float(np.add.reduce(x)) / x.size
+        dy = y - float(np.add.reduce(y)) / y.size
+        denom = math.sqrt(float(np.add.reduce(dx * dx)) * float(np.add.reduce(dy * dy)))
+    if not math.isfinite(denom):
+        return "non-finite input or denominator"
+    if (x == x[0]).all() or (y == y[0]).all() or denom == 0.0:
+        return "zero variance input"
+    r = float(np.add.reduce(dx * dy)) / denom
+    return dx, dy, denom, max(-1.0, min(1.0, r))
+
+
+@st.composite
+def pearson_runs(draw) -> list[tuple[np.ndarray, np.ndarray]]:
+    """1-6 samples, each of 0-12, 40 or 129 points at a scale whose squares
+    may underflow or overflow; a sample may be flat in x or y and may hold a
+    NaN or an infinity, so each fault occurs, alone or with another."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(0, 12) | st.sampled_from([40, 129]))
+        scale = draw(st.sampled_from([1.0, 1e-200, 1e150, 1e200]))
+        x, y = rng.standard_normal(n) * scale, rng.standard_normal(n)
+        if n and draw(st.integers(0, 3)) == 0:
+            x[:] = x[0]
+        if n and draw(st.integers(0, 3)) == 0:
+            y[:] = y[0]
+        if n and draw(st.integers(0, 4)) == 0:
+            x[int(rng.integers(n))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        samples.append((x, y))
+    return samples
+
+
+def assert_run_matches_oracle(samples) -> list[str | None]:
+    """Score ``samples`` as one run; check each against the oracle, and
+    through ``pearson_parts``; return each one's fault, or None."""
+    bounds = np.concatenate(([0], np.cumsum([len(x) for x, _ in samples]))).astype(np.intp)
+    xs = np.concatenate([x for x, _ in samples])
+    ys = np.concatenate([y for _, y in samples])
+    dx, dy, denom, r, fault = _pearson_segments(xs, ys, bounds)
+    assert len(denom) == len(r) == len(fault) == len(samples)
+    faults = []
+    for i, (x, y) in enumerate(samples):
+        lo, hi = bounds[i], bounds[i + 1]
+        expected = pearson_parts_oracle(x, y)
+        if isinstance(expected, str):
+            assert fault[i] and knowledge._FAULTS[fault[i]] == expected, i
+            short = expected == "insufficient overlap"
+            with pytest.raises(ValueError, match="^need at least" if short else f"^{expected}$"):
+                pearson_parts(x, y)
+            faults.append(expected)
+            continue
+        assert fault[i] == 0, i
+        want_dx, want_dy, want_denom, want_r = expected
+        assert dx[lo:hi].tobytes() == want_dx.tobytes()
+        assert dy[lo:hi].tobytes() == want_dy.tobytes()
+        assert (denom[i], r[i]) == (want_denom, want_r)
+        parts = pearson_parts(x, y)
+        assert (parts[0].tobytes(), parts[1].tobytes(), parts[2]) == (
+            want_dx.tobytes(),
+            want_dy.tobytes(),
+            want_denom,
+        )
+        assert pearson_r(x, y) == want_r
+        faults.append(None)
+    return faults
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=pearson_runs())
+def test_a_run_of_samples_scores_as_each_sample_alone(samples):
+    assert_run_matches_oracle(samples)
+
+
+def test_a_run_meets_each_fault_in_order():
+    flat = np.full(5, math.log10(1 / 6))
+    samples = [
+        (np.array([math.nan, 1.0]), np.array([1.0, 2.0])),  # short before non-finite
+        (np.array([math.inf, 1.0, 1.0]), np.array([2.0, 2.0, 2.0])),  # non-finite before flat
+        (np.array([0.1, 0.2, 0.4, 0.8]), np.array([1.0, 3.0, 2.0, 5.0])),
+        (flat, np.arange(5.0)),  # flat x, whose mean is off in the last bit
+        (np.array([0.0, 1e-200, 0.0]), np.array([1.0, 2.0, 3.0])),  # squares underflow
+        (np.array([]), np.array([])),
+        (np.array([1e308, -1e308, 0.0]), np.array([1.0, 2.0, 3.0])),  # squares overflow
+    ]
+    assert assert_run_matches_oracle(samples) == [
+        "insufficient overlap",
+        "non-finite input or denominator",
+        None,
+        "zero variance input",
+        "zero variance input",
+        "insufficient overlap",
+        "non-finite input or denominator",
     ]

@@ -6,7 +6,9 @@ golden or oracle file left off that list would skip the rerun silently, so
 the list is checked here against the test files. The bench-smoke trace step
 requires one exact line naming the span targets the program no longer has;
 it is checked against ``RETIRED`` of ``test_bench_targets.py``. The
-workflow is read as text: the step is the lines from its ``- name:`` to the
+seed-1 step, which checks that a workload's runs are byte-identical to each
+other, must run on every workload of the matrix. The workflow is read as
+text: the step is the lines from its ``- name:`` to the
 next line indented no deeper than that one.
 """
 
@@ -21,6 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 PRESCOTT_STEP = "goldens and oracles under OPENBLAS_CORETYPE=Prescott"
 TRACE_STEP = "${{ matrix.workload }} traces every span target but the retired ones"
+SEED1_STEP = "${{ matrix.workload }} at seed 1 runs byte-identically without a failed run"
 ABSENT = "not traced, absent from the program: "
 
 
@@ -57,3 +60,9 @@ def test_trace_step_requires_the_retired_targets_in_targets_order():
     copies = re.findall(re.escape(ABSENT) + r"(\[[^]]*\])", step)
     retired = [f"{module}.{path}" for name, module, path in span_targets() if name in RETIRED]
     assert copies == [str(retired)] * 2  # bench/run.py prints the list of missing targets
+
+
+def test_seed1_step_runs_on_every_workload():
+    step = step_lines(WORKFLOW.read_text(), SEED1_STEP)
+    assert not [line for line in step if line.strip().startswith("if:")]
+    assert any("--workload ${{ matrix.workload }} --seed 1" in line for line in step)
