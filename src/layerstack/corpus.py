@@ -149,13 +149,19 @@ def _entries(indptr: np.ndarray, rows: Sequence[int]) -> tuple[np.ndarray, np.nd
 def _entry_runs(indptr: np.ndarray, rows: Sequence[int], windows: int = 1) -> Iterator[tuple]:
     """``rows`` in order, cut into runs that start in the same window of
     ``windows`` x ``_PASS_ENTRIES`` entries; for each, its rows and their
-    :func:`_entries`."""
+    :func:`_entries`, cut from one layout of all ``rows``."""
     rows = np.asarray(rows, dtype=np.intp)
-    lengths = indptr[rows + 1] - indptr[rows]
-    run = (np.cumsum(lengths) - lengths) // (windows * _PASS_ENTRIES)
+    local, take = _entries(indptr, rows)
+    run = local[:-1] // (windows * _PASS_ENTRIES)
     cuts = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1).tolist(), len(rows)]
+    # gaps[i]: how many of rows[1:i + 1] do not follow the row before them
+    gaps = np.concatenate(([0], np.cumsum(rows[1:] != rows[:-1] + 1))).tolist()
+    starts, offsets = indptr[rows].tolist(), local.tolist()
     for lo, hi in zip(cuts, cuts[1:]):
-        yield rows[lo:hi], *_entries(indptr, rows[lo:hi])
+        a, b = offsets[lo], offsets[hi]
+        consecutive = hi > lo and gaps[hi - 1] == gaps[lo]
+        part = slice(starts[lo], starts[lo] + b - a) if consecutive else take[a:b]
+        yield rows[lo:hi], local[lo : hi + 1] - a, part
 
 
 def _zero_led(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -332,14 +332,18 @@ class EntropicState:
 def entropic_gain(state: EntropicState, candidate: Document) -> float:
     """Reservoir-scaled change in Shannon entropy from merging the
     candidate's counts into the macrostate: the forward difference of the
-    selection entropy along the merge action."""
+    selection entropy along the merge action. A gain that overflows a
+    float is a ``ValueError``."""
     if candidate.total_tokens == 0:
         raise ValueError(f"empty candidate: {candidate.id!r}")
     merged = dict(state.macrostate)
     for term, count in candidate.token_counts.items():
         merged[term] = merged.get(term, 0) + count
     after = count_entropy(merged.values())
-    return state.reservoir_strength * (after - state.bits)
+    gain = state.reservoir_strength * (after - state.bits)
+    if not math.isfinite(gain):
+        raise ValueError(f"entropic gain of {candidate.id!r} overflows a float: {gain}")
+    return gain
 
 
 def _cluster_rankings(

@@ -7,19 +7,20 @@ the two-sided Student t test on r, evaluated in this module.
 
 One scorer serves ``rank_documents``, ``correlate_document`` and the belief
 layer's evidence. It takes a ranking's rows of the corpus's integer count
-table, pooled once, and lays their entries end to end: each leave-one-out
-count is the pooled total minus the row's own count, and one numpy pass over
-a run of rows, of about ``corpus._PASS_ENTRIES`` entries, finds the shared
-terms and both sides' proportions for all of them. The same pass then
-correlates every row of the run at once: each row's span of the profiles is
-one segment, and every Pearson sum of every segment comes from one
-``np.add.reduceat`` call, bit for bit the ``np.add.reduce`` of that segment
-alone. ``pearson_parts`` and ``pearson_r`` are the one-segment case of the
-same code, so the program has one Pearson and calls it once per run, not
-once per row. So only the corpus's own documents are scored, at work linear
-in the (document, term) pairs, with no string lookup and no re-pool per
-document. A ranking takes every row's r and overlap n, but the p-value, a
-continued fraction or series, only for the rows it returns.
+table, pooled once, and lays their entries end to end, once per call: each
+leave-one-out count is the pooled total minus the row's own count, and one
+numpy pass over a run of rows, a slice of that layout of about
+``corpus._PASS_ENTRIES`` entries, finds the shared terms and both sides'
+proportions for all of them. The same pass then correlates every row of the
+run at once: each row's span of the profiles is one segment, and every
+Pearson sum of every segment comes from one ``np.add.reduceat`` call, bit
+for bit the ``np.add.reduce`` of that segment alone. ``pearson_r`` is the
+one-segment case of the same code, so the program has one Pearson and calls
+it once per run, not once per row. So only the corpus's own documents are
+scored, at work linear in the (document, term) pairs, with no string lookup
+and no re-pool per document. A ranking takes every row's r and overlap n,
+but the p-value, a continued fraction or series, only for the rows it
+returns.
 """
 
 from __future__ import annotations
@@ -123,37 +124,19 @@ def _all_equal(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return equal
 
 
-def _pearson(
-    xs: Sequence[float], ys: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """``_pearson_segments`` of two samples as one segment: dx, dy, denom and
-    r, or a ``ValueError`` naming its fault."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
+def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Sample Pearson correlation coefficient, clamped to [-1, 1]: the
+    ``_pearson_segments`` r of the two samples as one segment, or a
+    ``ValueError`` naming its fault."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    dx, dy, denom, r, [fault] = _pearson_segments(x, y, np.array([0, x.size]))
+    *_, [r], [fault] = _pearson_segments(x, y, np.array([0, x.size]))
     if fault == 1:
         raise ValueError(f"need at least {MIN_SHARED_TERMS} points, got {x.size}")
     if fault:
         raise ValueError(_FAULTS[fault])
-    return dx, dy, float(denom[0]), float(r[0])
-
-
-def pearson_parts(
-    xs: Sequence[float], ys: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Mean-centred samples and the Pearson denominator sqrt(Sxx * Syy), so
-    that r = sum(dx * dy) / denom and dx[i] * dy[i] / denom is term i's share.
-    Each sum is numpy's own reduction, the same on every CPU.
-    A non-finite input makes denom non-finite, as overflow does: a ValueError."""
-    dx, dy, denom, _ = _pearson(xs, ys)
-    return dx, dy, denom
-
-
-def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient, clamped to [-1, 1]."""
-    return _pearson(xs, ys)[3]
+    return float(r)
 
 
 def _log_gamma_ratio(a: float) -> float:
@@ -292,9 +275,10 @@ def _scored_runs(corpus: Corpus, rows: Sequence[int], totals: np.ndarray) -> Ite
     ``_pearson_segments``."""
     table = corpus.table
     grand = int(totals.sum())
+    tokens = np.fromiter((doc.total_tokens for doc in corpus.documents), np.int64, len(corpus))
     for block, indptr, take in _entry_runs(table.indptr, rows):
         ids, counts = table.term_ids[take], table.counts[take]
-        own = np.repeat([corpus.documents[row].total_tokens for row in block], np.diff(indptr))
+        own = np.repeat(tokens[block], np.diff(indptr))
         shared, dps, rps = shared_proportions(counts, own, totals[ids] - counts, grand - own)
         xs = np.fromiter(map(math.log10, dps), float, len(dps))
         ys = np.fromiter(map(math.log10, rps), float, len(rps))

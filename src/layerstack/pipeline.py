@@ -97,6 +97,11 @@ class RunConfig:
         return {k: str(v) if isinstance(v, Path) else v for k, v in values.items()}
 
 
+def _json_text(value: Any) -> str:
+    """Pretty-printed, key-sorted JSON text; a NaN or infinity is a ``ValueError``."""
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
+
+
 @dataclass(frozen=True)
 class RunReport:
     """Layer-by-layer results of one run.
@@ -130,7 +135,7 @@ class RunReport:
             "sections": {k: dict(v) for k, v in self.sections.items()},
             "warnings": list(self.warnings),
         }
-        return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        return _json_text(payload)
 
 
 def _ingest(config: RunConfig) -> tuple[Corpus, dict[str, bytes], str]:
@@ -435,8 +440,9 @@ def _out_dir(report: RunReport) -> Path:
 @_stage("emit")
 def write_report(report: RunReport) -> Path:
     """Write the JSON run summary (sorted keys, so byte-stable)."""
+    text = report.to_json()
     path = _out_dir(report) / REPORT_NAME
-    path.write_text(report.to_json(), encoding="utf-8", newline="\n")
+    path.write_text(text, encoding="utf-8", newline="\n")
     return path
 
 
@@ -451,20 +457,18 @@ def ranking_tsv(rows: Iterable[Mapping[str, Any]]) -> str:
 def emit_tables(report: RunReport) -> list[Path]:
     """Write the report's knowledge and aggregated ranking rows as
     table1/table2: TSV through :func:`ranking_tsv`, then JSON at full
-    precision. A skipped layer gives a header-only TSV and an empty array."""
-    out = _out_dir(report)
+    precision. A skipped layer gives a header-only TSV and an empty array.
+    Every text is rendered before any is written."""
     tables = {
         KNOWLEDGE_TABLE: report.sections["knowledge"].get("ranking", []),
         INTELLIGENCE_TABLE: report.sections["intelligence"].get("aggregated_ranking", []),
     }
+    texts = {f"{name}.tsv": ranking_tsv(rows) for name, rows in tables.items()}
+    texts.update({f"{name}.json": _json_text(rows) for name, rows in tables.items()})
+    out = _out_dir(report)
     written: list[Path] = []
-    for name, rows in tables.items():
-        path = out / f"{name}.tsv"
-        path.write_text(ranking_tsv(rows), encoding="utf-8", newline="\n")
-        written.append(path)
-    for name, rows in tables.items():
-        path = out / f"{name}.json"
-        text = json.dumps(rows, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    for file_name, text in texts.items():
+        path = out / file_name
         path.write_text(text, encoding="utf-8", newline="\n")
         written.append(path)
     return written

@@ -11,6 +11,7 @@ import numpy as np
 
 from layerstack import Corpus, Document
 from layerstack.intelligence import TermRows
+from layerstack.knowledge import _FAULTS, _pearson_segments
 
 
 #: Two topics over disjoint terms. Clustered with k=2, per_cluster=1 and
@@ -37,6 +38,16 @@ def make_doc(doc_id: str, counts: Mapping[str, int], title: str | None = None) -
 def dense(rows: TermRows) -> np.ndarray:
     """Every row of ``rows`` stacked into one N x V array (N >= 1)."""
     return np.vstack([rows.row(i) for i in range(rows.shape[0])])
+
+
+def segment_parts(xs, ys) -> tuple[np.ndarray, np.ndarray, float, float, str | None]:
+    """The scorer's Pearson of two equal-length samples as one segment of
+    ``_pearson_segments``: the mean-centred samples dx and dy, the
+    denominator sqrt(Sxx * Syy), r, and the reason r cannot be taken, or
+    None when it can."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    dx, dy, [denom], [r], [fault] = _pearson_segments(x, y, np.array([0, x.size]))
+    return dx, dy, float(denom), float(r), _FAULTS[fault]
 
 
 def make_corpus(docs: Mapping[str, Mapping[str, int]]) -> Corpus:

@@ -2,10 +2,11 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import shlex
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerstack import RunConfig, aggregate_corpus, synthetic_corpus, write_corpus
+from layerstack import (
+    PipelineError,
+    RunConfig,
+    aggregate_corpus,
+    emit_tables,
+    run_pipeline,
+    synthetic_corpus,
+    write_corpus,
+    write_report,
+)
 from layerstack.cli import build_parser, main
 
 from helpers import TWO_TOPIC_COUNTS, make_corpus, run_cli
@@ -340,6 +350,44 @@ class TestRun:
         assert code == 1
         assert stdout == ""
         assert err == f"error: emit layer failed: [Errno 17] File exists: '{out}'\n"
+
+    def test_an_entropic_gain_that_overflows_is_one_intelligence_error_line(self, tmp_path):
+        # z shares no term with the survivors, so merging it adds bits of
+        # entropy, and bits times a strength of 1e308 overflow a float
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        for i in range(1, 7):
+            (corpus / f"d{i}.txt").write_text(
+                "alpha beta gamma delta alpha beta gamma\n", encoding="utf-8"
+            )
+        words = (f"w{chr(97 + i // 26)}{chr(97 + i % 26)}x" for i in range(400))
+        (corpus / "z.txt").write_text(" ".join(words) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv = ["run", str(corpus), "--out", str(out_dir), "--k", "2"]
+        assert run_cli(main, [*argv, "--reservoir-strength", "1e308"]) == (
+            1,
+            "",
+            "error: intelligence layer failed: entropic gain of 'z' overflows a float: inf\n",
+        )
+        assert not out_dir.exists()
+        assert run_cli(main, [*argv, "--reservoir-strength", "1e300"])[0] == 0
+        for path in out_dir.glob("*.json"):
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=pytest.fail)
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["sections"]["intelligence"]["entropic_gains"]["z"] > 1e300
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_report_or_table_holding_no_json_number_is_one_emit_error(
+        self, corpus_dir, tmp_path, value
+    ):
+        report = run_pipeline(RunConfig(source=corpus_dir, out_dir=tmp_path / "out"))
+        knowledge = dict(report.sections["knowledge"])
+        knowledge["ranking"] = [{**knowledge["ranking"][0], "correlation": value}]
+        broken = replace(report, sections={**report.sections, "knowledge": knowledge})
+        for emit in (write_report, emit_tables):
+            with pytest.raises(PipelineError, match="^emit layer failed: Out of range float"):
+                emit(broken)
+        assert not (tmp_path / "out").exists()
 
     def test_stop_word_override_changes_vocabulary(self, corpus_dir, tmp_path):
         stops = tmp_path / "stops.txt"

@@ -204,22 +204,41 @@ def test_entries_gather_each_row_and_slice_only_consecutive_rows(selection):
 
 
 @settings(max_examples=300)
-@given(selection=row_selections(min_size=1), pass_entries=st.integers(1, 20))
-def test_entry_runs_match_a_walk_over_the_rows(selection, pass_entries):
-    """A row walk opens a run whenever a row starts in a pass window (of
-    ``pass_entries`` entries, counted over the rows laid end to end) that the
-    previous row did not start in."""
+@given(
+    selection=row_selections(min_size=1),
+    pass_entries=st.integers(1, 20),
+    windows=st.integers(1, 4),
+)
+def test_entry_runs_match_a_walk_over_the_rows(selection, pass_entries, windows):
+    """A row walk opens a run whenever a row starts in a window (of
+    ``windows`` x ``pass_entries`` entries, counted over the rows laid end
+    to end) that the previous row did not start in."""
     indptr, rows = selection
     expected: list[list[int]] = []
     start, window = 0, None
     for row in rows:
-        if start // pass_entries != window:
-            window = start // pass_entries
+        if start // (windows * pass_entries) != window:
+            window = start // (windows * pass_entries)
             expected.append([])
         expected[-1].append(row)
         start += int(indptr[row + 1] - indptr[row])
     with mock.patch("layerstack.corpus._PASS_ENTRIES", pass_entries):
-        runs = list(_entry_runs(indptr, rows))
+        runs = list(_entry_runs(indptr, rows, windows))
     assert [block.tolist() for block, _, _ in runs] == expected
+    for block, local, take in runs:
+        assert_entries_of(indptr, block.tolist(), local, take)
+
+
+@pytest.mark.parametrize("rows", [list(range(40)), list(range(0, 40, 3)), list(range(39, -1, -2))])
+def test_entry_runs_lay_out_their_rows_once(rows):
+    """However many runs a selection is cut into, its rows are laid out by
+    one ``_entries`` call, and each run is a piece of that layout."""
+    indptr = np.arange(0, 3 * 41, 3, dtype=np.intp)
+    with mock.patch("layerstack.corpus._PASS_ENTRIES", 7), mock.patch(
+        "layerstack.corpus._entries", wraps=_entries
+    ) as entries:
+        runs = list(_entry_runs(indptr, rows))
+    assert len(runs) > 3
+    assert entries.call_count == 1
     for block, local, take in runs:
         assert_entries_of(indptr, block.tolist(), local, take)

@@ -14,9 +14,8 @@ from layerstack import (
     pearson_r,
     rank_documents,
 )
-from layerstack.knowledge import pearson_parts
 
-from helpers import make_corpus, make_doc
+from helpers import make_corpus, make_doc, segment_parts
 
 # r for xs=(1,2,3), ys=(2,4,7) by the direct formula:
 # Sxy=5, Sxx=2, Syy=38/3  ->  r = 5/sqrt(76/3)
@@ -87,12 +86,13 @@ class TestPearson:
         dx, dy = x - x.mean(), y - y.mean()
         denom = math.sqrt(float((dx * dx).sum()) * float((dy * dy).sum()))
         if x.min() == x.max() or y.min() == y.max() or denom == 0.0:
+            assert segment_parts(x, y)[4] == "zero variance input"
             with pytest.raises(ValueError, match="zero variance"):
-                pearson_parts(x, y)
+                pearson_r(x, y)
             return
-        parts = pearson_parts(x.tolist(), y.tolist())
+        parts = segment_parts(x.tolist(), y.tolist())
         assert np.array_equal(parts[0], dx) and np.array_equal(parts[1], dy)
-        assert parts[2] == denom
+        assert parts[2] == denom and parts[4] is None
 
     @pytest.mark.parametrize(
         "xs, ys",

@@ -7,8 +7,9 @@ reference is re-pooled from the other documents, entropies are taken by
 ``log2(total) - fsum(c * log2(c)) / total``, clustering is the dense
 N x k x V k-means oracle, entropic gains recount the merged table in full,
 and Dempster's rule runs over frozensets. Only the leaf numerics are
-shared: ``pearson_parts``, ``pearson_r`` and ``correlation_p_value``, which
-have tests of their own (test_knowledge, test_pvalue_oracle). Sharing them
+shared: the scorer's one-segment Pearson (``helpers.segment_parts``),
+``pearson_r`` and ``correlation_p_value``, which have tests of their own
+(test_knowledge, test_ranking_oracle, test_pvalue_oracle). Sharing them
 keeps a centred profile that is zero but for rounding from being kept on
 one side and dropped on the other.
 
@@ -31,9 +32,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerstack import RunConfig, correlation_p_value, pearson_r, run_pipeline
-from layerstack.knowledge import pearson_parts
 from layerstack.stopwords import ENGLISH_STOP_WORDS
 
+from helpers import segment_parts
 from test_kmeans_oracle import dense_kmeans, dense_rows
 
 #: absolute and relative tolerance for every float in the report
@@ -306,7 +307,8 @@ def belief_section(docs, totals: Counter, ranking, top_k: int) -> dict[str, Any]
     by_id = {doc.id: doc for doc in docs}
     for doc_id, *_ in ranking:
         shared, xs, ys = loo_profile(by_id[doc_id], docs)
-        dx, dy, denom = pearson_parts(xs, ys)
+        dx, dy, denom, _, fault = segment_parts(xs, ys)
+        assert fault is None
         for term, a, b in zip(shared, dx.tolist(), dy.tolist()):
             piece = a * b / denom
             if term in contributions and piece > 0.0:

@@ -3,9 +3,10 @@
 A name in ``layerstack.__all__`` must be referenced somewhere other than
 its own definition: in another part of ``src/layerstack`` (``__init__.py``
 aside, since it only re-exports), in the release gate
-``tests/test_acceptance.py``, or in a demo. The sources are parsed, not
-imported or run. A reference is a name or an attribute read, annotations
-included; an import alone is not one.
+``tests/test_acceptance.py``, or in a demo. Any other module-level name,
+public or private, must be referenced by ``src/layerstack`` itself. The
+sources are parsed, not imported or run. A reference is a name or an
+attribute read, annotations included; an import alone is not one.
 """
 
 from __future__ import annotations
@@ -74,6 +75,36 @@ def test_a_name_used_only_in_its_own_definition_is_not_referenced():
     found = references(source)
     assert "used" in found
     assert "lonely" not in found and "VALUE" not in found and "imported" not in found
+
+
+def unexported_public_names(source: str) -> set[str]:
+    """The module-level names without a leading ``_`` that ``source``
+    defines and ``layerstack.__all__`` does not export."""
+    return {
+        name
+        for statement in ast.parse(source).body
+        for name in defined_names(statement)
+        if not name.startswith("_") and name not in layerstack.__all__
+    }
+
+
+def test_every_unexported_public_name_is_referenced_outside_its_definition():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    found = set().union(*map(references, sources))
+    unused = sorted(set().union(*map(unexported_public_names, sources)) - found)
+    assert unused == [], f"unexported public names with no caller in src/layerstack: {unused}"
+
+
+def test_an_unexported_name_used_only_in_its_own_definition_is_unused():
+    source = (
+        "LIMIT = 3\n"
+        "def helper(n):\n    return min(n, LIMIT)\n"
+        "def leftover(n):\n    return leftover(n - 1) if n else 0\n"
+        "def _private(n):\n    return helper(n)\n"
+        "def pearson_r(n):\n    return n\n"
+    )
+    assert unexported_public_names(source) == {"LIMIT", "helper", "leftover"}
+    assert unexported_public_names(source) - references(source) == {"leftover"}
 
 
 def private_names(source: str) -> set[str]:

@@ -45,10 +45,10 @@ from layerstack import (
 from layerstack import intelligence, knowledge
 from layerstack.belief import MAX_FRAME_SIZE
 from layerstack.corpus import CountTable, _entry_runs, _segment_sums
-from layerstack.knowledge import MIN_SHARED_TERMS, _pearson_segments, pearson_parts
+from layerstack.knowledge import MIN_SHARED_TERMS, _pearson_segments
 from layerstack.pipeline import _belief_section, write_fig4
 
-from helpers import make_corpus, make_doc
+from helpers import make_corpus, make_doc, segment_parts
 
 TERMS = [f"t{i}" for i in range(8)]
 # terms that only the "owner" document of a table may hold
@@ -233,7 +233,8 @@ def test_belief_evidence_matches_oracle(table, top_k, pass_entries):
     contributions = {kw: 0.0 for kw in keywords}
     for res in ranking:
         shared, xs, ys = oracle_profile(corpus.get(res.doc_id), corpus)
-        dx, dy, denom = pearson_parts(xs, ys)
+        dx, dy, denom, _, fault = segment_parts(xs, ys)
+        assert fault is None
         for term, a, b in zip(shared, dx.tolist(), dy.tolist()):
             piece = a * b / denom
             if term in contributions and piece > 0.0:
@@ -508,7 +509,8 @@ def pearson_runs(draw) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def assert_run_matches_oracle(samples) -> list[str | None]:
     """Score ``samples`` as one run; check each against the oracle, and
-    through ``pearson_parts``; return each one's fault, or None."""
+    scored alone as one segment and by ``pearson_r``; return each one's
+    fault, or None."""
     bounds = np.concatenate(([0], np.cumsum([len(x) for x, _ in samples]))).astype(np.intp)
     xs = np.concatenate([x for x, _ in samples])
     ys = np.concatenate([y for _, y in samples])
@@ -518,11 +520,13 @@ def assert_run_matches_oracle(samples) -> list[str | None]:
     for i, (x, y) in enumerate(samples):
         lo, hi = bounds[i], bounds[i + 1]
         expected = pearson_parts_oracle(x, y)
+        alone = segment_parts(x, y)
         if isinstance(expected, str):
             assert fault[i] and knowledge._FAULTS[fault[i]] == expected, i
+            assert alone[4] == expected, i
             short = expected == "insufficient overlap"
             with pytest.raises(ValueError, match="^need at least" if short else f"^{expected}$"):
-                pearson_parts(x, y)
+                pearson_r(x, y)
             faults.append(expected)
             continue
         assert fault[i] == 0, i
@@ -530,11 +534,10 @@ def assert_run_matches_oracle(samples) -> list[str | None]:
         assert dx[lo:hi].tobytes() == want_dx.tobytes()
         assert dy[lo:hi].tobytes() == want_dy.tobytes()
         assert (denom[i], r[i]) == (want_denom, want_r)
-        parts = pearson_parts(x, y)
-        assert (parts[0].tobytes(), parts[1].tobytes(), parts[2]) == (
+        assert (alone[0].tobytes(), alone[1].tobytes(), alone[2:]) == (
             want_dx.tobytes(),
             want_dy.tobytes(),
-            want_denom,
+            (want_denom, want_r, None),
         )
         assert pearson_r(x, y) == want_r
         faults.append(None)
