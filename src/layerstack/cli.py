@@ -148,12 +148,12 @@ def _cmd_scatter(args: argparse.Namespace, notes: list[str]) -> int:
         raise ValueError("scatter needs at least 2 documents for a leave-one-out reference")
     if args.doc is not None:
         try:
-            docs = [corpus.get(args.doc)]
+            rows = [corpus.position(args.doc)]
         except KeyError:
             raise ValueError(f"document {args.doc!r} not in corpus") from None
     else:
-        docs = corpus.documents
-    write_fig4(sys.stdout, corpus, docs, notes)
+        rows = range(len(corpus))
+    write_fig4(sys.stdout, corpus, rows, notes)
     return 0
 
 

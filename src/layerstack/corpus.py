@@ -5,8 +5,10 @@ them). Tokenization is deliberately simple and deterministic: lowercase,
 split on anything non-alphanumeric, drop purely numeric tokens, drop stop
 words. Everything downstream (entropy, correlation, clustering) consumes the
 per-document term counts built here. A :class:`Corpus` holds them once more
-as an integer :class:`CountTable`, which the rankings, fig4, the k-means
-rows, the macrostate and the belief evidence read instead of the maps.
+as an integer :class:`CountTable`, with each row's token total. The data
+and information layers, the rankings, the k-means rows, the macrostate, the
+belief evidence, fig3 and fig4 read the table's rows and totals; fig3's top
+terms, fig4's reference counts and the entropic gains still read the maps.
 
 The words of a lowercased text are its runs of ``[^\W_]+``, that is of the
 characters for which ``str.isalnum()`` holds: the regex engine's ``\w`` is
@@ -198,15 +200,21 @@ class CountTable:
     ``terms`` is the sorted vocabulary, so term ids run in lexicographic
     order. Row i holds document i's positive counts: ``counts[indptr[i]:
     indptr[i + 1]]``, of the terms whose ids are the same slice of
-    ``term_ids``, in increasing id order. The arrays are read-only."""
+    ``term_ids``, in increasing id order. ``row_totals[i]`` is row i's count
+    sum, its document's ``total_tokens``, in int64. The arrays are read-only."""
 
     terms: tuple[str, ...]
     indptr: np.ndarray
     term_ids: np.ndarray
     counts: np.ndarray
+    row_totals: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for array in (self.indptr, self.term_ids, self.counts):
+        totals = np.zeros(len(self.indptr) - 1, dtype=np.int64)
+        filled = np.flatnonzero(np.diff(self.indptr))
+        totals[filled] = np.add.reduceat(self.counts, self.indptr[filled])
+        object.__setattr__(self, "row_totals", totals)
+        for array in (self.indptr, self.term_ids, self.counts, self.row_totals):
             array.flags.writeable = False
 
     @classmethod

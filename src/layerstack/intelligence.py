@@ -82,9 +82,8 @@ def unit_term_rows(
     local, take = _entries(table.indptr, rows)
     lengths = np.diff(local)
     kept = np.flatnonzero(lengths)
-    totals = np.fromiter((corpus.documents[i].total_tokens for i in rows), np.int64, len(rows))
     # IEEE division of exactly held integers: the same floats as Python's
-    data = table.counts[take] / np.repeat(totals, lengths)
+    data = table.counts[take] / np.repeat(table.row_totals[rows], lengths)
     indptr = local[np.concatenate(([0], kept + 1))]
     # each norm sums the squares of the row's own nonzeros, in term-id order,
     # by numpy's reduction, so no CPU-picked BLAS kernel sets its bits
@@ -347,13 +346,16 @@ def entropic_gain(state: EntropicState, candidate: Document) -> float:
 
 
 def _cluster_rankings(
-    clustering: Clustering, corpus: Corpus, per_cluster: int, notes: list[str]
+    clustering: Clustering, corpus: Corpus, rows: list[int], per_cluster: int, notes: list[str]
 ) -> list[tuple[CorrelationResult, ...]]:
     """Per-cluster leave-one-out rankings truncated to ``per_cluster``;
-    clusters with fewer than 2 members rank nothing (noted)."""
+    clusters with fewer than 2 members rank nothing (noted). ``rows`` are
+    the clustered table rows, ascending, in the assignments' order."""
+    groups: list[list[int]] = [[] for _ in range(clustering.k)]
+    for row, cluster in zip(rows, clustering.assignments.values()):
+        groups[cluster].append(row)
     rankings: list[tuple[CorrelationResult, ...]] = []
-    for cluster in range(clustering.k):
-        members = clustering.members(cluster)
+    for cluster, members in enumerate(groups):
         if len(members) < 2:
             notes.append(
                 f"AggregationWarning: cluster {cluster} has {len(members)} member(s); "
@@ -361,8 +363,7 @@ def _cluster_rankings(
             )
             rankings.append(())
             continue
-        rows = sorted(corpus.position(doc_id) for doc_id in members)
-        ranked = rank_documents(corpus, top_k=per_cluster, notes=notes, rows=rows)
+        ranked = rank_documents(corpus, top_k=per_cluster, notes=notes, rows=members)
         rankings.append(tuple(ranked))
     return rankings
 
@@ -418,17 +419,19 @@ def aggregate_corpus(
 
     if notes is None:
         notes = []
+    totals = corpus.table.row_totals.tolist()
     rows = list(range(len(corpus)))
     trace: list[AggregationRound] = []
     for index in range(rounds):
         if len(rows) < 2:
             break
         ids, term_rows = unit_term_rows(corpus, rows)
-        kept = set(ids)
+        filled = [i for i in rows if totals[i]]
         notes.extend(
-            f"AggregationWarning: document {doc.id!r} has no terms; excluded from clustering"
-            for doc in (corpus.documents[i] for i in rows)
-            if doc.id not in kept
+            f"AggregationWarning: document {corpus.documents[i].id!r} has no terms; "
+            "excluded from clustering"
+            for i in rows
+            if not totals[i]
         )
         if len(ids) < 2:
             notes.append(
@@ -437,7 +440,7 @@ def aggregate_corpus(
             )
             break
         clustering = kmeans(ids, term_rows, min(k, len(ids)), seed + index)
-        cluster_rankings = _cluster_rankings(clustering, corpus, per_cluster, notes)
+        cluster_rankings = _cluster_rankings(clustering, corpus, filled, per_cluster, notes)
         selected = [res.doc_id for ranked in cluster_rankings for res in ranked]
         if len(selected) < 2:
             notes.append(

@@ -275,10 +275,9 @@ def _scored_runs(corpus: Corpus, rows: Sequence[int], totals: np.ndarray) -> Ite
     ``_pearson_segments``."""
     table = corpus.table
     grand = int(totals.sum())
-    tokens = np.fromiter((doc.total_tokens for doc in corpus.documents), np.int64, len(corpus))
     for block, indptr, take in _entry_runs(table.indptr, rows):
         ids, counts = table.term_ids[take], table.counts[take]
-        own = np.repeat(tokens[block], np.diff(indptr))
+        own = np.repeat(table.row_totals[block], np.diff(indptr))
         shared, dps, rps = shared_proportions(counts, own, totals[ids] - counts, grand - own)
         xs = np.fromiter(map(math.log10, dps), float, len(dps))
         ys = np.fromiter(map(math.log10, rps), float, len(rps))

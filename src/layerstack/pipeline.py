@@ -187,14 +187,14 @@ def _bit_section(raw: Mapping[str, bytes], force: bool, notes: list[str]) -> dic
 
 def _data_section(corpus: Corpus, totals: Sequence[int], notes: list[str]) -> dict[str, Any]:
     per_document: dict[str, float] = {}
-    counts, bounds = corpus.table.counts, corpus.table.indptr.tolist()
-    for doc, lo, hi in zip(corpus, bounds, bounds[1:]):
-        if doc.total_tokens == 0:
+    table, bounds = corpus.table, corpus.table.indptr.tolist()
+    for doc, tokens, lo, hi in zip(corpus, table.row_totals.tolist(), bounds, bounds[1:]):
+        if tokens == 0:
             notes.append(
                 f"PipelineWarning: document {doc.id!r} has no terms; excluded from token entropy"
             )
             continue
-        per_document[doc.id] = count_entropy(counts[lo:hi].tolist())
+        per_document[doc.id] = count_entropy(table.counts[lo:hi].tolist())
     if not totals:
         return _skip("no terms in corpus")
     return {
@@ -210,7 +210,7 @@ def _information_section(corpus: Corpus, totals: Sequence[int]) -> dict[str, Any
     if not totals:
         return _skip("no terms in corpus")
     joint_bits = count_entropy(corpus.table.counts.tolist())
-    document_bits = count_entropy(doc.total_tokens for doc in corpus)
+    document_bits = count_entropy(corpus.table.row_totals.tolist())
     term_bits = count_entropy(totals)
     return {
         "skipped": False,
@@ -292,8 +292,8 @@ def _intelligence_section(
             macrostate=macrostate, reservoir_strength=config.reservoir_strength
         )
         macrostate_bits = state.bits
-        for doc in corpus:
-            if doc.id in survivors or doc.total_tokens == 0:
+        for doc, total in zip(corpus, corpus.table.row_totals.tolist()):
+            if doc.id in survivors or total == 0:
                 continue
             gains[doc.id] = entropic_gain(state, doc)
     section = {
@@ -481,67 +481,56 @@ def _csv_field(value: str) -> str:
     return buffer.getvalue()[:-1]
 
 
-def write_fig4(
-    handle: IO[str], corpus: Corpus, docs: Iterable[Document], notes: list[str]
-) -> None:
-    """Write fig4 CSV rows for ``docs``: each term's proportion in the
-    document versus in the rest of ``corpus``, with the log10 deviation.
-    An empty document, or one whose leave-one-out reference has no terms, is
-    skipped with a ``"PipelineWarning: ..."`` line in ``notes``.
+def write_fig4(handle: IO[str], corpus: Corpus, rows: Iterable[int], notes: list[str]) -> None:
+    """Write fig4 CSV rows for the documents of the table ``rows``: each
+    term's proportion in the document versus in the rest of ``corpus``, with
+    the log10 deviation. An empty document, or one whose leave-one-out
+    reference has no terms, is skipped with a ``"PipelineWarning: ..."``
+    line in ``notes``.
 
     Each document is read from its row of ``corpus.table``, its terms in
     increasing id order and so lexicographic, against its reference counts
     in ``corpus.leave_one_out_counts`` over the table's count sum less its
-    ``total_tokens``, by ``shared_proportions``. As in ``correlate_document``,
-    an id not in the corpus, or a document that differs from the corpus's
-    copy, is a ``ValueError``, raised before anything is written.
+    row total, by ``shared_proportions``.
 
     The bytes are those of ``csv.writer``: floats as ``repr``, ids and terms
     quoted where needed. A document's rows are joined and written at once,
     and each distinct (doc_proportion, reference_proportion) pair, which
     fixes the deviation too, is formatted once per document."""
-    docs = list(docs)
-    for doc in docs:
-        if doc.id not in corpus:
-            raise ValueError(f"document {doc.id!r} not in corpus")
-        if doc != corpus.get(doc.id):
-            raise ValueError(f"document {doc.id!r} differs from the corpus's copy")
     table = corpus.table
     grand = int(table.counts.sum())
     handle.write("doc_id,term,doc_proportion,reference_proportion,deviation\n")
-    for doc in docs:
-        if doc.total_tokens == 0:
+    for row in rows:
+        doc, total = corpus.documents[row], int(table.row_totals[row])
+        if total == 0:
             notes.append(f"PipelineWarning: document {doc.id!r} has no terms; skipped in fig4")
             continue
-        if grand == doc.total_tokens:
+        if grand == total:
             notes.append(f"PipelineWarning: no reference terms for {doc.id!r}; skipped in fig4")
             continue
-        row = corpus.position(doc.id)
         lo, hi = table.indptr[row : row + 2].tolist()
         terms = [table.terms[i] for i in table.term_ids[lo:hi].tolist()]
         reference = corpus.leave_one_out_counts(doc.id)
         ref_counts = np.fromiter((reference.get(t, 0) for t in terms), np.int64, len(terms))
-        shared, dps, rps = shared_proportions(
-            table.counts[lo:hi], doc.total_tokens, ref_counts, grand - doc.total_tokens
-        )
+        shared, dps, rps = shared_proportions(table.counts[lo:hi], total, ref_counts, grand - total)
         doc_id = _csv_field(doc.id)
         tails: dict[tuple[float, float], str] = {}
-        rows = []
+        lines = []
         for term, dp, rp in zip([terms[i] for i in shared.tolist()], dps, rps):
             tail = tails.get((dp, rp))
             if tail is None:
                 deviation = math.log10(dp) - math.log10(rp)
                 tail = tails[dp, rp] = f"{dp!r},{rp!r},{deviation!r}\n"
             # tokenized terms are alphanumeric: only API-built ones need quoting
-            rows.append(f"{doc_id},{term if term.isalnum() else _csv_field(term)},{tail}")
-        handle.write("".join(rows))
+            lines.append(f"{doc_id},{term if term.isalnum() else _csv_field(term)},{tail}")
+        handle.write("".join(lines))
 
 
 @_stage("emit")
 def emit_plot_data(report: RunReport, notes: list[str] | None = None) -> list[Path]:
     """Write fig3.csv (top-10 terms per document) and fig4.csv (per-term
-    document-versus-rest proportions with log10 deviation). Documents fig4
-    cannot plot are noted in ``notes`` when it is given."""
+    document-versus-rest proportions with log10 deviation) of every table
+    row. Documents fig4 cannot plot are noted in ``notes`` when it is given."""
     if notes is None:
         notes = []
     out = _out_dir(report)
@@ -551,8 +540,8 @@ def emit_plot_data(report: RunReport, notes: list[str] | None = None) -> list[Pa
     with fig3.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["doc_id", "rank", "term", "count"])
-        for doc in corpus:
-            if doc.total_tokens == 0:
+        for doc, total in zip(corpus, corpus.table.row_totals.tolist()):
+            if total == 0:
                 continue
             for rank, (term, count) in enumerate(top_k_terms(doc, 10), start=1):
                 writer.writerow([doc.id, rank, term, count])
@@ -561,5 +550,5 @@ def emit_plot_data(report: RunReport, notes: list[str] | None = None) -> list[Pa
             notes.append(
                 "PipelineWarning: single-document corpus: no leave-one-out reference for fig4"
             )
-        write_fig4(handle, corpus, corpus.documents if len(corpus) > 1 else (), notes)
+        write_fig4(handle, corpus, range(len(corpus)) if len(corpus) > 1 else (), notes)
     return [fig3, fig4]

@@ -5,8 +5,9 @@ sorted vocabulary. The checks here rebuild each row from the document's own
 ``token_counts``, compare ``subset`` with a corpus built afresh from the
 kept documents, compare the pooled integers with a ``Counter`` sum, take the
 k-means rows and the ranking of a subset's rows in place and compare them
-with the subset's own, and check the row runs the rankings and k-means
-passes take against a walk over the rows.
+with the subset's own, compare the row totals with each document's
+``total_tokens``, and check the row runs the rankings and k-means passes
+take against a walk over the rows.
 Corpora include zero counts, non-ASCII terms, empty documents and ids that
 are not in sorted order.
 """
@@ -17,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layerstack import Corpus, rank_documents
@@ -131,6 +132,24 @@ def test_table_matches_documents_and_subsets_match_fresh_corpora(corpus, data):
         rank_documents(corpus, top_k=len(corpus), notes=[])
 
 
+@st.composite
+def empty_corpora(draw) -> Corpus:
+    """Up to four documents, none with a positive count."""
+    ids = draw(st.lists(st.text("dx", min_size=1, max_size=3), max_size=4, unique=True))
+    zeros = st.dictionaries(st.sampled_from(TERMS), st.just(0))
+    return make_corpus({doc_id: draw(zeros) for doc_id in ids})
+
+
+@settings(max_examples=300)
+@given(corpus=st.one_of(corpora(), empty_corpora()))
+@example(corpus=make_corpus({"d0": {"a": 2**52 - 1, "b": 0}, "d1": {}, "d2": {"a": 2**52}}))
+@example(corpus=Corpus(documents=()))
+def test_row_totals_are_the_documents_totals(corpus):
+    totals = corpus.table.row_totals
+    assert totals.dtype == np.int64
+    assert totals.tolist() == [doc.total_tokens for doc in corpus]
+
+
 def test_empty_corpus_has_an_empty_table():
     table = Corpus(documents=()).table
     assert table.terms == () and table.indptr.tolist() == [0]
@@ -145,7 +164,7 @@ def test_subset_of_no_ids_is_empty():
 
 def test_table_arrays_are_read_only():
     table = make_corpus({"d": {"a": 1, "b": 2}}).table
-    for array in (table.indptr, table.term_ids, table.counts):
+    for array in (table.indptr, table.term_ids, table.counts, table.row_totals):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 7
 

@@ -45,6 +45,7 @@ from layerstack import (
 from layerstack import intelligence, knowledge
 from layerstack.belief import MAX_FRAME_SIZE
 from layerstack.corpus import CountTable, _entry_runs, _segment_sums
+from layerstack.intelligence import Clustering
 from layerstack.knowledge import MIN_SHARED_TERMS, _pearson_segments
 from layerstack.pipeline import _belief_section, write_fig4
 
@@ -249,13 +250,17 @@ def test_belief_evidence_matches_oracle(table, top_k, pass_entries):
 class TestPoolsOnce:
     """A ranking pools the corpus's count table once, whatever the number of
     documents, and nothing but fig4 pools the string-keyed counts.
-    Aggregation narrows its corpus by table rows and builds no subset."""
+    Aggregation narrows its corpus by table rows, builds no subset and
+    groups each round's clusters without ``Clustering.members``."""
 
-    def _count_calls(self, monkeypatch) -> Counter[str]:
+    def _count_calls(self, monkeypatch, ranked_rows=None) -> Counter[str]:
+        """Count the calls of each shimmed method; append the rows of each
+        aggregation ranking to ``ranked_rows`` when it is given."""
         calls: Counter[str] = Counter()
         pooled = CountTable.pooled
         subset = Corpus.subset
         leave_one_out_counts = Corpus.leave_one_out_counts
+        members = Clustering.members
         ranker = intelligence.rank_documents
 
         def counted_pooled(self, rows=None):
@@ -270,13 +275,20 @@ class TestPoolsOnce:
             calls["leave_one_out_counts"] += 1
             return leave_one_out_counts(self, doc_id)
 
+        def counted_members(self, cluster):
+            calls["members"] += 1
+            return members(self, cluster)
+
         def counted_rank_documents(corpus, top_k, notes=None, *, rows=None):
             calls["rankings"] += 1
+            if ranked_rows is not None:
+                ranked_rows.append(list(rows))
             return ranker(corpus, top_k, notes, rows=rows)
 
         monkeypatch.setattr(CountTable, "pooled", counted_pooled)
         monkeypatch.setattr(Corpus, "subset", counted_subset)
         monkeypatch.setattr(Corpus, "leave_one_out_counts", counted_leave_one_out_counts)
+        monkeypatch.setattr(Clustering, "members", counted_members)
         monkeypatch.setattr(intelligence, "rank_documents", counted_rank_documents)
         return calls
 
@@ -289,13 +301,24 @@ class TestPoolsOnce:
 
     def test_aggregate_corpus(self, monkeypatch):
         corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
-        calls = self._count_calls(monkeypatch)
+        ranked_rows: list[list[int]] = []
+        calls = self._count_calls(monkeypatch, ranked_rows)
         result = aggregate_corpus(corpus, k=3, rounds=2, per_cluster=4, seed=1)
         assert len(result.rounds) == 2
         assert calls["rankings"] >= 4
         assert calls["leave_one_out_counts"] == 0
         assert calls["pooled"] == calls["rankings"]
         assert calls["subset"] == 0
+        assert calls["members"] == 0
+        # each round ranks its clusters of 2 or more, then the survivors
+        clusters = [
+            members
+            for rnd in result.rounds
+            for members in map(rnd.clustering.members, range(rnd.clustering.k))
+            if len(members) >= 2
+        ]
+        ids = [tuple(corpus.documents[row].id for row in rows) for rows in ranked_rows]
+        assert ids == clusters + [result.survivor_ids]
 
     def test_belief_section(self, monkeypatch):
         corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
@@ -389,13 +412,14 @@ def fig4_tables(draw) -> dict[str, dict[str, int]]:
 
 
 def assert_fig4_matches_oracle(table, chosen=None) -> tuple[str, list[str]]:
-    """Compare ``write_fig4`` with the oracle; return its text and notes."""
+    """Compare ``write_fig4`` over the rows of the ``chosen`` ids (every row
+    by default) with the oracle; return its text and notes."""
     corpus = make_corpus(table)
-    docs = corpus.documents if chosen is None else [corpus.get(i) for i in chosen]
+    rows = range(len(corpus)) if chosen is None else [corpus.position(i) for i in chosen]
     handle = io.StringIO()
     notes: list[str] = []
-    write_fig4(handle, corpus, docs, notes)
-    assert (handle.getvalue(), notes) == oracle_fig4(corpus, docs)
+    write_fig4(handle, corpus, rows, notes)
+    assert (handle.getvalue(), notes) == oracle_fig4(corpus, [corpus.documents[i] for i in rows])
     return handle.getvalue(), notes
 
 

@@ -9,8 +9,8 @@ classes that enclose it, such as ``corpus.Corpus.leave_one_out_counts``.
   BLAS. OpenBLAS picks its kernel by CPU, and the kernels sum in different
   orders, so the output bytes would depend on the host.
 - After ingest, the layers read the corpus's count table, not each
-  document's ``token_counts`` dict. Only the functions listed in
-  ``TOKEN_COUNT_READERS`` still read the dicts.
+  document's ``token_counts`` dict or ``total_tokens``. Only the scopes
+  listed in ``COUNT_READERS`` still read them.
 - The program narrows a corpus by lists of its table rows and calls no
   ``.subset(``, which rebuilds a corpus; ``Corpus.subset`` is the tests'
   reference.
@@ -22,19 +22,25 @@ import ast
 from pathlib import Path
 from typing import Callable
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "layerstack"
 
 #: numpy's BLAS routines, and einsum, which can hand its work to them
 BLAS_NAMES = {"dot", "inner", "vdot", "matmul", "linalg", "einsum"}
 
-#: the scopes that may read ``.token_counts``; a module name admits all of it
-TOKEN_COUNT_READERS = {
-    "corpus.Document.__post_init__",
-    "corpus.CountTable.build",
-    "corpus.Corpus.leave_one_out_counts",
-    "corpus.top_k_terms",
-    "intelligence.entropic_gain",
-    "synthetic",
+#: for each count attribute of a document, the scopes that may read it; a
+#: module or class name admits all of it
+COUNT_READERS = {
+    "token_counts": {
+        "corpus.Document.__post_init__",
+        "corpus.CountTable.build",
+        "corpus.Corpus.leave_one_out_counts",
+        "corpus.top_k_terms",
+        "intelligence.entropic_gain",
+        "synthetic",
+    },
+    "total_tokens": {"corpus.Document", "intelligence.entropic_gain"},
 }
 
 
@@ -104,10 +110,15 @@ def test_each_form_of_a_blas_use_is_found():
     ]
 
 
-def token_counts_read(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Attribute) and node.attr == "token_counts":
-        return "token_counts" if isinstance(node.ctx, ast.Load) else None
-    return None
+def attribute_read(name: str) -> Callable[[ast.AST], str | None]:
+    """A matcher that names each load of a ``.name`` attribute."""
+
+    def match(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return name if isinstance(node.ctx, ast.Load) else None
+        return None
+
+    return match
 
 
 def admitted(scope: str, allowed: set[str]) -> bool:
@@ -115,21 +126,23 @@ def admitted(scope: str, allowed: set[str]) -> bool:
     return any(scope == a or scope.startswith(a + ".") for a in allowed)
 
 
-def test_token_counts_are_read_only_by_the_listed_functions():
-    readers = {scope for scope, _ in program_findings(token_counts_read)}
-    assert sorted(s for s in readers if not admitted(s, TOKEN_COUNT_READERS)) == []
+@pytest.mark.parametrize("name", sorted(COUNT_READERS))
+def test_token_counts_are_read_only_by_the_listed_functions(name):
+    readers = {scope for scope, _ in program_findings(attribute_read(name))}
+    assert sorted(s for s in readers if not admitted(s, COUNT_READERS[name])) == []
 
 
-def test_a_token_counts_read_is_found_in_its_scope():
+@pytest.mark.parametrize("name", sorted(COUNT_READERS))
+def test_a_token_counts_read_is_found_in_its_scope(name):
     source = (
         "class Box:\n"
-        "    def own(self):\n        return self.token_counts\n"
-        "    def make(self):\n        return Box(token_counts={})\n"
-        "def entropy(doc):\n    return sum(v for v in doc.token_counts.values())\n"
-        "def store(doc):\n    doc.token_counts = {}\n"
-    )
-    found = findings(source, "m", token_counts_read)
-    assert found == [("m.Box.own", "token_counts"), ("m.entropy", "token_counts")]
+        "    def own(self):\n        return self.NAME\n"
+        "    def make(self):\n        return Box(NAME={})\n"
+        "def entropy(doc):\n    return sum(v for v in doc.NAME.values())\n"
+        "def store(doc):\n    doc.NAME = {}\n"
+    ).replace("NAME", name)
+    found = findings(source, "m", attribute_read(name))
+    assert found == [("m.Box.own", name), ("m.entropy", name)]
     assert admitted("m.Box.own", {"m.Box"}) and not admitted("m.Boxes", {"m.Box"})
 
 
