@@ -111,7 +111,7 @@ def _load_mass(frame: Frame, path: str) -> MassFunction:
     _, text = read_source(Path(path))
     try:
         # integers parse as floats: a huge one becomes inf, which make_mass rejects
-        raw = json.loads(text, parse_int=float)
+        raw = json.loads(text, parse_int=float)  # RecursionError when nested too deeply
         if not isinstance(raw, dict):
             raise ValueError("must hold a JSON object")
         assignments = []
@@ -121,7 +121,7 @@ def _load_mass(frame: Frame, path: str) -> MassFunction:
             subset = tuple(part.strip() for part in names.split(",") if part.strip())
             assignments.append((subset, mass))
         return make_mass(frame, assignments)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"mass file {path}: {exc}") from exc
 
 

@@ -7,8 +7,8 @@ words. Everything downstream (entropy, correlation, clustering) consumes the
 per-document term counts built here. A :class:`Corpus` holds them once more
 as an integer :class:`CountTable`, with each row's token total. The data
 and information layers, the rankings, the k-means rows, the macrostate, the
-belief evidence, fig3 and fig4 read the table's rows and totals; fig3's top
-terms, fig4's reference counts and the entropic gains still read the maps.
+belief evidence, fig3 and fig4 read the table's rows and totals; fig4's
+reference counts and the entropic gains still read the maps.
 
 The words of a lowercased text are its runs of ``[^\W_]+``, that is of the
 characters for which ``str.isalnum()`` holds: the regex engine's ``\w`` is
@@ -243,13 +243,11 @@ class CountTable:
 
     def pooled(self, rows: Sequence[int] | None = None) -> np.ndarray:
         """Every term's count summed over ``rows`` (all rows by default), by
-        term id, in int64. A term none of the rows holds reads 0."""
+        term id, in int64, through :func:`_entries` either way. A term none
+        of the rows holds reads 0."""
+        take = _entries(self.indptr, range(len(self.indptr) - 1) if rows is None else rows)[1]
         totals = np.zeros(len(self.terms), dtype=np.int64)
-        if rows is None:
-            np.add.at(totals, self.term_ids, self.counts)
-        else:
-            take = _entries(self.indptr, rows)[1]
-            np.add.at(totals, self.term_ids[take], self.counts[take])
+        np.add.at(totals, self.term_ids[take], self.counts[take])
         return totals
 
 
@@ -364,8 +362,8 @@ def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                record = json.loads(line)  # RecursionError when nested too deeply
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"bad manifest line {line_no} in {src}: {exc}") from exc
             try:
                 doc_id, title, path = record["id"], record["title"], record["path"]

@@ -31,7 +31,6 @@ from .corpus import (
     read_documents,
     read_source,
     shared_proportions,
-    top_k_terms,
 )
 from .infotheory import _byte_counts, count_entropy, hartley_entropy
 from .intelligence import AggregationResult, EntropicState, aggregate_corpus, entropic_gain
@@ -331,12 +330,11 @@ def _wisdom_section(agg: AggregationResult | None) -> dict[str, Any]:
 
 
 def _belief_section(
-    corpus: Corpus, knowledge_ranking: tuple[CorrelationResult, ...], top_k: int
+    corpus: Corpus, totals: np.ndarray, ranking: tuple[CorrelationResult, ...], top_k: int
 ) -> dict[str, Any]:
-    if not knowledge_ranking:
+    if not ranking:
         return _skip("no ranked documents to draw evidence from")
     keyword_count = min(top_k, MAX_FRAME_SIZE, len(corpus.vocabulary))
-    totals = corpus.table.pooled()
     # descending count, ties by ascending id, which is ascending term
     by_frequency = np.argsort(-totals, kind="stable")[:keyword_count].tolist()
     keywords = [corpus.table.terms[j] for j in by_frequency]
@@ -344,7 +342,7 @@ def _belief_section(
     contributions = dict.fromkeys(by_frequency, 0.0)
     is_keyword = np.zeros(len(totals), dtype=bool)
     is_keyword[by_frequency] = True
-    rows = [corpus.position(res.doc_id) for res in knowledge_ranking]
+    rows = [corpus.position(res.doc_id) for res in ranking]
     # every ranked row has r, so a finite, nonzero denom; each share is
     # dx * dy / denom, and the positive ones add up in row and term order
     for run in _scored_runs(corpus, rows, totals):
@@ -398,16 +396,16 @@ def run_pipeline(config: RunConfig) -> RunReport:
     notes: list[str] = []
     with _stage("ingest"):
         corpus, raw, input_hash = _ingest(config)
-    # pooled term counts by term id; the data and information layers need
-    # only the counts, not the terms
-    totals = corpus.table.pooled().tolist()
+    # pooled term counts by term id, once for the data, information and
+    # belief layers
+    totals = corpus.table.pooled()
     sections: dict[str, dict[str, Any]] = {}
     with _stage("bit"):
         sections["bit"] = _bit_section(raw, config.force_bit_layer, notes)
     with _stage("data"):
-        sections["data"] = _data_section(corpus, totals, notes)
+        sections["data"] = _data_section(corpus, totals.tolist(), notes)
     with _stage("information"):
-        sections["information"] = _information_section(corpus, totals)
+        sections["information"] = _information_section(corpus, totals.tolist())
     with _stage("knowledge"):
         sections["knowledge"], knowledge_ranking = _knowledge_section(corpus, config.top_k, notes)
     with _stage("intelligence"):
@@ -415,7 +413,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
     with _stage("wisdom"):
         sections["wisdom"] = _wisdom_section(agg)
     with _stage("belief"):
-        sections["belief"] = _belief_section(corpus, knowledge_ranking, config.top_k)
+        sections["belief"] = _belief_section(corpus, totals, knowledge_ranking, config.top_k)
 
     provenance = {
         "input_sha256": input_hash,
@@ -485,8 +483,9 @@ def write_fig4(handle: IO[str], corpus: Corpus, rows: Iterable[int], notes: list
     """Write fig4 CSV rows for the documents of the table ``rows``: each
     term's proportion in the document versus in the rest of ``corpus``, with
     the log10 deviation. An empty document, or one whose leave-one-out
-    reference has no terms, is skipped with a ``"PipelineWarning: ..."``
-    line in ``notes``.
+    reference has no terms, such as the only document of a corpus, is
+    skipped with a ``"PipelineWarning: ..."`` line in ``notes``; these two
+    notes are fig4's only skips.
 
     Each document is read from its row of ``corpus.table``, its terms in
     increasing id order and so lexicographic, against its reference counts
@@ -530,25 +529,25 @@ def write_fig4(handle: IO[str], corpus: Corpus, rows: Iterable[int], notes: list
 def emit_plot_data(report: RunReport, notes: list[str] | None = None) -> list[Path]:
     """Write fig3.csv (top-10 terms per document) and fig4.csv (per-term
     document-versus-rest proportions with log10 deviation) of every table
-    row. Documents fig4 cannot plot are noted in ``notes`` when it is given."""
+    row. Documents fig4 cannot plot are noted in ``notes`` when it is given.
+    fig3's rows are each table row's ten largest counts by a stable ``argsort``,
+    so ties go to the lower id, which is the lower term, as in ``top_k_terms``."""
     if notes is None:
         notes = []
     out = _out_dir(report)
     corpus = report.corpus
+    table, bounds = corpus.table, corpus.table.indptr.tolist()
     fig3 = out / "fig3.csv"
     fig4 = out / "fig4.csv"
     with fig3.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["doc_id", "rank", "term", "count"])
-        for doc, total in zip(corpus, corpus.table.row_totals.tolist()):
-            if total == 0:
-                continue
-            for rank, (term, count) in enumerate(top_k_terms(doc, 10), start=1):
-                writer.writerow([doc.id, rank, term, count])
+        for doc, lo, hi in zip(corpus, bounds, bounds[1:]):
+            counts = table.counts[lo:hi]
+            top = np.argsort(-counts, kind="stable")[:10]
+            ids = table.term_ids[lo:hi][top].tolist()
+            for rank, (j, count) in enumerate(zip(ids, counts[top].tolist()), start=1):
+                writer.writerow([doc.id, rank, table.terms[j], count])
     with fig4.open("w", encoding="utf-8", newline="") as handle:
-        if len(corpus) < 2:
-            notes.append(
-                "PipelineWarning: single-document corpus: no leave-one-out reference for fig4"
-            )
-        write_fig4(handle, corpus, range(len(corpus)) if len(corpus) > 1 else (), notes)
+        write_fig4(handle, corpus, range(len(corpus)), notes)
     return [fig3, fig4]

@@ -3,7 +3,10 @@ import inspect
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields, replace
@@ -268,6 +271,44 @@ class TestBelief:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert str(bad) in err
+
+
+#: a JSON value nested deeper than the interpreter's recursion limit
+DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000 + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rank", "{file}"], "bad manifest line 1 in {file}: "),
+        (["run", "{file}", "--out", "{out}"], "ingest layer failed: bad manifest line 1 in {file}: "),
+        (["belief", "--frame", "a,b", "--prior", "{file}"], "mass file {file}: "),
+        (["belief", "--frame", "a,b", "--evidence", "{file}"], "mass file {file}: "),
+    ],
+    ids=["rank", "run", "belief_prior", "belief_evidence"],
+)
+def test_a_deeply_nested_json_file_is_one_error_line(tmp_path, argv, message):
+    """``json.loads`` raises ``RecursionError`` on a manifest line or mass
+    file nested this deep; the command still exits 1 with one error line."""
+    nested = tmp_path / "nested.json"
+    nested.write_text(DEEPLY_NESTED, encoding="utf-8")
+
+    def fill(text: str) -> str:
+        return text.format(file=nested, out=tmp_path / "out")
+
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "layerstack", *map(fill, argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("error:") == 1 and done.stderr.count("\n") == 1
+    assert done.stderr.startswith("error: " + fill(message)), done.stderr
 
 
 class TestScatter:

@@ -7,13 +7,18 @@ kept documents, compare the pooled integers with a ``Counter`` sum, take the
 k-means rows and the ranking of a subset's rows in place and compare them
 with the subset's own, compare the row totals with each document's
 ``total_tokens``, and check the row runs the rankings and k-means passes
-take against a walk over the rows.
+take against a walk over the rows. fig3, which takes each document's top
+terms from its table row, is checked against ``top_k_terms`` of the
+document's positive counts.
 Corpora include zero counts, non-ASCII terms, empty documents and ids that
 are not in sorted order.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -21,9 +26,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from layerstack import Corpus, rank_documents
+from layerstack import Corpus, RunReport, emit_plot_data, rank_documents, top_k_terms
 from layerstack.corpus import CountTable, _entries, _entry_runs
 from layerstack.intelligence import unit_term_rows
+from layerstack.pipeline import LAYERS
 
 from helpers import make_corpus, make_doc, pooled_counts
 
@@ -261,3 +267,56 @@ def test_entry_runs_lay_out_their_rows_once(rows):
     assert entries.call_count == 1
     for block, local, take in runs:
         assert_entries_of(indptr, block.tolist(), local, take)
+
+
+def fig3_text(corpus: Corpus) -> str:
+    """fig3.csv as ``emit_plot_data`` writes it for ``corpus``."""
+    sections = {layer: {"skipped": True, "reason": "not run"} for layer in LAYERS}
+    with tempfile.TemporaryDirectory() as out:
+        report = RunReport({"out_dir": out}, {}, sections, (), corpus)
+        return emit_plot_data(report)[0].read_text(encoding="utf-8")
+
+
+def oracle_fig3(corpus: Corpus) -> str:
+    """fig3 from ``top_k_terms`` of each document's positive counts, every
+    row written by ``csv.writer``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["doc_id", "rank", "term", "count"])
+    for doc in corpus:
+        positive = make_doc(doc.id, {t: c for t, c in doc.token_counts.items() if c > 0})
+        for rank, (term, count) in enumerate(top_k_terms(positive, 10), start=1):
+            writer.writerow([doc.id, rank, term, count])
+    return out.getvalue()
+
+
+# more terms than fig3's ten, so that ties cross the tenth place
+FIG3_TERMS = TERMS + ["c", "ça", "d", "ω", "한"]
+
+
+@st.composite
+def fig3_corpora(draw) -> Corpus:
+    """Up to six documents over ``FIG3_TERMS`` with counts of 0-3, so ties
+    are common; some documents are empty."""
+    ids = draw(st.lists(st.text("dxñ0", min_size=1, max_size=3), max_size=6, unique=True))
+    counts = st.dictionaries(st.sampled_from(FIG3_TERMS), st.integers(0, 3))
+    rows = [{} if draw(st.integers(0, 4)) == 0 else draw(counts) for _ in ids]
+    return make_corpus(dict(zip(ids, rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=fig3_corpora())
+@example(corpus=make_corpus({"d": dict.fromkeys(FIG3_TERMS, 1), "e": {}}))
+@example(corpus=make_corpus({"d": {t: 1 + (i % 3 == 0) for i, t in enumerate(FIG3_TERMS)}}))
+def test_fig3_is_top_k_terms_of_the_positive_counts(corpus):
+    assert fig3_text(corpus) == oracle_fig3(corpus)
+
+
+def test_fig3_leaves_out_zero_counts_that_top_k_terms_lists():
+    """A hand-built document may hold zero counts, which its table row
+    drops: fig3 lists only its positive counts, and nothing for a document
+    whose counts are all zero."""
+    corpus = make_corpus({"d": {"b": 0, "a": 2, "c": 1}, "z": {"y": 0}})
+    assert top_k_terms(corpus.get("d"), 10) == [("a", 2), ("c", 1), ("b", 0)]
+    assert top_k_terms(corpus.get("z"), 10) == [("y", 0)]
+    assert fig3_text(corpus) == "doc_id,rank,term,count\nd,1,a,2\nd,2,c,1\n"

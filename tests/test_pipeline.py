@@ -202,9 +202,7 @@ class TestDegenerateCorpora:
         report = run_pipeline(config)
         notes: list[str] = []
         paths = emit_plot_data(report, notes)
-        assert notes == [
-            "PipelineWarning: single-document corpus: no leave-one-out reference for fig4"
-        ]
+        assert notes == ["PipelineWarning: no reference terms for 'only'; skipped in fig4"]
         fig4 = next(p for p in paths if p.name == "fig4.csv")
         lines = fig4.read_text(encoding="utf-8").splitlines()
         assert lines == ["doc_id,term,doc_proportion,reference_proportion,deviation"]

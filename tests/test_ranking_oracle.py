@@ -35,14 +35,19 @@ from hypothesis import strategies as st
 from layerstack import (
     Corpus,
     CorrelationResult,
+    RunConfig,
     aggregate_corpus,
     correlate_document,
     correlation_p_value,
+    emit_plot_data,
     pearson_r,
     rank_documents,
+    run_pipeline,
     synthetic_corpus,
+    write_corpus,
 )
-from layerstack import intelligence, knowledge
+from layerstack import corpus as corpus_module
+from layerstack import intelligence, knowledge, pipeline
 from layerstack.belief import MAX_FRAME_SIZE
 from layerstack.corpus import CountTable, _entry_runs, _segment_sums
 from layerstack.intelligence import Clustering
@@ -220,7 +225,7 @@ def test_belief_evidence_matches_oracle(table, top_k, pass_entries):
     corpus = make_corpus(table)
     ranking, _ = _ranked_with_exclusions(corpus, len(corpus))
     with mock.patch("layerstack.corpus._PASS_ENTRIES", pass_entries):
-        section = _belief_section(corpus, tuple(ranking), top_k)
+        section = _belief_section(corpus, corpus.table.pooled(), tuple(ranking), top_k)
     if not ranking or not corpus.vocabulary:
         assert section["skipped"]
         return
@@ -251,7 +256,9 @@ class TestPoolsOnce:
     """A ranking pools the corpus's count table once, whatever the number of
     documents, and nothing but fig4 pools the string-keyed counts.
     Aggregation narrows its corpus by table rows, builds no subset and
-    groups each round's clusters without ``Clustering.members``."""
+    groups each round's clusters without ``Clustering.members``. The belief
+    layer takes the run's one pool of the table and pools nothing itself,
+    and fig3 reads table rows, not ``top_k_terms``."""
 
     def _count_calls(self, monkeypatch, ranked_rows=None) -> Counter[str]:
         """Count the calls of each shimmed method; append the rows of each
@@ -262,9 +269,11 @@ class TestPoolsOnce:
         leave_one_out_counts = Corpus.leave_one_out_counts
         members = Clustering.members
         ranker = intelligence.rank_documents
+        top_k_terms = corpus_module.top_k_terms
 
         def counted_pooled(self, rows=None):
             calls["pooled"] += 1
+            calls["pooled_whole_table"] += rows is None
             return pooled(self, rows)
 
         def counted_subset(self, doc_ids):
@@ -279,6 +288,10 @@ class TestPoolsOnce:
             calls["members"] += 1
             return members(self, cluster)
 
+        def counted_top_k_terms(doc, k):
+            calls["top_k_terms"] += 1
+            return top_k_terms(doc, k)
+
         def counted_rank_documents(corpus, top_k, notes=None, *, rows=None):
             calls["rankings"] += 1
             if ranked_rows is not None:
@@ -290,6 +303,9 @@ class TestPoolsOnce:
         monkeypatch.setattr(Corpus, "leave_one_out_counts", counted_leave_one_out_counts)
         monkeypatch.setattr(Clustering, "members", counted_members)
         monkeypatch.setattr(intelligence, "rank_documents", counted_rank_documents)
+        # the pipeline would call it under its own name if it imported it
+        monkeypatch.setattr(corpus_module, "top_k_terms", counted_top_k_terms)
+        monkeypatch.setattr(pipeline, "top_k_terms", counted_top_k_terms, raising=False)
         return calls
 
     def test_rank_documents(self, monkeypatch):
@@ -323,10 +339,40 @@ class TestPoolsOnce:
     def test_belief_section(self, monkeypatch):
         corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
         ranking = tuple(rank_documents(corpus, top_k=len(corpus)))
+        totals = corpus.table.pooled()
         calls = self._count_calls(monkeypatch)
-        assert not _belief_section(corpus, ranking, top_k=5)["skipped"]
+        assert not _belief_section(corpus, totals, ranking, top_k=5)["skipped"]
         assert calls["leave_one_out_counts"] == 0
-        assert calls["pooled"] == 1
+        assert calls["pooled"] == 0
+
+    def test_pooled_takes_all_rows_as_a_selection(self, monkeypatch):
+        corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
+        selections: list[list[int]] = []
+        entries = corpus_module._entries
+
+        def counted_entries(indptr, rows):
+            selections.append(list(rows))
+            return entries(indptr, rows)
+
+        monkeypatch.setattr(corpus_module, "_entries", counted_entries)
+        every = corpus.table.pooled()
+        assert selections == [list(range(len(corpus)))]
+        assert every.tolist() == corpus.table.pooled(range(len(corpus))).tolist()
+
+    def test_run_pipeline_and_emit_plot_data(self, monkeypatch, tmp_path):
+        """A run pools the whole table once for its data, information and
+        belief layers, and its knowledge ranking once more; the plot data
+        pools nothing of the table."""
+        corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
+        source = write_corpus(corpus, tmp_path / "corpus")
+        calls = self._count_calls(monkeypatch)
+        report = run_pipeline(RunConfig(source=source, out_dir=tmp_path / "out"))
+        assert calls["pooled_whole_table"] == 2
+        calls.clear()
+        emit_plot_data(report)
+        assert calls["top_k_terms"] == 0
+        assert calls["pooled"] == 0
+        assert calls["leave_one_out_counts"] == len(corpus)
 
 
 def test_scoring_takes_one_pearson_call_per_run(monkeypatch):
@@ -349,7 +395,7 @@ def test_scoring_takes_one_pearson_call_per_run(monkeypatch):
     assert 1 < len(calls) < len(corpus)
     assert calls == runs(range(len(corpus)))
     calls.clear()
-    _belief_section(corpus, ranking, top_k=5)
+    _belief_section(corpus, corpus.table.pooled(), ranking, top_k=5)
     assert calls == runs([corpus.position(res.doc_id) for res in ranking])
     calls.clear()
     result = aggregate_corpus(corpus, k=3, rounds=1, per_cluster=4, seed=1)

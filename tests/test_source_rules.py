@@ -10,7 +10,8 @@ classes that enclose it, such as ``corpus.Corpus.leave_one_out_counts``.
   orders, so the output bytes would depend on the host.
 - After ingest, the layers read the corpus's count table, not each
   document's ``token_counts`` dict or ``total_tokens``. Only the scopes
-  listed in ``COUNT_READERS`` still read them.
+  listed in ``COUNT_READERS`` still read them, and only those listed in
+  ``COUNT_FUNCTION_CALLERS`` call the functions that read them.
 - The program narrows a corpus by lists of its table rows and calls no
   ``.subset(``, which rebuilds a corpus; ``Corpus.subset`` is the tests'
   reference.
@@ -41,6 +42,16 @@ COUNT_READERS = {
         "synthetic",
     },
     "total_tokens": {"corpus.Document", "intelligence.entropic_gain"},
+}
+
+#: for each public function of the string-keyed counts, the program scopes
+#: that may call it: fig4's reference counts until they come from the pooled
+#: table (ROADMAP item 2), the entropic gains until they take table rows
+#: (item 3), and fig3 no longer
+COUNT_FUNCTION_CALLERS = {
+    "leave_one_out_counts": {"pipeline.write_fig4"},
+    "entropic_gain": {"pipeline._intelligence_section"},
+    "top_k_terms": set(),
 }
 
 
@@ -144,6 +155,40 @@ def test_a_token_counts_read_is_found_in_its_scope(name):
     found = findings(source, "m", attribute_read(name))
     assert found == [("m.Box.own", name), ("m.entropy", name)]
     assert admitted("m.Box.own", {"m.Box"}) and not admitted("m.Boxes", {"m.Box"})
+
+
+def call_of(name: str) -> Callable[[ast.AST], str | None]:
+    """A matcher that names each call of ``name``, bare or as an attribute."""
+
+    def match(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            return name if called == name else None
+        return None
+
+    return match
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_FUNCTION_CALLERS))
+def test_string_keyed_count_functions_are_called_only_by_the_listed_scopes(name):
+    callers = {scope for scope, _ in program_findings(call_of(name))}
+    assert sorted(s for s in callers if not admitted(s, COUNT_FUNCTION_CALLERS[name])) == []
+
+
+def test_a_count_function_call_is_found_in_its_scope():
+    source = (
+        "from m import top_k_terms\n"
+        "def fig3(doc):\n    return top_k_terms(doc, 10)\n"
+        "class Plot:\n"
+        "    def fig4(self, doc):\n        return self.corpus.top_k_terms(doc.id)\n"
+        "    def keep(self):\n        return top_k_terms, self.top_k_terms\n"
+        "def top_k_terms(doc, k):\n    return sorted(doc)[:k]\n"
+    )
+    assert findings(source, "m", call_of("top_k_terms")) == [
+        ("m.fig3", "top_k_terms"),
+        ("m.Plot.fig4", "top_k_terms"),
+    ]
 
 
 def subset_call(node: ast.AST) -> str | None:
