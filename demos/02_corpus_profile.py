@@ -25,13 +25,13 @@ for term, count in top_k_terms(doc, 10):
 # Compare the document's term proportions against the pooled counts of
 # every OTHER document; the deviation is log10(doc share / rest share).
 # The corpus's count table holds each document as a row of term ids and
-# counts; pooling every row and taking this row's counts back out leaves
-# the rest of the corpus.
+# counts, and each term's total over every row; taking this row's counts
+# back out of the totals leaves the rest of the corpus.
 table = corpus.table
 row = corpus.position(doc.id)
 lo, hi = table.indptr[row], table.indptr[row + 1]
 ids, counts = table.term_ids[lo:hi], table.counts[lo:hi]
-rest = table.pooled()[ids] - counts
+rest = table.term_totals[ids] - counts
 rest_total = int(table.counts.sum()) - doc.total_tokens
 shared, doc_props, rest_props = shared_proportions(counts, doc.total_tokens, rest, rest_total)
 terms = [table.terms[i] for i in ids[shared].tolist()]

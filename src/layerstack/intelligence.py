@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .corpus import Corpus, Document, _entries, _entry_runs, _segment_sums
+from .corpus import Corpus, Document, _entries, _entry_runs, _row_sums, _segment_sums
 from .infotheory import count_entropy
 from .knowledge import CorrelationResult, rank_documents
 
@@ -160,15 +160,6 @@ def _products(runs: list[tuple[np.ndarray, ...]], n: int, centroids: np.ndarray)
     return out
 
 
-def _squared_norms(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """‖x‖² of every CSR row: its squares in column order, summed by
-    ``np.add.reduceat`` as :func:`_products` sums x·c."""
-    out = np.zeros(len(indptr) - 1)
-    filled = np.flatnonzero(np.diff(indptr))
-    out[filled] = np.add.reduceat(np.square(values), indptr[filled])
-    return out
-
-
 def _distances(
     norms: np.ndarray, runs: list[tuple[np.ndarray, ...]], centroids: np.ndarray
 ) -> np.ndarray:
@@ -196,8 +187,7 @@ def _distances(
     bound of each other."""
     squares = np.zeros(len(centroids))
     for j, c in enumerate(centroids):
-        on = c[c != 0]
-        squares[j] = _squared_norms(np.array([0, len(on)]), on)[0]
+        squares[j] = _row_sums(np.array([0, np.count_nonzero(c)]), np.square(c[c != 0]))[0]
     d2 = np.add.outer(norms, squares)
     d2 -= 2.0 * _products(runs, len(norms), centroids)
     return np.maximum(d2, 0.0, out=d2)
@@ -272,7 +262,7 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
         raise ValueError("duplicate doc ids among rows")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    norms = _squared_norms(rows.indptr, rows.data)
+    norms = _row_sums(rows.indptr, np.square(rows.data))
     centroids, distances = _seed_centroids(rows, norms, _runs(rows, k), k, default_rng(seed))
     runs = _runs(rows)
 

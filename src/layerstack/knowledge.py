@@ -7,7 +7,8 @@ the two-sided Student t test on r, evaluated in this module.
 
 One scorer serves ``rank_documents``, ``correlate_document`` and the belief
 layer's evidence. It takes a ranking's rows of the corpus's integer count
-table, pooled once, and lays their entries end to end, once per call: each
+table and their pooled counts, the table's column margin or a selection's
+pool, and lays the rows' entries end to end, once per call: each
 leave-one-out count is the pooled total minus the row's own count, and one
 numpy pass over a run of rows, a slice of that layout of about
 ``corpus._PASS_ENTRIES`` entries, finds the shared terms and both sides'
@@ -309,7 +310,8 @@ def _result(doc_id: str, r: float, n: int) -> CorrelationResult:
 
 def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
     """Correlate one of the corpus's own documents against the pooled
-    profile of every other document, by the scorer ``rank_documents`` uses.
+    profile of every other document, the table's column margin less its own
+    counts, by the scorer ``rank_documents`` uses.
 
     ``doc`` must be the corpus's copy of ``doc.id``: an id not in the corpus,
     or a document that differs from the corpus's copy, is a ``ValueError``."""
@@ -317,7 +319,7 @@ def correlate_document(doc: Document, corpus: Corpus) -> CorrelationResult:
         raise ValueError(f"document {doc.id!r} not in corpus")
     if doc != corpus.get(doc.id):
         raise ValueError(f"document {doc.id!r} differs from the corpus's copy")
-    [(_, r, n, reason)] = _scores(corpus, [corpus.position(doc.id)], corpus.table.pooled())
+    [(_, r, n, reason)] = _scores(corpus, [corpus.position(doc.id)], corpus.table.term_totals)
     if reason is not None:
         raise ValueError(reason)
     return _result(doc.id, r, n)
@@ -333,11 +335,11 @@ def rank_documents(
     """Correlation results for every document, descending by r (ties by
     ascending id), truncated to ``top_k``.
 
-    ``rows`` restricts the ranking to those table rows, given in corpus
-    order (all rows by default): each is scored against the pooled counts
-    of the other given rows, as in a subset of the corpus holding just
-    them. The rows are read from the corpus's own table, whose term ids are
-    lexicographic like a subset's, so the shared terms, their order and
+    Each document is scored against the table's column margin less its
+    own counts. ``rows`` restricts the ranking to those table rows, given in
+    corpus order and pooled once: each is scored against the other given
+    rows, as in a subset of the corpus holding just them. Their term ids
+    are lexicographic like a subset's, so the shared terms, their order and
     every float are those of ranking ``corpus.subset`` of their ids.
 
     Documents that cannot be scored (insufficient overlap, zero variance)
@@ -346,17 +348,18 @@ def rank_documents(
     in row order. Every row's r and n are taken, then sorted; p-values are
     computed only for the ``top_k`` rows returned.
     """
+    ranked, totals = range(len(corpus)), corpus.table.term_totals
     if rows is not None:
-        rows = list(rows)
-        if rows != sorted(set(rows)) or not all(0 <= row < len(corpus) for row in rows):
-            raise ValueError(f"rows must be distinct table rows in increasing order, got {rows}")
-    ranked = range(len(corpus)) if rows is None else rows
+        ranked = list(rows)
+        if ranked != sorted(set(ranked)) or not all(0 <= row < len(corpus) for row in ranked):
+            raise ValueError(f"rows must be distinct table rows in increasing order, got {ranked}")
+        totals = corpus.table.pooled(ranked)
     if len(ranked) < 2:
         raise ValueError(f"ranking needs at least 2 documents, got {len(ranked)}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     scored = []
-    for doc_id, r, n, reason in _scores(corpus, ranked, corpus.table.pooled(rows)):
+    for doc_id, r, n, reason in _scores(corpus, ranked, totals):
         if reason is None:
             scored.append((doc_id, r, n))
         elif notes is not None:

@@ -19,13 +19,14 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .belief import MAX_FRAME_SIZE, Frame, belief, keyword_belief_update, plausibility, vacuous_mass
 from .corpus import (
     Corpus,
+    CountTable,
     Document,
     parse_stop_words,
     read_documents,
@@ -184,7 +185,7 @@ def _bit_section(raw: Mapping[str, bytes], force: bool, notes: list[str]) -> dic
     }
 
 
-def _data_section(corpus: Corpus, totals: Sequence[int], notes: list[str]) -> dict[str, Any]:
+def _data_section(corpus: Corpus, notes: list[str]) -> dict[str, Any]:
     per_document: dict[str, float] = {}
     table, bounds = corpus.table, corpus.table.indptr.tolist()
     for doc, tokens, lo, hi in zip(corpus, table.row_totals.tolist(), bounds, bounds[1:]):
@@ -194,23 +195,23 @@ def _data_section(corpus: Corpus, totals: Sequence[int], notes: list[str]) -> di
             )
             continue
         per_document[doc.id] = count_entropy(table.counts[lo:hi].tolist())
-    if not totals:
+    if not table.terms:
         return _skip("no terms in corpus")
     return {
         "skipped": False,
         "per_document_bits": per_document,
-        "corpus_bits": count_entropy(totals),
+        "corpus_bits": count_entropy(table.term_totals.tolist()),
         "vocabulary_size": len(corpus.vocabulary),
         "hartley_vocabulary_bits": hartley_entropy(len(corpus.vocabulary)),
     }
 
 
-def _information_section(corpus: Corpus, totals: Sequence[int]) -> dict[str, Any]:
-    if not totals:
+def _information_section(table: CountTable) -> dict[str, Any]:
+    if not table.terms:
         return _skip("no terms in corpus")
-    joint_bits = count_entropy(corpus.table.counts.tolist())
-    document_bits = count_entropy(corpus.table.row_totals.tolist())
-    term_bits = count_entropy(totals)
+    joint_bits = count_entropy(table.counts.tolist())
+    document_bits = count_entropy(table.row_totals.tolist())
+    term_bits = count_entropy(table.term_totals.tolist())
     return {
         "skipped": False,
         "joint_bits": joint_bits,
@@ -330,22 +331,22 @@ def _wisdom_section(agg: AggregationResult | None) -> dict[str, Any]:
 
 
 def _belief_section(
-    corpus: Corpus, totals: np.ndarray, ranking: tuple[CorrelationResult, ...], top_k: int
+    corpus: Corpus, ranking: tuple[CorrelationResult, ...], top_k: int
 ) -> dict[str, Any]:
     if not ranking:
         return _skip("no ranked documents to draw evidence from")
     keyword_count = min(top_k, MAX_FRAME_SIZE, len(corpus.vocabulary))
     # descending count, ties by ascending id, which is ascending term
-    by_frequency = np.argsort(-totals, kind="stable")[:keyword_count].tolist()
+    by_frequency = np.argsort(-corpus.table.term_totals, kind="stable")[:keyword_count].tolist()
     keywords = [corpus.table.terms[j] for j in by_frequency]
     frame = Frame(elements=tuple(keywords))
     contributions = dict.fromkeys(by_frequency, 0.0)
-    is_keyword = np.zeros(len(totals), dtype=bool)
+    is_keyword = np.zeros(len(corpus.table.terms), dtype=bool)
     is_keyword[by_frequency] = True
     rows = [corpus.position(res.doc_id) for res in ranking]
     # every ranked row has r, so a finite, nonzero denom; each share is
     # dx * dy / denom, and the positive ones add up in row and term order
-    for run in _scored_runs(corpus, rows, totals):
+    for run in _scored_runs(corpus, rows, corpus.table.term_totals):
         pieces = run.dx * run.dy / np.repeat(run.denom, np.diff(run.bounds))
         kept = np.flatnonzero(is_keyword[run.ids] & (pieces > 0.0))
         for j, piece in zip(run.ids[kept].tolist(), pieces[kept].tolist()):
@@ -396,16 +397,13 @@ def run_pipeline(config: RunConfig) -> RunReport:
     notes: list[str] = []
     with _stage("ingest"):
         corpus, raw, input_hash = _ingest(config)
-    # pooled term counts by term id, once for the data, information and
-    # belief layers
-    totals = corpus.table.pooled()
     sections: dict[str, dict[str, Any]] = {}
     with _stage("bit"):
         sections["bit"] = _bit_section(raw, config.force_bit_layer, notes)
     with _stage("data"):
-        sections["data"] = _data_section(corpus, totals.tolist(), notes)
+        sections["data"] = _data_section(corpus, notes)
     with _stage("information"):
-        sections["information"] = _information_section(corpus, totals.tolist())
+        sections["information"] = _information_section(corpus.table)
     with _stage("knowledge"):
         sections["knowledge"], knowledge_ranking = _knowledge_section(corpus, config.top_k, notes)
     with _stage("intelligence"):
@@ -413,7 +411,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
     with _stage("wisdom"):
         sections["wisdom"] = _wisdom_section(agg)
     with _stage("belief"):
-        sections["belief"] = _belief_section(corpus, totals, knowledge_ranking, config.top_k)
+        sections["belief"] = _belief_section(corpus, knowledge_ranking, config.top_k)
 
     provenance = {
         "input_sha256": input_hash,

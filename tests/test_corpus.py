@@ -200,7 +200,7 @@ class TestCorpus:
             {d: {renamed.get(t, t): c for t, c in counts.items()} for d, counts in docs.items()}
         )
         assert corpus.table.terms == ("model", "signal", "the")
-        assert corpus.table.pooled().tolist() == [9, 8, 6]
+        assert corpus.table.term_totals.tolist() == [9, 8, 6]
         assert corpus.table.counts.tolist() == twin.table.counts.tolist()
         notes: list[str] = []
         ranking = rank_documents(corpus, top_k=3, notes=notes)

@@ -6,7 +6,8 @@ sorted vocabulary. The checks here rebuild each row from the document's own
 kept documents, compare the pooled integers with a ``Counter`` sum, take the
 k-means rows and the ranking of a subset's rows in place and compare them
 with the subset's own, compare the row totals with each document's
-``total_tokens``, and check the row runs the rankings and k-means passes
+``total_tokens`` and the term totals with a ``Counter`` sum of every
+document, and check the row runs the rankings and k-means passes
 take against a walk over the rows. fig3, which takes each document's top
 terms from its table row, is checked against ``top_k_terms`` of the
 document's positive counts.
@@ -116,7 +117,7 @@ def assert_row_rankings_match_subset(corpus: Corpus, sub: Corpus) -> None:
 def test_table_matches_documents_and_subsets_match_fresh_corpora(corpus, data):
     assert_rows_match_documents(corpus)
 
-    pooled = corpus.table.pooled()
+    pooled = corpus.table.term_totals
     assert pooled.dtype == np.int64
     assert dict(zip(corpus.table.terms, pooled.tolist())) == pooled_counts(corpus)
 
@@ -156,10 +157,24 @@ def test_row_totals_are_the_documents_totals(corpus):
     assert totals.tolist() == [doc.total_tokens for doc in corpus]
 
 
+@settings(max_examples=300)
+@given(corpus=st.one_of(corpora(), empty_corpora()))
+@example(corpus=make_corpus({"d0": {"a": 2**52 - 1, "b": 0}, "d1": {}, "d2": {"a": 2**52}}))
+@example(corpus=make_corpus({"d0": {}}))
+@example(corpus=Corpus(documents=()))
+def test_term_totals_are_the_documents_pooled(corpus):
+    table = corpus.table
+    totals = table.term_totals
+    assert totals.dtype == np.int64
+    pooled = pooled_counts(corpus)
+    assert totals.tolist() == [pooled[term] for term in table.terms]
+    assert totals.tolist() == table.pooled(range(len(corpus))).tolist()
+
+
 def test_empty_corpus_has_an_empty_table():
     table = Corpus(documents=()).table
     assert table.terms == () and table.indptr.tolist() == [0]
-    assert table.pooled().tolist() == []
+    assert table.term_totals.tolist() == []
 
 
 def test_subset_of_no_ids_is_empty():
@@ -170,7 +185,8 @@ def test_subset_of_no_ids_is_empty():
 
 def test_table_arrays_are_read_only():
     table = make_corpus({"d": {"a": 1, "b": 2}}).table
-    for array in (table.indptr, table.term_ids, table.counts, table.row_totals):
+    arrays = (table.indptr, table.term_ids, table.counts, table.row_totals, table.term_totals)
+    for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 7
 

@@ -34,7 +34,7 @@ from layerstack import (
 )
 from layerstack.pipeline import _bit_section, _data_section, _information_section
 
-from helpers import make_corpus, make_doc, pooled_counts
+from helpers import make_corpus, make_doc
 
 TERMS = [f"t{i}" for i in range(8)]
 MARGINAL_TOL = 1e-12
@@ -159,7 +159,7 @@ def test_bit_section_pools_the_per_file_histograms(files):
 def test_data_section_matches_distributions(table):
     corpus = make_corpus(table)
     notes: list[str] = []
-    section = _data_section(corpus, list(pooled_counts(corpus).values()), notes)
+    section = _data_section(corpus, notes)
     empty = {doc.id for doc in corpus if doc.total_tokens == 0}
     assert notes == [
         f"PipelineWarning: document {doc.id!r} has no terms; excluded from token entropy"
@@ -182,7 +182,7 @@ def test_data_section_matches_distributions(table):
 @given(table=count_tables())
 def test_information_section_matches_joint_distribution(table):
     corpus = make_corpus(table)
-    section = _information_section(corpus, list(pooled_counts(corpus).values()))
+    section = _information_section(corpus.table)
     expected = oracle_information(corpus)
     if expected is None:
         assert section["skipped"]
@@ -202,7 +202,7 @@ def test_information_section_matches_joint_distribution(table):
 @given(row=nonempty_rows)
 def test_single_document_has_zero_document_marginal(row):
     corpus = make_corpus({"only": row})
-    section = _information_section(corpus, list(pooled_counts(corpus).values()))
+    section = _information_section(corpus.table)
     assert section["document_marginal_bits"] == 0.0
     assert section["joint_bits"] == section["term_marginal_bits"]
 

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layerstack import intelligence, synthetic_corpus
-from layerstack.corpus import _PASS_ENTRIES
+from layerstack.corpus import _PASS_ENTRIES, _row_sums
 from layerstack.intelligence import kmeans, unit_term_rows
 
 from helpers import dense, make_corpus
@@ -109,7 +109,7 @@ def dense_kmeans(points, k, seed):
 def layout(rows):
     """What one k-means call computes once for all its passes: the rows'
     ‖x‖² and their runs."""
-    return intelligence._squared_norms(rows.indptr, rows.data), intelligence._runs(rows)
+    return _row_sums(rows.indptr, np.square(rows.data)), intelligence._runs(rows)
 
 
 def assert_matches_oracle(corpus, k, seed):

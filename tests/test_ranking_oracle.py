@@ -225,7 +225,7 @@ def test_belief_evidence_matches_oracle(table, top_k, pass_entries):
     corpus = make_corpus(table)
     ranking, _ = _ranked_with_exclusions(corpus, len(corpus))
     with mock.patch("layerstack.corpus._PASS_ENTRIES", pass_entries):
-        section = _belief_section(corpus, corpus.table.pooled(), tuple(ranking), top_k)
+        section = _belief_section(corpus, tuple(ranking), top_k)
     if not ranking or not corpus.vocabulary:
         assert section["skipped"]
         return
@@ -253,16 +253,20 @@ def test_belief_evidence_matches_oracle(table, top_k, pass_entries):
 
 
 class TestPoolsOnce:
-    """A ranking pools the corpus's count table once, whatever the number of
-    documents, and nothing but fig4 pools the string-keyed counts.
-    Aggregation narrows its corpus by table rows, builds no subset and
-    groups each round's clusters without ``Clustering.members``. The belief
-    layer takes the run's one pool of the table and pools nothing itself,
-    and fig3 reads table rows, not ``top_k_terms``."""
+    """The count table pools all its rows once, when it is built, into its
+    column margin. A ranking of every row, ``correlate_document`` and the
+    belief layer read that margin and pool nothing; a ranking of a
+    selection of rows pools it once, whatever the number of documents.
+    Nothing but fig4 pools the string-keyed counts. Aggregation narrows its
+    corpus by table rows, builds no subset and groups each round's clusters
+    without ``Clustering.members``, and fig3 reads table rows, not
+    ``top_k_terms``."""
 
-    def _count_calls(self, monkeypatch, ranked_rows=None) -> Counter[str]:
-        """Count the calls of each shimmed method; append the rows of each
-        aggregation ranking to ``ranked_rows`` when it is given."""
+    def _count_calls(self, monkeypatch, ranked_rows=None, pooled_rows=None) -> Counter[str]:
+        """Count the calls of each shimmed method, a table's pool of its
+        own rows while it is built apart from the pools of a built table;
+        append the rows of each aggregation ranking to ``ranked_rows`` and
+        of each pool of a built table to ``pooled_rows`` when given."""
         calls: Counter[str] = Counter()
         pooled = CountTable.pooled
         subset = Corpus.subset
@@ -271,9 +275,14 @@ class TestPoolsOnce:
         ranker = intelligence.rank_documents
         top_k_terms = corpus_module.top_k_terms
 
-        def counted_pooled(self, rows=None):
+        def counted_pooled(self, rows):
+            if not hasattr(self, "term_totals"):
+                calls["pooled_at_build"] += 1
+                return pooled(self, rows)
             calls["pooled"] += 1
-            calls["pooled_whole_table"] += rows is None
+            calls["pooled_whole_table"] += list(rows) == list(range(len(self.indptr) - 1))
+            if pooled_rows is not None:
+                pooled_rows.append(list(rows))
             return pooled(self, rows)
 
         def counted_subset(self, doc_ids):
@@ -313,7 +322,16 @@ class TestPoolsOnce:
         calls = self._count_calls(monkeypatch)
         rank_documents(corpus, top_k=5)
         assert calls["leave_one_out_counts"] == 0
+        assert calls["pooled"] == 0
+        rank_documents(corpus, top_k=5, rows=range(3, 20))
         assert calls["pooled"] == 1
+
+    def test_correlate_document(self, monkeypatch):
+        corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
+        calls = self._count_calls(monkeypatch)
+        correlate_document(corpus.get("doc003"), corpus)
+        assert calls["leave_one_out_counts"] == 0
+        assert calls["pooled"] == 0
 
     def test_aggregate_corpus(self, monkeypatch):
         corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
@@ -339,13 +357,14 @@ class TestPoolsOnce:
     def test_belief_section(self, monkeypatch):
         corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
         ranking = tuple(rank_documents(corpus, top_k=len(corpus)))
-        totals = corpus.table.pooled()
         calls = self._count_calls(monkeypatch)
-        assert not _belief_section(corpus, totals, ranking, top_k=5)["skipped"]
+        assert not _belief_section(corpus, ranking, top_k=5)["skipped"]
         assert calls["leave_one_out_counts"] == 0
         assert calls["pooled"] == 0
 
     def test_pooled_takes_all_rows_as_a_selection(self, monkeypatch):
+        """The column margin is the pool of all rows, taken through
+        ``_entries`` as one selection when the table is built."""
         corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
         selections: list[list[int]] = []
         entries = corpus_module._entries
@@ -355,19 +374,28 @@ class TestPoolsOnce:
             return entries(indptr, rows)
 
         monkeypatch.setattr(corpus_module, "_entries", counted_entries)
-        every = corpus.table.pooled()
+        table = CountTable.build(corpus.documents)
         assert selections == [list(range(len(corpus)))]
-        assert every.tolist() == corpus.table.pooled(range(len(corpus))).tolist()
+        every = table.pooled(range(len(corpus)))
+        assert table.term_totals.tolist() == every.tolist()
+        assert corpus.table.term_totals.tolist() == every.tolist()
 
     def test_run_pipeline_and_emit_plot_data(self, monkeypatch, tmp_path):
-        """A run pools the whole table once for its data, information and
-        belief layers, and its knowledge ranking once more; the plot data
-        pools nothing of the table."""
+        """A run pools all rows once, when its table is built; after that it
+        pools only aggregation's selections, for their rankings, and the
+        survivors, for the macrostate. The plot data pools nothing of the
+        table."""
         corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
         source = write_corpus(corpus, tmp_path / "corpus")
-        calls = self._count_calls(monkeypatch)
+        ranked_rows: list[list[int]] = []
+        pooled_rows: list[list[int]] = []
+        calls = self._count_calls(monkeypatch, ranked_rows, pooled_rows)
         report = run_pipeline(RunConfig(source=source, out_dir=tmp_path / "out"))
-        assert calls["pooled_whole_table"] == 2
+        assert calls["pooled_at_build"] == 1
+        assert calls["pooled_whole_table"] == 0
+        survivors = list(map(corpus.position, report.sections["intelligence"]["survivors"]))
+        assert len(ranked_rows) >= 2
+        assert pooled_rows == ranked_rows + [survivors]
         calls.clear()
         emit_plot_data(report)
         assert calls["top_k_terms"] == 0
@@ -395,7 +423,7 @@ def test_scoring_takes_one_pearson_call_per_run(monkeypatch):
     assert 1 < len(calls) < len(corpus)
     assert calls == runs(range(len(corpus)))
     calls.clear()
-    _belief_section(corpus, corpus.table.pooled(), ranking, top_k=5)
+    _belief_section(corpus, ranking, top_k=5)
     assert calls == runs([corpus.position(res.doc_id) for res in ranking])
     calls.clear()
     result = aggregate_corpus(corpus, k=3, rounds=1, per_cluster=4, seed=1)

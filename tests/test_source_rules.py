@@ -12,6 +12,10 @@ classes that enclose it, such as ``corpus.Corpus.leave_one_out_counts``.
   document's ``token_counts`` dict or ``total_tokens``. Only the scopes
   listed in ``COUNT_READERS`` still read them, and only those listed in
   ``COUNT_FUNCTION_CALLERS`` call the functions that read them.
+- The count table keeps its column margin, every term's total over all
+  rows, taken when the table is built. Only the scopes listed in
+  ``POOL_CALLERS`` pool a selection of its rows afresh, so no layer
+  re-pools the whole table.
 - The program narrows a corpus by lists of its table rows and calls no
   ``.subset(``, which rebuilds a corpus; ``Corpus.subset`` is the tests'
   reference.
@@ -52,6 +56,15 @@ COUNT_FUNCTION_CALLERS = {
     "leave_one_out_counts": {"pipeline.write_fig4"},
     "entropic_gain": {"pipeline._intelligence_section"},
     "top_k_terms": set(),
+}
+
+#: the program scopes that may call ``CountTable.pooled``: the table's build,
+#: for its column margin, a ranking of a selection of rows, and the
+#: survivors' macrostate
+POOL_CALLERS = {
+    "corpus.CountTable.__post_init__",
+    "knowledge.rank_documents",
+    "pipeline._intelligence_section",
 }
 
 
@@ -188,6 +201,26 @@ def test_a_count_function_call_is_found_in_its_scope():
     assert findings(source, "m", call_of("top_k_terms")) == [
         ("m.fig3", "top_k_terms"),
         ("m.Plot.fig4", "top_k_terms"),
+    ]
+
+
+def test_the_table_is_pooled_only_by_the_listed_scopes():
+    callers = {scope for scope, _ in program_findings(call_of("pooled"))}
+    assert sorted(s for s in callers if not admitted(s, POOL_CALLERS)) == []
+
+
+def test_a_pooled_call_is_found_in_its_scope():
+    source = (
+        "class Table:\n"
+        "    def __post_init__(self):\n        self.margin = self.pooled(range(9))\n"
+        "    def pooled(self, rows):\n        return sum(rows)\n"
+        "def data_section(corpus):\n    pooled = corpus.table.pooled\n"
+        "    return pooled(range(len(corpus)))\n"
+        "def bits_section(histograms):\n    pooled = sum(histograms)\n    return pooled\n"
+    )
+    assert findings(source, "m", call_of("pooled")) == [
+        ("m.Table.__post_init__", "pooled"),
+        ("m.data_section", "pooled"),
     ]
 
 
