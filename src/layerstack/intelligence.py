@@ -377,27 +377,13 @@ class AggregationResult:
     survivor_ids: tuple[str, ...]
 
 
-def aggregate_corpus(
-    corpus: Corpus,
-    k: int,
-    rounds: int = 1,
-    per_cluster: int = 5,
-    seed: int = 42,
-    notes: list[str] | None = None,
-) -> AggregationResult:
-    """Run ``rounds`` cluster-and-reselect reductions, then re-rank the
-    survivors among themselves. Round r uses seed ``seed + r``. Stops early
-    if a reduction would leave fewer than 2 documents, keeping the last
-    selection that could still be ranked.
-
-    The selection is a sorted list of ``corpus``'s table rows, at first all
-    of them. Each round clusters :func:`unit_term_rows` of the selection and
-    ranks its clusters, and then the survivors, by ``rank_documents`` over
-    those rows, so every centroid spans the whole corpus's vocabulary.
-
-    Every soft error (a document with no term row, a cluster too small to
-    rank, an early stop, a document the rankings drop) appends one
-    ``"<Category>: <message>"`` line to ``notes`` when it is given."""
+def _aggregation_rounds(
+    corpus: Corpus, k: int, rounds: int, per_cluster: int, seed: int, notes: list[str]
+) -> tuple[list[AggregationRound], list[int]]:
+    """The rounds of :func:`aggregate_corpus`, its checks and notes included:
+    the completed rounds and the survivors' ascending table rows, every row
+    when no round completed. The caller takes the final ranking:
+    :func:`aggregate_corpus` always, ``run`` after a completed round only."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if rounds < 0:
@@ -407,8 +393,6 @@ def aggregate_corpus(
     if len(corpus) < k:
         raise ValueError(f"fewer documents than clusters: {len(corpus)} < {k}")
 
-    if notes is None:
-        notes = []
     totals = corpus.table.row_totals.tolist()
     rows = list(range(len(corpus)))
     trace: list[AggregationRound] = []
@@ -447,7 +431,30 @@ def aggregate_corpus(
             )
         )
         rows = sorted(corpus.position(doc_id) for doc_id in selected)
+    return trace, rows
 
+
+def aggregate_corpus(
+    corpus: Corpus,
+    k: int,
+    rounds: int = 1,
+    per_cluster: int = 5,
+    seed: int = 42,
+    notes: list[str] | None = None,
+) -> AggregationResult:
+    """Run ``rounds`` cluster-and-reselect reductions, round r with seed
+    ``seed + r``, then re-rank the survivors among themselves (every row
+    when no round completed). A reduction that would leave fewer than 2
+    documents stops the loop and keeps the last selection. Each round
+    clusters :func:`unit_term_rows` of the selection, so every centroid
+    spans the corpus's vocabulary, and ranks its clusters by
+    ``rank_documents`` over their rows. Every soft error (a document with no
+    term row, a cluster too small to rank, an early stop, a document the
+    rankings drop) appends one ``"<Category>: <message>"`` line to ``notes``
+    when it is given."""
+    if notes is None:
+        notes = []
+    trace, rows = _aggregation_rounds(corpus, k, rounds, per_cluster, seed, notes)
     ranking = tuple(rank_documents(corpus, top_k=len(rows), notes=notes, rows=rows))
     return AggregationResult(
         ranking=ranking,

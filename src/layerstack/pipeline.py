@@ -34,7 +34,7 @@ from .corpus import (
     shared_proportions,
 )
 from .infotheory import _byte_counts, count_entropy, hartley_entropy
-from .intelligence import AggregationResult, EntropicState, aggregate_corpus, entropic_gain
+from .intelligence import AggregationRound, EntropicState, _aggregation_rounds, entropic_gain
 from .knowledge import CorrelationResult, _scored_runs, rank_documents
 from .stopwords import ENGLISH_STOP_WORDS
 from .wisdom import aggregate_round_quality
@@ -247,77 +247,68 @@ def _knowledge_section(
 
 
 def _intelligence_section(
-    corpus: Corpus, config: RunConfig, notes: list[str]
-) -> tuple[dict[str, Any], AggregationResult | None]:
+    corpus: Corpus, config: RunConfig, ranking: tuple[CorrelationResult, ...], notes: list[str]
+) -> tuple[dict[str, Any], list[AggregationRound] | None, tuple[CorrelationResult, ...]]:
     if len(corpus) < 2:
-        return _skip(f"aggregation needs at least 2 documents, got {len(corpus)}"), None
+        return _skip(f"aggregation needs at least 2 documents, got {len(corpus)}"), None, ()
     if len(corpus) < config.k:
-        return _skip(f"fewer documents than clusters: {len(corpus)} < {config.k}"), None
-    agg = aggregate_corpus(
-        corpus,
-        k=config.k,
-        rounds=config.rounds,
-        per_cluster=config.per_cluster,
-        seed=config.seed,
-        notes=notes,
+        return _skip(f"fewer documents than clusters: {len(corpus)} < {config.k}"), None, ()
+    trace, rows = _aggregation_rounds(
+        corpus, config.k, config.rounds, config.per_cluster, config.seed, notes
     )
-    if not agg.rounds:
-        # with no completed round the final ranking re-ranked this corpus, as
-        # the knowledge layer did: its notes, one per document it dropped and
-        # the last ones noted, repeat that layer's
-        del notes[len(notes) - (len(corpus) - len(agg.ranking)) :]
-    rounds_summary = []
-    for rnd in agg.rounds:
-        sizes = [0] * rnd.clustering.k
-        for cluster in rnd.clustering.assignments.values():
-            sizes[cluster] += 1
-        rounds_summary.append(
-            {
-                "round": rnd.index,
-                "k": rnd.clustering.k,
-                "seed": rnd.clustering.seed,
-                "iterations": len(rnd.clustering.inertia_history),
-                "inertia": rnd.clustering.inertia,
-                "cluster_sizes": sizes,
-                "selected": list(rnd.selected_ids),
-            }
-        )
-    survivors = set(agg.survivor_ids)
-    pooled = corpus.table.pooled([corpus.position(doc_id) for doc_id in agg.survivor_ids])
+    # with no completed round the survivors are every row, so ``ranking``, the
+    # knowledge layer's, is theirs
+    if trace:
+        ranking = tuple(rank_documents(corpus, top_k=config.top_k, notes=notes, rows=rows))
+    rounds_summary = [
+        {
+            "round": rnd.index,
+            "k": rnd.clustering.k,
+            "seed": rnd.clustering.seed,
+            "iterations": len(rnd.clustering.inertia_history),
+            "inertia": rnd.clustering.inertia,
+            "cluster_sizes": np.bincount(
+                list(rnd.clustering.assignments.values()), minlength=rnd.clustering.k
+            ).tolist(),
+            "selected": list(rnd.selected_ids),
+        }
+        for rnd in trace
+    ]
+    pooled = corpus.table.pooled(rows)
     macrostate = {t: c for t, c in zip(corpus.table.terms, pooled.tolist()) if c > 0}
     gains: dict[str, float] = {}
     macrostate_bits = None
     if macrostate:
-        state = EntropicState(
-            macrostate=macrostate, reservoir_strength=config.reservoir_strength
-        )
+        state = EntropicState(macrostate=macrostate, reservoir_strength=config.reservoir_strength)
         macrostate_bits = state.bits
-        for doc, total in zip(corpus, corpus.table.row_totals.tolist()):
-            if doc.id in survivors or total == 0:
+        survivors = set(rows)
+        for row, (doc, total) in enumerate(zip(corpus, corpus.table.row_totals.tolist())):
+            if row in survivors or total == 0:
                 continue
             gains[doc.id] = entropic_gain(state, doc)
     section = {
         "skipped": False,
         "rounds": rounds_summary,
-        "survivors": list(agg.survivor_ids),
-        "aggregated_ranking": ranking_rows(agg.ranking[: config.top_k], corpus),
+        "survivors": [corpus.documents[i].id for i in rows],
+        "aggregated_ranking": ranking_rows(ranking, corpus),
         "macrostate_bits": macrostate_bits,
         "reservoir_strength": config.reservoir_strength,
         "entropic_gains": gains,
     }
-    return section, agg
+    return section, trace, ranking
 
 
-def _wisdom_section(agg: AggregationResult | None) -> dict[str, Any]:
-    if agg is None:
+def _wisdom_section(
+    rounds: list[AggregationRound] | None, ranking: tuple[CorrelationResult, ...]
+) -> dict[str, Any]:
+    if rounds is None:
         return _skip("intelligence layer skipped")
-    if not agg.rounds:
+    if not rounds:
         return _skip("no aggregation rounds completed")
-    if not agg.ranking:
+    if not ranking:
         return _skip("empty final ranking")
-    last = agg.rounds[-1]
-    individuals = [ranked[0].r for ranked in last.cluster_rankings if ranked]
-    truth = agg.ranking[0].r
+    individuals = [ranked[0].r for ranked in rounds[-1].cluster_rankings if ranked]
+    truth = ranking[0].r
     decomp = aggregate_round_quality(individuals, truth)
     return {
         "skipped": False,
@@ -407,9 +398,11 @@ def run_pipeline(config: RunConfig) -> RunReport:
     with _stage("knowledge"):
         sections["knowledge"], knowledge_ranking = _knowledge_section(corpus, config.top_k, notes)
     with _stage("intelligence"):
-        sections["intelligence"], agg = _intelligence_section(corpus, config, notes)
+        sections["intelligence"], trace, ranking = _intelligence_section(
+            corpus, config, knowledge_ranking, notes
+        )
     with _stage("wisdom"):
-        sections["wisdom"] = _wisdom_section(agg)
+        sections["wisdom"] = _wisdom_section(trace, ranking)
     with _stage("belief"):
         sections["belief"] = _belief_section(corpus, knowledge_ranking, config.top_k)
 

@@ -32,6 +32,30 @@ from layerstack.cli import build_parser, main
 from helpers import TWO_TOPIC_COUNTS, make_corpus, run_cli
 
 
+NARROW_D = "RankingWarning: excluding 'd': insufficient overlap: 'd' shares 2 terms with the rest"
+
+#: four documents whose aggregation stops in round 0 under --k 4: d is stop
+#: words only, and a, b and c each form a cluster of their own, so round 0
+#: would keep none of them
+EARLY_STOP_TEXTS = {
+    "a": "alpha beta gamma delta alpha beta gamma",
+    "b": "alpha beta gamma delta alpha beta",
+    "c": "alpha beta gamma epsilon",
+    "d": "the and of",
+}
+EMPTY_D_ENTROPY = "PipelineWarning: document 'd' has no terms; excluded from token entropy"
+EARLY_STOP_RANKING = [
+    "RankingWarning: excluding 'c': zero variance input",
+    "RankingWarning: excluding 'd': insufficient overlap: 'd' shares 0 terms with the rest",
+]
+EARLY_STOP_AGGREGATION = [
+    "AggregationWarning: document 'd' has no terms; excluded from clustering",
+    *(f"AggregationWarning: cluster {c} has 1 member(s); nothing selected" for c in range(3)),
+    "AggregationWarning: aggregation stopped at round 0: only 0 document(s) would survive; "
+    "keeping the previous selection",
+]
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     corpus, _ = synthetic_corpus((5, 4, 3), seed=2, length_range=(60, 90))
@@ -358,31 +382,55 @@ class TestRun:
         ]
         assert str(out_dir / "report.json") in out
 
-    def test_a_ranking_warning_is_noted_once_with_no_completed_round(self, tmp_path):
-        # with --rounds 0 the final aggregated ranking re-ranks the corpus the
-        # knowledge layer ranked; its warnings must not be noted again
+    @pytest.mark.parametrize(
+        "texts, options, notes, fig4_notes, aggregate_notes",
+        [
+            pytest.param(
+                {
+                    "a": "alpha beta gamma delta epsilon zeta alpha beta",
+                    "b": "alpha beta gamma delta epsilon eta alpha gamma",
+                    "d": "alpha beta omega psi chi",
+                },
+                ["--rounds", "0", "--k", "2"],
+                [NARROW_D],
+                [],
+                [NARROW_D],
+                id="rounds-0",
+            ),
+            pytest.param(
+                EARLY_STOP_TEXTS,
+                ["--k", "4"],
+                [EMPTY_D_ENTROPY, *EARLY_STOP_RANKING, *EARLY_STOP_AGGREGATION],
+                ["PipelineWarning: document 'd' has no terms; skipped in fig4"],
+                # the aggregate command notes its rounds, then its own ranking
+                [*EARLY_STOP_AGGREGATION, *EARLY_STOP_RANKING],
+                id="round-0-stops-early",
+            ),
+        ],
+    )
+    def test_a_ranking_warning_is_noted_once_with_no_completed_round(
+        self, tmp_path, texts, options, notes, fig4_notes, aggregate_notes
+    ):
+        # with no completed round the aggregated ranking is the knowledge
+        # layer's ranking of the same corpus; its warnings must not be
+        # noted again
         corpus = tmp_path / "c"
         corpus.mkdir()
-        for stem, text in {
-            "a": "alpha beta gamma delta epsilon zeta alpha beta",
-            "b": "alpha beta gamma delta epsilon eta alpha gamma",
-            "d": "alpha beta omega psi chi",
-        }.items():
+        for stem, text in texts.items():
             (corpus / f"{stem}.txt").write_text(text + "\n", encoding="utf-8")
-        note = "RankingWarning: excluding 'd': insufficient overlap: 'd' shares 2 terms with the rest"
         out_dir = tmp_path / "o"
-        argv = ["run", str(corpus), "--out", str(out_dir), "--rounds", "0", "--k", "2"]
-        code, _, err = run_cli(main, argv)
+        code, _, err = run_cli(main, ["run", str(corpus), "--out", str(out_dir), *options])
         assert code == 0
-        assert err.splitlines() == [f"warning: {note}"]
+        assert err.splitlines() == [f"warning: {note}" for note in notes + fig4_notes]
         report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
-        assert report["warnings"] == [note]
+        assert report["warnings"] == notes
+        assert report["sections"]["intelligence"]["rounds"] == []
         assert report["sections"]["intelligence"]["aggregated_ranking"] == (
             report["sections"]["knowledge"]["ranking"]
         )
-        # the aggregate command ranks only once, and keeps its note
-        argv = ["aggregate", str(corpus), "--rounds", "0", "--k", "2"]
-        assert run_cli(main, argv)[2] == f"warning: {note}\n"
+        # the aggregate command ranks only once, and keeps its notes
+        _, _, err = run_cli(main, ["aggregate", str(corpus), *options])
+        assert err.splitlines() == [f"warning: {note}" for note in aggregate_notes]
 
     def test_out_naming_a_file_is_one_emit_error_line(self, corpus_dir, tmp_path):
         out = tmp_path / "taken"

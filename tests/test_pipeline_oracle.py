@@ -15,6 +15,11 @@ one side and dropped on the other.
 
 On small generated corpora every id, order, integer and note must match
 exactly, and every float to 1e-12.
+
+A second property checks the intelligence layer's hand-off against the
+library's own entry points: its rounds, survivors and aggregated ranking,
+and the run's notes, must be exactly what ``rank_documents`` and
+``aggregate_corpus`` give for the same arguments.
 """
 
 from __future__ import annotations
@@ -31,7 +36,15 @@ from typing import Any
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerstack import RunConfig, correlation_p_value, pearson_r, run_pipeline
+from layerstack import (
+    RunConfig,
+    aggregate_corpus,
+    correlation_p_value,
+    pearson_r,
+    rank_documents,
+    run_pipeline,
+)
+from layerstack.pipeline import ranking_rows
 from layerstack.stopwords import ENGLISH_STOP_WORDS
 
 from helpers import segment_parts
@@ -425,6 +438,14 @@ def corpora(draw) -> list[str]:
     return texts
 
 
+def write_texts(texts: list[str], directory: Path) -> Path:
+    source = directory / "corpus"
+    source.mkdir()
+    for i, text in enumerate(texts):
+        (source / f"d{i:02d}.txt").write_text(text, encoding="utf-8")
+    return source
+
+
 @settings(max_examples=150)
 @given(
     texts=corpora(),
@@ -440,12 +461,8 @@ def test_report_matches_reference_run(
     texts, k, rounds, per_cluster, top_k, seed, reservoir_strength, force_bit_layer
 ):
     with tempfile.TemporaryDirectory() as tmp:
-        source = Path(tmp) / "corpus"
-        source.mkdir()
-        for i, text in enumerate(texts):
-            (source / f"d{i:02d}.txt").write_text(text, encoding="utf-8")
         config = RunConfig(
-            source=source,
+            source=write_texts(texts, Path(tmp)),
             out_dir=Path(tmp) / "out",
             k=k,
             rounds=rounds,
@@ -457,3 +474,68 @@ def test_report_matches_reference_run(
         )
         report = json.loads(run_pipeline(config).to_json())
         assert_same(report, reference_run_pipeline(config))
+
+
+@settings(max_examples=100)
+@given(
+    texts=corpora(),
+    k=st.integers(1, 4),
+    rounds=st.integers(0, 2),
+    per_cluster=st.integers(1, 3),
+    top_k=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_intelligence_section_is_the_library_aggregation(
+    texts, k, rounds, per_cluster, top_k, seed
+):
+    """The run ranks its survivors only after a completed round; with none,
+    the survivors are the whole corpus and their ranking is the knowledge
+    layer's. ``aggregate_corpus`` re-ranks them always, and that ranking's
+    notes, one per dropped document, come last and repeat the knowledge
+    layer's, so the reference drops them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = RunConfig(
+            source=write_texts(texts, Path(tmp)),
+            out_dir=Path(tmp) / "out",
+            k=k,
+            rounds=rounds,
+            per_cluster=per_cluster,
+            top_k=top_k,
+            seed=seed,
+        )
+        report = run_pipeline(config)
+    corpus = report.corpus
+    notes = [
+        f"PipelineWarning: document {doc.id!r} has no terms; excluded from token entropy"
+        for doc in corpus
+        if doc.total_tokens == 0
+    ]
+    if len(corpus) >= 2:
+        rank_documents(corpus, top_k=top_k, notes=notes)
+    intelligence = report.sections["intelligence"]
+    if len(corpus) < max(2, k):
+        assert intelligence["skipped"] is True
+    else:
+        agg = aggregate_corpus(corpus, k, rounds, per_cluster, seed, notes=notes)
+        if not agg.rounds:
+            del notes[len(notes) - (len(corpus) - len(agg.ranking)) :]
+        expected = {
+            "rounds": [
+                {
+                    "round": rnd.index,
+                    "k": rnd.clustering.k,
+                    "seed": rnd.clustering.seed,
+                    "iterations": len(rnd.clustering.inertia_history),
+                    "inertia": rnd.clustering.inertia,
+                    "cluster_sizes": [
+                        len(rnd.clustering.members(c)) for c in range(rnd.clustering.k)
+                    ],
+                    "selected": list(rnd.selected_ids),
+                }
+                for rnd in agg.rounds
+            ],
+            "survivors": list(agg.survivor_ids),
+            "aggregated_ranking": ranking_rows(agg.ranking[:top_k], corpus),
+        }
+        assert {key: intelligence[key] for key in expected} == expected
+    assert list(report.warnings) == notes

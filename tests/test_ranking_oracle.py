@@ -256,7 +256,8 @@ class TestPoolsOnce:
     """The count table pools all its rows once, when it is built, into its
     column margin. A ranking of every row, ``correlate_document`` and the
     belief layer read that margin and pool nothing; a ranking of a
-    selection of rows pools it once, whatever the number of documents.
+    selection of rows pools it once, whatever the number of documents. A
+    run with no completed aggregation round scores every row once.
     Nothing but fig4 pools the string-keyed counts. Aggregation narrows its
     corpus by table rows, builds no subset and groups each round's clusters
     without ``Clustering.members``, and fig3 reads table rows, not
@@ -264,15 +265,17 @@ class TestPoolsOnce:
 
     def _count_calls(self, monkeypatch, ranked_rows=None, pooled_rows=None) -> Counter[str]:
         """Count the calls of each shimmed method, a table's pool of its
-        own rows while it is built apart from the pools of a built table;
-        append the rows of each aggregation ranking to ``ranked_rows`` and
-        of each pool of a built table to ``pooled_rows`` when given."""
+        own rows while it is built apart from the pools of a built table,
+        and the scorings of every table row; append the rows of each
+        ranking of a selection to ``ranked_rows`` and of each pool of a
+        built table to ``pooled_rows`` when given."""
         calls: Counter[str] = Counter()
         pooled = CountTable.pooled
         subset = Corpus.subset
         leave_one_out_counts = Corpus.leave_one_out_counts
         members = Clustering.members
         ranker = intelligence.rank_documents
+        scored_runs = knowledge._scored_runs
         top_k_terms = corpus_module.top_k_terms
 
         def counted_pooled(self, rows):
@@ -303,15 +306,22 @@ class TestPoolsOnce:
 
         def counted_rank_documents(corpus, top_k, notes=None, *, rows=None):
             calls["rankings"] += 1
-            if ranked_rows is not None:
+            if ranked_rows is not None and rows is not None:
                 ranked_rows.append(list(rows))
             return ranker(corpus, top_k, notes, rows=rows)
+
+        def counted_scored_runs(corpus, rows, totals):
+            calls["scored_whole_table"] += list(rows) == list(range(len(corpus)))
+            return scored_runs(corpus, rows, totals)
 
         monkeypatch.setattr(CountTable, "pooled", counted_pooled)
         monkeypatch.setattr(Corpus, "subset", counted_subset)
         monkeypatch.setattr(Corpus, "leave_one_out_counts", counted_leave_one_out_counts)
         monkeypatch.setattr(Clustering, "members", counted_members)
         monkeypatch.setattr(intelligence, "rank_documents", counted_rank_documents)
+        monkeypatch.setattr(pipeline, "rank_documents", counted_rank_documents)
+        monkeypatch.setattr(knowledge, "_scored_runs", counted_scored_runs)
+        monkeypatch.setattr(pipeline, "_scored_runs", counted_scored_runs)
         # the pipeline would call it under its own name if it imported it
         monkeypatch.setattr(corpus_module, "top_k_terms", counted_top_k_terms)
         monkeypatch.setattr(pipeline, "top_k_terms", counted_top_k_terms, raising=False)
@@ -401,6 +411,33 @@ class TestPoolsOnce:
         assert calls["top_k_terms"] == 0
         assert calls["pooled"] == 0
         assert calls["leave_one_out_counts"] == len(corpus)
+
+    @pytest.mark.parametrize(
+        "rounds, k", [(0, 3), (1, 26)], ids=["no-rounds", "round-0-stops-early"]
+    )
+    def test_a_run_with_no_completed_round_scores_every_row_once(
+        self, monkeypatch, tmp_path, rounds, k
+    ):
+        """With no completed round the survivors are every row, and the
+        knowledge ranking is theirs: every row is scored once, for it, and
+        the whole table is pooled once after the build, for the macrostate.
+        With k = 26 every one of the 26 documents is a cluster of its own, so
+        round 0 ranks nothing and stops."""
+        corpus, _ = synthetic_corpus((12, 8, 6), seed=4)
+        source = write_corpus(corpus, tmp_path / "corpus")
+        calls = self._count_calls(monkeypatch)
+        config = RunConfig(source=source, out_dir=tmp_path / "out", rounds=rounds, k=k)
+        report = run_pipeline(config)
+        intel = report.sections["intelligence"]
+        assert intel["rounds"] == []
+        stopped = "AggregationWarning: aggregation stopped at round 0: only 0 document(s) "
+        assert any(note.startswith(stopped) for note in report.warnings) == (rounds == 1)
+        assert intel["survivors"] == [doc.id for doc in corpus]
+        assert intel["aggregated_ranking"] == report.sections["knowledge"]["ranking"]
+        assert calls["scored_whole_table"] == 1
+        assert calls["rankings"] == 1
+        assert calls["pooled_whole_table"] == 1
+        assert calls["pooled"] == 1
 
 
 def test_scoring_takes_one_pearson_call_per_run(monkeypatch):
