@@ -48,9 +48,8 @@ _SPACES = bytes(c if c >= 0x80 or chr(c).isalnum() else 0x20 for c in range(256)
 #: int64, and every count / total is the float Python's int / int gives
 _COUNT_LIMIT = 2**53
 #: a pass over a run of table rows takes rows until their entries reach this
-#: many, so its arrays stay bounded by it and the longest row; k-means++
-#: seeding, one centroid a pass, takes k of these windows a run
-_PASS_ENTRIES = 1024
+#: many, so its arrays stay bounded by it and the longest row
+_PASS_ENTRIES = 4096
 
 
 def parse_stop_words(text: str) -> frozenset[str]:
@@ -156,13 +155,12 @@ def _entries(indptr: np.ndarray, rows: Sequence[int]) -> tuple[np.ndarray, np.nd
     return local, np.repeat(indptr[rows] - local[:-1], lengths) + np.arange(local[-1])
 
 
-def _entry_runs(indptr: np.ndarray, rows: Sequence[int], windows: int = 1) -> Iterator[tuple]:
-    """``rows`` in order, cut into runs that start in the same window of
-    ``windows`` x ``_PASS_ENTRIES`` entries; for each, its rows and their
-    :func:`_entries`, cut from one layout of all ``rows``."""
+def _entry_runs(indptr: np.ndarray, rows: Sequence[int]) -> Iterator[tuple]:
+    """``rows`` in order, cut into runs that start in one ``_PASS_ENTRIES``
+    window: each run's rows and :func:`_entries`, from one layout of ``rows``."""
     rows = np.asarray(rows, dtype=np.intp)
     local, take = _entries(indptr, rows)
-    run = local[:-1] // (windows * _PASS_ENTRIES)
+    run = local[:-1] // _PASS_ENTRIES
     cuts = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1).tolist(), len(rows)]
     # gaps[i]: how many of rows[1:i + 1] do not follow the row before them
     gaps = np.concatenate(([0], np.cumsum(rows[1:] != rows[:-1] + 1))).tolist()
@@ -363,17 +361,27 @@ def shared_proportions(
     )
 
 
+def _check_utf8(text: str, where: str) -> None:
+    """Reject a name with a lone surrogate, which no UTF-8 output can hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{where} is not valid UTF-8: {text!r}") from exc
+
+
 def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:
     """Resolve a corpus source into (id, title, path) triples, sorted by id.
 
     A directory yields one entry per ``*.txt`` file (id = title = file stem);
     a file is read as a JSON-lines manifest with records
     ``{"id": ..., "title": ..., "path": ...}`` where relative paths are taken
-    relative to the manifest's directory.
+    relative to the manifest's directory; ids and titles must be UTF-8.
     """
     src = Path(source)
     if src.is_dir():
         entries = [(p.stem, p.stem, p) for p in src.glob("*.txt")]
+        for _, _, path in entries:
+            _check_utf8(path.name, f"file name in {src}")
         if not entries:
             raise ValueError(f"empty corpus: no .txt files in {src}")
     elif src.is_file():
@@ -385,18 +393,17 @@ def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:
                 record = json.loads(line)  # RecursionError when nested too deeply
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"bad manifest line {line_no} in {src}: {exc}") from exc
+            where = f"manifest line {line_no} in {src}"
             try:
                 doc_id, title, path = record["id"], record["title"], record["path"]
             except (TypeError, KeyError) as exc:
-                raise ValueError(
-                    f"manifest line {line_no} in {src} needs id/title/path"
-                ) from exc
+                raise ValueError(f"{where} needs id/title/path") from exc
             for name, value in (("id", doc_id), ("title", title), ("path", path)):
                 if not isinstance(value, str):
-                    raise ValueError(
-                        f"manifest line {line_no} in {src}: {name} must be a string, "
-                        f"got {type(value).__name__}"
-                    )
+                    kind = type(value).__name__
+                    raise ValueError(f"{where}: {name} must be a string, got {kind}")
+                if name != "path":
+                    _check_utf8(value, f"{where}: {name}")
             doc_path = Path(path)
             if not doc_path.is_absolute():
                 doc_path = src.parent / doc_path

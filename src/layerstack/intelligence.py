@@ -12,9 +12,8 @@ dense row. d² lies within 2γ_{V+2}·(‖x‖² + ‖c‖²) of the exact squar
 distance of the same floats, so k-means++ draws and labels can differ from
 the dense difference's only where d² values lie that close. Seeding keeps
 each row's d² to each centroid, and k-means takes its first assignment and
-inertia from them. A seeding pass has one centroid, so it takes runs of k
-pass windows, and gathers about as many floats per run as a Lloyd pass over
-k centroids. The rows' unit lengths come from one segment sum per call.
+inertia from them. Seeding and every Lloyd pass share one layout of the
+rows' runs. The rows' unit lengths come from one segment sum per call.
 
 Aggregation repeatedly clusters the corpus, keeps the most correlated
 documents from each cluster, and re-ranks the survivors. Every stochastic
@@ -131,17 +130,16 @@ class Clustering:
         return tuple(d for d, c in self.assignments.items() if c == cluster)
 
 
-def _runs(rows: TermRows, windows: int = 1) -> list[tuple[np.ndarray, ...]]:
+def _runs(rows: TermRows) -> list[tuple[np.ndarray, ...]]:
     """The rows with entries, cut into ``_entry_runs`` runs of about
-    ``windows`` x ``corpus._PASS_ENTRIES`` entries: for each, its rows, where
-    each row's entries start within the run, and the run's columns and
-    values. A row's sums do not depend on the run it falls in, so a pass
-    over k centroids takes one-window runs and a pass over one centroid
-    k-window runs: either gathers about k x ``_PASS_ENTRIES`` floats a run."""
+    ``corpus._PASS_ENTRIES`` entries: for each, its rows, where each row's
+    entries start within the run, and the run's columns and values. A row's
+    sums do not depend on the run it falls in, so seeding's one-centroid
+    passes and the Lloyd passes over k centroids share these runs."""
     filled = np.flatnonzero(np.diff(rows.indptr))
     return [
         (block, indptr[:-1], rows.indices[take], rows.data[take])
-        for block, indptr, take in _entry_runs(rows.indptr, filled, windows)
+        for block, indptr, take in _entry_runs(rows.indptr, filled)
     ]
 
 
@@ -206,13 +204,7 @@ def _seed_centroids(
     Returns the centroids and the N x k matrix of every row's d² to each,
     one :func:`_distances` pass per centroid: an entry depends only on its
     row and centroid, so the matrix is that of one pass over all k, and
-    :func:`kmeans` takes its first assignment from it.
-
-    :func:`kmeans` hands seeding ``_runs(rows, k)``, runs of k pass windows:
-    a one-centroid pass then gathers about as many floats per run as a
-    k-centroid pass over one-window runs, over k times fewer runs, so its
-    per-run numpy calls cost k times less and its temporaries stay bounded
-    by about k x ``corpus._PASS_ENTRIES`` floats."""
+    :func:`kmeans` takes its first assignment from it."""
     n = rows.shape[0]
     centroids = [rows.row(int(rng.integers(n)))]
     columns = [_distances(norms, runs, centroids[0][None])]
@@ -263,8 +255,8 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     norms = _row_sums(rows.indptr, np.square(rows.data))
-    centroids, distances = _seed_centroids(rows, norms, _runs(rows, k), k, default_rng(seed))
     runs = _runs(rows)
+    centroids, distances = _seed_centroids(rows, norms, runs, k, default_rng(seed))
 
     labels = None
     history: list[float] = []

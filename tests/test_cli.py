@@ -320,19 +320,67 @@ def test_a_deeply_nested_json_file_is_one_error_line(tmp_path, argv, message):
     def fill(text: str) -> str:
         return text.format(file=nested, out=tmp_path / "out")
 
-    env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "layerstack", *map(fill, argv)],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+    done = run_module(list(map(fill, argv)))
     assert (done.returncode, done.stdout) == (1, "")
     assert "Traceback" not in done.stderr
     assert done.stderr.count("error:") == 1 and done.stderr.count("\n") == 1
     assert done.stderr.startswith("error: " + fill(message)), done.stderr
+
+
+def run_module(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m layerstack argv`` in a fresh process, writing UTF-8."""
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "layerstack", *argv], env=env, capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["rank"], ["aggregate", "--k", "1"], ["scatter"], ["run", "--k", "1", "--out"]],
+    ids=["rank", "aggregate", "scatter", "run"],
+)
+@pytest.mark.parametrize(
+    "field, value",
+    [(None, None), ("id", "x\udcff"), ("title", "v\udcff")],
+    ids=["file-name", "manifest-id", "manifest-title"],
+)
+def test_a_document_name_that_is_not_utf8_is_one_error_line_before_any_output(
+    tmp_path, command, field, value
+):
+    """A lone surrogate, from a non-UTF-8 byte of a file name or a
+    ``\\udcff`` escape of a manifest, cannot be written as UTF-8: every
+    corpus command fails on it, naming its source, before it writes."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for stem in ("a", "b"):
+        (corpus / f"{stem}.txt").write_text(
+            "signal noise channel entropy code signal", encoding="utf-8"
+        )
+    if field is None:
+        try:
+            with open(os.path.join(os.fsencode(corpus), b"c\xff.txt"), "wb") as file:
+                file.write(b"signal noise code")
+        except OSError:
+            pytest.skip("the filesystem refuses a file name that is not valid UTF-8")
+        source, message = corpus, f"file name in {corpus} is not valid UTF-8: 'c\\udcff.txt'"
+    else:
+        records = [
+            {"id": "a", "title": "t", "path": "corpus/a.txt", field: value},
+            {"id": "b", "title": "u", "path": "corpus/b.txt"},
+        ]
+        source = tmp_path / "m.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        message = f"manifest line 1 in {source}: {field} is not valid UTF-8: {value!r}"
+    out = tmp_path / "out"
+    argv = [*command, str(out)] if command[0] == "run" else command
+    done = run_module([*argv, str(source)])
+    prefix = "ingest layer failed: " if command[0] == "run" else ""
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {prefix}{message}\n"
+    assert not out.exists()
 
 
 class TestScatter:

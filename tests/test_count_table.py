@@ -245,26 +245,22 @@ def test_entries_gather_each_row_and_slice_only_consecutive_rows(selection):
 
 
 @settings(max_examples=300)
-@given(
-    selection=row_selections(min_size=1),
-    pass_entries=st.integers(1, 20),
-    windows=st.integers(1, 4),
-)
-def test_entry_runs_match_a_walk_over_the_rows(selection, pass_entries, windows):
+@given(selection=row_selections(min_size=1), pass_entries=st.integers(1, 20))
+def test_entry_runs_match_a_walk_over_the_rows(selection, pass_entries):
     """A row walk opens a run whenever a row starts in a window (of
-    ``windows`` x ``pass_entries`` entries, counted over the rows laid end
-    to end) that the previous row did not start in."""
+    ``pass_entries`` entries, counted over the rows laid end to end) that
+    the previous row did not start in."""
     indptr, rows = selection
     expected: list[list[int]] = []
     start, window = 0, None
     for row in rows:
-        if start // (windows * pass_entries) != window:
-            window = start // (windows * pass_entries)
+        if start // pass_entries != window:
+            window = start // pass_entries
             expected.append([])
         expected[-1].append(row)
         start += int(indptr[row + 1] - indptr[row])
     with mock.patch("layerstack.corpus._PASS_ENTRIES", pass_entries):
-        runs = list(_entry_runs(indptr, rows, windows))
+        runs = list(_entry_runs(indptr, rows))
     assert [block.tolist() for block, _, _ in runs] == expected
     for block, local, take in runs:
         assert_entries_of(indptr, block.tolist(), local, take)

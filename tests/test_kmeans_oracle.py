@@ -371,6 +371,16 @@ def test_first_assignment_comes_from_seeding(monkeypatch, seed):
     assert len(clustering.inertia_history) == len(events[first:]) // 2 + 1
 
 
+def test_one_kmeans_call_lays_its_rows_out_once(monkeypatch):
+    # seeding and every Lloyd pass share one cut of the rows into runs
+    entry_runs = mock.Mock(wraps=intelligence._entry_runs)
+    monkeypatch.setattr(intelligence, "_entry_runs", entry_runs)
+    ids, rows = unit_term_rows(synthetic_corpus((60, 60, 60), seed=1)[0])
+    clustering = kmeans(ids, rows, 9, seed=1)
+    assert len(clustering.inertia_history) > 1
+    assert entry_runs.call_count == 1
+
+
 def test_wide_corpus_across_row_blocks_equals_dense_oracle():
     # nearly all of 9,000 terms occur, and the columns are the terms that
     # do: reductions longer than numpy's 8,192-element buffer
@@ -407,29 +417,21 @@ def test_peak_memory_is_far_below_the_distance_tensor():
     assert peak < tensor_bytes / 4
     assert peak < n * v * 8 / 2  # nor dense in N x V
     norms, runs = layout(rows)
-    tracemalloc.start()
-    try:
-        intelligence._distances(norms, runs, clustering.centroids)
-        pass_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # one run's gather of k centroid values per entry (a run starts inside a
     # window of _PASS_ENTRIES entries, so it ends within one row past it)
     # with numpy's 8,192-element ufunc buffer, the N x k output and two
     # arrays like it, and one centroid's nonzeros and their squares: the
     # bound follows _PASS_ENTRIES, not a count of dense rows
     run_entries = _PASS_ENTRIES + int(np.diff(rows.indptr).max())
-    assert pass_peak < 8 * (k * run_entries + 8192 + 3 * n * k + 2 * v)
-    # a seeding pass gathers one centroid's values over runs of k windows,
-    # which end within one row past k x _PASS_ENTRIES entries: the same bound
-    seeding_runs = intelligence._runs(rows, k)
-    tracemalloc.start()
-    try:
-        intelligence._distances(norms, seeding_runs, clustering.centroids[:1])
-        seed_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert seed_peak < 8 * (k * run_entries + 8192 + 3 * n * k + 2 * v)
+    # a seeding pass, over one centroid, takes the same runs
+    for centroids in (clustering.centroids, clustering.centroids[:1]):
+        tracemalloc.start()
+        try:
+            intelligence._distances(norms, runs, centroids)
+            pass_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pass_peak < 8 * (k * run_entries + 8192 + 3 * n * k + 2 * v)
 
 
 @pytest.mark.parametrize("block_floats", [1, 2**18])

@@ -456,6 +456,8 @@ def test_scoring_takes_one_pearson_call_per_run(monkeypatch):
         return [len(block) for block, _, _ in _entry_runs(corpus.table.indptr, rows)]
 
     monkeypatch.setattr(knowledge, "_pearson_segments", counted)
+    # about 2,300 entries: one run at the program's size, several at this one
+    monkeypatch.setattr(corpus_module, "_PASS_ENTRIES", 1024)
     ranking = tuple(rank_documents(corpus, top_k=len(corpus)))
     assert 1 < len(calls) < len(corpus)
     assert calls == runs(range(len(corpus)))

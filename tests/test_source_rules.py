@@ -19,6 +19,9 @@ classes that enclose it, such as ``corpus.Corpus.leave_one_out_counts``.
 - The program narrows a corpus by lists of its table rows and calls no
   ``.subset(``, which rebuilds a corpus; ``Corpus.subset`` is the tests'
   reference.
+- Every pass over table rows, the scorer's and both kinds of k-means pass,
+  cuts its rows into runs of one size: only the scopes listed in
+  ``PASS_SIZE_READERS`` read ``corpus._PASS_ENTRIES``, so no caller scales it.
 """
 
 from __future__ import annotations
@@ -66,6 +69,10 @@ POOL_CALLERS = {
     "knowledge.rank_documents",
     "pipeline._intelligence_section",
 }
+
+#: the program scopes that may read ``corpus._PASS_ENTRIES``: the one cut of
+#: a selection of rows into runs
+PASS_SIZE_READERS = {"corpus._entry_runs"}
 
 
 def findings(source: str, module: str, match: Callable[[ast.AST], str | None]) -> list:
@@ -221,6 +228,42 @@ def test_a_pooled_call_is_found_in_its_scope():
     assert findings(source, "m", call_of("pooled")) == [
         ("m.Table.__post_init__", "pooled"),
         ("m.data_section", "pooled"),
+    ]
+
+
+def name_read(name: str) -> Callable[[ast.AST], str | None]:
+    """A matcher that names each load of ``name``, bare or as an attribute,
+    and each import of it."""
+    attribute = attribute_read(name)
+
+    def match(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Name) and node.id == name:
+            return name if isinstance(node.ctx, ast.Load) else None
+        if isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names):
+            return name
+        return attribute(node)
+
+    return match
+
+
+def test_the_pass_size_is_read_only_by_the_listed_scopes():
+    readers = {scope for scope, _ in program_findings(name_read("_PASS_ENTRIES"))}
+    assert sorted(s for s in readers if not admitted(s, PASS_SIZE_READERS)) == []
+
+
+def test_a_pass_size_read_is_found_in_its_scope():
+    source = (
+        "_PASS_ENTRIES = 4096\n"
+        "def cut(local):\n    return local // _PASS_ENTRIES\n"
+        "class Seeding:\n"
+        "    def window(self, k):\n        return k * corpus._PASS_ENTRIES\n"
+        "    def patch(self):\n        corpus._PASS_ENTRIES = 1\n"
+        "def scorer():\n    from m.corpus import _PASS_ENTRIES as size\n    return size\n"
+    )
+    assert findings(source, "m", name_read("_PASS_ENTRIES")) == [
+        ("m.cut", "_PASS_ENTRIES"),
+        ("m.Seeding.window", "_PASS_ENTRIES"),
+        ("m.scorer", "_PASS_ENTRIES"),
     ]
 
 
