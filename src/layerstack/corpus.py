@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import heapq
 import json
+import os
 import re
+import stat
 from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -341,7 +343,7 @@ def shared_proportions(
     total: int | np.ndarray,
     reference: np.ndarray,
     reference_total: int | np.ndarray,
-) -> tuple[np.ndarray, list[float], list[float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one shared-term rule, of the scorer and of fig4: the positions
     where two aligned count arrays are both positive, and the proportions
     there, ``counts / total`` and ``reference / reference_total``. Each
@@ -356,8 +358,8 @@ def shared_proportions(
 
     return (
         shared,
-        np.divide(counts[shared], at_shared(total)).tolist(),
-        np.divide(reference[shared], at_shared(reference_total)).tolist(),
+        np.divide(counts[shared], at_shared(total)),
+        np.divide(reference[shared], at_shared(reference_total)),
     )
 
 
@@ -373,7 +375,8 @@ def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:
     """Resolve a corpus source into (id, title, path) triples, sorted by id.
 
     A directory yields one entry per ``*.txt`` file (id = title = file stem);
-    a file is read as a JSON-lines manifest with records
+    any other path is read, if it is a regular file, as a JSON-lines
+    manifest with records
     ``{"id": ..., "title": ..., "path": ...}`` where relative paths are taken
     relative to the manifest's directory; ids and titles must be UTF-8.
     """
@@ -384,7 +387,7 @@ def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:
             _check_utf8(path.name, f"file name in {src}")
         if not entries:
             raise ValueError(f"empty corpus: no .txt files in {src}")
-    elif src.is_file():
+    elif src.exists():
         entries = []
         for line_no, line in enumerate(read_source(src)[1].splitlines(), start=1):
             if not line.strip():
@@ -420,11 +423,23 @@ def resolve_sources(source: str | Path) -> list[tuple[str, str, Path]]:
 
 def read_source(path: Path) -> tuple[bytes, str]:
     """Read one input file: its raw bytes and their UTF-8 text, without a
-    leading byte-order mark (the raw bytes keep it)."""
+    leading byte-order mark (the raw bytes keep it). Only a regular file is
+    read: the path is opened without blocking, so a FIFO with no writer
+    cannot hang, and a descriptor that is not a regular file, such as a
+    directory, a FIFO or a device, is a ``ValueError`` before any read."""
     try:
-        data = path.read_bytes()
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        try:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            if regular:
+                with open(fd, "rb", closefd=False) as file:
+                    data = file.read()
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+    if not regular:
+        raise ValueError(f"cannot read {path}: not a regular file")
     try:
         return data, data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:

@@ -18,7 +18,9 @@ rows' runs. The rows' unit lengths come from one segment sum per call.
 Aggregation repeatedly clusters the corpus, keeps the most correlated
 documents from each cluster, and re-ranks the survivors. Every stochastic
 step is driven by a caller-supplied seed, so identical inputs give
-bit-identical outputs.
+bit-identical outputs: the k-means++ draws come from :class:`_Draws`, a
+PCG64 stream held here, which gives the draws numpy's ``default_rng`` gives
+without importing ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.random import Generator, default_rng
 
 from .corpus import Corpus, Document, _entries, _entry_runs, _row_sums, _segment_sums
 from .infotheory import count_entropy
@@ -37,6 +38,119 @@ from .knowledge import CorrelationResult, rank_documents
 MAX_KMEANS_ITERATIONS = 100
 #: slack for the non-increasing inertia check (float accumulation noise)
 _INERTIA_SLACK = 1e-9
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _Draws:
+    """The draws ``numpy.random.default_rng(seed)`` gives for ``integers(n)``
+    and ``choice(n, p=...)``, from a stream held here, so no numpy release
+    can move them. The seed's 32-bit words are mixed into a 4-word pool by
+    numpy's ``SeedSequence`` hash, which yields PCG64's state and increment
+    (O'Neill, HMC-CS-2014-0905): a 128-bit LCG whose output is XSL-RR.
+    ``integers`` is numpy's Lemire multiply-and-reject (Lemire, ACM TOMACS
+    2019) on 32-bit halves, the low half of a draw first, for n up to 2³²,
+    and on whole draws above. ``choice`` keeps numpy's argument checks and
+    messages; it sums ``p`` by numpy's reduction where numpy takes a Kahan
+    sum, so only a sum within a few ulps of the tolerance could be judged
+    otherwise."""
+
+    def __init__(self, seed: int) -> None:
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        words = [seed >> at & _MASK32 for at in range(0, max(seed.bit_length(), 1), 32)]
+        const = 0x43B0D7E5
+
+        def hashed(value: int) -> int:
+            nonlocal const
+            value ^= const
+            const = const * 0x931E8875 & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+
+        def mixed(x: int, y: int) -> int:
+            value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+            return value ^ value >> 16
+
+        # SeedSequence's entropy pool: each word hashed in, then mixed
+        pool = [hashed(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mixed(pool[dst], hashed(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mixed(pool[dst], hashed(word))
+        # SeedSequence.generate_state(4, uint64), as eight 32-bit halves
+        const, halves = 0x8B51F9DD, []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * 0x58F38DED & _MASK32
+            value = value * const & _MASK32
+            halves.append(value ^ value >> 16)
+        # four 64-bit words, each its low half first: two for the initial
+        # state, two for the increment's sequence
+        w = [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+        self._inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
+        # PCG64's seeding: from state 0, one step, add the start, one step
+        start = w[0] << 64 | w[1]
+        self._state = (self._inc + start) * _PCG_MULTIPLIER + self._inc & _MASK128
+        self._half: int | None = None
+
+    def _raw(self) -> int:
+        self._state = self._state * _PCG_MULTIPLIER + self._inc & _MASK128
+        x, rot = (self._state >> 64 ^ self._state) & _MASK64, self._state >> 122
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def _uint32(self) -> int:
+        half, self._half = self._half, None
+        if half is None:
+            raw = self._raw()
+            half, self._half = raw & _MASK32, raw >> 32
+        return half
+
+    def integers(self, n: int) -> int:
+        """A uniform draw from ``range(n)``; n = 1 draws nothing."""
+        if n < 1:
+            raise ValueError("high <= 0")
+        if n == 1:
+            return 0
+        # n = 2³², where numpy takes a half as it is, rejects nothing here
+        bits, draw = (32, self._uint32) if n <= 1 << 32 else (64, self._raw)
+        m = draw() * n
+        if m & (1 << bits) - 1 < n:
+            threshold = (1 << bits) % n
+            while m & (1 << bits) - 1 < threshold:
+                m = draw() * n
+        return m >> bits
+
+    def choice(self, n: int, p: np.ndarray) -> int:
+        """An index into ``range(n)`` drawn with the probabilities ``p``."""
+        if n < 1:
+            raise ValueError("a must be a positive integer unless no samples are taken")
+        atol = 2.0**-26  # √ of float64's epsilon, or of p's own if coarser
+        if isinstance(p, np.ndarray) and np.issubdtype(p.dtype, np.floating):
+            atol = max(atol, math.sqrt(np.finfo(p.dtype).eps))
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 1:
+            raise ValueError("p must be 1-dimensional")
+        if p.size != n:
+            raise ValueError("a and p must have same size")
+        with np.errstate(invalid="ignore", over="ignore"):  # numpy's own sum is silent
+            total = float(np.add.reduce(p))
+        if math.isnan(total):
+            raise ValueError("Probabilities contain NaN")
+        if (p < 0).any():
+            raise ValueError("Probabilities are not non-negative")
+        if abs(total - 1.0) > atol:
+            raise ValueError(
+                "Probabilities do not sum to 1. See Notes section of docstring for more "
+                "information."
+            )
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted((self._raw() >> 11) * 2.0**-53, side="right"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,11 +310,12 @@ def _seed_centroids(
     norms: np.ndarray,
     runs: list[tuple[np.ndarray, ...]],
     k: int,
-    rng: Generator,
+    rng: _Draws,
 ) -> tuple[np.ndarray, np.ndarray]:
     """k-means++ seeding (Arthur and Vassilvitskii, SODA 2007): a uniformly
     drawn row, then rows drawn with probability proportional to their d² to
     the nearest centroid drawn so far, or uniformly once every such d² is 0.
+    ``rng`` is a :class:`_Draws` or a numpy ``Generator`` seeded alike.
     Returns the centroids and the N x k matrix of every row's d² to each,
     one :func:`_distances` pass per centroid: an entry depends only on its
     row and centroid, so the matrix is that of one pass over all k, and
@@ -256,7 +371,7 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
         raise ValueError(f"seed must be >= 0, got {seed}")
     norms = _row_sums(rows.indptr, np.square(rows.data))
     runs = _runs(rows)
-    centroids, distances = _seed_centroids(rows, norms, runs, k, default_rng(seed))
+    centroids, distances = _seed_centroids(rows, norms, runs, k, _Draws(seed))
 
     labels = None
     history: list[float] = []

@@ -268,6 +268,22 @@ class _ScoredRun(NamedTuple):
     fault: np.ndarray
 
 
+def _log10s(values: np.ndarray) -> np.ndarray:
+    """``math.log10`` of each of ``values``, taken once per distinct float:
+    the values are sorted, each run of equal ones takes one log, and the
+    logs are scattered back to the values' places."""
+    order = np.argsort(values)
+    ranked = values[order]
+    starts = np.empty(len(ranked), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    distinct = ranked[starts].tolist()
+    logs = np.fromiter(map(math.log10, distinct), float, len(distinct))
+    out = np.empty(len(values))
+    out[order] = logs[np.cumsum(starts) - 1]
+    return out
+
+
 def _scored_runs(corpus: Corpus, rows: Sequence[int], totals: np.ndarray) -> Iterator[_ScoredRun]:
     """The one leave-one-out scorer: the table ``rows``, in order, against
     the pooled ``totals`` less each row's own counts, one ``_entry_runs``
@@ -280,8 +296,7 @@ def _scored_runs(corpus: Corpus, rows: Sequence[int], totals: np.ndarray) -> Ite
         ids, counts = table.term_ids[take], table.counts[take]
         own = np.repeat(table.row_totals[block], np.diff(indptr))
         shared, dps, rps = shared_proportions(counts, own, totals[ids] - counts, grand - own)
-        xs = np.fromiter(map(math.log10, dps), float, len(dps))
-        ys = np.fromiter(map(math.log10, rps), float, len(rps))
+        xs, ys = _log10s(dps), _log10s(rps)
         bounds = np.searchsorted(shared, indptr)
         yield _ScoredRun(block, ids[shared], bounds, *_pearson_segments(xs, ys, bounds))
 

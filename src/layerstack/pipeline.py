@@ -12,7 +12,6 @@ plot CSVs.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -141,6 +140,8 @@ class RunReport:
 def _ingest(config: RunConfig) -> tuple[Corpus, dict[str, bytes], str]:
     """Read every source once: build the corpus, keep raw bytes for the bit
     layer, and hash ids, titles, and content for provenance."""
+    import hashlib  # only a run hashes, and hashlib loads OpenSSL
+
     stop_words = ENGLISH_STOP_WORDS
     hasher = hashlib.sha256()
     if config.stop_words_path is not None:
@@ -506,7 +507,7 @@ def write_fig4(handle: IO[str], corpus: Corpus, rows: Iterable[int], notes: list
         doc_id = _csv_field(doc.id)
         tails: dict[tuple[float, float], str] = {}
         lines = []
-        for term, dp, rp in zip([terms[i] for i in shared.tolist()], dps, rps):
+        for term, dp, rp in zip([terms[i] for i in shared.tolist()], dps.tolist(), rps.tolist()):
             tail = tails.get((dp, rp))
             if tail is None:
                 deviation = math.log10(dp) - math.log10(rp)

@@ -327,21 +327,31 @@ def test_a_deeply_nested_json_file_is_one_error_line(tmp_path, argv, message):
     assert done.stderr.startswith("error: " + fill(message)), done.stderr
 
 
-def run_module(argv: list[str]) -> subprocess.CompletedProcess:
-    """``python -m layerstack argv`` in a fresh process, writing UTF-8."""
+def run_module(argv: list[str], timeout: float = 120) -> subprocess.CompletedProcess:
+    """``python -m layerstack argv`` in a fresh process, writing UTF-8; one
+    that runs past ``timeout`` seconds is killed and fails the test."""
     env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "layerstack", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "layerstack", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
     )
 
 
-@pytest.mark.parametrize(
+#: every command that reads a corpus, with the options that let a
+#: two-document corpus run; ``run`` is given its ``--out`` directory last
+CORPUS_COMMANDS = pytest.mark.parametrize(
     "command",
     [["rank"], ["aggregate", "--k", "1"], ["scatter"], ["run", "--k", "1", "--out"]],
     ids=["rank", "aggregate", "scatter", "run"],
 )
+
+
+@CORPUS_COMMANDS
 @pytest.mark.parametrize(
     "field, value",
     [(None, None), ("id", "x\udcff"), ("title", "v\udcff")],
@@ -381,6 +391,69 @@ def test_a_document_name_that_is_not_utf8_is_one_error_line_before_any_output(
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == f"error: {prefix}{message}\n"
     assert not out.exists()
+
+
+def not_regular(kind: str, path: Path) -> Path:
+    """A path that is not a regular file: a FIFO or a directory made at
+    ``path``, or ``/dev/null`` for a device; skipped where the platform has
+    no such thing."""
+    if kind == "device":
+        if os.devnull != "/dev/null" or not os.path.exists(os.devnull):
+            pytest.skip("no /dev/null character device")
+        return Path(os.devnull)
+    if kind == "directory":
+        path.mkdir()
+    elif hasattr(os, "mkfifo"):
+        os.mkfifo(path)
+    else:
+        pytest.skip("no named pipes on this platform")
+    return path
+
+
+@CORPUS_COMMANDS
+@pytest.mark.parametrize("named_by", ["glob", "manifest", "device"])
+def test_a_file_that_is_not_regular_is_one_error_line_not_a_hang(tmp_path, command, named_by):
+    """A named pipe with no writer, found by the ``*.txt`` glob or named by a
+    manifest, is refused before any read, which would block, and before any
+    output; so is a character device named by a manifest."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for stem in ("a", "b"):
+        (corpus / f"{stem}.txt").write_text("signal noise channel entropy code", encoding="utf-8")
+    bad = not_regular("device" if named_by == "device" else "fifo", corpus / "pipe.txt")
+    source = corpus
+    if named_by != "glob":
+        source = tmp_path / "m.jsonl"
+        records = [{"id": stem, "title": stem, "path": f"corpus/{stem}.txt"} for stem in "ab"]
+        records.append({"id": "p", "title": "p", "path": str(bad)})
+        source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [*command, str(out)] if command[0] == "run" else command
+    done = run_module([*argv, str(source)], timeout=60)
+    prefix = "ingest layer failed: " if command[0] == "run" else ""
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {prefix}cannot read {bad}: not a regular file\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        ("entropy", "fifo"),
+        ("entropy", "device"),
+        ("entropy", "directory"),
+        ("rank", "fifo"),
+        ("rank", "device"),
+    ],
+)
+def test_a_named_file_that_is_not_regular_is_one_error_line(tmp_path, command, kind):
+    """``entropy`` reads only a regular file: a FIFO, which would block,
+    ``/dev/null``, which read as an empty file, and a directory each end in
+    one error line. So do a FIFO and a device given as a corpus manifest."""
+    path = not_regular(kind, tmp_path / "x.txt")
+    done = run_module([command, str(path)], timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: cannot read {path}: not a regular file\n"
 
 
 class TestScatter:

@@ -24,6 +24,7 @@ import csv
 import io
 import math
 import re
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -685,6 +686,27 @@ def assert_run_matches_oracle(samples) -> list[str | None]:
 @given(samples=pearson_runs())
 def test_a_run_of_samples_scores_as_each_sample_alone(samples):
     assert_run_matches_oracle(samples)
+
+
+#: proportions to take logs of: 1.0, the least normal float, subnormals
+#: down to the least, a few common fractions, and any float in (0, 1]
+PROPORTIONS = st.one_of(
+    st.sampled_from([1.0, sys.float_info.min, 5e-324, 2.5e-310, 0.5, 1 / 3, 0.1]),
+    st.floats(min_value=5e-324, max_value=1.0),
+)
+
+
+@given(values=st.lists(PROPORTIONS, max_size=60), copies=st.integers(1, 4), data=st.data())
+@example(values=[1.0, sys.float_info.min, 5e-324], copies=2, data=None)
+def test_the_scorers_logs_are_math_log10_taken_once_per_distinct_float(values, copies, data):
+    values = values * copies
+    if data is not None:
+        values = data.draw(st.permutations(values))
+    expected = [math.log10(v) for v in values]
+    with mock.patch("math.log10", side_effect=math.log10) as log10:
+        got = knowledge._log10s(np.array(values, dtype=float)).tolist()
+    assert got == expected
+    assert log10.call_count == len(set(values))
 
 
 def test_a_run_meets_each_fault_in_order():

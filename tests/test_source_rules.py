@@ -22,6 +22,10 @@ classes that enclose it, such as ``corpus.Corpus.leave_one_out_counts``.
 - Every pass over table rows, the scorer's and both kinds of k-means pass,
   cuts its rows into runs of one size: only the scopes listed in
   ``PASS_SIZE_READERS`` read ``corpus._PASS_ENTRIES``, so no caller scales it.
+- No module imports from ``numpy.random`` or reads ``np.random``, except
+  inside the function bodies of ``synthetic``, which draws test corpora:
+  k-means draws from ``intelligence._Draws``, and a module-level use would
+  load ``numpy.random`` in every CLI process.
 """
 
 from __future__ import annotations
@@ -289,4 +293,45 @@ def test_a_subset_call_is_found_in_its_scope():
         ("m.narrow", "subset"),
         ("m.Loop.run", "subset"),
         ("m.Loop.run", "subset"),
+    ]
+
+
+def numpy_random_use(node: ast.AST) -> str | None:
+    """``numpy.random`` when ``node`` imports it or from it, or reads it as
+    an attribute of ``np`` or ``numpy``."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or "", *(f"{node.module}.{alias.name}" for alias in node.names)]
+    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        names = [f"numpy.{node.attr}" if node.value.id in ("np", "numpy") else ""]
+    else:
+        return None
+    used = any(name == "numpy.random" or name.startswith("numpy.random.") for name in names)
+    return "numpy.random" if used else None
+
+
+def test_numpy_random_is_used_only_in_synthetic_function_bodies():
+    tree = ast.parse((PACKAGE / "synthetic.py").read_text(encoding="utf-8"))
+    bodies = {f"synthetic.{node.name}" for node in tree.body if isinstance(node, ast.FunctionDef)}
+    users = {scope for scope, _ in program_findings(numpy_random_use)}
+    assert sorted(s for s in users if not admitted(s, bodies)) == []
+
+
+def test_a_numpy_random_use_is_found_in_its_scope():
+    source = (
+        "import numpy as np\nimport numpy.random\nfrom numpy.random import PCG64\n"
+        "from numpy import random, zeros\nimport numpy.random.bit_generator as bits\n"
+        "def draw(seed):\n    return np.random.default_rng(seed), numpy.random\n"
+        "class Stream:\n    rng = np.random.default_rng(0)\n"
+        "def pure(rng):\n    return rng.random(), random.random(), np.randomize, zeros(2)\n"
+    )
+    assert findings(source, "m", numpy_random_use) == [
+        ("m", "numpy.random"),
+        ("m", "numpy.random"),
+        ("m", "numpy.random"),
+        ("m", "numpy.random"),
+        ("m.draw", "numpy.random"),
+        ("m.draw", "numpy.random"),
+        ("m.Stream", "numpy.random"),
     ]
