@@ -20,7 +20,8 @@ documents from each cluster, and re-ranks the survivors. Every stochastic
 step is driven by a caller-supplied seed, so identical inputs give
 bit-identical outputs: the k-means++ draws come from :class:`_Draws`, a
 PCG64 stream held here, which gives the draws numpy's ``default_rng`` gives
-without importing ``numpy.random``.
+without importing ``numpy.random``. It checks no argument: it takes only
+the seed, sizes and probabilities :func:`kmeans` has already checked.
 """
 
 from __future__ import annotations
@@ -45,20 +46,18 @@ _PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 class _Draws:
     """The draws ``numpy.random.default_rng(seed)`` gives for ``integers(n)``
-    and ``choice(n, p=...)``, from a stream held here, so no numpy release
-    can move them. The seed's 32-bit words are mixed into a 4-word pool by
+    and ``choice(n, p)``, from a stream held here, so no numpy release can
+    move them. The seed's 32-bit words are mixed into a 4-word pool by
     numpy's ``SeedSequence`` hash, which yields PCG64's state and increment
     (O'Neill, HMC-CS-2014-0905): a 128-bit LCG whose output is XSL-RR.
     ``integers`` is numpy's Lemire multiply-and-reject (Lemire, ACM TOMACS
     2019) on 32-bit halves, the low half of a draw first, for n up to 2³²,
-    and on whole draws above. ``choice`` keeps numpy's argument checks and
-    messages; it sums ``p`` by numpy's reduction where numpy takes a Kahan
-    sum, so only a sum within a few ulps of the tolerance could be judged
-    otherwise."""
+    and on whole draws above. The stream checks none of its arguments: it
+    takes only what :func:`kmeans` has checked, a seed ≥ 0, n ≥ 1, and a
+    ``p`` that is a finite, non-negative float64 vector of length n summing
+    to 1, which ``tests/test_kmeans_oracle.py`` asserts of every call."""
 
     def __init__(self, seed: int) -> None:
-        if seed < 0:
-            raise ValueError("expected non-negative integer")
         words = [seed >> at & _MASK32 for at in range(0, max(seed.bit_length(), 1), 32)]
         const = 0x43B0D7E5
 
@@ -112,8 +111,6 @@ class _Draws:
 
     def integers(self, n: int) -> int:
         """A uniform draw from ``range(n)``; n = 1 draws nothing."""
-        if n < 1:
-            raise ValueError("high <= 0")
         if n == 1:
             return 0
         # n = 2³², where numpy takes a half as it is, rejects nothing here
@@ -127,27 +124,6 @@ class _Draws:
 
     def choice(self, n: int, p: np.ndarray) -> int:
         """An index into ``range(n)`` drawn with the probabilities ``p``."""
-        if n < 1:
-            raise ValueError("a must be a positive integer unless no samples are taken")
-        atol = 2.0**-26  # √ of float64's epsilon, or of p's own if coarser
-        if isinstance(p, np.ndarray) and np.issubdtype(p.dtype, np.floating):
-            atol = max(atol, math.sqrt(np.finfo(p.dtype).eps))
-        p = np.asarray(p, dtype=float)
-        if p.ndim != 1:
-            raise ValueError("p must be 1-dimensional")
-        if p.size != n:
-            raise ValueError("a and p must have same size")
-        with np.errstate(invalid="ignore", over="ignore"):  # numpy's own sum is silent
-            total = float(np.add.reduce(p))
-        if math.isnan(total):
-            raise ValueError("Probabilities contain NaN")
-        if (p < 0).any():
-            raise ValueError("Probabilities are not non-negative")
-        if abs(total - 1.0) > atol:
-            raise ValueError(
-                "Probabilities do not sum to 1. See Notes section of docstring for more "
-                "information."
-            )
         cdf = p.cumsum()
         cdf /= cdf[-1]
         return int(cdf.searchsorted((self._raw() >> 11) * 2.0**-53, side="right"))
@@ -315,7 +291,8 @@ def _seed_centroids(
     """k-means++ seeding (Arthur and Vassilvitskii, SODA 2007): a uniformly
     drawn row, then rows drawn with probability proportional to their d² to
     the nearest centroid drawn so far, or uniformly once every such d² is 0.
-    ``rng`` is a :class:`_Draws` or a numpy ``Generator`` seeded alike.
+    ``rng`` is a :class:`_Draws` or a numpy ``Generator`` seeded alike; it gets
+    n ≥ 1 and p = d2 / total with total > 0: finite, non-negative float64.
     Returns the centroids and the N x k matrix of every row's d² to each,
     one :func:`_distances` pass per centroid: an entry depends only on its
     row and centroid, so the matrix is that of one pass over all k, and

@@ -137,9 +137,9 @@ class RunReport:
         return _json_text(payload)
 
 
-def _ingest(config: RunConfig) -> tuple[Corpus, dict[str, bytes], str]:
-    """Read every source once: build the corpus, keep raw bytes for the bit
-    layer, and hash ids, titles, and content for provenance."""
+def _ingest(config: RunConfig) -> tuple[Corpus, dict[str, np.ndarray], str]:
+    """Read every source once: build the corpus, keep byte histograms for a
+    forced bit layer, and hash ids, titles, and content for provenance."""
     import hashlib  # only a run hashes, and hashlib loads OpenSSL
 
     stop_words = ENGLISH_STOP_WORDS
@@ -149,30 +149,31 @@ def _ingest(config: RunConfig) -> tuple[Corpus, dict[str, bytes], str]:
         stop_words = parse_stop_words(text)
         for chunk in (b"stopwords\x1f", data, b"\x1e"):
             hasher.update(chunk)
-    raw: dict[str, bytes] = {}
+    histograms: dict[str, np.ndarray] = {}
     documents: list[Document] = []
     for doc, data in read_documents(config.source, stop_words):
         for chunk in (doc.id.encode(), b"\x1f", doc.title.encode(), b"\x1f", data, b"\x1e"):
             hasher.update(chunk)
-        raw[doc.id] = data
+        if config.force_bit_layer:
+            histograms[doc.id] = _byte_counts(data)
         documents.append(doc)
-    return Corpus(documents=tuple(documents)), raw, hasher.hexdigest()
+    return Corpus(documents=tuple(documents)), histograms, hasher.hexdigest()
 
 
 def _skip(reason: str) -> dict[str, Any]:
     return {"skipped": True, "reason": reason}
 
 
-def _bit_section(raw: Mapping[str, bytes], force: bool, notes: list[str]) -> dict[str, Any]:
+def _bit_section(
+    byte_counts: Mapping[str, np.ndarray], force: bool, notes: list[str]
+) -> dict[str, Any]:
+    """Byte entropies from each file's byte histogram, given in corpus order."""
     if not force:
         return _skip("input is digital text; enable force_bit_layer to compute byte entropies")
-    histograms = {}
-    for doc_id in sorted(raw):
-        data = raw[doc_id]
-        if not data:
+    for doc_id, counts in byte_counts.items():
+        if not counts.any():
             notes.append(f"PipelineWarning: empty file for {doc_id!r}; no byte entropy")
-            continue
-        histograms[doc_id] = _byte_counts(data)
+    histograms = {doc_id: counts for doc_id, counts in byte_counts.items() if counts.any()}
     if not histograms:
         return _skip("all input files are empty")
     # the pooled histogram is the sum of the per-file ones: no joined copy
@@ -388,10 +389,10 @@ def run_pipeline(config: RunConfig) -> RunReport:
     """
     notes: list[str] = []
     with _stage("ingest"):
-        corpus, raw, input_hash = _ingest(config)
+        corpus, byte_counts, input_hash = _ingest(config)
     sections: dict[str, dict[str, Any]] = {}
     with _stage("bit"):
-        sections["bit"] = _bit_section(raw, config.force_bit_layer, notes)
+        sections["bit"] = _bit_section(byte_counts, config.force_bit_layer, notes)
     with _stage("data"):
         sections["data"] = _data_section(corpus, notes)
     with _stage("information"):

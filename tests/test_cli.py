@@ -792,15 +792,35 @@ BODIES = st.one_of(
 )
 
 
+def _can_symlink() -> bool:
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            os.symlink("target", Path(tmp) / "link")
+        except (OSError, NotImplementedError, AttributeError):
+            return False
+    return True
+
+
+#: corpus entries that are not regular files: a directory named ``*.txt``,
+#: and, where symlinks can be made, a dangling symlink and a symlink loop
+ODD_ENTRIES = ["directory", *(["dangling", "loop"] if _can_symlink() else [])]
+#: a value of every JSON type for a manifest's id, title or path
+JSON_VALUES = [None, True, False, 7, -2.5, [], ["a"], {}, {"id": "a"}, "corpus/d0.txt"]
+
+
 @st.composite
-def degenerate_sources(draw) -> tuple[dict[str, bytes], list[dict[str, str]] | None]:
-    """Up to six file bodies, one of which may not be UTF-8, and either no
-    manifest (a directory corpus) or a manifest over them whose titles need
-    quoting and whose ids may repeat."""
-    bodies = draw(st.lists(BODIES, max_size=6))
-    if bodies and draw(st.integers(0, 4)) == 4:
-        bodies[draw(st.integers(0, len(bodies) - 1))] = b"signal \xff\xfe noise"
-    files = {f"d{i}.txt": body for i, body in enumerate(bodies)}
+def degenerate_sources(draw) -> tuple[dict[str, bytes | str], list[dict] | None]:
+    """Up to six corpus entries, and either no manifest (a directory corpus)
+    or a manifest over them whose titles need quoting and whose ids may
+    repeat. An entry is a file body, which may open with a byte-order mark
+    or not be UTF-8, or a name from ``ODD_ENTRIES``; a manifest record may
+    hold a value of any JSON type for its id, title or path."""
+    bom = st.booleans().map(lambda bom: b"\xef\xbb\xbf" if bom else b"")
+    bodies = st.builds(bytes.__add__, bom, BODIES)
+    entries = draw(st.lists(st.one_of(bodies, st.sampled_from(ODD_ENTRIES)), max_size=6))
+    if entries and draw(st.integers(0, 4)) == 4:
+        entries[draw(st.integers(0, len(entries) - 1))] = b"signal \xff\xfe noise"
+    files = {f"d{i}.txt": entry for i, entry in enumerate(entries)}
     if not draw(st.booleans()):
         return files, None
     ids = draw(st.permutations(["a", "b", "c", "d e", 'q"x', "\u00f1,1"]))[: len(files)]
@@ -811,16 +831,33 @@ def degenerate_sources(draw) -> tuple[dict[str, bytes], list[dict[str, str]] | N
         {"id": doc_id, "title": draw(titles), "path": f"corpus/{name}"}
         for doc_id, name in zip(ids, files)
     ]
+    if manifest and draw(st.booleans()):
+        record = draw(st.sampled_from(manifest))
+        record[draw(st.sampled_from(["id", "title", "path"]))] = draw(st.sampled_from(JSON_VALUES))
     return files, manifest
 
 
-def assert_ends_cleanly(code, err):
-    """Exit 0 with only soft-error lines, or exit 1 with one error line last."""
+def write_entry(path: Path, entry: bytes | str) -> None:
+    """Make one corpus entry of :func:`degenerate_sources` at ``path``."""
+    if isinstance(entry, bytes):
+        path.write_bytes(entry)
+    elif entry == "directory":
+        path.mkdir()
+    elif entry == "dangling":
+        os.symlink(path.with_name("missing"), path)
+    else:
+        os.symlink(path.name, path)
+
+
+def assert_ends_cleanly(code, out, err):
+    """Exit 0 with only soft-error lines, or exit 1 with one error line last
+    and nothing on stdout."""
     lines = err.splitlines()
     if code == 0:
         assert all(line.startswith(NOTE_PREFIXES) for line in lines), err
     else:
         assert code == 1
+        assert out == "", out
         assert lines and lines[-1].startswith("error: "), err
         assert all(line.startswith(NOTE_PREFIXES) for line in lines[:-1]), err
 
@@ -844,8 +881,8 @@ def test_degenerate_corpora_end_in_notes_or_one_error(
         root = Path(tmp)
         corpus_dir = root / "corpus"
         corpus_dir.mkdir()
-        for name, body in files.items():
-            (corpus_dir / name).write_bytes(body)
+        for name, entry in files.items():
+            write_entry(corpus_dir / name, entry)
         corpus = corpus_dir
         if manifest is not None:
             corpus = root / "manifest.jsonl"
@@ -861,8 +898,10 @@ def test_degenerate_corpora_end_in_notes_or_one_error(
             ["scatter", str(corpus)],
         ]
         for argv in commands:
-            code, _, err = run_cli(main, argv)
-            assert_ends_cleanly(code, err)
+            code, out, err = run_cli(main, argv)
+            assert_ends_cleanly(code, out, err)
+            if argv[0] == "run" and "error: ingest layer failed" in err:
+                assert not out_dir.exists() or not any(out_dir.iterdir())
             if argv[0] == "run" and code == 0:
                 report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
                 for section in report["sections"].values():

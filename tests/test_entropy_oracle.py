@@ -32,6 +32,7 @@ from layerstack import (
     joint_entropy,
     shannon_entropy,
 )
+from layerstack.infotheory import _byte_counts
 from layerstack.pipeline import _bit_section, _data_section, _information_section
 
 from helpers import make_corpus, make_doc
@@ -138,7 +139,8 @@ _SLICE_EDGE_SIZES = [2**16 - 1, 2**16, 2**16 + 1, 2**17 - 1, 2**17, 2**17 + 1]
 def test_bit_section_pools_the_per_file_histograms(files):
     raw = {f"f{i}": data for i, data in enumerate(files)}
     notes: list[str] = []
-    section = _bit_section(raw, True, notes)
+    histograms = {doc_id: _byte_counts(data) for doc_id, data in raw.items()}
+    section = _bit_section(histograms, True, notes)
     assert notes == [
         f"PipelineWarning: empty file for {doc_id!r}; no byte entropy"
         for doc_id in sorted(raw)

@@ -264,6 +264,40 @@ def test_seeding_draws_the_dense_seeds(inputs):
     assert np.array_equal(d2, dense_distances(points, points[expected]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(inputs=count_tables())
+@example(inputs=(make_corpus({f"d{i}": {"a": 2} for i in range(4)}), 4, 0))  # every total == 0
+def test_kmeans_hands_the_draws_only_what_numpys_checks_pass(inputs):
+    # ``_Draws`` checks no argument: every call kmeans makes must pass the
+    # checks numpy's ``Generator.integers`` and ``Generator.choice`` make
+    corpus, k, seed = inputs
+    ids, rows = unit_term_rows(corpus)
+    integers, choice = intelligence._Draws.integers, intelligence._Draws.choice
+    sizes, probabilities = [], []
+
+    def spied_integers(draws, n):
+        sizes.append(n)
+        return integers(draws, n)
+
+    def spied_choice(draws, n, p):
+        probabilities.append((n, p))
+        return choice(draws, n, p)
+
+    with mock.patch.object(intelligence._Draws, "integers", spied_integers):
+        with mock.patch.object(intelligence._Draws, "choice", spied_choice):
+            kmeans(ids, rows, k, seed)
+    assert all(n >= 1 for n in sizes)
+    # once every distinct row is a centroid, each d² is 0 and the draw is uniform
+    distinct = len(np.unique(dense(rows), axis=0))
+    assert len(sizes) >= 1 + k - distinct
+    assert len(sizes) + len(probabilities) == k
+    for n, p in probabilities:
+        assert p.ndim == 1 and p.dtype == np.float64 and p.size == n
+        assert not np.isnan(p).any()
+        assert not (p < 0).any()
+        assert abs(math.fsum(p) - 1.0) <= 2.0**-26
+
+
 def test_chains_of_one_ulp_moves_draw_the_dense_seeds():
     # rows a few ulps apart in chains off one base, all drawn (k = n): their
     # d² is rounding noise of the formula, clamped at 0, and seeding must

@@ -40,9 +40,11 @@ class TestRunReport:
         assert set(report.sections) == set(LAYERS)
 
     def test_bit_layer_skipped_for_text_by_default(self, small_run):
-        _, report, _ = small_run
+        config, report, _ = small_run
         assert report.sections["bit"]["skipped"] is True
         assert "force_bit_layer" in report.sections["bit"]["reason"]
+        # a skipped bit layer keeps no byte histogram past ingest
+        assert pipeline._ingest(config)[1] == {}
 
     def test_force_bit_layer(self, small_run):
         config, _, root = small_run

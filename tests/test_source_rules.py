@@ -22,6 +22,10 @@ classes that enclose it, such as ``corpus.Corpus.leave_one_out_counts``.
 - Every pass over table rows, the scorer's and both kinds of k-means pass,
   cuts its rows into runs of one size: only the scopes listed in
   ``PASS_SIZE_READERS`` read ``corpus._PASS_ENTRIES``, so no caller scales it.
+- Only the scopes listed in ``DRAWS_CALLERS`` build an
+  ``intelligence._Draws`` stream. It checks none of its arguments, so each
+  caller must check them first, as ``kmeans`` does; a second caller would
+  go unchecked.
 - No module imports from ``numpy.random`` or reads ``np.random``, except
   inside the function bodies of ``synthetic``, which draws test corpora:
   k-means draws from ``intelligence._Draws``, and a module-level use would
@@ -77,6 +81,10 @@ POOL_CALLERS = {
 #: the program scopes that may read ``corpus._PASS_ENTRIES``: the one cut of
 #: a selection of rows into runs
 PASS_SIZE_READERS = {"corpus._entry_runs"}
+
+#: the program scopes that may build a ``_Draws`` stream: the one caller
+#: that checks its seed, sizes and probabilities first
+DRAWS_CALLERS = {"intelligence.kmeans"}
 
 
 def findings(source: str, module: str, match: Callable[[ast.AST], str | None]) -> list:
@@ -293,6 +301,25 @@ def test_a_subset_call_is_found_in_its_scope():
         ("m.narrow", "subset"),
         ("m.Loop.run", "subset"),
         ("m.Loop.run", "subset"),
+    ]
+
+
+def test_the_draws_are_built_only_by_the_listed_scopes():
+    callers = {scope for scope, _ in program_findings(call_of("_Draws"))}
+    assert sorted(callers) == sorted(DRAWS_CALLERS)
+
+
+def test_a_draws_call_is_found_in_its_scope():
+    source = (
+        "class _Draws:\n    def integers(self, n):\n        return 0\n"
+        "def kmeans(rows, k, seed):\n    return seed_rows(rows, k, _Draws(seed))\n"
+        "def aggregate(rows):\n    draws = m._Draws(0)\n    return draws, _Draws\n"
+        "class Loop:\n    def run(self):\n        return _Draws(1).integers(3)\n"
+    )
+    assert findings(source, "m", call_of("_Draws")) == [
+        ("m.kmeans", "_Draws"),
+        ("m.aggregate", "_Draws"),
+        ("m.Loop.run", "_Draws"),
     ]
 
 
