@@ -22,6 +22,7 @@ from .knowledge import rank_documents
 from .pipeline import (
     PipelineError,
     RunConfig,
+    _json_text,
     emit_plot_data,
     emit_tables,
     ranking_rows,
@@ -81,7 +82,7 @@ def _cmd_entropy(args: argparse.Namespace, notes: list[str]) -> int:
         "token_bits": count_entropy(counts.values()) if total else None,
         "hartley_term_bits": hartley_entropy(len(counts)) if counts else None,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
+    sys.stdout.write(_json_text(payload))
     return 0
 
 
@@ -138,7 +139,7 @@ def _cmd_belief(args: argparse.Namespace, notes: list[str]) -> int:
         }
         for name in elements
     }
-    print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
+    sys.stdout.write(_json_text(payload))
     return 0
 
 

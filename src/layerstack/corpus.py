@@ -348,18 +348,14 @@ def shared_proportions(
     where two aligned count arrays are both positive, and the proportions
     there, ``counts / total`` and ``reference / reference_total``. Each
     total is an int, or an array aligned with the counts that gives each
-    position its own. Only the shared positions are divided. IEEE division
-    of integers below 2**53, as a count table holds, gives the floats
-    Python's ``int / int`` gives."""
+    position its own; either is broadcast to the counts' shape. Only the
+    shared positions are divided. IEEE division of integers below 2**53, as
+    a count table holds, gives the floats Python's ``int / int`` gives."""
     shared = np.flatnonzero((counts > 0) & (reference > 0))
-
-    def at_shared(total: int | np.ndarray) -> int | np.ndarray:
-        return total[shared] if isinstance(total, np.ndarray) else total
-
     return (
         shared,
-        np.divide(counts[shared], at_shared(total)),
-        np.divide(reference[shared], at_shared(reference_total)),
+        np.divide(counts[shared], np.broadcast_to(total, counts.shape)[shared]),
+        np.divide(reference[shared], np.broadcast_to(reference_total, counts.shape)[shared]),
     )
 
 

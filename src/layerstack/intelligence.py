@@ -325,8 +325,9 @@ def _centroid_sums(rows: TermRows, labels: np.ndarray, k: int) -> np.ndarray:
 def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
     """Lloyd's algorithm with k-means++ initialization on CSR rows (one per
     id, as :func:`unit_term_rows` builds them), deterministic for a fixed
-    seed. Stops when assignments repeat or after 100 iterations. An emptied
-    cluster is re-seeded to the point farthest from its previous centroid.
+    seed. Stops when assignments repeat or after 100 iterations. An update
+    divides all column sums by the cluster sizes at once, then re-seeds each
+    emptied cluster to the point farthest from its previous centroid.
 
     Every pass is one N x k matrix of squared distances
     d² = max(‖x‖² + ‖c‖² − 2·x·c, 0) (see :func:`_distances`), in
@@ -358,13 +359,10 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
         # the pass after the last allowed update only re-syncs the labels
         if passes == MAX_KMEANS_ITERATIONS or np.array_equal(labels, assign):
             break
-        centroids = _centroid_sums(rows, labels, k)
         sizes = np.bincount(labels, minlength=k)
-        for c in range(k):
-            if sizes[c]:
-                centroids[c] /= sizes[c]
-            else:
-                centroids[c] = rows.row(int(np.argmax(distances[:, c])))
+        centroids = _centroid_sums(rows, labels, k) / np.maximum(sizes, 1)[:, None]
+        for c in np.flatnonzero(sizes == 0).tolist():
+            centroids[c] = rows.row(int(np.argmax(distances[:, c])))
         distances = _distances(norms, runs, centroids)
 
     return Clustering(

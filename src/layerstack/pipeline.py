@@ -164,11 +164,11 @@ def _skip(reason: str) -> dict[str, Any]:
     return {"skipped": True, "reason": reason}
 
 
-def _bit_section(
-    byte_counts: Mapping[str, np.ndarray], force: bool, notes: list[str]
-) -> dict[str, Any]:
-    """Byte entropies from each file's byte histogram, given in corpus order."""
-    if not force:
+def _bit_section(byte_counts: Mapping[str, np.ndarray], notes: list[str]) -> dict[str, Any]:
+    """Byte entropies from each file's byte histogram, given in corpus order.
+    ``_ingest`` keeps the histograms only for a forced layer, so none means
+    the layer was not forced."""
+    if not byte_counts:
         return _skip("input is digital text; enable force_bit_layer to compute byte entropies")
     for doc_id, counts in byte_counts.items():
         if not counts.any():
@@ -392,7 +392,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
         corpus, byte_counts, input_hash = _ingest(config)
     sections: dict[str, dict[str, Any]] = {}
     with _stage("bit"):
-        sections["bit"] = _bit_section(byte_counts, config.force_bit_layer, notes)
+        sections["bit"] = _bit_section(byte_counts, notes)
     with _stage("data"):
         sections["data"] = _data_section(corpus, notes)
     with _stage("information"):

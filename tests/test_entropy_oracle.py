@@ -140,7 +140,7 @@ def test_bit_section_pools_the_per_file_histograms(files):
     raw = {f"f{i}": data for i, data in enumerate(files)}
     notes: list[str] = []
     histograms = {doc_id: _byte_counts(data) for doc_id, data in raw.items()}
-    section = _bit_section(histograms, True, notes)
+    section = _bit_section(histograms, notes)
     assert notes == [
         f"PipelineWarning: empty file for {doc_id!r}; no byte entropy"
         for doc_id in sorted(raw)

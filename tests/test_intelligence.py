@@ -13,7 +13,7 @@ from layerstack import (
     kmeans,
     rank_documents,
 )
-from layerstack.intelligence import unit_term_rows
+from layerstack.intelligence import TermRows, unit_term_rows
 
 from helpers import TWO_TOPIC_COUNTS, dense, make_corpus, make_doc
 
@@ -106,6 +106,21 @@ class TestKmeans:
         assert a.assignments == b.assignments
         assert np.array_equal(a.centroids, b.centroids)
         assert a.inertia_history == b.inertia_history
+
+    def test_rows_without_entries_form_one_cluster_at_the_origin(self):
+        # np.bincount sums no weights into int64 zeros; the centroids must
+        # still come out as floats
+        rows = TermRows(
+            indptr=np.array([0, 0, 0]),
+            indices=np.array([], dtype=np.int64),
+            data=np.array([]),
+            n_columns=2,
+        )
+        clustering = kmeans(["a", "b"], rows, k=1, seed=0)
+        assert clustering.assignments == {"a": 0, "b": 0}
+        assert clustering.inertia == 0.0
+        assert clustering.centroids.dtype == np.float64
+        assert np.array_equal(clustering.centroids, np.zeros((1, 2)))
 
     def test_validation(self):
         ids, rows = blob_rows()

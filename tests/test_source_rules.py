@@ -26,6 +26,10 @@ classes that enclose it, such as ``corpus.Corpus.leave_one_out_counts``.
   ``intelligence._Draws`` stream. It checks none of its arguments, so each
   caller must check them first, as ``kmeans`` does; a second caller would
   go unchecked.
+- Only the scopes listed in ``FORCE_READERS`` read ``.force_bit_layer``:
+  ``pipeline._ingest`` keeps the byte histograms only for a forced bit
+  layer, and the layer reads its forcing from them, so the option is
+  decided in one place.
 - No module imports from ``numpy.random`` or reads ``np.random``, except
   inside the function bodies of ``synthetic``, which draws test corpora:
   k-means draws from ``intelligence._Draws``, and a module-level use would
@@ -85,6 +89,10 @@ PASS_SIZE_READERS = {"corpus._entry_runs"}
 #: the program scopes that may build a ``_Draws`` stream: the one caller
 #: that checks its seed, sizes and probabilities first
 DRAWS_CALLERS = {"intelligence.kmeans"}
+
+#: the program scopes that may read ``.force_bit_layer``: the ingest that
+#: keeps byte histograms only for a forced bit layer
+FORCE_READERS = {"pipeline._ingest"}
 
 
 def findings(source: str, module: str, match: Callable[[ast.AST], str | None]) -> list:
@@ -320,6 +328,26 @@ def test_a_draws_call_is_found_in_its_scope():
         ("m.kmeans", "_Draws"),
         ("m.aggregate", "_Draws"),
         ("m.Loop.run", "_Draws"),
+    ]
+
+
+def test_the_bit_layer_forcing_is_read_only_by_the_listed_scopes():
+    readers = {scope for scope, _ in program_findings(attribute_read("force_bit_layer"))}
+    assert sorted(readers) == sorted(FORCE_READERS)
+
+
+def test_a_forcing_read_is_found_in_its_scope():
+    source = (
+        "def ingest(config):\n    return [] if config.force_bit_layer else None\n"
+        "def run(config, counts):\n    return bit_section(counts, config.force_bit_layer)\n"
+        "class RunConfig:\n    force_bit_layer = False\n"
+        "    def echo(self):\n        return {'force_bit_layer': self.force_bit_layer}\n"
+        "def patch(config):\n    config.force_bit_layer = True\n"
+    )
+    assert findings(source, "m", attribute_read("force_bit_layer")) == [
+        ("m.ingest", "force_bit_layer"),
+        ("m.run", "force_bit_layer"),
+        ("m.RunConfig.echo", "force_bit_layer"),
     ]
 
 

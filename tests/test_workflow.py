@@ -1,11 +1,13 @@
 """The CI workflow's hand-written lists match what they list.
 
-``.github/workflows/tests.yml`` names the files of its Prescott step one by
-one, which reruns every bit-exact check under OpenBLAS's oldest kernel. A
-golden or oracle file left off that list would skip the rerun silently, so
-the list is checked here against the test files. The bench-smoke trace step
-requires one exact line naming the span targets the program no longer has;
-it is checked against ``RETIRED`` of ``test_bench_targets.py``. The
+``.github/workflows/tests.yml`` names the files of its Prescott step, which
+reruns every bit-exact check under OpenBLAS's oldest kernel, by path or by
+a glob the shell expands, as ``tests/test_*oracle*.py`` names every oracle
+file. A golden or oracle file left out would skip the rerun silently, so
+each named pattern is expanded here and checked against the test files.
+The bench-smoke trace step requires one exact line naming the span
+targets the program no longer has; it is checked against ``RETIRED`` of
+``test_bench_targets.py``. The
 seed-1 step, which checks that a workload's runs are byte-identical to each
 other, must run on every workload of the matrix. The workflow is read as
 text: the step is the lines from its ``- name:`` to the
@@ -46,13 +48,15 @@ def test_step_lines_stop_at_the_next_step():
 
 
 def test_prescott_step_reruns_every_golden_and_oracle_file():
-    named = re.findall(r"tests/\S+\.py", "\n".join(step_lines(WORKFLOW.read_text(), PRESCOTT_STEP)))
-    assert len(named) == len(set(named))
-    assert all((ROOT / path).is_file() for path in named)
+    patterns = re.findall(r"tests/\S+\.py", "\n".join(step_lines(WORKFLOW.read_text(), PRESCOTT_STEP)))
+    assert len(patterns) == len(set(patterns))
+    expanded = {pattern: list(ROOT.glob(pattern)) for pattern in patterns}
+    assert [pattern for pattern, paths in expanded.items() if not paths] == []
+    named = {path.relative_to(ROOT).as_posix() for paths in expanded.values() for path in paths}
     required = {"tests/test_golden.py"} | {
         path.relative_to(ROOT).as_posix() for path in (ROOT / "tests").glob("test_*oracle*.py")
     }
-    assert required <= set(named), sorted(required - set(named))
+    assert required <= named, sorted(required - named)
 
 
 def test_trace_step_requires_the_retired_targets_in_targets_order():
