@@ -8,6 +8,10 @@ updates over keywords. Everything is deterministic for fixed seeds and
 inputs.
 """
 
+# ``belief`` stays an eager import: the function shares its name with the
+# submodule, and the first import of ``layerstack.belief``, which
+# ``pipeline`` would make, binds the package attribute to the module; the
+# function must be bound after that
 from .belief import (
     Frame,
     MassFunction,
@@ -18,6 +22,7 @@ from .belief import (
     plausibility,
     vacuous_mass,
 )
+from .config import PipelineError, RunConfig
 from .corpus import (
     Corpus,
     Document,
@@ -53,24 +58,41 @@ from .knowledge import (
     pearson_r,
     rank_documents,
 )
-from .pipeline import (
-    LAYERS,
-    PipelineError,
-    RunConfig,
-    RunReport,
-    emit_plot_data,
-    emit_tables,
-    run_pipeline,
-    write_report,
-)
 from .stopwords import ENGLISH_STOP_WORDS
-from .synthetic import synthetic_corpus, write_corpus
-from .wisdom import (
-    CrowdDecomposition,
-    CrowdPrediction,
-    aggregate_round_quality,
-    crowd_decomposition,
-)
+
+#: exports of the modules that only a full run or the library needs, each
+#: loaded on its first access (PEP 562), so a CLI command that does not run
+#: them does not compile them
+_LAZY = {
+    "LAYERS": "pipeline",
+    "RunReport": "pipeline",
+    "emit_plot_data": "pipeline",
+    "emit_tables": "pipeline",
+    "run_pipeline": "pipeline",
+    "write_report": "pipeline",
+    "synthetic_corpus": "synthetic",
+    "write_corpus": "synthetic",
+    "CrowdDecomposition": "wisdom",
+    "CrowdPrediction": "wisdom",
+    "aggregate_round_quality": "wisdom",
+    "crowd_decomposition": "wisdom",
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

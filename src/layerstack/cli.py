@@ -3,6 +3,13 @@
 ``layerstack run`` executes the full pipeline into an output directory;
 ``entropy``, ``rank``, ``aggregate``, ``belief``, and ``scatter`` expose the
 individual layers. Exit codes: 0 success, 1 fatal error, 2 bad arguments.
+
+Each command loads only the layers it runs. This module imports the
+ingest, knowledge, intelligence, information and belief layers, which
+``rank`` and ``aggregate`` need and nothing more. ``run``, ``scatter``,
+``entropy`` and ``belief`` import ``pipeline``, and through it ``wisdom``,
+inside their handlers: ``run`` walks every layer, ``scatter`` writes fig4,
+and ``entropy`` and ``belief`` print through the pipeline's JSON writer.
 """
 
 from __future__ import annotations
@@ -15,22 +22,11 @@ from dataclasses import fields
 from pathlib import Path
 
 from .belief import Frame, MassFunction, belief, combine, make_mass, plausibility, vacuous_mass
+from .config import PipelineError, RunConfig
 from .corpus import count_terms, ingest_corpus, load_stop_words, read_source
 from .infotheory import bitstream_entropy, count_entropy, hartley_entropy
 from .intelligence import aggregate_corpus
-from .knowledge import rank_documents
-from .pipeline import (
-    PipelineError,
-    RunConfig,
-    _json_text,
-    emit_plot_data,
-    emit_tables,
-    ranking_rows,
-    ranking_tsv,
-    run_pipeline,
-    write_fig4,
-    write_report,
-)
+from .knowledge import rank_documents, ranking_rows, ranking_tsv
 from .stopwords import ENGLISH_STOP_WORDS
 
 
@@ -60,6 +56,8 @@ def _stop_words(path: str | None) -> frozenset[str]:
 
 
 def _cmd_run(args: argparse.Namespace, notes: list[str]) -> int:
+    from .pipeline import emit_plot_data, emit_tables, run_pipeline, write_report
+
     config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     report = run_pipeline(config)
     written = [write_report(report), *emit_tables(report), *emit_plot_data(report, notes)]
@@ -71,6 +69,8 @@ def _cmd_run(args: argparse.Namespace, notes: list[str]) -> int:
 
 
 def _cmd_entropy(args: argparse.Namespace, notes: list[str]) -> int:
+    from .pipeline import _json_text
+
     data, text = read_source(Path(args.file))
     counts = count_terms(text, _stop_words(args.stop_words_path))
     total = sum(counts.values())
@@ -127,6 +127,8 @@ def _load_mass(frame: Frame, path: str) -> MassFunction:
 
 
 def _cmd_belief(args: argparse.Namespace, notes: list[str]) -> int:
+    from .pipeline import _json_text
+
     elements = tuple(part.strip() for part in args.frame.split(",") if part.strip())
     frame = Frame(elements=elements)
     result = vacuous_mass(frame) if args.prior is None else _load_mass(frame, args.prior)
@@ -144,6 +146,8 @@ def _cmd_belief(args: argparse.Namespace, notes: list[str]) -> int:
 
 
 def _cmd_scatter(args: argparse.Namespace, notes: list[str]) -> int:
+    from .pipeline import write_fig4
+
     corpus = ingest_corpus(args.source, _stop_words(args.stop_words_path))
     if len(corpus) < 2:
         raise ValueError("scatter needs at least 2 documents for a leave-one-out reference")

@@ -140,6 +140,12 @@ class TermRows:
     data: np.ndarray
     n_columns: int
 
+    def __post_init__(self) -> None:
+        # the passes index, slice and sum these as arrays: Python lists would fail there
+        object.__setattr__(self, "indptr", np.asarray(self.indptr, dtype=np.intp))
+        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.intp))
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
+
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.indptr) - 1, self.n_columns

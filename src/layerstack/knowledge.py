@@ -21,7 +21,8 @@ it once per run, not once per row. So only the corpus's own documents are
 scored, at work linear in the (document, term) pairs, with no string lookup
 and no re-pool per document. A ranking takes every row's r and overlap n,
 but the p-value, a continued fraction or series, only for the rows it
-returns.
+returns. ``ranking_rows`` and ``ranking_tsv`` render a ranking as the rows
+and the TSV text of the CLI's output and of the run's tables.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -381,6 +382,28 @@ def rank_documents(
             notes.append(f"RankingWarning: excluding {doc_id!r}: {reason}")
     scored.sort(key=lambda item: (-item[1], item[0]))
     return [_result(doc_id, r, n) for doc_id, r, n in scored[:top_k]]
+
+
+def ranking_rows(ranking: Iterable[CorrelationResult], corpus: Corpus) -> list[dict[str, Any]]:
+    """A ranking as JSON-safe rows: id, title, full-precision correlation
+    and p-value, and the shared-term count."""
+    return [
+        {
+            "doc_id": res.doc_id,
+            "title": corpus.get(res.doc_id).title,
+            "correlation": res.r,
+            "p_value": res.p_value,
+            "shared_terms": res.n,
+        }
+        for res in ranking
+    ]
+
+
+def ranking_tsv(rows: Iterable[Mapping[str, Any]]) -> str:
+    """Ranking rows as TSV text: title, correlation (3 decimals), p_value
+    (scientific, 3 significant digits), one header line."""
+    lines = (f"{row['title']}\t{row['correlation']:.3f}\t{row['p_value']:.2e}" for row in rows)
+    return "\n".join(["title\tcorrelation\tp_value", *lines]) + "\n"
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,14 @@ import io
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .belief import MAX_FRAME_SIZE, Frame, belief, keyword_belief_update, plausibility, vacuous_mass
+from .config import PipelineError, RunConfig
 from .corpus import (
     Corpus,
     CountTable,
@@ -34,7 +35,7 @@ from .corpus import (
 )
 from .infotheory import _byte_counts, count_entropy, hartley_entropy
 from .intelligence import AggregationRound, EntropicState, _aggregation_rounds, entropic_gain
-from .knowledge import CorrelationResult, _scored_runs, rank_documents
+from .knowledge import CorrelationResult, _scored_runs, rank_documents, ranking_rows, ranking_tsv
 from .stopwords import ENGLISH_STOP_WORDS
 from .wisdom import aggregate_round_quality
 
@@ -43,57 +44,6 @@ LAYERS = ("bit", "data", "information", "knowledge", "intelligence", "wisdom", "
 REPORT_NAME = "report.json"
 KNOWLEDGE_TABLE = "table1"
 INTELLIGENCE_TABLE = "table2"
-
-
-class PipelineError(RuntimeError):
-    """Fatal failure of one named pipeline stage."""
-
-    def __init__(self, layer: str, cause: Exception) -> None:
-        super().__init__(f"{layer} layer failed: {cause}")
-        self.layer = layer
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a pipeline run depends on, so equal configs plus equal
-    inputs give byte-identical outputs. Each field is one ``layerstack run``
-    argument, and its default is that argument's default."""
-
-    source: Path
-    out_dir: Path = Path("layerstack-out")
-    stop_words_path: Path | None = None
-    k: int = 3
-    rounds: int = 1
-    per_cluster: int = 5
-    top_k: int = 5
-    seed: int = 42
-    reservoir_strength: float = 1.0
-    force_bit_layer: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "source", Path(self.source))
-        object.__setattr__(self, "out_dir", Path(self.out_dir))
-        if self.stop_words_path is not None:
-            object.__setattr__(self, "stop_words_path", Path(self.stop_words_path))
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if self.per_cluster < 1:
-            raise ValueError(f"per_cluster must be >= 1, got {self.per_cluster}")
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not math.isfinite(self.reservoir_strength) or self.reservoir_strength <= 0.0:
-            raise ValueError(
-                f"reservoir_strength must be positive, got {self.reservoir_strength!r}"
-            )
-
-    def echo(self) -> dict[str, Any]:
-        """JSON-safe snapshot of every field, paths as strings."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: str(v) if isinstance(v, Path) else v for k, v in values.items()}
 
 
 def _json_text(value: Any) -> str:
@@ -222,21 +172,6 @@ def _information_section(table: CountTable) -> dict[str, Any]:
         "residual_term_bits_given_document": joint_bits - document_bits,
         "residual_document_bits_given_term": joint_bits - term_bits,
     }
-
-
-def ranking_rows(ranking: Iterable[CorrelationResult], corpus: Corpus) -> list[dict[str, Any]]:
-    """A ranking as JSON-safe rows: id, title, full-precision correlation
-    and p-value, and the shared-term count."""
-    return [
-        {
-            "doc_id": res.doc_id,
-            "title": corpus.get(res.doc_id).title,
-            "correlation": res.r,
-            "p_value": res.p_value,
-            "shared_terms": res.n,
-        }
-        for res in ranking
-    ]
 
 
 def _knowledge_section(
@@ -435,13 +370,6 @@ def write_report(report: RunReport) -> Path:
     path = _out_dir(report) / REPORT_NAME
     path.write_text(text, encoding="utf-8", newline="\n")
     return path
-
-
-def ranking_tsv(rows: Iterable[Mapping[str, Any]]) -> str:
-    """Ranking rows as TSV text: title, correlation (3 decimals), p_value
-    (scientific, 3 significant digits), one header line."""
-    lines = (f"{row['title']}\t{row['correlation']:.3f}\t{row['p_value']:.2e}" for row in rows)
-    return "\n".join(["title\tcorrelation\tp_value", *lines]) + "\n"
 
 
 @_stage("emit")

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -68,3 +72,17 @@ def run_cli(main, argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_python(code: str, *args: str) -> str:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports the
+    package from this checkout's ``src``; its stdout, once it exits 0."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

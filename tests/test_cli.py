@@ -718,7 +718,7 @@ class TestRunConfigIsTheOneFieldList:
 
     def run_config(self, argv) -> RunConfig:
         """The config ``layerstack run`` hands the pipeline for ``argv``."""
-        with mock.patch("layerstack.cli.run_pipeline", side_effect=self.Stop) as pipeline:
+        with mock.patch("layerstack.pipeline.run_pipeline", side_effect=self.Stop) as pipeline:
             with pytest.raises(self.Stop):
                 main(["run", *argv])
         return pipeline.call_args.args[0]

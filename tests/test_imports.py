@@ -1,37 +1,45 @@
-"""Importing the package and its CLI loads numpy but not scipy, whose import
+"""What each CLI process loads, as a table.
+
+Importing the package and its CLI loads numpy but not scipy, whose import
 would add most of a CLI process's start-up time and memory; and a command
 run after that import loads no further numpy module, since each CLI process
 would pay a lazy import (``np.unique`` loads ``numpy.ma`` on numpy 2.x)
-inside ``cli.main``. Neither the import nor ``aggregate`` loads
+inside ``cli.main``.
+
+``UNNEEDED`` names the modules no CLI process needs at start-up and the
+commands that may load each. Neither the import nor ``aggregate`` loads
 ``numpy.random``, which k-means does not draw from, or the ``secrets`` and
 ``hashlib`` modules it brings, with OpenSSL; only ``run``, which hashes its
-input, loads ``hashlib``."""
+input, loads ``hashlib``. The import, ``aggregate`` and ``rank`` load
+neither ``pipeline``, the largest module, nor ``wisdom`` or ``csv``, which
+only the pipeline uses: ``run``, ``scatter``, ``entropy`` and ``belief``
+load them inside their handlers. No command loads ``synthetic``, which
+only the library's test-corpus generator needs."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from helpers import run_python
 
 
-def _run(code: str, *args: str) -> str:
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+#: the commands that run a layer only the pipeline module holds
+PIPELINE_COMMANDS = {"run", "scatter", "entropy", "belief"}
 
+#: modules no CLI process needs at start-up, and the commands that may load
+#: each of them
+UNNEEDED = {
+    "numpy.random": set(),
+    "secrets": set(),
+    "hashlib": {"run"},
+    "_hashlib": {"run"},
+    "layerstack.pipeline": PIPELINE_COMMANDS,
+    "layerstack.wisdom": PIPELINE_COMMANDS,
+    "csv": PIPELINE_COMMANDS,
+    "layerstack.synthetic": set(),
+}
 
-#: modules no CLI process needs at start-up, and the one command that may
-#: load each of them
-UNNEEDED = {"numpy.random": None, "secrets": None, "hashlib": "run", "_hashlib": "run"}
+COMMANDS = ["run", "aggregate", "rank", "scatter", "entropy", "belief"]
 
 
 def _command_argv(tmp_path: Path, command: str) -> list[str]:
@@ -43,7 +51,15 @@ def _command_argv(tmp_path: Path, command: str) -> list[str]:
         words = topics[i % 2].split()
         text = " ".join(word * (1 + (i + j) % 3) for j, word in enumerate(words))
         (corpus / f"d{i}.txt").write_text(f"{text} {words[i % 4]} shared common", encoding="utf-8")
-    argv = [command, str(corpus), "--k", "2", "--per-cluster", "2"]
+    if command == "entropy":
+        return [command, str(corpus / "d0.txt")]
+    if command == "belief":
+        mass = tmp_path / "mass.json"
+        mass.write_text('{"a": 0.6, "a,b": 0.4}', encoding="utf-8")
+        return [command, "--frame", "a,b", "--evidence", str(mass)]
+    argv = [command, str(corpus)]
+    if command in ("run", "aggregate"):
+        argv += ["--k", "2", "--per-cluster", "2"]
     if command == "run":
         argv += ["--out", str(tmp_path / "out")]
     return argv
@@ -54,30 +70,30 @@ def test_cli_import_loads_no_scipy():
         "import sys, layerstack, layerstack.cli\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    assert _run(code).strip() == "[]"
+    assert run_python(code).strip() == "[]"
 
 
-def test_cli_import_loads_no_random_or_hashing_module():
+def test_cli_import_loads_no_unneeded_module():
     code = (
         "import sys, layerstack, layerstack.cli\n"
         f"print(sorted(m for m in {sorted(UNNEEDED)!r} if m in sys.modules))"
     )
-    assert _run(code).strip() == "[]"
+    assert run_python(code).strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["aggregate", "run"])
-def test_command_loads_only_the_random_or_hashing_modules_it_needs(tmp_path, command):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_only_the_unneeded_modules_it_runs(tmp_path, command):
     code = (
         "import sys\n"
         "from layerstack import cli\n"
         "status = cli.main(sys.argv[1:])\n"
         f"print(status, sorted(m for m in {sorted(UNNEEDED)!r} if m in sys.modules))"
     )
-    allowed = sorted(m for m, user in UNNEEDED.items() if user == command)
-    assert _run(code, *_command_argv(tmp_path, command)).splitlines()[-1] == f"0 {allowed}"
+    allowed = sorted(m for m, users in UNNEEDED.items() if command in users)
+    assert run_python(code, *_command_argv(tmp_path, command)).splitlines()[-1] == f"0 {allowed}"
 
 
-@pytest.mark.parametrize("command", ["aggregate", "run"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_command_loads_no_numpy_module_the_cli_import_did_not(tmp_path, command):
     argv = _command_argv(tmp_path, command)
     code = (
@@ -89,4 +105,4 @@ def test_command_loads_no_numpy_module_the_cli_import_did_not(tmp_path, command)
         "status = cli.main(sys.argv[1:])\n"
         "print(status, sorted(numpy_modules() - before))"
     )
-    assert _run(code, *argv).splitlines()[-1] == "0 []"
+    assert run_python(code, *argv).splitlines()[-1] == "0 []"

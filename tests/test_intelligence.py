@@ -122,6 +122,22 @@ class TestKmeans:
         assert clustering.centroids.dtype == np.float64
         assert np.array_equal(clustering.centroids, np.zeros((1, 2)))
 
+    def test_rows_given_as_lists_cluster_as_their_arrays_do(self):
+        listed = TermRows(indptr=[0, 0, 0], indices=[], data=[], n_columns=2)
+        assert listed.indptr.dtype == listed.indices.dtype == np.intp
+        assert listed.data.dtype == np.float64
+        arrays = TermRows(
+            indptr=np.array([0, 0, 0]),
+            indices=np.array([], dtype=np.int64),
+            data=np.array([]),
+            n_columns=2,
+        )
+        a = kmeans(["a", "b"], listed, k=1, seed=0)
+        b = kmeans(["a", "b"], arrays, k=1, seed=0)
+        assert a.assignments == b.assignments == {"a": 0, "b": 0}
+        assert np.array_equal(a.centroids, b.centroids)
+        assert a.inertia_history == b.inertia_history
+
     def test_validation(self):
         ids, rows = blob_rows()
         with pytest.raises(ValueError, match="fewer rows than k"):

@@ -44,7 +44,7 @@ from layerstack import (
     rank_documents,
     run_pipeline,
 )
-from layerstack.pipeline import ranking_rows
+from layerstack.knowledge import ranking_rows
 from layerstack.stopwords import ENGLISH_STOP_WORDS
 
 from helpers import segment_parts

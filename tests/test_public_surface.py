@@ -7,14 +7,24 @@ aside, since it only re-exports), in the release gate
 public or private, must be referenced by ``src/layerstack`` itself. The
 sources are parsed, not imported or run. A reference is a name or an
 attribute read, annotations included; an import alone is not one.
+
+The package resolves the exports of ``pipeline``, ``wisdom`` and
+``synthetic`` on first access, so a CLI command that does not run them does
+not load them; ``TestLazyExports`` checks, in fresh interpreters, that
+every export still resolves to its defining module's object.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 from pathlib import Path
 
+import pytest
+
 import layerstack
+
+from helpers import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "layerstack"
@@ -134,3 +144,65 @@ def test_a_private_name_used_only_in_its_own_definition_is_unused():
     )
     assert private_names(source) == {"_LIMIT", "_helper", "_leftover"}
     assert private_names(source) - references(source) == {"_leftover"}
+
+
+def defining_modules() -> dict[str, str]:
+    """Each module-level name of the package's modules, ``__init__`` aside,
+    mapped to the module that defines it."""
+    return {
+        name: path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+        for name in defined_names(statement)
+    }
+
+
+class TestLazyExports:
+    """The exports of ``pipeline``, ``wisdom`` and ``synthetic`` load on
+    first access; each check runs in a fresh interpreter, where none of
+    those modules is loaded yet."""
+
+    def test_every_export_is_its_defining_module_s_object(self):
+        owners = {name: defining_modules()[name] for name in layerstack.__all__}
+        code = (
+            "import importlib, json, sys, layerstack\n"
+            "owners = json.loads(sys.argv[1])\n"
+            "print(sorted(name for name, owner in owners.items() if getattr(layerstack, name)\n"
+            "    is not getattr(importlib.import_module(f'layerstack.{owner}'), name)))"
+        )
+        assert run_python(code, json.dumps(owners)).strip() == "[]"
+
+    def test_star_import_binds_every_export(self):
+        code = (
+            "from layerstack import *\n"
+            "import layerstack\n"
+            "print(len(layerstack.__all__), sorted(set(layerstack.__all__) - set(globals())))"
+        )
+        assert run_python(code).strip() == "50 []"
+
+    def test_dir_lists_every_export(self):
+        code = "import layerstack\nprint(sorted(set(layerstack.__all__) - set(dir(layerstack))))"
+        assert run_python(code).strip() == "[]"
+
+    def test_an_unknown_name_is_an_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="'layerstack' has no attribute 'no_such_name'"):
+            layerstack.no_such_name
+        assert not hasattr(layerstack, "no_such_name")
+
+    @pytest.mark.parametrize(
+        "imports",
+        [
+            "import layerstack\nfirst = layerstack.belief\nimport layerstack.pipeline\n",
+            "import layerstack.pipeline\nimport layerstack\nfirst = layerstack.belief\n",
+        ],
+        ids=["pipeline-after", "pipeline-first"],
+    )
+    def test_belief_is_the_function_before_and_after_the_pipeline_loads(self, imports):
+        code = imports + (
+            "import sys, types\n"
+            "function = sys.modules['layerstack.belief'].belief\n"
+            "print(isinstance(function, types.FunctionType), first is function,"
+            " layerstack.belief is function)"
+        )
+        assert run_python(code).strip() == "True True True"
