@@ -6,10 +6,11 @@ individual layers. Exit codes: 0 success, 1 fatal error, 2 bad arguments.
 
 Each command loads only the layers it runs. This module imports the
 ingest, knowledge, intelligence, information and belief layers, which
-``rank`` and ``aggregate`` need and nothing more. ``run``, ``scatter``,
-``entropy`` and ``belief`` import ``pipeline``, and through it ``wisdom``,
-inside their handlers: ``run`` walks every layer, ``scatter`` writes fig4,
-and ``entropy`` and ``belief`` print through the pipeline's JSON writer.
+``rank``, ``aggregate``, ``entropy`` and ``belief`` need and nothing more;
+the last two print through ``config.json_text``. Only ``run`` and
+``scatter`` import ``pipeline``, and through it ``wisdom`` and ``csv``,
+inside their handlers: ``run`` walks every layer, and ``scatter`` writes
+fig4 through ``pipeline.write_fig4``, a CSV writer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .belief import Frame, MassFunction, belief, combine, make_mass, plausibility, vacuous_mass
-from .config import PipelineError, RunConfig
+from .config import PipelineError, RunConfig, json_text
 from .corpus import count_terms, ingest_corpus, load_stop_words, read_source
 from .infotheory import bitstream_entropy, count_entropy, hartley_entropy
 from .intelligence import aggregate_corpus
@@ -69,8 +70,6 @@ def _cmd_run(args: argparse.Namespace, notes: list[str]) -> int:
 
 
 def _cmd_entropy(args: argparse.Namespace, notes: list[str]) -> int:
-    from .pipeline import _json_text
-
     data, text = read_source(Path(args.file))
     counts = count_terms(text, _stop_words(args.stop_words_path))
     total = sum(counts.values())
@@ -82,7 +81,7 @@ def _cmd_entropy(args: argparse.Namespace, notes: list[str]) -> int:
         "token_bits": count_entropy(counts.values()) if total else None,
         "hartley_term_bits": hartley_entropy(len(counts)) if counts else None,
     }
-    sys.stdout.write(_json_text(payload))
+    sys.stdout.write(json_text(payload))
     return 0
 
 
@@ -127,8 +126,6 @@ def _load_mass(frame: Frame, path: str) -> MassFunction:
 
 
 def _cmd_belief(args: argparse.Namespace, notes: list[str]) -> int:
-    from .pipeline import _json_text
-
     elements = tuple(part.strip() for part in args.frame.split(",") if part.strip())
     frame = Frame(elements=elements)
     result = vacuous_mass(frame) if args.prior is None else _load_mass(frame, args.prior)
@@ -141,7 +138,7 @@ def _cmd_belief(args: argparse.Namespace, notes: list[str]) -> int:
         }
         for name in elements
     }
-    sys.stdout.write(_json_text(payload))
+    sys.stdout.write(json_text(payload))
     return 0
 
 

@@ -3,15 +3,22 @@
 Every ``layerstack`` command loads this module: the parser reads its
 options' defaults from :class:`RunConfig`, and ``cli.main`` catches
 :class:`PipelineError`. The pipeline itself is loaded only by the commands
-that run it.
+that run it. :func:`json_text` is the one JSON writer, for the report,
+the tables and the ``entropy`` and ``belief`` commands.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
+
+
+def json_text(value: Any) -> str:
+    """Pretty-printed, key-sorted JSON text; a NaN or infinity is a ``ValueError``."""
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 class PipelineError(RuntimeError):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import IO, Any, Iterable, Iterator, Mapping
 import numpy as np
 
 from .belief import MAX_FRAME_SIZE, Frame, belief, keyword_belief_update, plausibility, vacuous_mass
-from .config import PipelineError, RunConfig
+from .config import PipelineError, RunConfig, json_text
 from .corpus import (
     Corpus,
     CountTable,
@@ -44,11 +43,6 @@ LAYERS = ("bit", "data", "information", "knowledge", "intelligence", "wisdom", "
 REPORT_NAME = "report.json"
 KNOWLEDGE_TABLE = "table1"
 INTELLIGENCE_TABLE = "table2"
-
-
-def _json_text(value: Any) -> str:
-    """Pretty-printed, key-sorted JSON text; a NaN or infinity is a ``ValueError``."""
-    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,7 @@ class RunReport:
             "sections": {k: dict(v) for k, v in self.sections.items()},
             "warnings": list(self.warnings),
         }
-        return _json_text(payload)
+        return json_text(payload)
 
 
 def _ingest(config: RunConfig) -> tuple[Corpus, dict[str, np.ndarray], str]:
@@ -383,7 +377,7 @@ def emit_tables(report: RunReport) -> list[Path]:
         INTELLIGENCE_TABLE: report.sections["intelligence"].get("aggregated_ranking", []),
     }
     texts = {f"{name}.tsv": ranking_tsv(rows) for name, rows in tables.items()}
-    texts.update({f"{name}.json": _json_text(rows) for name, rows in tables.items()})
+    texts.update({f"{name}.json": json_text(rows) for name, rows in tables.items()})
     out = _out_dir(report)
     written: list[Path] = []
     for file_name, text in texts.items():

@@ -171,6 +171,33 @@ class TestAggregate:
         assert run_cli(main, argv) == run_cli(main, argv)
 
 
+#: ``entropy`` on a file of stop words only: keys sorted, a 2-space indent,
+#: null for the token entropies it has no terms for, one trailing newline
+ENTROPY_STOPS_STDOUT = """{
+  "bitstream_bits_per_byte": 3.334679141051595,
+  "byte_count": 13,
+  "distinct_terms": 0,
+  "hartley_term_bits": null,
+  "token_bits": null,
+  "token_count": 0
+}
+"""
+
+#: ``belief --frame é,b`` on evidence {é: 0.6, {é, b}: 0.4}: elements in
+#: key order, not frame order, and ``é`` written raw, not as ``\u00e9``
+BELIEF_STDOUT = """{
+  "b": {
+    "belief": 0.0,
+    "plausibility": 0.4
+  },
+  "é": {
+    "belief": 0.6,
+    "plausibility": 1.0
+  }
+}
+"""
+
+
 class TestEntropy:
     def test_json_payload(self, corpus_dir):
         target = sorted(corpus_dir.glob("*.txt"))[0]
@@ -198,6 +225,11 @@ class TestEntropy:
         assert payload["token_count"] == 0
         assert payload["token_bits"] is None
         assert payload["hartley_term_bits"] is None
+
+    def test_stdout_is_sorted_indented_json_with_null_for_absent_entropies(self, tmp_path):
+        target = tmp_path / "stops.txt"
+        target.write_text("the and of 42", encoding="utf-8")
+        assert run_cli(main, ["entropy", str(target)]) == (0, ENTROPY_STOPS_STDOUT, "")
 
     def test_empty_file(self, tmp_path):
         target = tmp_path / "empty.txt"
@@ -252,6 +284,12 @@ class TestBelief:
         payload = json.loads(out)
         assert abs(payload["b1"]["belief"] - 0.8) < 1e-12
         assert abs(payload["b2"]["plausibility"] - 0.2) < 1e-12
+
+    def test_stdout_is_sorted_indented_json_with_names_written_raw(self, tmp_path):
+        evidence = tmp_path / "evidence.json"
+        evidence.write_text('{"é": 0.6, "é,b": 0.4}', encoding="utf-8")
+        argv = ["belief", "--frame", "é,b", "--evidence", str(evidence)]
+        assert run_cli(main, argv) == (0, BELIEF_STDOUT, "")
 
     def test_total_conflict_is_reported_error(self, tmp_path):
         prior = tmp_path / "prior.json"

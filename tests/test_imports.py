@@ -10,11 +10,13 @@ inside ``cli.main``.
 commands that may load each. Neither the import nor ``aggregate`` loads
 ``numpy.random``, which k-means does not draw from, or the ``secrets`` and
 ``hashlib`` modules it brings, with OpenSSL; only ``run``, which hashes its
-input, loads ``hashlib``. The import, ``aggregate`` and ``rank`` load
-neither ``pipeline``, the largest module, nor ``wisdom`` or ``csv``, which
-only the pipeline uses: ``run``, ``scatter``, ``entropy`` and ``belief``
-load them inside their handlers. No command loads ``synthetic``, which
-only the library's test-corpus generator needs."""
+input, loads ``hashlib``. The import, ``aggregate``, ``rank``, ``entropy``
+and ``belief`` load neither ``pipeline``, the largest module, nor
+``wisdom`` or ``csv``, which only the pipeline uses: ``entropy`` and
+``belief`` print through ``config.json_text``. Only ``run``, which walks
+every layer, and ``scatter``, which writes fig4 through the pipeline's CSV
+writer, load them inside their handlers. No command loads ``synthetic``,
+which only the library's test-corpus generator needs."""
 
 from pathlib import Path
 
@@ -23,8 +25,8 @@ import pytest
 from helpers import run_python
 
 
-#: the commands that run a layer only the pipeline module holds
-PIPELINE_COMMANDS = {"run", "scatter", "entropy", "belief"}
+#: the commands that run a pipeline stage or write a pipeline artifact
+PIPELINE_COMMANDS = {"run", "scatter"}
 
 #: modules no CLI process needs at start-up, and the commands that may load
 #: each of them

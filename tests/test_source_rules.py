@@ -34,6 +34,9 @@ classes that enclose it, such as ``corpus.Corpus.leave_one_out_counts``.
   inside the function bodies of ``synthetic``, which draws test corpora:
   k-means draws from ``intelligence._Draws``, and a module-level use would
   load ``numpy.random`` in every CLI process.
+- ``cli`` imports no ``_``-prefixed name from another ``layerstack``
+  module: what a command needs from a layer is that layer's public name,
+  so a command loads no module for a private helper.
 """
 
 from __future__ import annotations
@@ -389,4 +392,34 @@ def test_a_numpy_random_use_is_found_in_its_scope():
         ("m.draw", "numpy.random"),
         ("m.draw", "numpy.random"),
         ("m.Stream", "numpy.random"),
+    ]
+
+
+def private_import(node: ast.AST) -> str | None:
+    """The ``_``-prefixed names ``node`` imports from a ``layerstack``
+    module, comma-joined."""
+    if not isinstance(node, ast.ImportFrom):
+        return None
+    if not node.level and (node.module or "").split(".")[0] != "layerstack":
+        return None
+    return ", ".join(a.name for a in node.names if a.name.startswith("_")) or None
+
+
+def test_the_cli_imports_no_private_name_of_another_module():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert findings(source, "cli", private_import) == []
+
+
+def test_a_private_import_is_found_in_its_scope():
+    source = (
+        "from .pipeline import _json_text, write_fig4\n"
+        "from layerstack.corpus import _PASS_ENTRIES as size\n"
+        "from json import _default_decoder\nfrom .config import RunConfig\n"
+        "def _own():\n    return 0\n"
+        "def run():\n    from . import _Draws, pipeline, _draw\n    return pipeline._x\n"
+    )
+    assert findings(source, "m", private_import) == [
+        ("m", "_json_text"),
+        ("m", "_PASS_ENTRIES"),
+        ("m.run", "_Draws, _draw"),
     ]

@@ -5,9 +5,9 @@ reruns every bit-exact check under OpenBLAS's oldest kernel, by path or by
 a glob the shell expands, as ``tests/test_*oracle*.py`` names every oracle
 file. A golden or oracle file left out would skip the rerun silently, so
 each named pattern is expanded here and checked against the test files.
-The bench-smoke trace step requires one exact line naming the span
-targets the program no longer has; it is checked against ``RETIRED`` of
-``test_bench_targets.py``. The
+The bench-smoke trace step requires that the one line naming absent span
+targets names exactly those the program no longer has, written once in the
+step; it is checked against ``RETIRED`` of ``test_bench_targets.py``. The
 seed-1 step, which checks that a workload's runs are byte-identical to each
 other, must run on every workload of the matrix. The workflow is read as
 text: the step is the lines from its ``- name:`` to the
@@ -63,7 +63,7 @@ def test_trace_step_requires_the_retired_targets_in_targets_order():
     step = "\n".join(step_lines(WORKFLOW.read_text(), TRACE_STEP))
     copies = re.findall(re.escape(ABSENT) + r"(\[[^]]*\])", step)
     retired = [f"{module}.{path}" for name, module, path in span_targets() if name in RETIRED]
-    assert copies == [str(retired)] * 2  # bench/run.py prints the list of missing targets
+    assert copies == [str(retired)]  # bench/run.py prints the list of missing targets
 
 
 def test_seed1_step_runs_on_every_workload():
