@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Any, Callable
 
 from .belief import Frame, MassFunction, belief, combine, make_mass, plausibility, vacuous_mass
 from .config import PipelineError, RunConfig, json_text
@@ -31,25 +32,27 @@ from .knowledge import rank_documents, ranking_rows, ranking_tsv
 from .stopwords import ENGLISH_STOP_WORDS
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+def _number(parse: type, valid: Callable[[Any], bool], rule: str) -> Callable[[str], Any]:
+    """An argparse type: the value ``parse`` reads from the text, or a usage
+    error naming ``rule`` when it reads none or ``valid`` rejects it."""
+
+    def check(text: str) -> Any:
+        try:
+            value = parse(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    return check
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return value
+_positive_int = _number(int, lambda value: value >= 1, "an integer >= 1")
+_nonnegative_int = _number(int, lambda value: value >= 0, "an integer >= 0")
+_positive_float = _number(
+    float, lambda value: math.isfinite(value) and value > 0.0, "a finite number > 0"
+)
 
 
 def _stop_words(path: str | None) -> frozenset[str]:

@@ -174,16 +174,6 @@ def _entry_runs(indptr: np.ndarray, rows: Sequence[int]) -> Iterator[tuple]:
         yield rows[lo:hi], local[lo : hi + 1] - a, part
 
 
-def _zero_led(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The layout in which :func:`_segment_sums` sums the segments ``bounds``
-    cuts: each segment laid after a 0.0 of its own. Returns the positions of
-    the zeros, which ``np.add.reduceat`` takes as its indices, and of the
-    values."""
-    lengths = np.diff(bounds)
-    heads = bounds[:-1] + np.arange(len(lengths))
-    return heads, np.arange(bounds[-1]) + np.repeat(np.arange(1, len(lengths) + 1), lengths)
-
-
 def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """``np.add.reduce`` of every segment ``values[..., bounds[i]:bounds[i +
     1]]``, bit for bit, in one call; ``bounds`` runs from 0 to the length of
@@ -191,12 +181,13 @@ def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
     numpy reduces a segment as 0.0 plus the pairwise sum of its elements,
     while ``np.add.reduceat`` starts from the first element and so groups
-    the additions differently. Laid after a 0.0 of its own (``_zero_led``),
-    each segment's ``reduceat`` is again 0.0 plus its pairwise sum, along
-    any axis, and an empty segment reads 0.0."""
-    heads, slots = _zero_led(bounds)
-    led = np.zeros(values.shape[:-1] + (len(slots) + len(heads),))
-    led[..., slots] = values
+    the additions differently. Laid after a 0.0 of its own, each segment's
+    ``reduceat`` is again 0.0 plus its pairwise sum, along any axis, and an
+    empty segment reads 0.0."""
+    lengths = np.diff(bounds)
+    heads = bounds[:-1] + np.arange(len(lengths))
+    led = np.zeros(values.shape[:-1] + (bounds[-1] + len(lengths),))
+    led[..., np.arange(bounds[-1]) + np.repeat(np.arange(1, len(lengths) + 1), lengths)] = values
     return np.add.reduceat(led, heads, axis=-1)
 
 

@@ -13,8 +13,8 @@ leave-one-out count is the pooled total minus the row's own count, and one
 numpy pass over a run of rows, a slice of that layout of about
 ``corpus._PASS_ENTRIES`` entries, finds the shared terms and both sides'
 proportions for all of them. The same pass then correlates every row of the
-run at once: each row's span of the profiles is one segment, and every
-Pearson sum of every segment comes from one ``np.add.reduceat`` call, bit
+run at once: each row's span of the profiles is one segment, and its means
+and Pearson sums come from two calls of ``corpus._segment_sums``, each bit
 for bit the ``np.add.reduce`` of that segment alone. ``pearson_r`` is the
 one-segment case of the same code, so the program has one Pearson and calls
 it once per run, not once per row. So only the corpus's own documents are
@@ -34,7 +34,7 @@ from typing import Any, Hashable, Iterable, Iterator, Mapping, NamedTuple, Seque
 
 import numpy as np
 
-from .corpus import Corpus, Document, _entry_runs, _zero_led, shared_proportions
+from .corpus import Corpus, Document, _entry_runs, _segment_sums, shared_proportions
 
 #: shortest term overlap for which a correlation is computed
 MIN_SHARED_TERMS = 3
@@ -86,32 +86,26 @@ def _pearson_segments(
     ``MIN_SHARED_TERMS`` points, a non-finite denominator (from a non-finite
     input or an overflow) and equal inputs or a zero denominator.
 
-    The samples are laid out as ``_zero_led`` lays them, each segment after
-    a 0.0 of its own, and stay so while they are centred, so every sum is
-    one ``np.add.reduceat`` call over all the segments and equals
-    ``np.add.reduce`` of the segment's own floats (see ``_segment_sums``):
-    each float is the same on every CPU and for any cut of the segments
-    into calls, and IEEE ``sqrt``, ``*`` and ``/`` give the floats of their
-    scalar ``math`` forms."""
+    The sums are the stable two-pass ones (Chan, Golub & LeVeque, Am. Stat.
+    1983): each mean and each of Sxx, Syy and Sxy is a ``_segment_sums``,
+    bit for bit the ``np.add.reduce`` of the segment's own floats, so each
+    is the same on every CPU and for any cut of the segments into calls,
+    and IEEE ``sqrt``, ``*`` and ``/`` give the floats of their scalar
+    ``math`` forms."""
     n = np.diff(bounds)
-    heads, slots = _zero_led(bounds)
-    led = np.zeros((2, len(slots) + len(heads)))
-    led[0, slots] = x
-    led[1, slots] = y
+    d = np.stack([x, y])
     with np.errstate(all="ignore"):
-        # the floats of x - x.mean(), whose mean is umr_sum / n, each segment
-        # still after its 0.0, so that each sum is a _segment_sums
-        led -= np.repeat(np.add.reduceat(led, heads, axis=1) / n, n + 1, axis=1)
-        led[:, heads] = 0.0
-        sxx, syy = np.add.reduceat(led * led, heads, axis=1)
+        # the floats of x - x.mean(), whose mean is umr_sum / n
+        d -= np.repeat(_segment_sums(d, bounds) / n, n, axis=1)
+        dx, dy = d
+        sxx, syy, sxy = _segment_sums(np.stack([dx * dx, dy * dy, dx * dy]), bounds)
         denom = np.sqrt(sxx * syy)
-        r = np.clip(np.add.reduceat(led[0] * led[1], heads) / denom, -1.0, 1.0)
+        r = np.clip(sxy / denom, -1.0, 1.0)
     # equal inputs decide it, as a mean of equal floats can be off in the
     # last bit; denom is 0 for unequal inputs only where the squares underflow
     fault = np.where((denom == 0.0) | _all_equal(x, bounds) | _all_equal(y, bounds), 3, 0)
     fault[~np.isfinite(denom)] = 2
     fault[n < MIN_SHARED_TERMS] = 1
-    dx, dy = led.take(slots, axis=1)
     return dx, dy, denom, r, fault
 
 

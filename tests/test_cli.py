@@ -798,6 +798,7 @@ class TestArgumentValidation:
             main(argv)
         assert excinfo.value.code == 2
         assert "usage:" in err.getvalue()
+        return err.getvalue()
 
     def test_bad_k_exits_2(self, corpus_dir):
         self.assert_usage_exit(["run", str(corpus_dir), "--k", "0"])
@@ -812,6 +813,21 @@ class TestArgumentValidation:
     @pytest.mark.parametrize("strength", ["0", "inf", "nan"])
     def test_bad_reservoir_strength_exits_2(self, corpus_dir, strength):
         self.assert_usage_exit(["run", str(corpus_dir), "--reservoir-strength", strength])
+
+    @pytest.mark.parametrize(
+        "command, flag, value, rule",
+        [
+            ("run", "--k", "abc", "an integer >= 1"),
+            ("rank", "--top", "abc", "an integer >= 1"),
+            ("aggregate", "--seed", "x", "an integer >= 0"),
+            ("aggregate", "--rounds", "1.5", "an integer >= 0"),
+            ("run", "--reservoir-strength", "x", "a finite number > 0"),
+        ],
+    )
+    def test_malformed_number_names_its_rule(self, corpus_dir, command, flag, value, rule):
+        err = self.assert_usage_exit([command, str(corpus_dir), flag, value])
+        assert f"argument {flag}: must be {rule}, got {value!r}" in err
+        assert "_positive" not in err and "_nonnegative" not in err
 
     def test_missing_subcommand_exits_2(self):
         self.assert_usage_exit([])

@@ -1,4 +1,8 @@
-"""Every demo script runs to completion against the in-tree package."""
+"""Every demo script runs to completion against the in-tree package.
+
+Each demo runs in its own interpreter, out of reach of pytest's
+``filterwarnings = error``, so it is started with ``-W error``: a warning
+in a demo fails it as it would fail an in-process test."""
 
 import os
 import subprocess
@@ -23,7 +27,7 @@ def test_demo_runs_cleanly(demo, tmp_path):
     )
     env["TMPDIR"] = str(tmp_path)  # demos that write scratch files keep them here
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -8,6 +8,16 @@ classes that enclose it, such as ``corpus.Corpus.leave_one_out_counts``.
   ``vdot``, ``matmul``, ``linalg`` or ``einsum``, which can hand its work to
   BLAS. OpenBLAS picks its kernel by CPU, and the kernels sum in different
   orders, so the output bytes would depend on the host.
+- Only the scopes listed in ``SEGMENT_SUMMERS`` call ``np.add.reduceat``:
+  ``corpus._segment_sums``, the one segment sum that equals
+  ``np.add.reduce`` bit for bit, and ``corpus._row_sums`` and the k-means
+  x·c kernel ``intelligence._products``, which must group their additions
+  alike. Any other sum of segments goes through ``_segment_sums``, so the
+  outputs rest on one float grouping.
+- No numpy ``log``, ``exp`` or ``power`` ufunc, and no ``np.emath``: every
+  log or power that feeds an output float is its scalar ``math`` form, as
+  numpy's vector kernels for them are not correctly rounded and may differ
+  by CPU. ``np.sqrt`` and ``np.divide`` stay, as IEEE rounds them correctly.
 - After ingest, the layers read the corpus's count table, not each
   document's ``token_counts`` dict or ``total_tokens``. Only the scopes
   listed in ``COUNT_READERS`` still read them, and only those listed in
@@ -51,6 +61,16 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "layerstack"
 
 #: numpy's BLAS routines, and einsum, which can hand its work to them
 BLAS_NAMES = {"dot", "inner", "vdot", "matmul", "linalg", "einsum"}
+
+#: the program scopes that may call ``np.add.reduceat``: the bit-exact
+#: segment sum, and the row sums and x·c kernel of k-means, which group
+#: their additions alike
+SEGMENT_SUMMERS = {"corpus._segment_sums", "corpus._row_sums", "intelligence._products"}
+
+#: numpy's log, exp and power ufuncs, and its emath module
+TRANSCENDENTALS = {
+    "log", "log2", "log10", "log1p", "exp", "exp2", "expm1", "power", "float_power", "emath"
+}
 
 #: for each count attribute of a document, the scopes that may read it; a
 #: module or class name admits all of it
@@ -161,6 +181,80 @@ def test_each_form_of_a_blas_use_is_found():
         ("m.C.g", "matmul"),
         ("m.C.g", "linalg"),
         ("m.h", "einsum"),
+    ]
+
+
+def add_reduceat(node: ast.AST) -> str | None:
+    """``add.reduceat`` when ``node`` reads the ``reduceat`` of an ``add``,
+    as ``np.add.reduceat`` does, or ``add.reduceat`` after ``from numpy
+    import add``."""
+    if isinstance(node, ast.Attribute) and node.attr == "reduceat":
+        value = node.value
+        name = value.attr if isinstance(value, ast.Attribute) else getattr(value, "id", None)
+        return "add.reduceat" if name == "add" else None
+    return None
+
+
+def test_segments_are_summed_only_by_the_listed_scopes():
+    callers = {scope for scope, _ in program_findings(add_reduceat)}
+    assert sorted(callers) == sorted(SEGMENT_SUMMERS)
+
+
+def test_an_add_reduceat_is_found_in_its_scope():
+    source = (
+        "import numpy as np\nfrom numpy import add\n"
+        "def pearson(led, heads):\n    return np.add.reduceat(led * led, heads, axis=1)\n"
+        "class Kmeans:\n    def products(self, x, starts):\n"
+        "        return numpy.add.reduceat(x, starts), add.reduceat\n"
+        "def extremes(x, starts):\n"
+        "    return np.maximum.reduceat(x, starts), np.add.reduce(x), np.add.accumulate(x)\n"
+    )
+    assert findings(source, "m", add_reduceat) == [
+        ("m.pearson", "add.reduceat"),
+        ("m.Kmeans.products", "add.reduceat"),
+        ("m.Kmeans.products", "add.reduceat"),
+    ]
+
+
+def numpy_transcendental(node: ast.AST) -> str | None:
+    """The one of ``TRANSCENDENTALS`` that ``node`` reads from ``np`` or
+    ``numpy``, or imports from numpy."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        used = node.value.id in ("np", "numpy") and node.attr in TRANSCENDENTALS
+        return node.attr if used else None
+    if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+        names = [*node.module.split("."), *(alias.name for alias in node.names)]
+    elif isinstance(node, ast.Import):
+        names = [part for alias in node.names for part in alias.name.split(".")]
+        names = names if names[:1] == ["numpy"] else []
+    else:
+        return None
+    return next((name for name in names if name in TRANSCENDENTALS), None)
+
+
+def test_no_numpy_log_exp_or_power_in_the_program():
+    assert program_findings(numpy_transcendental) == []
+
+
+def test_each_form_of_a_numpy_log_is_found():
+    source = (
+        "import math\nimport numpy as np\nimport numpy.emath\nfrom numpy import log2, sqrt\n"
+        "from numpy.emath import sqrt as root\n"
+        "def entropy(p):\n    return -(p * np.log(p)).sum(), np.log1p(p), numpy.exp2(p)\n"
+        "class Gain:\n    def scale(self, x):\n"
+        "        return np.power(x, 2), np.float_power(x, 0.5), np.emath.log(x)\n"
+        "def fine(x):\n    return math.log(x), np.sqrt(x), np.divide(x, 2), x.log10()\n"
+    )
+    assert findings(source, "m", numpy_transcendental) == [
+        ("m", "emath"),
+        ("m", "log2"),
+        ("m", "emath"),
+        ("m.entropy", "log"),
+        ("m.entropy", "log1p"),
+        ("m.entropy", "exp2"),
+        ("m.Gain.scale", "power"),
+        ("m.Gain.scale", "float_power"),
+        ("m.Gain.scale", "emath"),
     ]
 
 
