@@ -172,12 +172,8 @@ def keyword_belief_update(
             raise ValueError(f"evidence score {score!r} for {keyword!r} outside [0, 1]")
         if score == 0.0:
             continue
-        singleton = frame.singleton(keyword)
-        if score == 1.0:
-            evidence = MassFunction(frame=frame, masses={singleton: 1.0})
-        else:
-            evidence = MassFunction(
-                frame=frame, masses={singleton: score, frame.full_mask: 1.0 - score}
-            )
-        result = combine(result, evidence)
+        masses = {frame.singleton(keyword): score}
+        if score < 1.0:
+            masses[frame.full_mask] = 1.0 - score
+        result = combine(result, MassFunction(frame=frame, masses=masses))
     return result

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -51,16 +52,12 @@ class RunConfig:
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         if self.stop_words_path is not None:
             object.__setattr__(self, "stop_words_path", Path(self.stop_words_path))
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if self.per_cluster < 1:
-            raise ValueError(f"per_cluster must be >= 1, got {self.per_cluster}")
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # a numpy integer is stored as the equal int; a float is a TypeError
+        for name, low in (("k", 1), ("rounds", 0), ("per_cluster", 1), ("top_k", 1), ("seed", 0)):
+            value = operator.index(getattr(self, name))
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            object.__setattr__(self, name, value)
         if not math.isfinite(self.reservoir_strength) or self.reservoir_strength <= 0.0:
             raise ValueError(
                 f"reservoir_strength must be positive, got {self.reservoir_strength!r}"

@@ -6,10 +6,11 @@ split on anything non-alphanumeric, drop purely numeric tokens, drop stop
 words. Everything downstream (entropy, correlation, clustering) consumes the
 per-document term counts built here. A :class:`Corpus` holds them once more
 as an integer :class:`CountTable` with both margins, each row's and each
-term's total, summed once when it is built. The data and information
-layers, the rankings, the k-means rows, the macrostate, the belief
-evidence, fig3 and fig4 read the table; fig4's reference counts and the
-entropic gains still read the maps.
+term's total, summed once when it is built, and the sorted vocabulary,
+which the corpus stores nowhere else. The data and information layers, the
+rankings, the k-means rows, the macrostate, the belief evidence, fig3 and
+fig4 read the table; fig4's reference counts and the entropic gains still
+read the maps.
 
 The words of a lowercased text are its runs of ``[^\W_]+``, that is of the
 characters for which ``str.isalnum()`` holds: the regex engine's ``\w`` is
@@ -109,7 +110,7 @@ class Document:
             raise ValueError(f"title of {self.id!r} contains a tab or line break: {self.title!r}")
         total = 0
         for term, count in self.token_counts.items():
-            if not term or term != term.lower():
+            if not isinstance(term, str) or not term or term != term.lower():
                 raise ValueError(f"invalid term {term!r} in document {self.id!r}")
             # int first: an isinstance check against the Integral ABC is far slower
             if type(count) is not int and not isinstance(count, Integral):
@@ -265,11 +266,11 @@ class CountTable:
 @dataclass(frozen=True)
 class Corpus:
     """An ordered, immutable collection of documents, with their term
-    counts as one :class:`CountTable` (row i is document i). Stop words
-    are the tokenizer's rule (:func:`count_terms`), not the corpus's."""
+    counts as one :class:`CountTable` (row i is document i), whose sorted
+    ``terms`` are the vocabulary. Stop words are the tokenizer's rule
+    (:func:`count_terms`), not the corpus's."""
 
     documents: tuple[Document, ...]
-    vocabulary: frozenset[str] = field(init=False)
     table: CountTable = field(init=False, repr=False, compare=False)
     _by_id: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
@@ -279,7 +280,11 @@ class Corpus:
             raise ValueError(f"duplicate document ids: {_repeated(d.id for d in self.documents)}")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "table", CountTable.build(self.documents))
-        object.__setattr__(self, "vocabulary", frozenset(self.table.terms))
+
+    @property
+    def vocabulary(self) -> frozenset[str]:
+        """Every term of the corpus: the table's ``terms`` as a set."""
+        return frozenset(self.table.terms)
 
     def __len__(self) -> int:
         return len(self.documents)

@@ -101,16 +101,19 @@ def shannon_entropy(dist: TokenDistribution) -> float:
 def count_entropy(counts: Iterable[int]) -> float:
     """Entropy of the distribution a count table defines, in bits: the
     ``c / total`` proportions of its positive counts. Zero counts are
-    skipped; a negative count or an all-zero table is an error."""
+    skipped; a negative or NaN count, an all-zero table or an infinite
+    total is an error. This is the one check of a count table."""
     positive = []
     for c in counts:
-        if c < 0:
-            raise ValueError(f"negative count {c!r}")
+        if not c >= 0:
+            raise ValueError(f"negative count {c!r}" if c < 0 else f"count {c!r} is not a number")
         if c > 0:
             positive.append(c)
     if not positive:
         raise ValueError("empty distribution: counts sum to zero")
     total = sum(positive)
+    if total == math.inf:  # not isfinite: an int total may pass the float range
+        raise ValueError("counts sum to inf, not a finite number")
     return _entropy_bits(c / total for c in positive)
 
 

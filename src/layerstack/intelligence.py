@@ -27,6 +27,7 @@ the seed, sizes and probabilities :func:`kmeans` has already checked.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -53,7 +54,7 @@ class _Draws:
     ``integers`` is numpy's Lemire multiply-and-reject (Lemire, ACM TOMACS
     2019) on 32-bit halves, the low half of a draw first, for n up to 2³²,
     and on whole draws above. The stream checks none of its arguments: it
-    takes only what :func:`kmeans` has checked, a seed ≥ 0, n ≥ 1, and a
+    takes only what :func:`kmeans` has checked, an int seed ≥ 0, n ≥ 1, and a
     ``p`` that is a finite, non-negative float64 vector of length n summing
     to 1, which ``tests/test_kmeans_oracle.py`` asserts of every call."""
 
@@ -343,6 +344,7 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
     2γ_{V+2}·(‖x‖² + ‖c‖²) of the exact squared distance of the same
     floats, so the draws and labels can differ from the dense N x k x V
     computation's only where d² values lie that close."""
+    k, seed = operator.index(k), operator.index(seed)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(ids) != rows.shape[0]:
@@ -385,7 +387,8 @@ def kmeans(ids: Sequence[str], rows: TermRows, k: int, seed: int) -> Clustering:
 class EntropicState:
     """Macrostate of the current selection (pooled term counts), the
     reservoir strength scaling the gain, and the macrostate's Shannon
-    entropy in bits, taken once."""
+    entropy in bits, taken once by ``count_entropy``, which checks the
+    counts."""
 
     macrostate: Mapping[str, int]
     reservoir_strength: float
@@ -394,14 +397,6 @@ class EntropicState:
     def __post_init__(self) -> None:
         if not math.isfinite(self.reservoir_strength) or self.reservoir_strength <= 0.0:
             raise ValueError(f"reservoir strength must be positive, got {self.reservoir_strength!r}")
-        positive = 0
-        for term, count in self.macrostate.items():
-            if count < 0:
-                raise ValueError(f"negative count for term {term!r}")
-            if count > 0:
-                positive += 1
-        if positive == 0:
-            raise ValueError("macrostate has no terms")
         object.__setattr__(self, "macrostate", dict(self.macrostate))
         object.__setattr__(self, "bits", count_entropy(self.macrostate.values()))
 

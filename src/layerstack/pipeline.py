@@ -147,8 +147,8 @@ def _data_section(corpus: Corpus, notes: list[str]) -> dict[str, Any]:
         "skipped": False,
         "per_document_bits": per_document,
         "corpus_bits": count_entropy(table.term_totals.tolist()),
-        "vocabulary_size": len(corpus.vocabulary),
-        "hartley_vocabulary_bits": hartley_entropy(len(corpus.vocabulary)),
+        "vocabulary_size": len(table.terms),
+        "hartley_vocabulary_bits": hartley_entropy(len(table.terms)),
     }
 
 
@@ -257,8 +257,9 @@ def _belief_section(
 ) -> dict[str, Any]:
     if not ranking:
         return _skip("no ranked documents to draw evidence from")
-    keyword_count = min(top_k, MAX_FRAME_SIZE, len(corpus.vocabulary))
-    # descending count, ties by ascending id, which is ascending term
+    keyword_count = min(top_k, MAX_FRAME_SIZE)
+    # descending count, ties by ascending id, which is ascending term; the
+    # slice stops at the vocabulary's size
     by_frequency = np.argsort(-corpus.table.term_totals, kind="stable")[:keyword_count].tolist()
     keywords = [corpus.table.terms[j] for j in by_frequency]
     frame = Frame(elements=tuple(keywords))
@@ -340,7 +341,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
     provenance = {
         "input_sha256": input_hash,
         "document_count": len(corpus),
-        "vocabulary_size": len(corpus.vocabulary),
+        "vocabulary_size": len(corpus.table.terms),
     }
     return RunReport(
         config_echo=config.echo(),

@@ -83,6 +83,10 @@ class TestMassConstruction:
         with pytest.raises(ValueError, match="empty set"):
             MassFunction(frame=theta2, masses={0: 1.0})
 
+    def test_focal_element_outside_frame_rejected(self, theta2):
+        with pytest.raises(ValueError, match=r"^focal element 0x4 outside frame$"):
+            MassFunction(frame=theta2, masses={0b100: 1.0})
+
     def test_non_positive_mass_rejected(self, theta2):
         with pytest.raises(ValueError, match="non-positive"):
             make_mass(theta2, [(("b1",), 0.0), (("b1", "b2"), 1.0)])

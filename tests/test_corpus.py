@@ -159,6 +159,10 @@ class TestDocument:
         with pytest.raises(ValueError, match="invalid term"):
             Document(id="d", title="d", token_counts={"Bad": 1}, total_tokens=1)
 
+    def test_rejects_non_string_terms(self):
+        with pytest.raises(ValueError, match=r"^invalid term 1 in document 'a'$"):
+            Document(id="a", title="t", token_counts={1: 2}, total_tokens=2)
+
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError, match="negative count"):
             Document(id="d", title="d", token_counts={"a": -1}, total_tokens=-1)
@@ -351,6 +355,16 @@ class TestResolveSources:
         [(doc_id, title, path)] = resolve_sources(manifest)
         assert (doc_id, title) == ("doc9", "A Title")
         assert path.read_text(encoding="utf-8") == "body"
+
+    def test_manifest_blank_lines_skipped_but_counted(self, tmp_path):
+        record = json.dumps({"id": "d", "title": "T", "path": "d.txt"})
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(f"\n  \n{record}\n\n{{bad}}\n", encoding="utf-8")
+        where = re.escape(str(manifest))
+        with pytest.raises(ValueError, match=f"^bad manifest line 5 in {where}: "):
+            resolve_sources(manifest)
+        manifest.write_text(f"\n{record}\n \t\n", encoding="utf-8")
+        assert resolve_sources(manifest) == [("d", "T", tmp_path / "d.txt")]
 
     def test_manifest_bad_json_line(self, tmp_path):
         manifest = tmp_path / "m.jsonl"

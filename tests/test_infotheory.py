@@ -68,6 +68,22 @@ class TestCountEntropy:
         with pytest.raises(ValueError, match="negative count"):
             count_entropy([3, -1, 2])
 
+    @pytest.mark.parametrize("counts", [[math.nan, 2], [2, math.nan]])
+    def test_nan_count_rejected(self, counts):
+        with pytest.raises(ValueError) as raised:
+            count_entropy(counts)
+        assert str(raised.value) == "count nan is not a number"
+
+    @pytest.mark.parametrize("counts", [[math.inf, 1], [1e308, 1e308]])
+    def test_infinite_total_rejected(self, counts):
+        with pytest.raises(ValueError) as raised:
+            count_entropy(counts)
+        assert str(raised.value) == "counts sum to inf, not a finite number"
+
+    @pytest.mark.parametrize("count", [2**63, 2**1100])
+    def test_huge_integer_counts_kept(self, count):
+        assert count_entropy([count, count]) == 1.0
+
 
 class TestTokenDistribution:
     def test_empty_rejected(self):

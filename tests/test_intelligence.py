@@ -150,6 +150,20 @@ class TestKmeans:
             kmeans(ids[:3], rows, k=1, seed=0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             kmeans(ids, rows, k=1, seed=-1)
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            kmeans(ids, rows, k=1, seed=3.0)
+
+    def test_numpy_integer_seed_clusters_as_the_equal_int(self):
+        ids, rows = blob_rows()
+        a = kmeans(ids, rows, k=np.int64(2), seed=np.int64(3))
+        b = kmeans(ids, rows, k=2, seed=3)
+        assert type(a.k) is type(a.seed) is int
+        assert a.assignments == b.assignments
+        assert a.inertia_history == b.inertia_history
+        assert np.array_equal(a.centroids, b.centroids)
+        corpus = six_doc_corpus()
+        numpy_run = aggregate_corpus(corpus, k=2, seed=np.int64(3))
+        assert numpy_run.ranking == aggregate_corpus(corpus, k=2, seed=3).ranking
 
     def test_clustering_invariants_enforced(self):
         with pytest.raises(ValueError, match="last history entry"):
@@ -170,6 +184,35 @@ class TestKmeans:
                 inertia=0.5,
                 inertia_history=(0.1, 0.5),
             )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"k": 0}, "k must be >= 1, got 0"),
+            ({"assignments": {"d": 1}}, "cluster index 1 for 'd' outside [0, 1)"),
+            ({"centroids": np.zeros((2, 2))}, "expected 1 centroid rows"),
+            ({"inertia": -1.0, "inertia_history": (-1.0,)}, "negative inertia -1.0"),
+        ],
+    )
+    def test_clustering_fields_checked(self, fields, message):
+        valid = {
+            "k": 1,
+            "seed": 0,
+            "assignments": {"d": 0},
+            "centroids": np.zeros((1, 2)),
+            "inertia": 0.0,
+            "inertia_history": (0.0,),
+        }
+        with pytest.raises(ValueError) as raised:
+            Clustering(**{**valid, **fields})
+        assert str(raised.value) == message
+
+    def test_members_of_a_cluster_outside_k_rejected(self):
+        clustering = kmeans(*blob_rows(2), k=1, seed=0)
+        assert clustering.members(0) == ("a1", "a2")
+        with pytest.raises(ValueError) as raised:
+            clustering.members(1)
+        assert str(raised.value) == "cluster index 1 outside [0, 1)"
 
 
 class TestEntropicGain:
@@ -207,7 +250,7 @@ class TestEntropicGain:
             EntropicState(macrostate={"a": 1}, reservoir_strength=0.0)
         with pytest.raises(ValueError, match="negative count"):
             EntropicState(macrostate={"a": -1}, reservoir_strength=1.0)
-        with pytest.raises(ValueError, match="no terms"):
+        with pytest.raises(ValueError, match="empty distribution"):
             EntropicState(macrostate={"a": 0}, reservoir_strength=1.0)
         state = EntropicState(macrostate={"a": 1}, reservoir_strength=1.0)
         with pytest.raises(ValueError, match="empty candidate"):
@@ -357,6 +400,15 @@ class TestAggregation:
             aggregate_corpus(corpus, k=2, rounds=-1)
         with pytest.raises(ValueError, match="per_cluster"):
             aggregate_corpus(corpus, k=2, per_cluster=0)
+
+    def test_one_document_stops_before_clustering(self):
+        # the rounds stop at one row, and the final ranking needs two
+        notes: list[str] = []
+        corpus = make_corpus({"d1": {"p": 3, "q": 1}})
+        with pytest.raises(ValueError) as raised:
+            aggregate_corpus(corpus, k=1, rounds=1, notes=notes)
+        assert str(raised.value) == "ranking needs at least 2 documents, got 1"
+        assert notes == []
 
     def test_unvectorizable_documents_excluded_with_warning(self):
         corpus = make_corpus(

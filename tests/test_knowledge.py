@@ -337,9 +337,25 @@ class TestJustification:
         with pytest.raises(ValueError, match="untestable testimony"):
             justification_score(space)
 
+    def test_disjoint_testimonies_give_a_zero_denominator(self):
+        space = EventSpace(
+            weights={1: 0.5, 2: 0.5},
+            belief_event=frozenset({1}),
+            testimonies=(frozenset({1}), frozenset({2})),
+        )
+        with pytest.raises(ValueError) as raised:
+            justification_score(space)
+        assert str(raised.value) == "untestable testimony: zero denominator"
+
     def test_space_validation(self):
         with pytest.raises(ValueError, match="empty event space"):
             EventSpace(weights={}, belief_event=frozenset(), testimonies=(frozenset({1}),))
+        with pytest.raises(ValueError, match="^negative outcome weight$"):
+            EventSpace(
+                weights={1: 1.5, 2: -0.5},
+                belief_event=frozenset({1}),
+                testimonies=(frozenset({1}),),
+            )
         with pytest.raises(ValueError, match="sum to"):
             EventSpace(
                 weights={1: 0.7, 2: 0.7},

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
 import math
 import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from layerstack import pipeline
@@ -128,6 +130,25 @@ class TestRunReport:
             assert 0.0 <= entry["belief"] <= entry["plausibility"] <= 1.0 + 1e-12
         evidence_total = sum(bel["evidence"].values())
         assert evidence_total <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            (None, f"sections must cover exactly {LAYERS}"),
+            ({}, "section 'bit' lacks a skipped marker"),
+            ({"skipped": True, "reason": ""}, "skipped section 'bit' lacks a reason"),
+        ],
+    )
+    def test_sections_checked(self, small_run, section, message):
+        _, report, _ = small_run
+        sections = {layer: {"skipped": False} for layer in LAYERS}
+        if section is None:
+            del sections["bit"]
+        else:
+            sections["bit"] = section
+        with pytest.raises(ValueError) as raised:
+            dataclasses.replace(report, sections=sections)
+        assert str(raised.value) == message
 
     def test_provenance_tracks_input(self, small_run):
         config, report, root = small_run
@@ -297,6 +318,27 @@ class TestRunConfig:
             RunConfig(source=tmp_path, out_dir=tmp_path, reservoir_strength=0.0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             RunConfig(source=tmp_path, out_dir=tmp_path, seed=-1)
+
+    def test_numpy_integer_fields_run_as_python_ints(self, small_run):
+        config, report, root = small_run
+        out_dir = root / "out-numpy"
+        numpy_config = RunConfig(
+            source=config.source,
+            out_dir=out_dir,
+            k=np.int64(config.k),
+            top_k=np.int64(config.top_k),
+            seed=np.int64(config.seed),
+        )
+        assert numpy_config == dataclasses.replace(config, out_dir=out_dir)
+        assert {type(numpy_config.k), type(numpy_config.top_k), type(numpy_config.seed)} == {int}
+        expected = report.to_json().replace(json.dumps(str(config.out_dir)), json.dumps(str(out_dir)))
+        assert run_pipeline(numpy_config).to_json() == expected
+
+    @pytest.mark.parametrize("name", ["k", "rounds", "per_cluster", "top_k", "seed"])
+    def test_float_integer_field_rejected(self, tmp_path, name):
+        with pytest.raises(TypeError) as raised:
+            RunConfig(source=tmp_path, out_dir=tmp_path, **{name: 2.0})
+        assert str(raised.value) == "'float' object cannot be interpreted as an integer"
 
     def test_echo_is_json_safe(self, tmp_path):
         config = RunConfig(source=tmp_path, out_dir=tmp_path / "out")

@@ -185,6 +185,11 @@ class TestLazyExports:
         code = "import layerstack\nprint(sorted(set(layerstack.__all__) - set(dir(layerstack))))"
         assert run_python(code).strip() == "[]"
 
+    def test_dir_is_sorted_and_lists_every_export_in_process(self):
+        names = dir(layerstack)
+        assert names == sorted(set(names))
+        assert set(layerstack.__all__) <= set(names)
+
     def test_an_unknown_name_is_an_attribute_error_naming_it(self):
         with pytest.raises(AttributeError, match="'layerstack' has no attribute 'no_such_name'"):
             layerstack.no_such_name

@@ -19,7 +19,8 @@ classes that enclose it, such as ``corpus.Corpus.leave_one_out_counts``.
   numpy's vector kernels for them are not correctly rounded and may differ
   by CPU. ``np.sqrt`` and ``np.divide`` stay, as IEEE rounds them correctly.
 - After ingest, the layers read the corpus's count table, not each
-  document's ``token_counts`` dict or ``total_tokens``. Only the scopes
+  document's ``token_counts`` dict or ``total_tokens``, nor the corpus's
+  ``vocabulary`` set. Only the scopes
   listed in ``COUNT_READERS`` still read them, and only those listed in
   ``COUNT_FUNCTION_CALLERS`` call the functions that read them.
 - The count table keeps its column margin, every term's total over all
@@ -72,8 +73,8 @@ TRANSCENDENTALS = {
     "log", "log2", "log10", "log1p", "exp", "exp2", "expm1", "power", "float_power", "emath"
 }
 
-#: for each count attribute of a document, the scopes that may read it; a
-#: module or class name admits all of it
+#: for each count attribute of a document or corpus, the scopes that may
+#: read it; a module or class name admits all of it
 COUNT_READERS = {
     "token_counts": {
         "corpus.Document.__post_init__",
@@ -84,6 +85,7 @@ COUNT_READERS = {
         "synthetic",
     },
     "total_tokens": {"corpus.Document", "intelligence.entropic_gain"},
+    "vocabulary": {"corpus.Corpus"},
 }
 
 #: for each public function of the string-keyed counts, the program scopes
