@@ -161,18 +161,18 @@ def keyword_belief_update(
 
     Each score s in [0, 1] becomes a simple-support mass ({keyword}: s,
     frame: 1 - s) and is combined with the running result via Dempster's
-    rule, in lexicographic keyword order. Zero scores are vacuous and
-    skipped, so all-zero evidence returns the prior unchanged.
-    """
+    rule, in lexicographic keyword order. Zero scores, and every score on a
+    one-element frame, are vacuous and skipped: all such evidence returns
+    the prior unchanged."""
     frame = prior.frame
     result = prior
     for keyword in sorted(round_evidence):
         score = round_evidence[keyword]
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"evidence score {score!r} for {keyword!r} outside [0, 1]")
-        if score == 0.0:
+        if score == 0.0 or (focal := frame.singleton(keyword)) == frame.full_mask:
             continue
-        masses = {frame.singleton(keyword): score}
+        masses = {focal: score}
         if score < 1.0:
             masses[frame.full_mask] = 1.0 - score
         result = combine(result, MassFunction(frame=frame, masses=masses))

@@ -16,6 +16,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 
 def json_text(value: Any) -> str:
     """Pretty-printed, key-sorted JSON text; a NaN or infinity is a ``ValueError``."""
@@ -58,6 +60,9 @@ class RunConfig:
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
             object.__setattr__(self, name, value)
+        if not isinstance(self.force_bit_layer, (bool, np.bool_)):
+            raise TypeError(f"force_bit_layer must be a bool, got {self.force_bit_layer!r}")
+        object.__setattr__(self, "force_bit_layer", bool(self.force_bit_layer))
         if not math.isfinite(self.reservoir_strength) or self.reservoir_strength <= 0.0:
             raise ValueError(
                 f"reservoir_strength must be positive, got {self.reservoir_strength!r}"

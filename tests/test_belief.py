@@ -194,6 +194,23 @@ class TestKeywordBeliefUpdate:
         out = keyword_belief_update(vacuous_mass(theta2), {"b2": 1.0})
         assert out.masses == {theta2.singleton("b2"): 1.0}
 
+    @pytest.mark.parametrize("score", [0.5, 1.0])
+    def test_one_element_frame_evidence_is_vacuous(self, score):
+        # the keyword's singleton is the whole frame, so {keyword: s} is no evidence
+        frame = Frame(elements=("a",))
+        prior = vacuous_mass(frame)
+        assert keyword_belief_update(prior, {"a": score}) is prior
+
+    def test_two_element_frame_folds_each_simple_support(self, theta2, simple_support):
+        evidence = {"b2": 0.3, "b1": 0.45}
+        expected = simple_support
+        for keyword in sorted(evidence):
+            support = {theta2.singleton(keyword): evidence[keyword]}
+            support[theta2.full_mask] = 1.0 - evidence[keyword]
+            expected = combine(expected, MassFunction(frame=theta2, masses=support))
+        out = keyword_belief_update(simple_support, evidence)
+        assert out.masses == expected.masses
+
     def test_score_out_of_range_rejected(self, theta2):
         with pytest.raises(ValueError, match="outside"):
             keyword_belief_update(vacuous_mass(theta2), {"b1": 1.2})

@@ -88,6 +88,13 @@ UNICODE_PIECES = st.one_of(
 STOP_SETS = st.sampled_from([ENGLISH_STOP_WORDS, frozenset(), frozenset({"ai", "naïve", "b"})])
 
 
+def assert_passes_the_checked_constructor(doc: Document) -> None:
+    """``from_text`` checks no term; the constructor, which checks each, must
+    accept its terms and counts and give an equal document."""
+    rebuilt = Document(doc.id, doc.title, dict(doc.token_counts), doc.total_tokens)
+    assert rebuilt == doc
+
+
 class TestSplitterOracle:
     """count_terms and Document.from_text against the regex rule, on ASCII
     text, on text whose runs are all words, and on text whose runs hold
@@ -100,6 +107,7 @@ class TestSplitterOracle:
         doc = Document.from_text("d", "d", text, stop_words)
         assert list(doc.token_counts.items()) == expected
         assert doc.total_tokens == sum(count for _, count in expected)
+        assert_passes_the_checked_constructor(doc)
 
     @settings(max_examples=300)
     @given(pieces=st.lists(ASCII_PIECES, max_size=12), stop_words=STOP_SETS)
@@ -125,6 +133,9 @@ class TestSplitterOracle:
         text = "a" + "b a".join(map(chr, range(0x110000))) + "b"
         expected = list(Counter(oracle_tokens(text, frozenset())).items())
         assert list(count_terms(text, frozenset()).items()) == expected
+        doc = Document.from_text("d", "d", text, frozenset())
+        assert list(doc.token_counts.items()) == expected
+        assert_passes_the_checked_constructor(doc)
 
 
 class TestTermFrequencies:
@@ -173,6 +184,35 @@ class TestDocument:
             Document(id="d", title="d", token_counts={"a": 1.5, "b": 0.5}, total_tokens=2)
         doc = Document(id="d", title="d", token_counts={"a": np.int64(2)}, total_tokens=2)
         assert make_corpus({"d": doc.token_counts}).table.counts.tolist() == [2]
+
+    @pytest.mark.parametrize(
+        "counts, total, message",
+        [
+            ({"ok": 1, "Bad": 1}, 2, "invalid term 'Bad' in document 'd'"),
+            ({"": 1}, 1, "invalid term '' in document 'd'"),
+            ({"a": 2.0}, 2, "count of term 'a' in 'd' is not an integer: 2.0"),
+            ({"a": "2"}, 2, "count of term 'a' in 'd' is not an integer: '2'"),
+            ({"a": 3, "b": -1}, 2, "negative count for term 'b' in 'd'"),
+            ({"a": 2, "b": 0}, 3, "total_tokens 3 != sum of counts 2 in 'd'"),
+        ],
+    )
+    def test_hand_built_documents_are_checked_term_by_term(self, counts, total, message):
+        # from_text skips these checks, as its terms and counts cannot fail them
+        with pytest.raises(ValueError) as raised:
+            Document(id="d", title="d", token_counts=counts, total_tokens=total)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "doc_id, title, message",
+        [
+            ("", "t", "document id must be non-empty"),
+            ("d", "a\tb", "title of 'd' contains a tab or line break: 'a\\tb'"),
+        ],
+    )
+    def test_from_text_checks_its_id_and_title(self, doc_id, title, message):
+        with pytest.raises(ValueError) as raised:
+            Document.from_text(doc_id, title, "alpha")
+        assert str(raised.value) == message
 
     def test_rejects_empty_id(self):
         with pytest.raises(ValueError, match="non-empty"):

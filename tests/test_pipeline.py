@@ -340,6 +340,20 @@ class TestRunConfig:
             RunConfig(source=tmp_path, out_dir=tmp_path, **{name: 2.0})
         assert str(raised.value) == "'float' object cannot be interpreted as an integer"
 
+    def test_numpy_bool_runs_as_a_python_bool(self, small_run):
+        config, _, root = small_run
+        reports = []
+        for name, flag in (("out-bool", True), ("out-numpy-bool", np.bool_(True))):
+            run_config = dataclasses.replace(config, out_dir=root / name, force_bit_layer=flag)
+            assert type(run_config.force_bit_layer) is bool
+            reports.append(write_report(run_pipeline(run_config)).read_text(encoding="utf-8"))
+        assert reports[1] == reports[0].replace("out-bool", "out-numpy-bool")
+
+    @pytest.mark.parametrize("flag", [1, "yes", None])
+    def test_non_bool_force_bit_layer_rejected(self, tmp_path, flag):
+        with pytest.raises(TypeError, match=r"^force_bit_layer must be a bool, got "):
+            RunConfig(source=tmp_path, out_dir=tmp_path, force_bit_layer=flag)
+
     def test_echo_is_json_safe(self, tmp_path):
         config = RunConfig(source=tmp_path, out_dir=tmp_path / "out")
         echoed = config.echo()

@@ -40,7 +40,7 @@ classes that enclose it, such as ``corpus.Corpus.leave_one_out_counts``.
 - Only the scopes listed in ``FORCE_READERS`` read ``.force_bit_layer``:
   ``pipeline._ingest`` keeps the byte histograms only for a forced bit
   layer, and the layer reads its forcing from them, so the option is
-  decided in one place.
+  decided in one place; ``RunConfig`` only stores it as a ``bool``.
 - No module imports from ``numpy.random`` or reads ``np.random``, except
   inside the function bodies of ``synthetic``, which draws test corpora:
   k-means draws from ``intelligence._Draws``, and a module-level use would
@@ -116,8 +116,9 @@ PASS_SIZE_READERS = {"corpus._entry_runs"}
 DRAWS_CALLERS = {"intelligence.kmeans"}
 
 #: the program scopes that may read ``.force_bit_layer``: the ingest that
-#: keeps byte histograms only for a forced bit layer
-FORCE_READERS = {"pipeline._ingest"}
+#: keeps byte histograms only for a forced bit layer, and the config's check
+#: that it is a bool
+FORCE_READERS = {"pipeline._ingest", "config.RunConfig.__post_init__"}
 
 
 def findings(source: str, module: str, match: Callable[[ast.AST], str | None]) -> list:
