@@ -4,9 +4,10 @@ Documents are plain-text UTF-8 files (or a JSON-lines manifest pointing at
 them). Tokenization is deliberately simple and deterministic: lowercase,
 split on anything non-alphanumeric, drop purely numeric tokens, drop stop
 words. Everything downstream (entropy, correlation, clustering) consumes the
-per-document term counts built here; those of :meth:`Document.from_text` are
-valid by construction and not checked term by term, as a document built by
-hand is. A :class:`Corpus` holds them once more as an integer
+per-document term counts built here: a document stores only positive
+``int`` counts, exactly its table row. Those of :meth:`Document.from_text`
+are valid by construction and not checked term by term, as a document
+built by hand is. A :class:`Corpus` holds them once more as an integer
 :class:`CountTable` with both margins, each row's and each term's total,
 summed once when it is built, and the sorted vocabulary, which the corpus
 stores nowhere else. The data and information layers, the rankings, the
@@ -36,7 +37,6 @@ import stat
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress
 from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -100,7 +100,8 @@ def _repeated(ids: Iterable[str]) -> list[str]:
 
 @dataclass(frozen=True)
 class Document:
-    """One ingested text with its term-count profile."""
+    """One text's term counts: only the positive ones, each an ``int``, as
+    its table row. Counts given by hand are checked, then stored that way."""
 
     id: str
     title: str
@@ -109,7 +110,7 @@ class Document:
 
     def __post_init__(self) -> None:
         self._check_labels()
-        total = 0
+        counts = {}
         for term, count in self.token_counts.items():
             if not isinstance(term, str) or not term or term != term.lower():
                 raise ValueError(f"invalid term {term!r} in document {self.id!r}")
@@ -120,11 +121,14 @@ class Document:
                 )
             if count < 0:
                 raise ValueError(f"negative count for term {term!r} in {self.id!r}")
-            total += count
+            if count:
+                counts[term] = int(count)
+        total = sum(counts.values())
         if total != self.total_tokens:
             raise ValueError(
                 f"total_tokens {self.total_tokens} != sum of counts {total} in {self.id!r}"
             )
+        object.__setattr__(self, "token_counts", counts)
 
     @classmethod
     def from_text(
@@ -254,10 +258,6 @@ class CountTable:
             raise ValueError(f"term counts sum to {total}, not below 2**53")
         counts = np.fromiter(values, np.int64, len(values))
         indptr = np.array(ends, dtype=np.intp)
-        kept = counts > 0
-        if not kept.all():  # a zero count, which only a hand-built document holds
-            keys, counts = list(compress(keys, kept.tolist())), counts[kept]
-            indptr = np.concatenate(([0], np.cumsum(kept, dtype=np.intp)))[indptr]
         terms = tuple(sorted(set(keys)))
         index = {term: i for i, term in enumerate(terms)}
         term_ids = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
@@ -337,12 +337,12 @@ class Corpus:
         for i, doc in enumerate(self.documents):
             if i != held_out:
                 rest.update(doc.token_counts)
-        return +rest  # drops zero entries
+        return rest
 
 
 def top_k_terms(doc: Document, k: int) -> list[tuple[str, int]]:
     """The ``k`` most frequent terms, descending by count, ties broken by
-    ascending term."""
+    ascending term: of the positive counts a document stores, as fig3."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return heapq.nsmallest(k, doc.token_counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -355,13 +355,12 @@ def shared_proportions(
     reference_total: int | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one shared-term rule, of the scorer and of fig4: the positions
-    where two aligned count arrays are both positive, and the proportions
-    there, ``counts / total`` and ``reference / reference_total``. Each
-    total is an int, or an array aligned with the counts that gives each
-    position its own; either is broadcast to the counts' shape. Only the
-    shared positions are divided. IEEE division of integers below 2**53, as
-    a count table holds, gives the floats Python's ``int / int`` gives."""
-    shared = np.flatnonzero((counts > 0) & (reference > 0))
+    where ``reference`` is positive, as every ``counts`` entry, a table row's,
+    is, and there ``counts / total`` and ``reference / reference_total``.
+    Each total is an int, or an array aligned with the counts, broadcast to
+    their shape; only the shared positions are divided. IEEE division of
+    integers below 2**53, as a table holds, gives Python's ``int / int``."""
+    shared = np.flatnonzero(reference > 0)
     return (
         shared,
         np.divide(counts[shared], np.broadcast_to(total, counts.shape)[shared]),

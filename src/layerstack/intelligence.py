@@ -406,7 +406,7 @@ def entropic_gain(state: EntropicState, candidate: Document) -> float:
     candidate's counts into the macrostate: the forward difference of the
     selection entropy along the merge action. A gain that overflows a
     float is a ``ValueError``."""
-    if candidate.total_tokens == 0:
+    if not candidate.token_counts:
         raise ValueError(f"empty candidate: {candidate.id!r}")
     merged = dict(state.macrostate)
     for term, count in candidate.token_counts.items():

@@ -67,14 +67,13 @@ def synthetic_corpus(
         terms, probs = topics[j]
         for _ in range(doc_count):
             length = int(rng.integers(lo, hi + 1))
-            counts = rng.multinomial(length, probs)
-            token_counts = {t: int(c) for t, c in zip(terms, counts) if c > 0}
+            counts = dict(zip(terms, rng.multinomial(length, probs).tolist()))
             doc_id = f"doc{index:03d}"
             documents.append(
                 Document(
                     id=doc_id,
                     title=f"Synthetic study {index:03d} (topic {j})",
-                    token_counts=token_counts,
+                    token_counts=counts,
                     total_tokens=length,
                 )
             )

@@ -7,15 +7,17 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from layerstack import Corpus, Document
+from layerstack import Corpus, Document, RunReport, emit_plot_data
 from layerstack.intelligence import TermRows
 from layerstack.knowledge import _FAULTS, _pearson_segments
+from layerstack.pipeline import LAYERS
 
 
 #: Two topics over disjoint terms. Clustered with k=2, per_cluster=1 and
@@ -64,6 +66,14 @@ def pooled_counts(corpus: Corpus) -> Counter[str]:
     """Every term's count summed over the documents' ``token_counts`` by a
     plain ``Counter``, terms that sum to 0 left out."""
     return sum((Counter(doc.token_counts) for doc in corpus), Counter())
+
+
+def fig3_text(corpus: Corpus) -> str:
+    """fig3.csv as ``emit_plot_data`` writes it for ``corpus``."""
+    sections = {layer: {"skipped": True, "reason": "not run"} for layer in LAYERS}
+    with tempfile.TemporaryDirectory() as out:
+        report = RunReport({"out_dir": out}, {}, sections, (), corpus)
+        return emit_plot_data(report)[0].read_text(encoding="utf-8")
 
 
 def run_cli(main, argv: list[str]) -> tuple[int, str, str]:

@@ -10,7 +10,7 @@ with the subset's own, compare the row totals with each document's
 document, and check the row runs the rankings and k-means passes
 take against a walk over the rows. fig3, which takes each document's top
 terms from its table row, is checked against ``top_k_terms`` of the
-document's positive counts.
+document, which stores only its positive counts.
 Corpora include zero counts, non-ASCII terms, empty documents and ids that
 are not in sorted order.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import tempfile
 from unittest import mock
 
 import numpy as np
@@ -27,12 +26,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from layerstack import Corpus, RunReport, emit_plot_data, rank_documents, top_k_terms
+from layerstack import Corpus, rank_documents, top_k_terms
 from layerstack.corpus import CountTable, _entries, _entry_runs
 from layerstack.intelligence import unit_term_rows
-from layerstack.pipeline import LAYERS
 
-from helpers import make_corpus, make_doc, pooled_counts
+from helpers import fig3_text, make_corpus, make_doc, pooled_counts
 
 # ASCII, accented and CJK terms, one with a space, and prefixes of others
 TERMS = ["a", "b", "ab", "a b", "z", "ß", "ñandú", "ünï", "日本", "éa"]
@@ -281,23 +279,14 @@ def test_entry_runs_lay_out_their_rows_once(rows):
         assert_entries_of(indptr, block.tolist(), local, take)
 
 
-def fig3_text(corpus: Corpus) -> str:
-    """fig3.csv as ``emit_plot_data`` writes it for ``corpus``."""
-    sections = {layer: {"skipped": True, "reason": "not run"} for layer in LAYERS}
-    with tempfile.TemporaryDirectory() as out:
-        report = RunReport({"out_dir": out}, {}, sections, (), corpus)
-        return emit_plot_data(report)[0].read_text(encoding="utf-8")
-
-
 def oracle_fig3(corpus: Corpus) -> str:
-    """fig3 from ``top_k_terms`` of each document's positive counts, every
-    row written by ``csv.writer``."""
+    """fig3 from ``top_k_terms`` of each document, every row written by
+    ``csv.writer``."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["doc_id", "rank", "term", "count"])
     for doc in corpus:
-        positive = make_doc(doc.id, {t: c for t, c in doc.token_counts.items() if c > 0})
-        for rank, (term, count) in enumerate(top_k_terms(positive, 10), start=1):
+        for rank, (term, count) in enumerate(top_k_terms(doc, 10), start=1):
             writer.writerow([doc.id, rank, term, count])
     return out.getvalue()
 
@@ -324,11 +313,11 @@ def test_fig3_is_top_k_terms_of_the_positive_counts(corpus):
     assert fig3_text(corpus) == oracle_fig3(corpus)
 
 
-def test_fig3_leaves_out_zero_counts_that_top_k_terms_lists():
-    """A hand-built document may hold zero counts, which its table row
-    drops: fig3 lists only its positive counts, and nothing for a document
-    whose counts are all zero."""
+def test_fig3_and_top_k_terms_leave_out_zero_counts():
+    """A zero count given by hand is dropped when the document is made, so
+    ``top_k_terms`` and fig3 list the same positive counts, and nothing for
+    a document whose counts are all zero."""
     corpus = make_corpus({"d": {"b": 0, "a": 2, "c": 1}, "z": {"y": 0}})
-    assert top_k_terms(corpus.get("d"), 10) == [("a", 2), ("c", 1), ("b", 0)]
-    assert top_k_terms(corpus.get("z"), 10) == [("y", 0)]
+    assert top_k_terms(corpus.get("d"), 10) == [("a", 2), ("c", 1)]
+    assert top_k_terms(corpus.get("z"), 10) == []
     assert fig3_text(corpus) == "doc_id,rank,term,count\nd,1,a,2\nd,2,c,1\n"

@@ -1,12 +1,17 @@
 """Ingest against the per-entry walks it replaced.
 
 ``CountTable.build`` gathers each document's keys and counts with list
-extends and drops non-positive counts with one numpy mask. The oracle here
-walks every (term, count) entry in Python and keeps the positive ones, as
-the table was once built, and sums each row's and each term's total with
-Python ints. Both must give equal arrays and the same error, on documents
-with zero counts, empty rows, one-term rows, shared and disjoint
-vocabularies, and counts that sum to 2**53 - 1 and to 2**53.
+extends; a document stores only its positive counts, each an ``int``. The
+oracle here walks every (term, count) entry in Python and keeps the
+positive ones, as the table was once built, and sums each row's and each
+term's total with Python ints. Both must give equal arrays and the same
+error, on documents with zero counts, empty rows, one-term rows, shared and
+disjoint vocabularies, and counts that sum to 2**53 - 1 and to 2**53.
+
+A document's ``token_counts`` is exactly its table row: the same terms and
+counts, every one an ``int``, so ``top_k_terms`` lists its fig3 rows, on
+tokenized documents and on hand-built ones with zero counts and numpy
+integers alike. numpy counts whose sum wraps int64 meet the 2**53 check.
 
 ``Document.from_text`` skips the constructor's per-term check, since the
 tokenizer's terms and counts are valid by construction; ingest therefore
@@ -16,6 +21,9 @@ is checked once, when it is made.
 
 from __future__ import annotations
 
+import csv
+import io
+import re
 from collections import Counter
 
 import numpy as np
@@ -23,9 +31,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from layerstack import Corpus, Document, ingest_corpus
+from layerstack import Corpus, Document, ingest_corpus, top_k_terms
 from layerstack import corpus as corpus_module
 from layerstack.corpus import CountTable
+
+from helpers import fig3_text
 
 LIMIT = 2**53
 
@@ -79,8 +89,7 @@ def outcome(build, documents: list[Document]):
     return table
 
 
-def assert_same_build(documents: list[Document]) -> None:
-    got, expected = outcome(CountTable.build, documents), outcome(oracle_build, documents)
+def assert_same_outcome(got, expected) -> None:
     if isinstance(got, tuple) or isinstance(expected, tuple):
         assert got == expected
         return
@@ -88,6 +97,10 @@ def assert_same_build(documents: list[Document]) -> None:
     for name in ("indptr", "term_ids", "counts", "row_totals", "term_totals"):
         assert got[name].dtype == expected[name].dtype, name
         assert np.array_equal(got[name], expected[name]), name
+
+
+def assert_same_build(documents: list[Document]) -> None:
+    assert_same_outcome(outcome(CountTable.build, documents), outcome(oracle_build, documents))
 
 
 def hand_built(doc_id: str, counts: dict[str, int]) -> Document:
@@ -142,6 +155,75 @@ class TestTableBuildOracle:
     @given(texts=st.lists(st.text(st.sampled_from("ab ßÉ9_日本 ’"), max_size=30), max_size=6))
     def test_tokenized_documents_build_as_by_the_walk(self, texts):
         assert_same_build([Document.from_text(f"d{i}", "t", t) for i, t in enumerate(texts)])
+
+
+class TestStoredCounts:
+    """A document stores only its positive counts, each as an ``int``."""
+
+    def test_numpy_counts_that_wrap_int64_meet_the_limit(self):
+        documents = [hand_built(f"d{i}", {"a": np.int64(2**62)}) for i in range(2)]
+        message = "term counts sum to 9223372036854775808, not below 2**53"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Corpus(documents=tuple(documents))
+
+    @pytest.mark.parametrize(
+        "kind, counts",
+        [
+            (np.int32, {"b": 3, "a": 1, "c": 0}),
+            (np.uint64, {"b": 3, "a": 1, "c": 0}),
+            (bool, {"b": 1, "a": 1, "c": 0}),
+        ],
+    )
+    def test_integer_types_are_stored_as_int(self, kind, counts):
+        doc = hand_built("d", {term: kind(count) for term, count in counts.items()})
+        positive = {term: count for term, count in counts.items() if count}
+        assert doc.token_counts == positive
+        assert {type(count) for count in doc.token_counts.values()} == {int}
+        assert_same_outcome(
+            outcome(CountTable.build, [doc]), outcome(CountTable.build, [hand_built("d", positive)])
+        )
+
+
+@st.composite
+def mixed_corpora(draw) -> Corpus:
+    """Up to six documents, each tokenized from a text or built by hand
+    over terms the texts share, with zero counts and numpy integers."""
+    documents = []
+    for i in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            text = draw(st.text(st.sampled_from("ab ßÉ9_日本 ’"), max_size=30))
+            documents.append(Document.from_text(f"d{i}", "t", text))
+            continue
+        kinds = st.sampled_from([int, np.int64, np.int32, np.uint64])
+        drawn = draw(
+            st.dictionaries(st.sampled_from(SHARED + DISJOINT), st.tuples(st.integers(0, 3), kinds))
+        )
+        counts = {term: kind(count) for term, (count, kind) in drawn.items()}
+        documents.append(Document(f"d{i}", "t", counts, sum(map(int, counts.values()))))
+    return Corpus(documents=tuple(documents))
+
+
+def fig3_rows(corpus: Corpus) -> dict[str, list[tuple[str, int]]]:
+    """Each document's fig3 rows as (term, count), in rank order."""
+    rows: dict[str, list[tuple[str, int]]] = {doc.id: [] for doc in corpus}
+    for row in csv.DictReader(io.StringIO(fig3_text(corpus))):
+        rows[row["doc_id"]].append((row["term"], int(row["count"])))
+    return rows
+
+
+@settings(max_examples=150)
+@given(corpus=mixed_corpora())
+@example(corpus=Corpus((hand_built("d0", {"b": 0, "a": np.int64(2)}), hand_built("d1", {"a": 0}))))
+def test_a_document_stores_exactly_its_table_row(corpus):
+    table, fig3 = corpus.table, fig3_rows(corpus)
+    for i, doc in enumerate(corpus):
+        lo, hi = table.indptr[i], table.indptr[i + 1]
+        terms = [table.terms[j] for j in table.term_ids[lo:hi]]
+        row = dict(zip(terms, table.counts[lo:hi].tolist()))
+        assert doc.token_counts == row
+        assert all(type(count) is int for count in doc.token_counts.values())
+        assert doc.total_tokens == table.row_totals[i]
+        assert top_k_terms(doc, 10) == fig3[doc.id]
 
 
 class TestChecksOnce:

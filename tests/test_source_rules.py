@@ -84,7 +84,7 @@ COUNT_READERS = {
         "intelligence.entropic_gain",
         "synthetic",
     },
-    "total_tokens": {"corpus.Document", "intelligence.entropic_gain"},
+    "total_tokens": {"corpus.Document"},
     "vocabulary": {"corpus.Corpus"},
 }
 

@@ -14,10 +14,13 @@ seed-1 step, which checks that a workload's runs are byte-identical to each
 other, must run on every workload of the matrix. The workflow is read as
 text: the step is the lines from its ``- name:`` to the
 next line indented no deeper than that one.
+``tests/test_acceptance.py``, the eight acceptance criteria, is never
+edited (ROADMAP aim 3), so its SHA-256 is pinned here.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -30,6 +33,8 @@ BASELINE_STEP = "goldens and oracles under numpy's baseline kernels"
 TRACE_STEP = "${{ matrix.workload }} traces every span target but the retired ones"
 SEED1_STEP = "${{ matrix.workload }} at seed 1 runs byte-identically without a failed run"
 ABSENT = "not traced, absent from the program: "
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+ACCEPTANCE_SHA256 = "42a1e18964ebd1c83721bd76d8a46a1cb2f1da2641d3aba2c00d0ba0e9c5bc7a"
 
 
 def step_lines(text: str, name: str) -> list[str]:
@@ -86,3 +91,11 @@ def test_seed1_step_runs_on_every_workload():
     step = step_lines(WORKFLOW.read_text(), SEED1_STEP)
     assert not [line for line in step if line.strip().startswith("if:")]
     assert any("--workload ${{ matrix.workload }} --seed 1" in line for line in step)
+
+
+def test_acceptance_criteria_are_unchanged():
+    digest = hashlib.sha256(ACCEPTANCE.read_bytes()).hexdigest()
+    assert digest == ACCEPTANCE_SHA256, (
+        "tests/test_acceptance.py changed; ROADMAP aim 3 keeps it untouched, and "
+        "ACCEPTANCE_SHA256 changes only by a ROADMAP decision"
+    )
